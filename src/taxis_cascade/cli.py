@@ -80,7 +80,6 @@ def cmd_run(args) -> int:
     code, setup = _validate(cfg, args.force)
     if code != EXIT_OK:
         return code
-    setup.force = args.force
     result = solver.run(setup)
     failures = result.report.failures()
     step_violations = sum(s.violations for s in result.step_checks.values())

@@ -1,11 +1,14 @@
 """IMEX time integration of the taxis cascade with positivity preservation.
 
 One step advances the cascade in order u -> v -> w: diffusion is implicit
-(backward Euler, CG solve of I - dt*Lap), taxis and growth are explicit, and
-the v-taxis potential is the freshly solved u.  The nutrient consumption is
-semi-implicit through a nonnegative diagonal, so w inherits nonnegativity
-from the M-matrix solve whatever dt is.  Entries in [-1e-12, 0) are clamped
-to zero and counted; anything lower is a hard positivity error.
+(backward Euler), taxis and growth are explicit, and the v-taxis potential is
+the freshly solved u.  The u and v systems I - dt*Lap are solved directly by
+the cosine transform that diagonalizes the Neumann Laplacian.  The nutrient
+consumption is semi-implicit through a nonnegative diagonal, so w inherits
+nonnegativity from the M-matrix solve whatever dt is; that solve is the only
+iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
+max_iter govern it alone.  Entries in [-1e-12, 0) are clamped to zero and
+counted; anything lower is a hard positivity error.
 """
 
 from __future__ import annotations
@@ -101,9 +104,11 @@ class _SpectralHelmholtz:
     """Exact inverse of c*I - dt*Lap in the Neumann (half-sample cosine) basis.
 
     The mirror-ghost five-point Laplacian is diagonalized by the type-II DCT
-    per axis with eigenvalues -(2/h^2)(1 - cos(pi k / n)); used as the PCG
-    preconditioner (exact for the constant-diagonal solves, mean-diagonal
-    approximation for the consumption-augmented nutrient solve).
+    per axis with eigenvalues -(2/h^2)(1 - cos(pi k / n)).  With c = 1 this is
+    the u and v diffusion solve: the k = 0 denominator is 1, so the cell sum
+    of the right-hand side is kept to rounding.  That solve is direct, so
+    StepControl.lin_tol and max_iter govern only the w solve, for which this
+    class with c the mean nutrient diagonal is the preconditioner in ``_pcg``.
     """
 
     def __init__(self, g: gridmod.Grid, dt: float, diag_const: float):
@@ -114,48 +119,52 @@ class _SpectralHelmholtz:
         return _fft.idctn(coeffs / self.denom, type=2, norm="ortho")
 
 
-def _pcg(apply_a, precond, b, x0, rtol, max_iter, label, mean_correct=False):
-    """Preconditioned conjugate gradients, warm-started from x0.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's own loop, so no BLAS thread count changes it."""
+    return float(np.einsum("ij,ij->", a, b))
 
-    Converges to a relative residual of rtol; with the exact spectral
-    preconditioner this takes a single iteration, the nutrient solve takes a
-    few more because its diagonal varies across cells.
 
-    mean_correct applies when A maps constants to constants (the population
-    diffusion operator): shifting the iterate by the residual mean zeroes the
-    residual's cell sum, so the discrete mass law holds to rounding rather
-    than to the solve tolerance, and strictly shrinks the residual norm.
+def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
+         rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """The w solve (diag*I - dt*Lap) x = b by preconditioned conjugate gradients.
+
+    The operator splits as A = P + diag(diag - c), with c = mean(diag) and
+    P = c*I - dt*Lap inverted exactly by the DCT.  CG starts from x0 = P^-1 b,
+    so r0 = -(diag - c) x0, and carries P p by recurrence: P z = r gives
+    P p_new = r + beta P p_old, hence A p = P p + (diag - c) p without any
+    stencil apply.  A constant diagonal returns x0 after 0 iterations.
+    StepControl.lin_tol (rtol) and max_iter govern this solve only: it
+    converges to a relative residual of rtol within max_iter iterations, or
+    raises LinearSolveError.
     """
-    def finish(x, r, it):
-        if mean_correct:
-            x = x + float(np.mean(r))
-        return x, it
-
-    bnorm = math.sqrt(float(np.vdot(b, b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
+    bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
-    x = x0.copy()
-    r = b - apply_a(x)
-    if math.sqrt(float(np.vdot(r, r))) <= target:
-        return finish(x, r, 0)
-    z = precond.solve(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    c = float(np.mean(diag))
+    precond = _SpectralHelmholtz(g, dt, c)
+    shift = diag - c
+    x = precond.solve(b)
+    r = -shift * x
+    if math.sqrt(_dot(r, r)) <= target:
+        return x, 0
+    p = precond.solve(r)
+    p_img = r.copy()  # P p
+    rz = _dot(r, p)
     for it in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rz / float(np.vdot(p, ap))
+        ap = p_img + shift * p
+        alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
-        if math.sqrt(float(np.vdot(r, r))) <= target:
-            return finish(x, r, it)
+        if math.sqrt(_dot(r, r)) <= target:
+            return x, it
         z = precond.solve(r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        rz_new = _dot(r, z)
+        beta = rz_new / rz
+        p = z + beta * p
+        p_img = r + beta * p_img
         rz = rz_new
-    rnorm = math.sqrt(float(np.vdot(r, r)))
+    rnorm = math.sqrt(_dot(r, r))
     raise LinearSolveError(
-        f"{label}: PCG stalled at relative residual "
+        "w-solve: PCG stalled at relative residual "
         f"{rnorm / bnorm:.3e} after {max_iter} iterations"
     )
 
@@ -194,47 +203,34 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u, s_v, s_w = mms.sources(params, g, t_new)
 
-    def diffuse(x):
-        return x - dt * gridmod.laplacian(x, g)
-
-    precond_uv = _SpectralHelmholtz(g, dt, 1.0)
+    diffusion = _SpectralHelmholtz(g, dt, 1.0)
     rhs_u = state.u + dt * (-gridmod.taxis_divergence(state.u, state.w, g)
                             + ks.law_f(state.u))
     if mms is not None:
         rhs_u = rhs_u + dt * s_u
-    u_new, it_u = _pcg(diffuse, precond_uv, rhs_u, state.u, control.lin_tol,
-                       control.max_iter, "u-solve", mean_correct=True)
-    u_new, clamp_u = _clamp_nonnegative(u_new, "u")
+    u_new, clamp_u = _clamp_nonnegative(diffusion.solve(rhs_u), "u")
     _watchdog(u_new, "u", t_new)
 
     rhs_v = state.v + dt * (-gridmod.taxis_divergence(state.v, u_new, g)
                             + ks.law_g(state.v))
     if mms is not None:
         rhs_v = rhs_v + dt * s_v
-    v_new, it_v = _pcg(diffuse, precond_uv, rhs_v, state.v, control.lin_tol,
-                       control.max_iter, "v-solve", mean_correct=True)
-    v_new, clamp_v = _clamp_nonnegative(v_new, "v")
+    v_new, clamp_v = _clamp_nonnegative(diffusion.solve(rhs_v), "v")
     _watchdog(v_new, "v", t_new)
 
     sigma = u_new + v_new
     consumption_diag = sigma / (1.0 + params.epsilon * sigma * state.w)
     diag = 1.0 + dt * (params.mu + consumption_diag)
-
-    def helmholtz_w(x):
-        return diag * x - dt * gridmod.laplacian(x, g)
-
-    precond_w = _SpectralHelmholtz(g, dt, float(np.mean(diag)))
     rhs_w = state.w + dt * params.resupply.field(g, t_new)
     if mms is not None:
         rhs_w = rhs_w + dt * s_w
-    w_new, it_w = _pcg(helmholtz_w, precond_w, rhs_w, state.w, control.lin_tol,
-                       control.max_iter, "w-solve")
+    w_new, it_w = _pcg(g, dt, diag, rhs_w, control.lin_tol, control.max_iter)
     w_new, clamp_w = _clamp_nonnegative(w_new, "w")
     _watchdog(w_new, "w", t_new)
 
     new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
     stats = StepStats(clamps=clamp_u + clamp_v + clamp_w,
-                      cg_iterations=(it_u, it_v, it_w))
+                      cg_iterations=(0, 0, it_w))
     return new_state, stats
 
 
@@ -388,7 +384,6 @@ class RunSetup:
     label: str = "run"
     mms: MmsSpec | None = None
     fixed_dt: float | None = None
-    force: bool = False
 
 
 @dataclass

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import solve_ivp
 
 from oracles import dense_step
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
-from taxis_cascade.errors import BlowUpError, DomainError, PositivityError
+from taxis_cascade.errors import (BlowUpError, DomainError, LinearSolveError,
+                                  PositivityError)
 
 
 def pp_spec(alpha=3.0, beta=3.0):
@@ -105,6 +112,95 @@ def test_discrete_mass_law():
     tol = S.StepControl().lin_tol * g.volume
     assert defect_u <= tol
     assert defect_v <= tol
+
+
+# --- the linear solves -------------------------------------------------------
+
+# non-square grids and domains, dt/h^2 from 1e-3 to 1e3 (the presets reach ~300)
+grids = hs.builds(G.Grid, hs.integers(4, 32), hs.integers(4, 32),
+                  hs.floats(0.5, 3.0), hs.floats(0.5, 3.0))
+log_dt_over_h2 = hs.floats(-3.0, 3.0)
+seeds = hs.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(g=grids, log_ratio=log_dt_over_h2, seed=seeds)
+def test_diffusion_solve_inverts_and_conserves(g, log_ratio, seed):
+    dt = 10.0**log_ratio * g.h_min**2
+    b = np.random.default_rng(seed).random(g.shape)
+    x = S._SpectralHelmholtz(g, dt, 1.0).solve(b)
+    residual = x - dt * G.laplacian(x, g) - b
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+    assert abs(float(np.sum(x)) - float(np.sum(b))) <= 1e-13 * float(np.sum(b))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(g=grids, log_ratio=log_dt_over_h2, seed=seeds,
+       epsilon=hs.floats(0.0, 0.99), mu=hs.floats(0.0, 5.0),
+       log_sigma=hs.floats(-2.0, 3.0))
+def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
+                                                   mu, log_sigma):
+    # the nutrient diagonal of step(), with a population sum varying over
+    # up to five decades; the residual is the true one, not the recurrence's
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log_ratio * g.h_min**2
+    sigma = 10.0**log_sigma * rng.random(g.shape) ** 4
+    w_old = rng.random(g.shape)
+    diag = 1.0 + dt * (mu + sigma / (1.0 + epsilon * sigma * w_old))
+    b = rng.random(g.shape)
+    control = S.StepControl()
+    x, _ = S._pcg(g, dt, diag, b, control.lin_tol, control.max_iter)
+    residual = b - (diag * x - dt * G.laplacian(x, g))
+    assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
+
+
+def test_w_solve_iteration_cap_raises_and_run_records_it():
+    # peaked populations make the w diagonal vary, so one iteration is too few
+    g = G.Grid(16, 16)
+    X, Y = g.cell_centers()
+    u = 0.1 + 5.0 * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01)
+    v = 0.1 + 2.5 * np.exp(-((X - 0.7) ** 2 + (Y - 0.6) ** 2) / 0.01)
+    w = 0.5 + 0.4 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.05)
+    params = make_params(mu=0.1, epsilon=1e-3, amplitude=0.1)
+    control = S.StepControl(max_iter=1)
+    with pytest.raises(LinearSolveError, match="w-solve"):
+        S.step(S.State(u, v, w), params, 5e-3, g, control)
+    setup = S.RunSetup(grid=g, params=params, initial=K.InitialData(u, v, w),
+                       control=control, t_end=0.1)
+    result = S.run(setup)
+    assert not result.completed
+    assert result.failure.startswith("LinearSolveError: w-solve")
+    assert result.steps == 0
+
+
+_THREAD_PROBE = """
+import hashlib
+from dataclasses import replace
+from taxis_cascade import presets, solver
+cfg = replace(presets.preset("thm1-core").config, nx=128, ny=128, out_dir=None)
+setup = cfg.build_setup()
+init = setup.initial
+st = solver.State(init.u0.astype(float), init.v0.astype(float), init.w0.astype(float))
+for _ in range(40):
+    dt = solver.suggest_dt(st, setup.params, setup.grid, setup.control)
+    st, _ = solver.step(st, setup.params, dt, setup.grid, setup.control)
+for phi in (st.u, st.v, st.w):
+    print(hashlib.sha256(phi.tobytes()).hexdigest())
+"""
+
+
+def test_final_state_independent_of_blas_threads():
+    # in fresh processes, since BLAS reads its thread count at import
+    src = str(Path(S.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def test_consumption_monotone_in_epsilon():
