@@ -9,6 +9,7 @@ Key case is preserved (k_f and K_f are distinct constants).
 from __future__ import annotations
 
 import configparser
+import difflib
 import io
 import re
 from dataclasses import dataclass, replace
@@ -266,17 +267,6 @@ def format_config(cfg: Config) -> str:
     return out.getvalue()
 
 
-def _get(parser, section, key, conv, default, errors):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        errors.append(f"[{section}] {key} = {raw!r}")
-        return default
-
-
 def _pair(raw: str) -> tuple[float, float]:
     toks = raw.replace(",", " ").split()
     if len(toks) != 2:
@@ -284,7 +274,41 @@ def _pair(raw: str) -> tuple[float, float]:
     return (float(toks[0]), float(toks[1]))
 
 
+# section -> key -> (Config field, converter); the only keys parse_config accepts
+_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+    "grid": {"nx": ("nx", int), "ny": ("ny", int), "Lx": ("Lx", float),
+             "Ly": ("Ly", float)},
+    "time": {key: (key, float) for key in ("t_end", "dt_max", "safety", "lin_tol",
+                                           "fixed_dt")},
+    "model": {"mu": ("mu", float), "epsilon": ("epsilon", float)},
+    "kinetics": {"f_law": ("f_law", str), "g_law": ("g_law", str),
+                 **{key: (key, float) for key in ("alpha", "beta") + ENVELOPE_KEYS}},
+    "resupply": {"profile": ("profile", str), "amplitude": ("amplitude", float),
+                 "center": ("center", _pair), "width": ("width", float),
+                 "decay_lambda": ("decay_lambda", float)},
+    "initial": {"u": ("init_u", str), "v": ("init_v", str), "w": ("init_w", str),
+                "seed": ("seed", int)},
+    "monitors": {"cadence": ("cadence", float), "delta": ("delta", float),
+                 "q": ("q", float)},
+    "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", float)},
+    "mms": {"u": ("mms_u", str), "v": ("mms_v", str), "w": ("mms_w", str)},
+}
+
+
+def _unknown(kind: str, name: str, known) -> str:
+    # keys are case-sensitive (k_f vs K_f), so a case slip is the first guess
+    close = ([k for k in known if k.lower() == name.lower()]
+             or difflib.get_close_matches(name, list(known), n=1))
+    hint = f" (did you mean {close[0]!r}?)" if close else ""
+    return f"unknown {kind} {name!r}{hint}"
+
+
 def parse_config(text: str, label: str = "run") -> Config:
+    """Parse INI text into a Config; unknown sections, keys and bad values raise.
+
+    Every problem found is listed in one StructuralError, unknown names with
+    the closest known one as a hint.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep k_f / K_f distinct
     try:
@@ -292,45 +316,26 @@ def parse_config(text: str, label: str = "run") -> Config:
     except configparser.Error as exc:
         raise StructuralError(f"config parse error: {exc}") from exc
     errors: list[str] = []
+    sections = [f"[{name}]" for name in _SCHEMA]
+    if parser.defaults():
+        errors.append(_unknown("section", f"[{parser.default_section}]", sections))
     cfg = Config(label=label)
-    cfg.nx = _get(parser, "grid", "nx", int, cfg.nx, errors)
-    cfg.ny = _get(parser, "grid", "ny", int, cfg.ny, errors)
-    cfg.Lx = _get(parser, "grid", "Lx", float, cfg.Lx, errors)
-    cfg.Ly = _get(parser, "grid", "Ly", float, cfg.Ly, errors)
-    cfg.t_end = _get(parser, "time", "t_end", float, cfg.t_end, errors)
-    cfg.dt_max = _get(parser, "time", "dt_max", float, cfg.dt_max, errors)
-    cfg.safety = _get(parser, "time", "safety", float, cfg.safety, errors)
-    cfg.lin_tol = _get(parser, "time", "lin_tol", float, cfg.lin_tol, errors)
-    cfg.fixed_dt = _get(parser, "time", "fixed_dt", float, None, errors)
-    cfg.mu = _get(parser, "model", "mu", float, cfg.mu, errors)
-    cfg.epsilon = _get(parser, "model", "epsilon", float, cfg.epsilon, errors)
-    cfg.f_law = _get(parser, "kinetics", "f_law", str, cfg.f_law, errors)
-    cfg.g_law = _get(parser, "kinetics", "g_law", str, cfg.g_law, errors)
-    cfg.alpha = _get(parser, "kinetics", "alpha", float, None, errors)
-    cfg.beta = _get(parser, "kinetics", "beta", float, None, errors)
-    for key in ENVELOPE_KEYS:
-        setattr(cfg, key, _get(parser, "kinetics", key, float, None, errors))
-    cfg.profile = _get(parser, "resupply", "profile", str, cfg.profile, errors)
-    cfg.amplitude = _get(parser, "resupply", "amplitude", float, cfg.amplitude, errors)
-    cfg.center = _get(parser, "resupply", "center", _pair, cfg.center, errors)
-    cfg.width = _get(parser, "resupply", "width", float, cfg.width, errors)
-    cfg.decay_lambda = _get(parser, "resupply", "decay_lambda", float,
-                            cfg.decay_lambda, errors)
-    cfg.init_u = _get(parser, "initial", "u", str, cfg.init_u, errors)
-    cfg.init_v = _get(parser, "initial", "v", str, cfg.init_v, errors)
-    cfg.init_w = _get(parser, "initial", "w", str, cfg.init_w, errors)
-    cfg.seed = _get(parser, "initial", "seed", int, None, errors)
-    cfg.cadence = _get(parser, "monitors", "cadence", float, cfg.cadence, errors)
-    cfg.delta = _get(parser, "monitors", "delta", float, cfg.delta, errors)
-    cfg.q = _get(parser, "monitors", "q", float, cfg.q, errors)
-    cfg.out_dir = _get(parser, "output", "dir", str, None, errors)
-    cfg.snapshot_every = _get(parser, "output", "snapshot_every", float,
-                              cfg.snapshot_every, errors)
-    cfg.mms_u = _get(parser, "mms", "u", str, None, errors)
-    cfg.mms_v = _get(parser, "mms", "v", str, None, errors)
-    cfg.mms_w = _get(parser, "mms", "w", str, None, errors)
+    for section in parser.sections():
+        keys = _SCHEMA.get(section)
+        if keys is None:
+            errors.append(_unknown("section", f"[{section}]", sections))
+            continue
+        for key, raw in parser.items(section):
+            if key not in keys:
+                errors.append(_unknown(f"key in [{section}]", key, keys))
+                continue
+            attr, conv = keys[key]
+            try:
+                setattr(cfg, attr, conv(raw))
+            except (TypeError, ValueError):
+                errors.append(f"bad value [{section}] {key} = {raw!r}")
     if errors:
-        raise StructuralError("bad config values: " + "; ".join(errors))
+        raise StructuralError("bad config: " + "; ".join(errors))
     return cfg
 
 

@@ -86,23 +86,32 @@ class Grid:
 
 def _face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Interior face-normal differences: x-faces (ny, nx-1), y-faces (ny-1, nx)."""
-    gx = (phi[:, 1:] - phi[:, :-1]) / g.hx
-    gy = (phi[1:, :] - phi[:-1, :]) / g.hy
+    gx = np.subtract(phi[:, 1:], phi[:, :-1])
+    gx /= g.hx
+    gy = np.subtract(phi[1:, :], phi[:-1, :])
+    gy /= g.hy
     return gx, gy
 
 
-def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid) -> np.ndarray:
+def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Divergence from interior face fluxes (+x / +y through each face).
 
     Cell i gains its right-face flux and loses its left-face flux, divided by
-    the cell width; boundary faces carry zero flux.
+    the cell width; boundary faces carry zero flux.  The fluxes are divided
+    by the cell width in place, and the result goes to ``out`` when given.
     """
-    div = np.zeros((g.ny, g.nx))
-    div[:, :-1] += fx / g.hx
-    div[:, 1:] -= fx / g.hx
-    div[:-1, :] += fy / g.hy
-    div[1:, :] -= fy / g.hy
-    return div
+    if out is None:
+        out = np.zeros((g.ny, g.nx))
+    else:
+        out.fill(0.0)
+    fx /= g.hx
+    out[:, :-1] += fx
+    out[:, 1:] -= fx
+    fy /= g.hy
+    out[:-1, :] += fy
+    out[1:, :] -= fy
+    return out
 
 
 def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
@@ -117,23 +126,29 @@ def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
     return _flux_divergence(gx, gy, g)
 
 
-def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.ndarray:
+def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Conservative upwind discretization of div(carrier * grad potential).
 
     Each interior face carries flux carrier_up * (potential jump)/h where the
     carrier is taken from the upstream cell relative to the face gradient
     (transport runs up the potential gradient).  Boundary faces carry zero
-    flux.  With a constant carrier this reduces bitwise to carrier times
-    ``laplacian``.
+    flux.  With a unit carrier this reduces bitwise to ``laplacian``.
+
+    The result is written into ``out`` when given (it must not overlap
+    ``carrier`` or ``potential``) and into a new array otherwise; the inputs
+    are never modified.  Either way the bits are the same.
     """
     g.check_conforms(carrier, potential)
     cmin = float(np.min(carrier))
     if cmin < CARRIER_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
     gx, gy = _face_gradients(potential, g)
-    cx = np.where(gx > 0.0, carrier[:, :-1], carrier[:, 1:])
-    cy = np.where(gy > 0.0, carrier[:-1, :], carrier[1:, :])
-    return _flux_divergence(cx * gx, cy * gy, g)
+    fx = np.where(gx > 0.0, carrier[:, :-1], carrier[:, 1:])
+    fx *= gx
+    fy = np.where(gy > 0.0, carrier[:-1, :], carrier[1:, :])
+    fy *= gy
+    return _flux_divergence(fx, fy, g, out)
 
 
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:

@@ -194,14 +194,6 @@ class KineticSpec:
         return cls(**kw)
 
 
-def eval_f(spec: KineticSpec, s):
-    return spec.law_f(s)
-
-
-def eval_g(spec: KineticSpec, s):
-    return spec.law_g(s)
-
-
 @dataclass(frozen=True)
 class EnvelopeReport:
     holds: bool
@@ -360,10 +352,6 @@ class ResupplySpec:
     def linf(self, t: float) -> float:
         """Analytic sup over the whole domain at time t (dominates cell samples)."""
         return self.spatial_max * self.factor(t)
-
-
-def eval_r(resupply: ResupplySpec, x, y, t: float):
-    return resupply.eval(x, y, t)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ nonnegativity from the M-matrix solve whatever dt is; that solve is the only
 iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
 max_iter govern it alone.  Entries in [-1e-12, 0) are clamped to zero and
 counted; anything lower is a hard positivity error.
+
+A step allocates its three new fields and a few work arrays of its own call,
+nothing more: each right-hand side is built in the array that the solve then
+overwrites with the new field, and the transforms run in place.  The
+in-place forms keep the operation order of the plain expressions, so the
+result is bit for bit what they give.
 """
 
 from __future__ import annotations
@@ -109,14 +115,32 @@ class _SpectralHelmholtz:
     of the right-hand side is kept to rounding.  That solve is direct, so
     StepControl.lin_tol and max_iter govern only the w solve, for which this
     class with c the mean nutrient diagonal is the preconditioner in ``_pcg``.
+    ``solve`` runs both transforms in place and divides by the denominators
+    (not multiplying by reciprocals, which would change the bits).
     """
 
     def __init__(self, g: gridmod.Grid, dt: float, diag_const: float):
-        self.denom = diag_const + dt * _neumann_eigenvalues(g)
+        self.denom = np.multiply(_neumann_eigenvalues(g), dt)
+        self.denom += diag_const
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        coeffs = _fft.dctn(b, type=2, norm="ortho")
-        return _fft.idctn(coeffs / self.denom, type=2, norm="ortho")
+    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return x with (c*I - dt*Lap) x = b, written into ``out`` when given.
+
+        ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
+        b is left alone.  Both transforms run in place in the result array,
+        so a call with ``out`` allocates no field.
+        """
+        if out is None:
+            out = np.array(b, dtype=float)
+        elif out is not b:
+            np.copyto(out, b)
+        coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
+        np.divide(coeffs, self.denom, out=coeffs)
+        x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+        # overwrite_x permits an in-place transform but does not promise one
+        if not np.may_share_memory(x, out):
+            np.copyto(out, x)
+        return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -136,31 +160,51 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
     StepControl.lin_tol (rtol) and max_iter govern this solve only: it
     converges to a relative residual of rtol within max_iter iterations, or
     raises LinearSolveError.
+
+    ``b`` is overwritten (it ends as the residual); ``diag`` is left alone
+    and x is a new array.  Besides b the iteration updates three work arrays
+    of this call in place, in the operation order of the textbook
+    expressions, so the bits do not depend on the buffering: diag - c is
+    recomputed where needed rather than kept, and one work array holds A p,
+    then alpha p, then z = P^-1 r.  x is allocated after the work arrays so
+    that it, not they, lies highest on the heap; freed below a live block,
+    their memory is reused by the next step instead of being returned to the
+    operating system and faulted in again.
     """
     bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
     c = float(np.mean(diag))
     precond = _SpectralHelmholtz(g, dt, c)
-    shift = diag - c
+    p = np.empty_like(b)
+    p_img = np.empty_like(b)  # P p
+    work = np.empty_like(b)
     x = precond.solve(b)
-    r = -shift * x
+    r = np.subtract(diag, c, out=b)
+    np.negative(r, out=r)
+    r *= x
     if math.sqrt(_dot(r, r)) <= target:
         return x, 0
-    p = precond.solve(r)
-    p_img = r.copy()  # P p
+    precond.solve(r, out=p)
+    np.copyto(p_img, r)
     rz = _dot(r, p)
     for it in range(1, max_iter + 1):
-        ap = p_img + shift * p
-        alpha = rz / _dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
+        np.subtract(diag, c, out=work)
+        work *= p
+        work += p_img  # A p
+        alpha = rz / _dot(p, work)
+        work *= alpha
+        r -= work
+        np.multiply(p, alpha, out=work)
+        x += work
         if math.sqrt(_dot(r, r)) <= target:
             return x, it
-        z = precond.solve(r)
+        z = precond.solve(r, out=work)
         rz_new = _dot(r, z)
         beta = rz_new / rz
-        p = z + beta * p
-        p_img = r + beta * p_img
+        p *= beta
+        p += z
+        p_img *= beta
+        p_img += r
         rz = rz_new
     rnorm = math.sqrt(_dot(r, r))
     raise LinearSolveError(
@@ -184,9 +228,10 @@ def _clamp_nonnegative(phi, name):
 
 
 def _watchdog(phi, name, t):
-    if not np.all(np.isfinite(phi)):
+    # max|phi| without a temporary; NaN or inf anywhere makes m non-finite
+    m = max(float(np.max(phi)), -float(np.min(phi)))
+    if not math.isfinite(m):
         raise BlowUpError(f"{name} lost finiteness at t={t:.6g}")
-    m = float(np.max(np.abs(phi)))
     if m > BLOWUP_LIMIT:
         raise BlowUpError(f"|{name}| reached {m:.3e} (> {BLOWUP_LIMIT:.0e}) at t={t:.6g}")
 
@@ -194,7 +239,10 @@ def _watchdog(phi, name, t):
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
          control: StepControl = StepControl(), mms: "MmsSpec | None" = None
          ) -> tuple[State, StepStats]:
-    """One IMEX step of size dt; returns the new state and step statistics."""
+    """One IMEX step of size dt; returns the new state and step statistics.
+
+    The input state is left unchanged; the new state's fields are new arrays.
+    """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     g.check_conforms(state.u, state.v, state.w)
@@ -203,27 +251,47 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u, s_v, s_w = mms.sources(params, g, t_new)
 
+    # Each right-hand side is built in the array that the solve turns into the
+    # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
+    # taxis_divergence allocates that array after its face temporaries, so it
+    # lies above them on the heap and their memory stays for the next call.
     diffusion = _SpectralHelmholtz(g, dt, 1.0)
-    rhs_u = state.u + dt * (-gridmod.taxis_divergence(state.u, state.w, g)
-                            + ks.law_f(state.u))
+    u_new = gridmod.taxis_divergence(state.u, state.w, g)
+    np.subtract(ks.law_f(state.u), u_new, out=u_new)
+    u_new *= dt
+    u_new += state.u
     if mms is not None:
-        rhs_u = rhs_u + dt * s_u
-    u_new, clamp_u = _clamp_nonnegative(diffusion.solve(rhs_u), "u")
+        s_u *= dt
+        u_new += s_u
+    u_new, clamp_u = _clamp_nonnegative(diffusion.solve(u_new, out=u_new), "u")
     _watchdog(u_new, "u", t_new)
 
-    rhs_v = state.v + dt * (-gridmod.taxis_divergence(state.v, u_new, g)
-                            + ks.law_g(state.v))
+    v_new = gridmod.taxis_divergence(state.v, u_new, g)
+    np.subtract(ks.law_g(state.v), v_new, out=v_new)
+    v_new *= dt
+    v_new += state.v
     if mms is not None:
-        rhs_v = rhs_v + dt * s_v
-    v_new, clamp_v = _clamp_nonnegative(diffusion.solve(rhs_v), "v")
+        s_v *= dt
+        v_new += s_v
+    v_new, clamp_v = _clamp_nonnegative(diffusion.solve(v_new, out=v_new), "v")
     _watchdog(v_new, "v", t_new)
+    del diffusion  # free its denominator table before the w solve allocates
 
-    sigma = u_new + v_new
-    consumption_diag = sigma / (1.0 + params.epsilon * sigma * state.w)
-    diag = 1.0 + dt * (params.mu + consumption_diag)
-    rhs_w = state.w + dt * params.resupply.field(g, t_new)
+    # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new;
+    # rhs_w holds the denominator first
+    diag = np.add(u_new, v_new)
+    rhs_w = np.multiply(diag, params.epsilon)
+    rhs_w *= state.w
+    rhs_w += 1.0
+    diag /= rhs_w
+    diag += params.mu
+    diag *= dt
+    diag += 1.0
+    np.multiply(params.resupply.field(g, t_new), dt, out=rhs_w)
+    rhs_w += state.w
     if mms is not None:
-        rhs_w = rhs_w + dt * s_w
+        s_w *= dt
+        rhs_w += s_w
     w_new, it_w = _pcg(g, dt, diag, rhs_w, control.lin_tol, control.max_iter)
     w_new, clamp_w = _clamp_nonnegative(w_new, "w")
     _watchdog(w_new, "w", t_new)
@@ -350,10 +418,6 @@ class MmsSpec:
                + params.mu * fw.value
                - params.resupply.field(g, t))
         return s_u, s_v, s_w
-
-
-def mms_source(mms: MmsSpec, params: ModelParams, g: gridmod.Grid, t: float):
-    return mms.sources(params, g, t)
 
 
 def shipped_mms() -> MmsSpec:

@@ -15,8 +15,7 @@ initial-trace contributions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +200,9 @@ def default_basis(t_end: float) -> list[TestFunction]:
 class TrajectoryHandle:
     """Ordered FLD1 snapshot triples with the run's grid and model context.
 
-    Snapshot fields are loaded lazily and cached; identities assume the
-    first snapshot carries the initial datum.
+    Snapshot fields are loaded lazily and cached on the handle, so they are
+    freed with it; identities assume the first snapshot carries the initial
+    datum.
     """
 
     grid: gridmod.Grid
@@ -210,6 +210,7 @@ class TrajectoryHandle:
     paths: list[tuple[Path, Path, Path]]
     params: object = None       # solver.ModelParams
     mms: object = None          # solver.MmsSpec or None
+    _loaded: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.paths):
@@ -224,15 +225,17 @@ class TrajectoryHandle:
     def t_end(self) -> float:
         return self.times[-1]
 
-    @lru_cache(maxsize=4096)
     def load(self, i: int):
+        if i in self._loaded:
+            return self._loaded[i]
         triple = []
         for p in self.paths[i]:
             phi, g, t = gridmod.read_field(p)
             if g != self.grid:
                 raise StructuralError(f"{p}: grid mismatch")
             triple.append(phi)
-        return tuple(triple)
+        self._loaded[i] = tuple(triple)
+        return self._loaded[i]
 
     def sources_at(self, t: float):
         if self.mms is None:

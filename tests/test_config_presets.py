@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,26 @@ def test_parse_errors_carry_context():
     with pytest.raises(StructuralError) as err:
         parse_config("[grid\nnx = 4\n")  # malformed section header
     assert "line" in str(err.value).lower() or "parse" in str(err.value).lower()
+
+
+@pytest.mark.parametrize("text, hint", [
+    ("[grid]\nnX = 999\n", "unknown key in [grid] 'nX' (did you mean 'nx'?)"),
+    ("[tiem]\nt_end = 2.0\n", "unknown section '[tiem]' (did you mean '[time]'?)"),
+    ("[model]\nepsilonn = 0.1\n",
+     "unknown key in [model] 'epsilonn' (did you mean 'epsilon'?)"),
+])
+def test_unknown_sections_and_keys_rejected_with_hint(text, hint):
+    with pytest.raises(StructuralError) as err:
+        parse_config(text)
+    assert hint in str(err.value)
+
+
+def test_written_manifest_parses_back(tmp_path):
+    cfg = replace(preset("thm1-core").config, nx=8, ny=8, t_end=0.01,
+                  out_dir=str(tmp_path))
+    S.run(cfg.build_setup())
+    back = parse_config((tmp_path / "manifest.txt").read_text(), label=cfg.label)
+    assert back == cfg.resolved()
 
 
 def test_case_sensitive_envelope_keys():

@@ -15,7 +15,7 @@ def spec_pp(alpha, beta, **kw):
 
 def test_law_values():
     pp = K.PurePower(K=1.0, L=1.0, alpha=3.0)
-    assert K.eval_f(K.KineticSpec.from_laws(pp, pp), 1.0) == 0.0
+    assert K.KineticSpec.from_laws(pp, pp).law_f(1.0) == 0.0
     allee = K.Allee()
     for s in (0.0, 1.0, 2.0):
         assert allee(s) == 0.0
@@ -147,12 +147,12 @@ def test_gate_knife_edge_flag():
 
 def test_resupply_eval_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
-    assert float(K.eval_r(r, 0.3, 0.9, 5.0)) == pytest.approx(0.2)
+    assert float(r.eval(0.3, 0.9, 5.0)) == pytest.approx(0.2)
     assert r.r_star == 0.2 and r.r_double_star == math.inf
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
                           width=0.1, decay_lambda=1.0)
-    assert float(K.eval_r(bump, 0.5, 0.5, 0.0)) == pytest.approx(1.0)
+    assert float(bump.eval(0.5, 0.5, 0.0)) == pytest.approx(1.0)
     assert bump.r_double_star == pytest.approx(1.0)
 
     decaying = K.ResupplySpec(profile="constant", amplitude=1.0, decay_lambda=2.0)
@@ -163,7 +163,7 @@ def test_resupply_eval_and_stars():
     assert quad == pytest.approx(decaying.r_double_star, rel=1e-6)
 
     with pytest.raises(DomainError):
-        K.eval_r(r, 0.1, 0.1, -0.5)
+        r.eval(0.1, 0.1, -0.5)
     with pytest.raises(DomainError):
         K.ResupplySpec(amplitude=-1.0)
     with pytest.raises(StructuralError):

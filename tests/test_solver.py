@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.integrate import solve_ivp
 from oracles import dense_step
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
+from taxis_cascade import presets
 from taxis_cascade import solver as S
 from taxis_cascade.errors import (BlowUpError, DomainError, LinearSolveError,
                                   PositivityError)
@@ -149,7 +152,7 @@ def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
     diag = 1.0 + dt * (mu + sigma / (1.0 + epsilon * sigma * w_old))
     b = rng.random(g.shape)
     control = S.StepControl()
-    x, _ = S._pcg(g, dt, diag, b, control.lin_tol, control.max_iter)
+    x, _ = S._pcg(g, dt, diag, b.copy(), control.lin_tol, control.max_iter)  # b is used up
     residual = b - (diag * x - dt * G.laplacian(x, g))
     assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
 
@@ -171,6 +174,83 @@ def test_w_solve_iteration_cap_raises_and_run_records_it():
     assert not result.completed
     assert result.failure.startswith("LinearSolveError: w-solve")
     assert result.steps == 0
+
+
+def test_diffusion_solve_in_place_matches_allocating_solve():
+    g = G.Grid(24, 17, 1.3, 0.8)
+    b = np.random.default_rng(5).random(g.shape)
+    b_before = b.copy()
+    helm = S._SpectralHelmholtz(g, 3e-3, 1.0)
+    x = helm.solve(b)
+    assert b.tobytes() == b_before.tobytes()
+    out = np.full(g.shape, np.nan)
+    assert helm.solve(b, out=out) is out
+    assert out.tobytes() == x.tobytes()
+    assert helm.solve(b, out=b) is b
+    assert b.tobytes() == x.tobytes()
+
+
+def thm1_core_start(n):
+    setup = replace(presets.preset("thm1-core").config, nx=n, ny=n,
+                    out_dir=None).build_setup()
+    init = setup.initial
+    return setup, S.State(init.u0.astype(float), init.v0.astype(float),
+                          init.w0.astype(float))
+
+
+def test_step_allocates_its_outputs_and_few_work_arrays():
+    # after a warm-up step (cached eigenvalue tables, FFT plans) one step
+    # holds at most 10 field-sizes at a time and keeps exactly its 3 outputs
+    setup, st = thm1_core_start(64)
+    args = (setup.params, 2e-3, setup.grid, setup.control)
+    st, _ = S.step(st, *args)
+    field = st.u.nbytes
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        new, _ = S.step(st, *args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / field <= 10.0
+    assert round((current - base) / field) == 3
+
+
+@pytest.mark.parametrize("manufactured", [False, True])
+def test_step_outputs_are_fresh_and_inputs_untouched(manufactured):
+    setup, st = thm1_core_start(24)
+    mms = S.shipped_mms() if manufactured else None
+    if manufactured:
+        st = mms.state(setup.grid)
+        sources_before = mms.sources(setup.params, setup.grid, 2e-3)
+    args = (setup.params, 1e-3, setup.grid, setup.control)
+    st_before = st.copy()
+    one, _ = S.step(st, *args, mms=mms)
+    one_before = one.copy()
+    two, _ = S.step(one, *args, mms=mms)
+    fields = [st.u, st.v, st.w, one.u, one.v, one.w, two.u, two.v, two.w]
+    for i, a in enumerate(fields):
+        for b in fields[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for kept, before in ((st, st_before), (one, one_before)):
+        for name in "uvw":
+            assert getattr(kept, name).tobytes() == getattr(before, name).tobytes()
+    if manufactured:
+        for s, s0 in zip(mms.sources(setup.params, setup.grid, 2e-3), sources_before):
+            assert s.tobytes() == s0.tobytes()
+
+
+def test_watchdog_catches_non_finite_and_huge_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = np.ones((4, 4))
+        phi[1, 2] = bad
+        with pytest.raises(BlowUpError, match="lost finiteness"):
+            S._watchdog(phi, "u", 0.5)
+    phi = np.ones((4, 4))
+    phi[0, 3] = -2e8
+    with pytest.raises(BlowUpError, match="reached 2.000e"):
+        S._watchdog(phi, "u", 0.5)
+    S._watchdog(np.ones((4, 4)), "u", 0.5)
 
 
 _THREAD_PROBE = """
@@ -339,7 +419,7 @@ def test_mms_sources_match_sympy():
     params = make_params(mu=0.3)
     rng = np.random.default_rng(31)
     for tv in (0.0, 0.37, 1.21):
-        got_u, got_v, got_w = S.mms_source(mms, params, grid, tv)
+        got_u, got_v, got_w = mms.sources(params, grid, tv)
         X, Y = grid.cell_centers()
         idx = rng.integers(0, grid.nx * grid.ny, size=20)
         jj, ii = np.unravel_index(idx, grid.shape)
@@ -355,7 +435,7 @@ def test_mms_constant_equilibrium_has_zero_sources():
                     w=S.MmsComponent(base=0.0))
     params = make_params()  # f(1) = g(1) = 0, w = 0, mu = 0, r = 0
     for tv in (0.0, 0.5):
-        for s in S.mms_source(mms, params, grid, tv):
+        for s in mms.sources(params, grid, tv):
             assert np.max(np.abs(s)) < 1e-14
 
 
@@ -364,8 +444,8 @@ def test_mms_time_frozen_sources_are_time_independent():
     mms = S.MmsSpec(u=S.MmsComponent(base=2.0, cos_amp=0.5, cos_rate=0.0),
                     v=S.MmsComponent(base=1.0), w=S.MmsComponent(base=0.2))
     params = make_params(mu=0.1)
-    s0 = S.mms_source(mms, params, grid, 0.0)
-    s1 = S.mms_source(mms, params, grid, 0.8)
+    s0 = mms.sources(params, grid, 0.0)
+    s1 = mms.sources(params, grid, 0.8)
     for a, b in zip(s0, s1):
         assert np.array_equal(a, b)
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,6 +90,16 @@ def test_load_trajectory_and_grid_roundtrip(tmp_path):
     u, v, w = traj.load(0)
     assert u.shape == traj.grid.shape
     assert traj.params.mu == pytest.approx(0.2)
+
+
+def test_loaded_snapshots_cached_per_handle_and_freed_with_it(tmp_path):
+    traj = small_run(tmp_path, t_end=0.3)
+    first = traj.load(1)
+    assert traj.load(1) is first          # served from the handle's cache
+    ref = weakref.ref(traj)
+    del traj, first
+    gc.collect()
+    assert ref() is None
 
 
 def test_residual_zero_for_disjoint_support(tmp_path):
