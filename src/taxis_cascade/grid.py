@@ -93,25 +93,21 @@ def _face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid) -> np.ndarray:
     """Divergence from interior face fluxes (+x / +y through each face).
 
     Cell i gains its right-face flux and loses its left-face flux, divided by
     the cell width; boundary faces carry zero flux.  The fluxes are divided
-    by the cell width in place, and the result goes to ``out`` when given.
+    by the cell width once, in place, so the caller must pass arrays it owns.
     """
-    if out is None:
-        out = np.zeros((g.ny, g.nx))
-    else:
-        out.fill(0.0)
+    div = np.zeros((g.ny, g.nx))
     fx /= g.hx
-    out[:, :-1] += fx
-    out[:, 1:] -= fx
+    div[:, :-1] += fx
+    div[:, 1:] -= fx
     fy /= g.hy
-    out[:-1, :] += fy
-    out[1:, :] -= fy
-    return out
+    div[:-1, :] += fy
+    div[1:, :] -= fy
+    return div
 
 
 def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
@@ -126,18 +122,14 @@ def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
     return _flux_divergence(gx, gy, g)
 
 
-def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.ndarray:
     """Conservative upwind discretization of div(carrier * grad potential).
 
     Each interior face carries flux carrier_up * (potential jump)/h where the
     carrier is taken from the upstream cell relative to the face gradient
     (transport runs up the potential gradient).  Boundary faces carry zero
-    flux.  With a unit carrier this reduces bitwise to ``laplacian``.
-
-    The result is written into ``out`` when given (it must not overlap
-    ``carrier`` or ``potential``) and into a new array otherwise; the inputs
-    are never modified.  Either way the bits are the same.
+    flux.  With a unit carrier this reduces bitwise to ``laplacian``.  The
+    inputs are left unchanged and the result is a new array.
     """
     g.check_conforms(carrier, potential)
     cmin = float(np.min(carrier))
@@ -148,7 +140,7 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid,
     fx *= gx
     fy = np.where(gy > 0.0, carrier[:-1, :], carrier[1:, :])
     fy *= gy
-    return _flux_divergence(fx, fy, g, out)
+    return _flux_divergence(fx, fy, g)
 
 
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:

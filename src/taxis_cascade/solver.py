@@ -253,8 +253,6 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
 
     # Each right-hand side is built in the array that the solve turns into the
     # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
-    # taxis_divergence allocates that array after its face temporaries, so it
-    # lies above them on the heap and their memory stays for the next call.
     diffusion = _SpectralHelmholtz(g, dt, 1.0)
     u_new = gridmod.taxis_divergence(state.u, state.w, g)
     np.subtract(ks.law_f(state.u), u_new, out=u_new)
@@ -368,19 +366,34 @@ def _mms_trig(g: gridmod.Grid):
 
 
 class _MmsFields:
-    """Closed-form value/derivative bundle of one component at one time."""
+    """Closed-form value and derivatives of one component at one time.
+
+    Each method builds its array when called, so a caller holds only the
+    fields it is using: ``sources`` needs all fifteen, but not at once.
+    """
 
     def __init__(self, comp: MmsComponent, g: gridmod.Grid, t: float):
-        trig = _mms_trig(g)
-        kx, ky = trig["kx"], trig["ky"]
-        spatial = trig["coscos"]
-        ec = math.exp(-comp.cos_rate * t) * comp.cos_amp
-        ef = math.exp(-comp.flat_rate * t) * comp.flat_amp
-        self.value = comp.base + ec * spatial + ef
-        self.ddt = -comp.cos_rate * ec * spatial - comp.flat_rate * ef
-        self.lap = -(kx**2 + ky**2) * ec * spatial
-        self.gx = -ec * kx * trig["sincos"]
-        self.gy = -ec * ky * trig["cossin"]
+        self.trig = _mms_trig(g)
+        self.comp = comp
+        self.ec = math.exp(-comp.cos_rate * t) * comp.cos_amp
+        self.ef = math.exp(-comp.flat_rate * t) * comp.flat_amp
+
+    def value(self) -> np.ndarray:
+        return self.comp.base + self.ec * self.trig["coscos"] + self.ef
+
+    def ddt(self) -> np.ndarray:
+        return (-self.comp.cos_rate * self.ec * self.trig["coscos"]
+                - self.comp.flat_rate * self.ef)
+
+    def lap(self) -> np.ndarray:
+        kx, ky = self.trig["kx"], self.trig["ky"]
+        return -(kx**2 + ky**2) * self.ec * self.trig["coscos"]
+
+    def gx(self) -> np.ndarray:
+        return -self.ec * self.trig["kx"] * self.trig["sincos"]
+
+    def gy(self) -> np.ndarray:
+        return -self.ec * self.trig["ky"] * self.trig["cossin"]
 
 
 @dataclass(frozen=True)
@@ -392,9 +405,9 @@ class MmsSpec:
     w: MmsComponent
 
     def fields(self, g: gridmod.Grid, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (_MmsFields(self.u, g, t).value,
-                _MmsFields(self.v, g, t).value,
-                _MmsFields(self.w, g, t).value)
+        return (_MmsFields(self.u, g, t).value(),
+                _MmsFields(self.v, g, t).value(),
+                _MmsFields(self.w, g, t).value())
 
     def state(self, g: gridmod.Grid, t: float = 0.0) -> State:
         u, v, w = self.fields(g, t)
@@ -406,16 +419,18 @@ class MmsSpec:
         fv = _MmsFields(self.v, g, t)
         fw = _MmsFields(self.w, g, t)
         ks = params.kinetics
+        u, v = fu.value(), fv.value()
         # div(c grad p) = grad c . grad p + c lap p, all in closed form
-        s_u = (fu.ddt - fu.lap
-               + (fu.gx * fw.gx + fu.gy * fw.gy + fu.value * fw.lap)
-               - ks.law_f(fu.value))
-        s_v = (fv.ddt - fv.lap
-               + (fv.gx * fu.gx + fv.gy * fu.gy + fv.value * fu.lap)
-               - ks.law_g(fv.value))
-        s_w = (fw.ddt - fw.lap
-               + consumption_term(fu.value, fv.value, fw.value, params.epsilon)
-               + params.mu * fw.value
+        s_u = (fu.ddt() - fu.lap()
+               + (fu.gx() * fw.gx() + fu.gy() * fw.gy() + u * fw.lap())
+               - ks.law_f(u))
+        s_v = (fv.ddt() - fv.lap()
+               + (fv.gx() * fu.gx() + fv.gy() * fu.gy() + v * fu.lap())
+               - ks.law_g(v))
+        w = fw.value()
+        s_w = (fw.ddt() - fw.lap()
+               + consumption_term(u, v, w, params.epsilon)
+               + params.mu * w
                - params.resupply.field(g, t))
         return s_u, s_v, s_w
 

@@ -96,21 +96,6 @@ def test_taxis_matches_brute_force_oracle():
             assert np.max(np.abs(got - want)) < 1e-13
 
 
-def test_taxis_out_buffer_matches_allocating_call_bitwise():
-    g = G.Grid(11, 9, 1.2, 0.7)
-    rng = np.random.default_rng(6)
-    carrier = rng.random(g.shape)
-    potential = rng.standard_normal(g.shape)
-    carrier_before, potential_before = carrier.copy(), potential.copy()
-    want = G.taxis_divergence(carrier, potential, g)
-    buf = np.full(g.shape, np.nan)
-    got = G.taxis_divergence(carrier, potential, g, out=buf)
-    assert got is buf
-    assert got.tobytes() == want.tobytes()
-    assert carrier.tobytes() == carrier_before.tobytes()
-    assert potential.tobytes() == potential_before.tobytes()
-
-
 def test_taxis_negative_carrier_rejected():
     g = G.Grid(6, 6)
     c = np.ones(g.shape)

@@ -216,6 +216,25 @@ def test_step_allocates_its_outputs_and_few_work_arrays():
     assert round((current - base) / field) == 3
 
 
+def test_mms_sources_build_their_fields_one_at_a_time():
+    # fifteen closed-form fields go into the three sources; holding them all
+    # at once peaked at 21 field-sizes
+    setup, st = thm1_core_start(64)
+    mms = S.shipped_mms()
+    mms.sources(setup.params, setup.grid, 0.0)  # warm the trig cache
+    field = st.u.nbytes
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        sources = mms.sources(setup.params, setup.grid, 1e-3)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sources) == 3
+    assert (peak - base) / field <= 10.0
+    assert round((current - base) / field) == 3
+
+
 @pytest.mark.parametrize("manufactured", [False, True])
 def test_step_outputs_are_fresh_and_inputs_untouched(manufactured):
     setup, st = thm1_core_start(24)
