@@ -464,6 +464,17 @@ class RunSetup:
     mms: MmsSpec | None = None
     fixed_dt: float | None = None
 
+    def __post_init__(self):
+        # 0 is a valid t_end (echo the initial state) and disables the cadence
+        # and the snapshots; inf or nan would never end or never start the loop
+        for name in ("t_end", "monitor_cadence", "snapshot_every"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+        if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
+                                              and self.fixed_dt > 0):
+            raise DomainError(f"fixed_dt must be finite and positive, got {self.fixed_dt}")
+
 
 @dataclass
 class CheckStats:
@@ -484,13 +495,9 @@ class CheckStats:
 @dataclass
 class RunResult:
     setup: RunSetup
-    gate1: kin.GateResult
-    gate2: kin.GateResult
     series: dict
-    cadence: dict
     report: mon.MonitorReport
     consts: mon.BoundConstants
-    functional_params: mon.FunctionalParams
     final_state: State
     completed: bool
     failure: str = ""
@@ -500,10 +507,6 @@ class RunResult:
     total_clamps: int = 0
     steps: int = 0
     wall_time: float = 0.0
-
-    @property
-    def out_dir(self):
-        return self.setup.out_dir
 
 
 def git_blob_hash(text: str) -> str:
@@ -558,8 +561,10 @@ def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
 def run(setup: RunSetup) -> RunResult:
     """Integrate to t_end, evaluating every monitor; write outputs if configured.
 
-    Watchdog failures do not raise: the partial series, report and a failure
-    record are returned (and written) instead.
+    The initial state goes through the loop body as a step with dt = 0 that
+    hits the cadence and the snapshot grid.  Watchdog failures do not raise:
+    the partial series, report and a failure record are returned (and
+    written) instead.
     """
     g = setup.grid
     params = setup.params
@@ -585,129 +590,110 @@ def run(setup: RunSetup) -> RunResult:
     series: dict[str, list] = {k: [] for k in (
         "t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
         "clamps", "int_u_alpha", "int_v_beta", "int_f_u", "int_g_v",
-        "int_abs_g_v", "int_consumption", "r_linf", "wbar", "log_grad_v",
-        "cum_log_grad")}
-    cadence: dict[str, list] = {k: [] for k in (
-        "t", "linf_u", "linf_v", "maxgrad_u", "maxgrad_v", "seminorm_u_w24",
+        "int_abs_g_v", "int_consumption", "wbar", "cum_log_grad")}
+    # cadence-time norms whose growth over the tail decides eventual regularity
+    cadence_t: list[float] = []
+    tail: dict[str, list] = {k: [] for k in (
+        "linf_u", "linf_v", "maxgrad_u", "maxgrad_v", "seminorm_u_w24",
         "weighted_functional")}
 
     out_dir = Path(setup.out_dir) if setup.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    wbar = gridmod.norm_linf(setup.initial.w0)
-
-    def record_step(dt, clamps):
-        gv = ks.law_g(state.v)
-        series["t"].append(state.t)
-        series["dt"].append(dt)
-        series["mass_u"].append(gridmod.integrate(state.u, g))
-        series["mass_v"].append(gridmod.integrate(state.v, g))
-        series["mass_w"].append(gridmod.integrate(state.w, g))
-        series["linf_u"].append(gridmod.norm_linf(state.u))
-        series["linf_v"].append(gridmod.norm_linf(state.v))
-        series["linf_w"].append(gridmod.norm_linf(state.w))
-        series["clamps"].append(clamps)
-        series["int_u_alpha"].append(gridmod.integrate(state.u**ks.alpha, g))
-        series["int_v_beta"].append(gridmod.integrate(state.v**ks.beta, g))
-        series["int_f_u"].append(gridmod.integrate(ks.law_f(state.u), g))
-        series["int_g_v"].append(gridmod.integrate(gv, g))
-        series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv), g))
-        series["int_consumption"].append(
-            gridmod.integrate(consumption_term(state.u, state.v, state.w,
-                                               params.epsilon), g))
-        series["r_linf"].append(params.resupply.linf(state.t))
-        series["wbar"].append(wbar)
-        lg = mon.log_gradient_integrand(state.v, g)
-        series["log_grad_v"].append(lg)
-        if len(series["t"]) == 1:
-            series["cum_log_grad"].append(0.0)
-        else:
-            prev_t = series["t"][-2]
-            prev_lg = series["log_grad_v"][-2]
-            series["cum_log_grad"].append(
-                series["cum_log_grad"][-1] + 0.5 * (state.t - prev_t) * (lg + prev_lg))
-
     # against a source-augmented (manufactured) system the a-priori bounds
     # do not apply; record series and snapshots only
     checks_active = setup.mms is None
-
-    def stepwise_checks(dt):
-        if not checks_active:
-            return []
-        entries = mon.check_mass(state.t, series["mass_u"][-1], series["mass_v"][-1],
-                                 consts, dt)
-        entries += mon.check_w_supersolution(state.t, series["linf_w"][-1], wbar,
-                                             consts, params.mu, dt)
-        for e in entries:
-            if hypotheses_note:
-                e.note = (e.note + " " + hypotheses_note).strip()
-            step_checks.setdefault(e.check, CheckStats()).update(e)
-        return entries
-
-    def cadence_checks(dt, entries):
-        if not checks_active:
-            return
-        report.extend(entries)
-        report.extend(mon.check_window_integrals(
-            state.t, series["t"], series["int_u_alpha"], series["int_v_beta"],
-            consts, dt))
-        report.append(mon.check_v_mass_identity(
-            state.t, series["t"], series["int_g_v"], series["int_abs_g_v"],
-            series["mass_v"], dt_scale=max(series["dt"])))
-        report.append(mon.check_log_gradient_energy(
-            state.t, series["t"], series["cum_log_grad"]))
-        cadence["t"].append(state.t)
-        cadence["linf_u"].append(series["linf_u"][-1])
-        cadence["linf_v"].append(series["linf_v"][-1])
-        cadence["maxgrad_u"].append(gridmod.max_face_gradient(state.u, g))
-        cadence["maxgrad_v"].append(gridmod.max_face_gradient(state.v, g))
-        cadence["seminorm_u_w24"].append(gridmod.seminorm_w2p(state.u, g, 4))
-        wf = mon.weighted_functional(state.u, state.w, fparams, g)
-        if wf is None:
-            cadence["weighted_functional"].append(math.nan)
-            report.append(mon.MonitorEntry.report_only(
-                state.t, "weighted_functional", math.nan, note="pre-decay, skipped"))
-        else:
-            cadence["weighted_functional"].append(wf)
-            report.append(mon.MonitorEntry.report_only(
-                state.t, "weighted_functional", wf))
-
+    clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end)
+    wbar = gridmod.norm_linf(setup.initial.w0)
+    r_now = params.resupply.linf(state.t)
+    dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
+    dt_peak = cum_log_grad = 0.0
     completed = True
     failure = ""
     total_clamps = 0
-    record_step(0.0, 0)
-    cadence_checks(0.0, stepwise_checks(0.0))
-    if out_dir is not None:
-        _write_snapshot(out_dir, state, g)
-
-    clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end)
     try:
-        while state.t < setup.t_end - 1e-12 * max(1.0, setup.t_end):
+        while True:
+            gv = ks.law_g(state.v)
+            series["t"].append(state.t)
+            series["dt"].append(dt)
+            series["mass_u"].append(gridmod.integrate(state.u, g))
+            series["mass_v"].append(gridmod.integrate(state.v, g))
+            series["mass_w"].append(gridmod.integrate(state.w, g))
+            series["linf_u"].append(gridmod.norm_linf(state.u))
+            series["linf_v"].append(gridmod.norm_linf(state.v))
+            series["linf_w"].append(gridmod.norm_linf(state.w))
+            series["clamps"].append(clamps)
+            series["int_u_alpha"].append(gridmod.integrate(state.u**ks.alpha, g))
+            series["int_v_beta"].append(gridmod.integrate(state.v**ks.beta, g))
+            series["int_f_u"].append(gridmod.integrate(ks.law_f(state.u), g))
+            series["int_g_v"].append(gridmod.integrate(gv, g))
+            series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv), g))
+            series["int_consumption"].append(
+                gridmod.integrate(consumption_term(state.u, state.v, state.w,
+                                                   params.epsilon), g))
+            series["wbar"].append(wbar)
+            log_grad = mon.log_gradient_integrand(state.v, g)
+            if state.step_index > 0:
+                cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
+            series["cum_log_grad"].append(cum_log_grad)
+            t_prev, log_grad_prev = state.t, log_grad
+            # the v-mass identity's bound scales with the largest step so far
+            dt_peak = max(dt_peak, dt)
+
+            if checks_active:
+                entries = mon.check_mass(state.t, series["mass_u"][-1],
+                                         series["mass_v"][-1], consts, dt)
+                entries += mon.check_w_supersolution(
+                    state.t, series["linf_w"][-1], wbar, consts, params.mu, dt)
+                for e in entries:
+                    if hypotheses_note:
+                        e.note = (e.note + " " + hypotheses_note).strip()
+                    step_checks.setdefault(e.check, CheckStats()).update(e)
+                if cad_hit:
+                    report.extend(entries)
+                    report.extend(mon.check_window_integrals(
+                        state.t, series["t"], series["int_u_alpha"], series["int_v_beta"],
+                        consts, dt))
+                    report.append(mon.check_v_mass_identity(
+                        state.t, series["t"], series["int_g_v"], series["int_abs_g_v"],
+                        series["mass_v"], dt_scale=dt_peak))
+                    report.append(mon.check_log_gradient_energy(
+                        state.t, series["t"], series["cum_log_grad"]))
+                    cadence_t.append(state.t)
+                    tail["linf_u"].append(series["linf_u"][-1])
+                    tail["linf_v"].append(series["linf_v"][-1])
+                    tail["maxgrad_u"].append(gridmod.max_face_gradient(state.u, g))
+                    tail["maxgrad_v"].append(gridmod.max_face_gradient(state.v, g))
+                    tail["seminorm_u_w24"].append(gridmod.seminorm_w2p(state.u, g, 4))
+                    wf = mon.weighted_functional(state.u, state.w, fparams, g)
+                    tail["weighted_functional"].append(math.nan if wf is None else wf)
+                    report.append(mon.MonitorEntry.report_only(
+                        state.t, "weighted_functional", tail["weighted_functional"][-1],
+                        note="pre-decay, skipped" if wf is None else "report-only"))
+            if out_dir is not None and snap_hit:
+                _write_snapshot(out_dir, state, g)
+
+            if state.t >= setup.t_end - 1e-12 * max(1.0, setup.t_end):
+                break
             if setup.fixed_dt is not None:
                 dt = setup.fixed_dt
             else:
                 dt = suggest_dt(state, params, g, control)
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
+            cad_hit = cad_hit or t_new >= setup.t_end - 1e-12
             state, stats = step(state, params, dt, g, control, mms=setup.mms)
             state.t = t_new
-            total_clamps += stats.clamps
+            clamps = stats.clamps
+            total_clamps += clamps
             # advance the nutrient supersolution with the analytic resupply sup
-            r_prev = series["r_linf"][-1]
-            wbar = mon.supersolution_step(wbar, params.mu, r_prev,
-                                          params.resupply.linf(t_new), dt)
-            record_step(dt, stats.clamps)
-            entries = stepwise_checks(dt)
-            if cad_hit or t_new >= setup.t_end - 1e-12:
-                cadence_checks(dt, entries)
-            if out_dir is not None and snap_hit:
-                _write_snapshot(out_dir, state, g)
+            r_prev, r_now = r_now, params.resupply.linf(t_new)
+            wbar = mon.supersolution_step(wbar, params.mu, r_prev, r_now, dt)
     except (PositivityError, LinearSolveError, BlowUpError) as exc:
         completed = False
         failure = f"{type(exc).__name__}: {exc}"
 
     series_np = {k: np.asarray(v, dtype=float) for k, v in series.items()}
-    cadence_np = {k: np.asarray(v, dtype=float) for k, v in cadence.items()}
 
     decay = None
     regularity = None
@@ -715,38 +701,27 @@ def run(setup: RunSetup) -> RunResult:
         decay = mon.detect_w_decay(series_np["t"], series_np["linf_w"],
                                    series_np["mass_w"], series_np["int_consumption"],
                                    setup.monitor_delta, gate_ok=gate2.passed)
+        note = decay.note or "report-only"
         report.append(mon.MonitorEntry.report_only(
-            state.t, "w_decay_detect",
-            decay.t_detect if decay.detected else math.nan,
-            note=(decay.note or "report-only")))
+            state.t, "w_decay_detect", decay.t_detect if decay.detected else math.nan,
+            note=note))
         if decay.detected:
             report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_mass", decay.tail_w_integral, note=decay.note or "report-only"))
+                state.t, "w_tail_mass", decay.tail_w_integral, note=note))
             report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_consumption", decay.tail_consumption,
-                note=decay.note or "report-only"))
-            tail_series = {
-                "linf_u": cadence_np["linf_u"],
-                "linf_v": cadence_np["linf_v"],
-                "maxgrad_u": cadence_np["maxgrad_u"],
-                "maxgrad_v": cadence_np["maxgrad_v"],
-                "seminorm_u_w24": cadence_np["seminorm_u_w24"],
-                "weighted_functional": cadence_np["weighted_functional"],
-            }
-            regularity = mon.eventual_regularity_report(
-                cadence_np["t"], tail_series, decay.t_detect)
+                state.t, "w_tail_consumption", decay.tail_consumption, note=note))
+            regularity = mon.eventual_regularity_report(cadence_t, tail, decay.t_detect)
             report.append(mon.MonitorEntry.report_only(
                 state.t, "eventual_regularity",
                 1.0 if regularity.regularized else 0.0,
                 note=(regularity.note or "report-only")))
 
     result = RunResult(
-        setup=setup, gate1=gate1, gate2=gate2, series=series_np,
-        cadence=cadence_np, report=report, consts=consts,
-        functional_params=fparams, final_state=state, completed=completed,
-        failure=failure, decay=decay, regularity=regularity,
-        step_checks=step_checks, total_clamps=total_clamps,
-        steps=state.step_index, wall_time=time.perf_counter() - t0)
+        setup=setup, series=series_np, report=report, consts=consts,
+        final_state=state, completed=completed, failure=failure, decay=decay,
+        regularity=regularity, step_checks=step_checks,
+        total_clamps=total_clamps, steps=state.step_index,
+        wall_time=time.perf_counter() - t0)
     if out_dir is not None:
         _write_outputs(result, out_dir)
     return result

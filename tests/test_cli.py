@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from taxis_cascade import cli
 from taxis_cascade.config import format_config, parse_config
+from taxis_cascade.errors import DomainError
 from taxis_cascade.presets import preset
 
 
@@ -41,6 +43,20 @@ def test_run_t_end_zero_single_row(tmp_path):
     assert cli.main(["run", str(p)]) == 0
     rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
     assert len(rows) == 2  # header plus the echoed initial state
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_end", math.inf), ("t_end", math.nan), ("t_end", -1.0),
+    ("fixed_dt", -0.1), ("fixed_dt", 0.0), ("fixed_dt", math.nan), ("fixed_dt", math.inf),
+    ("cadence", -1.0), ("cadence", math.nan), ("cadence", math.inf),
+    ("snapshot_every", -0.2), ("snapshot_every", math.nan), ("snapshot_every", math.inf),
+])
+def test_run_rejects_non_finite_or_negative_times(tmp_path, key, value):
+    cfg = small_cfg(tmp_path, **{key: value})
+    with pytest.raises(DomainError, match=key):
+        cfg.build_setup()
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
 def test_gate_fail_blocks_run_unless_forced(tmp_path):

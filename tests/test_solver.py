@@ -176,6 +176,21 @@ def test_w_solve_iteration_cap_raises_and_run_records_it():
     assert result.steps == 0
 
 
+def test_run_lands_on_cadence_snapshot_and_end_times(tmp_path):
+    cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=1.0,
+                  cadence=0.3, snapshot_every=0.2, out_dir=str(tmp_path))
+    result = S.run(cfg.build_setup())
+    assert result.completed
+    assert [e.t for e in result.report.by_check("weighted_functional")] == [
+        0.0, 0.3, 0.6, 3 * 0.3, 1.0]
+    # the snapshot due at 3 * 0.2 lands on the cadence time 2 * 0.3 = 0.6
+    for name in "uvw":
+        paths = sorted(tmp_path.glob(f"{name}_*.fld"))
+        assert [G.read_field(p)[2] for p in paths] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    assert len(result.series["t"]) == result.steps + 1
+    assert result.series["t"][-1] == 1.0
+
+
 def test_diffusion_solve_in_place_matches_allocating_solve():
     g = G.Grid(24, 17, 1.3, 0.8)
     b = np.random.default_rng(5).random(g.shape)
