@@ -151,14 +151,12 @@ class MmsLevel:
     steps: int
     wall_time: float
     errors: dict
-    out_dir: Path | None
 
 
 @dataclass
 class MmsStudy:
     levels: list
     orders_l2: dict      # least-squares order per unknown, None when exact
-    pair_orders: dict    # per unknown, list of consecutive-pair orders
 
     def table_rows(self):
         yield ("nx,h,dt,steps,err_l2_u,err_l2_v,err_l2_w,"
@@ -205,25 +203,18 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
             errors[f"l2_{name}"] = gridmod.norm_lp(num - ex, g, 2)
             errors[f"linf_{name}"] = gridmod.norm_linf(num - ex)
         rows.append(MmsLevel(nx=nx, h=g.hx, dt=cfg.fixed_dt, steps=result.steps,
-                             wall_time=wall, errors=errors, out_dir=out_dir))
+                             wall_time=wall, errors=errors))
     orders = {}
-    pair_orders = {}
     for name in ("u", "v", "w"):
         errs = np.array([lv.errors[f"l2_{name}"] for lv in rows])
         hs = np.array([lv.h for lv in rows])
         if np.all(errs < 1e-12):
             orders[name] = None      # rounding level: reported as exact
-            pair_orders[name] = []
-            continue
-        if len(rows) < 2:
+        elif len(rows) < 2:
             orders[name] = math.nan  # a single level has no observable order
-            pair_orders[name] = []
-            continue
-        orders[name] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-        pair_orders[name] = [
-            float(np.log(errs[i] / errs[i + 1]) / np.log(hs[i] / hs[i + 1]))
-            for i in range(len(errs) - 1)]
-    return MmsStudy(levels=rows, orders_l2=orders, pair_orders=pair_orders)
+        else:
+            orders[name] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    return MmsStudy(levels=rows, orders_l2=orders)
 
 
 def cmd_mms(args) -> int:
@@ -243,9 +234,7 @@ def cmd_mms(args) -> int:
 
 @dataclass
 class SweepResult:
-    eps: list
     diffs: list  # rows (eps_hi, eps_lo, du_l2, dv_l1, dw_l2)
-    run_dirs: list
 
     def table_rows(self):
         yield "eps_hi,eps_lo,du_l2,dv_l1,dw_l2"
@@ -266,10 +255,7 @@ def _traj_diff(traj_a, traj_b):
             np.asarray(traj_a.times) - np.asarray(traj_b.times))) > 1e-9:
         raise StructuralError("sweep trajectories are not time-aligned")
     g = traj_a.grid
-    w = np.zeros(len(traj_a))
-    tms = np.asarray(traj_a.times)
-    w[:-1] += 0.5 * np.diff(tms)
-    w[1:] += 0.5 * np.diff(tms)
+    w = weakform.time_weights(traj_a.times)
     du2 = dv1 = dw2 = 0.0
     for i in range(len(traj_a)):
         ua, va, wa = traj_a.load(i)
@@ -321,7 +307,7 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
             du, dv, dw = _traj_diff(ta, tb)
             diffs.append((float(ta.params.epsilon), float(tb.params.epsilon),
                           du, dv, dw))
-        return SweepResult(eps=list(eps_list), diffs=diffs, run_dirs=run_dirs)
+        return SweepResult(diffs=diffs)
     finally:
         if tmp is not None:
             tmp.cleanup()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import difflib
-import io
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,12 +37,6 @@ def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
             except ValueError as exc:
                 raise StructuralError(f"{where}: bad number {tok!r} in {text!r}") from exc
     return name, args
-
-
-def _format_call(name: str, args) -> str:
-    if not args:
-        return name
-    return f"{name}({', '.join(repr(float(a)) for a in args)})"
 
 
 ENVELOPE_KEYS = ("k_f", "K_f", "l_f", "L_f", "k_g", "K_g", "l_g", "L_g")
@@ -223,50 +216,6 @@ class Config:
                        l_g=ks.l_g, L_g=ks.L_g)
 
 
-def format_config(cfg: Config) -> str:
-    """Canonical INI text; parsing it back reproduces cfg.resolved()."""
-    r = cfg.resolved()
-    out = io.StringIO()
-
-    def sec(name, pairs):
-        out.write(f"[{name}]\n")
-        for k, v in pairs:
-            if v is None:
-                continue
-            out.write(f"{k} = {v}\n")
-        out.write("\n")
-
-    sec("grid", [("nx", r.nx), ("ny", r.ny), ("Lx", repr(r.Lx)), ("Ly", repr(r.Ly))])
-    time_pairs = [("t_end", repr(r.t_end)), ("dt_max", repr(r.dt_max)),
-                  ("safety", repr(r.safety)), ("lin_tol", repr(r.lin_tol))]
-    if r.fixed_dt is not None:
-        time_pairs.append(("fixed_dt", repr(r.fixed_dt)))
-    sec("time", time_pairs)
-    sec("model", [("mu", repr(r.mu)), ("epsilon", repr(r.epsilon))])
-    sec("kinetics", [("f_law", r.f_law), ("g_law", r.g_law),
-                     ("alpha", repr(r.alpha)), ("beta", repr(r.beta))]
-        + [(k, repr(getattr(r, k))) for k in ENVELOPE_KEYS])
-    resupply_pairs = [("profile", r.profile), ("amplitude", repr(r.amplitude)),
-                      ("decay_lambda", repr(r.decay_lambda))]
-    if r.profile == "gaussian":
-        resupply_pairs[1:1] = [("center", f"{r.center[0]!r} {r.center[1]!r}"),
-                               ("width", repr(r.width))]
-    sec("resupply", resupply_pairs)
-    init_pairs = [("u", r.init_u), ("v", r.init_v), ("w", r.init_w)]
-    if r.seed is not None:
-        init_pairs.append(("seed", r.seed))
-    sec("initial", init_pairs)
-    sec("monitors", [("cadence", repr(r.cadence)), ("delta", repr(r.delta)),
-                     ("q", repr(r.q))])
-    out_pairs = [("snapshot_every", repr(r.snapshot_every))]
-    if r.out_dir is not None:
-        out_pairs.insert(0, ("dir", r.out_dir))
-    sec("output", out_pairs)
-    if r.mms_u is not None:
-        sec("mms", [("u", r.mms_u), ("v", r.mms_v), ("w", r.mms_w)])
-    return out.getvalue()
-
-
 def _pair(raw: str) -> tuple[float, float]:
     toks = raw.replace(",", " ").split()
     if len(toks) != 2:
@@ -274,7 +223,8 @@ def _pair(raw: str) -> tuple[float, float]:
     return (float(toks[0]), float(toks[1]))
 
 
-# section -> key -> (Config field, converter); the only keys parse_config accepts
+# section -> key -> (Config field, converter); the only keys parse_config
+# accepts, in the order format_config writes them
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "grid": {"nx": ("nx", int), "ny": ("ny", int), "Lx": ("Lx", float),
              "Ly": ("Ly", float)},
@@ -283,8 +233,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "model": {"mu": ("mu", float), "epsilon": ("epsilon", float)},
     "kinetics": {"f_law": ("f_law", str), "g_law": ("g_law", str),
                  **{key: (key, float) for key in ("alpha", "beta") + ENVELOPE_KEYS}},
-    "resupply": {"profile": ("profile", str), "amplitude": ("amplitude", float),
-                 "center": ("center", _pair), "width": ("width", float),
+    "resupply": {"profile": ("profile", str), "center": ("center", _pair),
+                 "width": ("width", float), "amplitude": ("amplitude", float),
                  "decay_lambda": ("decay_lambda", float)},
     "initial": {"u": ("init_u", str), "v": ("init_v", str), "w": ("init_w", str),
                 "seed": ("seed", int)},
@@ -293,6 +243,34 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", float)},
     "mms": {"u": ("mms_u", str), "v": ("mms_v", str), "w": ("mms_w", str)},
 }
+
+
+def _format_value(value, conv) -> str:
+    if conv is float:
+        return repr(value)
+    if conv is _pair:
+        return f"{value[0]!r} {value[1]!r}"
+    return str(value)
+
+
+def format_config(cfg: Config) -> str:
+    """Canonical INI text in _SCHEMA order; parsing it back gives cfg.resolved().
+
+    Unset (None) values and sections left empty are omitted, and so are the
+    Gaussian-only resupply keys of any other profile.
+    """
+    r = cfg.resolved()
+    text = []
+    for section, keys in _SCHEMA.items():
+        lines = []
+        for key, (attr, conv) in keys.items():
+            value = getattr(r, attr)
+            if value is None or (key in ("center", "width") and r.profile != "gaussian"):
+                continue
+            lines.append(f"{key} = {_format_value(value, conv)}\n")
+        if lines:
+            text.append(f"[{section}]\n" + "".join(lines) + "\n")
+    return "".join(text)
 
 
 def _unknown(kind: str, name: str, known) -> str:

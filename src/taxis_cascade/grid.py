@@ -84,7 +84,7 @@ class Grid:
         return np.zeros(self.shape)
 
 
-def _face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+def face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Interior face-normal differences: x-faces (ny, nx-1), y-faces (ny-1, nx)."""
     gx = np.subtract(phi[:, 1:], phi[:, :-1])
     gx /= g.hx
@@ -118,7 +118,7 @@ def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
     result telescopes to zero.
     """
     g.check_conforms(phi)
-    gx, gy = _face_gradients(phi, g)
+    gx, gy = face_gradients(phi, g)
     return _flux_divergence(gx, gy, g)
 
 
@@ -135,7 +135,7 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     cmin = float(np.min(carrier))
     if cmin < CARRIER_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
-    gx, gy = _face_gradients(potential, g)
+    gx, gy = face_gradients(potential, g)
     fx = np.where(gx > 0.0, carrier[:, :-1], carrier[:, 1:])
     fx *= gx
     fy = np.where(gy > 0.0, carrier[:-1, :], carrier[1:, :])
@@ -145,7 +145,7 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
 
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:
     """Largest face-normal difference magnitude over all interior faces."""
-    gx, gy = _face_gradients(phi, g)
+    gx, gy = face_gradients(phi, g)
     mx = float(np.max(np.abs(gx))) if gx.size else 0.0
     my = float(np.max(np.abs(gy))) if gy.size else 0.0
     return max(mx, my)

@@ -254,9 +254,6 @@ class GateResult:
     margins: dict = field(default_factory=dict)
     knife_edge: bool = False
 
-    def failed_checks(self) -> list[str]:
-        return [name for name, ok in self.checks.items() if not ok]
-
 
 def global_existence_gate(spec: KineticSpec) -> GateResult:
     """Global-existence hypotheses on the exponents (open, zero-tolerance)."""
@@ -315,19 +312,15 @@ class ResupplySpec:
             raise DomainError("decay_lambda must be nonnegative")
 
     @property
-    def spatial_max(self) -> float:
-        return self.amplitude
-
-    @property
     def r_star(self) -> float:
-        return self.spatial_max
+        return self.amplitude
 
     @property
     def r_double_star(self) -> float:
         if self.amplitude == 0.0:
             return 0.0
         if self.decay_lambda > 0:
-            return self.spatial_max / self.decay_lambda
+            return self.amplitude / self.decay_lambda
         return math.inf
 
     def factor(self, t: float) -> float:
@@ -351,7 +344,7 @@ class ResupplySpec:
 
     def linf(self, t: float) -> float:
         """Analytic sup over the whole domain at time t (dominates cell samples)."""
-        return self.spatial_max * self.factor(t)
+        return self.amplitude * self.factor(t)
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,6 @@ class MonitorReport:
     def failures(self) -> list[MonitorEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def all_passed(self) -> bool:
-        return not self.failures()
-
     def by_check(self, name: str) -> list[MonitorEntry]:
         return [e for e in self.entries if e.check == name]
 
@@ -206,8 +203,7 @@ def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
 
 def log_gradient_integrand(v: np.ndarray, g) -> float:
     """Face-quadrature of |grad v|^2 / (v+1)^2 over the domain at one instant."""
-    gx = (v[:, 1:] - v[:, :-1]) / g.hx
-    gy = (v[1:, :] - v[:-1, :]) / g.hy
+    gx, gy = gridmod.face_gradients(v, g)
     mx = 1.0 + 0.5 * (v[:, 1:] + v[:, :-1])
     my = 1.0 + 0.5 * (v[1:, :] + v[:-1, :])
     total = np.sum((gx / mx) ** 2) + np.sum((gy / my) ** 2)
@@ -326,9 +322,7 @@ def weighted_functional(u: np.ndarray, w: np.ndarray, fp: FunctionalParams, g) -
 @dataclass(frozen=True)
 class RegularityReport:
     regularized: bool
-    t_start: float
     slopes: dict
-    sup_values: dict
     note: str = ""
 
 
@@ -344,18 +338,15 @@ def eventual_regularity_report(cadence_times, series: dict, t_detect: float,
     ts = np.asarray(cadence_times, dtype=float)
     keep = ts >= t_start
     if np.count_nonzero(keep) < 3:
-        return RegularityReport(False, t_start, {}, {}, note="tail too short")
+        return RegularityReport(False, {}, note="tail too short")
     slopes = {}
-    sups = {}
     for name, ys in series.items():
         ys = np.asarray(ys, dtype=float)
         mask = keep & np.isfinite(ys)
         if np.count_nonzero(mask) < 3:
             slopes[name] = math.nan
-            sups[name] = math.nan
             continue
         slopes[name] = least_squares_slope(ts[mask], ys[mask])
-        sups[name] = float(np.max(ys[mask]))
     finite = [s for s in slopes.values() if not math.isnan(s)]
     ok = bool(finite) and all(s <= tol_slope for s in finite)
-    return RegularityReport(ok, t_start, slopes, sups)
+    return RegularityReport(ok, slopes)

@@ -535,10 +535,16 @@ class _EventClock:
         return (self.k_snap + 1) * self.snap
 
     def clip(self, t: float, dt: float) -> tuple[float, float, bool, bool]:
-        """Clip dt to the next event; returns (dt, t_new, cadence_hit, snap_hit)."""
+        """Clip dt to the next event; returns (dt, t_new, cadence_hit, snap_hit).
+
+        Landing on t_end counts as a cadence and a snapshot hit.  An event
+        that rounding puts within eps of t_end (3 * 0.3 < 0.9) is t_end.
+        """
         nc, ns = self.next_cadence(), self.next_snapshot()
         target = min(nc, ns, self.t_end)
         eps = 1e-9 * max(1.0, abs(target))
+        if target >= self.t_end - eps:
+            target = self.t_end
         if t + dt >= target - eps:
             dt = target - t
             t_new = target
@@ -550,7 +556,8 @@ class _EventClock:
             self.k_cad += 1
         if snap_hit:
             self.k_snap += 1
-        return dt, t_new, cad_hit, snap_hit or t_new >= self.t_end - eps
+        last = t_new >= self.t_end
+        return dt, t_new, cad_hit or last, snap_hit or last
 
 
 def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
@@ -674,14 +681,13 @@ def run(setup: RunSetup) -> RunResult:
             if out_dir is not None and snap_hit:
                 _write_snapshot(out_dir, state, g)
 
-            if state.t >= setup.t_end - 1e-12 * max(1.0, setup.t_end):
+            if state.t >= setup.t_end:
                 break
             if setup.fixed_dt is not None:
                 dt = setup.fixed_dt
             else:
                 dt = suggest_dt(state, params, g, control)
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
-            cad_hit = cad_hit or t_new >= setup.t_end - 1e-12
             state, stats = step(state, params, dt, g, control, mms=setup.mms)
             state.t = t_new
             clamps = stats.clamps

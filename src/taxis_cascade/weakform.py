@@ -160,17 +160,6 @@ class TestFunction:
     spatial: object
     temporal: object
 
-    def phi(self, x, y, t: float):
-        return self.spatial.value(x, y) * float(self.temporal.value(t))
-
-    def phi_t(self, x, y, t: float):
-        return self.spatial.value(x, y) * float(self.temporal.dvalue(t))
-
-    def grad_phi(self, x, y, t: float):
-        gx, gy = self.spatial.grad(x, y)
-        f = float(self.temporal.value(t))
-        return gx * f, gy * f
-
 
 def default_basis(t_end: float) -> list[TestFunction]:
     """Five functions: one spatial constant and four off-center bumps.
@@ -282,27 +271,13 @@ def load_trajectory(run_dir) -> TrajectoryHandle:
 # --- quadrature helpers ----------------------------------------------------
 
 
-def _time_weights(times) -> np.ndarray:
+def time_weights(times) -> np.ndarray:
+    """Trapezoid weights on the snapshot times."""
     times = np.asarray(times, dtype=float)
     w = np.zeros_like(times)
     w[:-1] += 0.5 * np.diff(times)
     w[1:] += 0.5 * np.diff(times)
     return w
-
-
-class _FaceGeometry:
-    """Cached face-midpoint coordinates and test-function samples."""
-
-    def __init__(self, g: gridmod.Grid):
-        self.g = g
-        X, Y = g.cell_centers()
-        self.X, self.Y = X, Y
-        # x-face midpoints between horizontally adjacent centers
-        self.fx_x = 0.5 * (X[:, 1:] + X[:, :-1])
-        self.fx_y = 0.5 * (Y[:, 1:] + Y[:, :-1])
-        # y-face midpoints
-        self.fy_x = 0.5 * (X[1:, :] + X[:-1, :])
-        self.fy_y = 0.5 * (Y[1:, :] + Y[:-1, :])
 
 
 def _check_support(fn: TestFunction, traj: TrajectoryHandle):
@@ -322,48 +297,74 @@ def _check_support(fn: TestFunction, traj: TrajectoryHandle):
             f"trajectory range [{t0:.3g}, {t1:.3g}]")
 
 
-def _face_diff(phi, g):
-    return (phi[:, 1:] - phi[:, :-1]) / g.hx, (phi[1:, :] - phi[:-1, :]) / g.hy
-
-
 def _face_mean(phi):
     return 0.5 * (phi[:, 1:] + phi[:, :-1]), 0.5 * (phi[1:, :] + phi[:-1, :])
 
 
-class _SpatialSamples:
-    """Time-independent spatial samples of one test function on one grid."""
+def _walk(traj: TrajectoryHandle, fn: TestFunction):
+    """Yield (trapezoid weight, t, phi(t), (u, v, w)) where phi(t) != 0.
 
-    def __init__(self, fn: TestFunction, geo: _FaceGeometry):
-        self.cells = fn.spatial.value(geo.X, geo.Y)
-        self.gx_on_xfaces = fn.spatial.grad(geo.fx_x, geo.fx_y)[0]
-        self.gy_on_yfaces = fn.spatial.grad(geo.fy_x, geo.fy_y)[1]
-        self.on_xfaces = fn.spatial.value(geo.fx_x, geo.fx_y)
-        self.on_yfaces = fn.spatial.value(geo.fy_x, geo.fy_y)
+    Snapshots where the temporal factor vanishes are skipped unloaded.  The
+    shipped factors vanish together with their derivative (both carry the
+    same exponential), so the phi_t terms of the residuals lose nothing.
+    """
+    weights = time_weights(traj.times)
+    for i, t in enumerate(traj.times):
+        tf = float(fn.temporal.value(t))
+        if tf != 0.0:
+            yield weights[i], t, tf, traj.load(i)
+
+
+def _with_source(traj: TrajectoryHandle, t: float, x, k: int):
+    """x plus component k of the manufactured source at t, if the run had one."""
+    src = traj.sources_at(t)
+    return x if src is None else x + src[k]
+
+
+def _budget(traj: TrajectoryHandle, scale: float) -> float:
+    """(h + mean snapshot spacing) times the identities' natural size, halved."""
+    g = traj.grid
+    dts = np.diff(traj.times)
+    h_scale = max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0)
+    return float(0.5 * h_scale * (1.0 + scale))
+
+
+class _Samples:
+    """Time-independent samples of one test function on a trajectory's grid:
+    values at the cell centers, values and normal derivatives at the interior
+    face midpoints, and phi(t_0) for the initial-trace terms."""
+
+    def __init__(self, fn: TestFunction, traj: TrajectoryHandle):
+        g = traj.grid
+        X, Y = g.cell_centers()
+        # (x, y) of the x-face and of the y-face midpoints between adjacent centers
+        xface, yface = zip(_face_mean(X), _face_mean(Y))
+        self.cells = fn.spatial.value(X, Y)
+        self.gx_on_xfaces = fn.spatial.grad(*xface)[0]
+        self.gy_on_yfaces = fn.spatial.grad(*yface)[1]
+        self.on_xfaces = fn.spatial.value(*xface)
+        self.on_yfaces = fn.spatial.value(*yface)
+        self.vol = g.cell_volume
+        self.tf0 = float(fn.temporal.value(traj.times[0]))
+
+    def initial_trace(self, phi0) -> float:
+        """int phi0 * phi(., t_0) over the domain."""
+        return np.sum(phi0 * self.cells) * self.tf0 * self.vol
 
 
 def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """Signed space-time residual of the forager identity against phi."""
     _check_support(fn, traj)
     g = traj.grid
-    geo = _FaceGeometry(g)
-    sp = _SpatialSamples(fn, geo)
-    vol = g.cell_volume
+    sp = _Samples(fn, traj)
     ks = traj.params.kinetics
-    weights = _time_weights(traj.times)
     total = 0.0
-    for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
+    for wt, t, tf, (u, _, w) in _walk(traj, fn):
         tdf = float(fn.temporal.dvalue(t))
-        if tf == 0.0 and tdf == 0.0:
-            continue
-        u, _, w = traj.load(i)
-        ux, uy = _face_diff(u, g)
-        wx, wy = _face_diff(w, g)
+        ux, uy = gridmod.face_gradients(u, g)
+        wx, wy = gridmod.face_gradients(w, g)
         ufx, ufy = _face_mean(u)
-        fu = ks.law_f(u)
-        src = traj.sources_at(t)
-        if src is not None:
-            fu = fu + src[0]
+        fu = _with_source(traj, t, ks.law_f(u), 0)
         inst = (
             -np.sum(u * sp.cells) * tdf
             + (np.sum(ux * sp.gx_on_xfaces) + np.sum(uy * sp.gy_on_yfaces)) * tf
@@ -371,9 +372,8 @@ def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
                + np.sum(ufy * wy * sp.gy_on_yfaces)) * tf
             - np.sum(fu * sp.cells) * tf
         )
-        total += weights[i] * inst * vol
-    u0, _, _ = traj.load(0)
-    total -= np.sum(u0 * sp.cells) * float(fn.temporal.value(traj.times[0])) * vol
+        total += wt * inst * sp.vol
+    total -= sp.initial_trace(traj.load(0)[0])
     return float(total)
 
 
@@ -386,23 +386,13 @@ def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """
     _check_support(fn, traj)
     g = traj.grid
-    geo = _FaceGeometry(g)
-    sp = _SpatialSamples(fn, geo)
-    vol = g.cell_volume
+    sp = _Samples(fn, traj)
     params = traj.params
-    weights = _time_weights(traj.times)
     total = 0.0
-    for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
+    for wt, t, tf, (u, v, w) in _walk(traj, fn):
         tdf = float(fn.temporal.dvalue(t))
-        if tf == 0.0 and tdf == 0.0:
-            continue
-        u, v, w = traj.load(i)
-        wx, wy = _face_diff(w, g)
-        r_cells = params.resupply.field(g, t)
-        src = traj.sources_at(t)
-        if src is not None:
-            r_cells = r_cells + src[2]
+        wx, wy = gridmod.face_gradients(w, g)
+        r_cells = _with_source(traj, t, params.resupply.field(g, t), 2)
         inst = (
             -np.sum(w * sp.cells) * tdf
             + (np.sum(wx * sp.gx_on_xfaces) + np.sum(wy * sp.gy_on_yfaces)) * tf
@@ -410,9 +400,8 @@ def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
             + params.mu * np.sum(w * sp.cells) * tf
             - np.sum(r_cells * sp.cells) * tf
         )
-        total += weights[i] * inst * vol
-    _, _, w0 = traj.load(0)
-    total -= np.sum(w0 * sp.cells) * float(fn.temporal.value(traj.times[0])) * vol
+        total += wt * inst * sp.vol
+    total -= sp.initial_trace(traj.load(0)[2])
     return float(total)
 
 
@@ -420,31 +409,22 @@ def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """LHS minus RHS of the logarithmic exploiter inequality (>= 0 expected)."""
     _check_support(fn, traj)
     g = traj.grid
-    geo = _FaceGeometry(g)
-    sp = _SpatialSamples(fn, geo)
-    vol = g.cell_volume
+    sp = _Samples(fn, traj)
+    vol = sp.vol
     ks = traj.params.kinetics
-    weights = _time_weights(traj.times)
     if np.any(sp.cells < 0):
         raise DomainError("the exploiter inequality needs a nonnegative test function")
     lhs = 0.0
     rhs = 0.0
-    for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
+    for wt, t, tf, (u, v, _) in _walk(traj, fn):
         tdf = float(fn.temporal.dvalue(t))
-        if tf == 0.0 and tdf == 0.0:
-            continue
-        u, v, _ = traj.load(i)
         ell = np.log1p(v)
-        lx, ly = _face_diff(ell, g)
-        ux, uy = _face_diff(u, g)
+        lx, ly = gridmod.face_gradients(ell, g)
+        ux, uy = gridmod.face_gradients(u, g)
         rfx, rfy = _face_mean(v / (v + 1.0))
-        gv = ks.law_g(v)
-        src = traj.sources_at(t)
-        if src is not None:
-            gv = gv + src[1]
-        lhs += weights[i] * (-np.sum(ell * sp.cells) * tdf) * vol
-        rhs += weights[i] * vol * (
+        gv = _with_source(traj, t, ks.law_g(v), 1)
+        lhs += wt * (-np.sum(ell * sp.cells) * tdf) * vol
+        rhs += wt * vol * (
             (np.sum(lx**2 * sp.on_xfaces) + np.sum(ly**2 * sp.on_yfaces)) * tf
             - (np.sum(lx * sp.gx_on_xfaces) + np.sum(ly * sp.gy_on_yfaces)) * tf
             - (np.sum(rfx * lx * ux * sp.on_xfaces)
@@ -453,8 +433,7 @@ def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
                + np.sum(rfy * uy * sp.gy_on_yfaces)) * tf
             + np.sum(gv / (v + 1.0) * sp.cells) * tf
         )
-    _, v0, _ = traj.load(0)
-    lhs -= np.sum(np.log1p(v0) * sp.cells) * float(fn.temporal.value(traj.times[0])) * vol
+    lhs -= sp.initial_trace(np.log1p(traj.load(0)[1]))
     return float(lhs - rhs)
 
 
@@ -466,24 +445,16 @@ def defect_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
     under simultaneous refinement.
     """
     g = traj.grid
-    vol = g.cell_volume
-    weights = _time_weights(traj.times)
     scale = 0.0
-    for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
-        if tf == 0.0:
-            continue
-        u, v, _ = traj.load(i)
+    for wt, _, tf, (u, v, _) in _walk(traj, fn):
         ell = np.log1p(v)
-        lx, ly = _face_diff(ell, g)
-        ux, uy = _face_diff(u, g)
+        lx, ly = gridmod.face_gradients(ell, g)
+        ux, uy = gridmod.face_gradients(u, g)
         gv = np.abs(traj.params.kinetics.law_g(v) / (v + 1.0))
         inst = (np.sum(lx**2) + np.sum(ly**2) + np.sum(ux**2) + np.sum(uy**2)
-                + np.sum(gv)) * vol
-        scale += weights[i] * inst * tf
-    dts = np.diff(traj.times)
-    h_scale = max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0)
-    return float(0.5 * h_scale * (1.0 + scale))
+                + np.sum(gv)) * g.cell_volume
+        scale += wt * inst * tf
+    return _budget(traj, scale)
 
 
 def identity_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
@@ -493,25 +464,16 @@ def identity_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
     natural magnitude of the identities' integrals.
     """
     g = traj.grid
-    vol = g.cell_volume
     params = traj.params
-    ks = params.kinetics
-    weights = _time_weights(traj.times)
     scale = 0.0
-    for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
-        if tf == 0.0:
-            continue
-        u, v, w = traj.load(i)
-        ux, uy = _face_diff(u, g)
-        wx, wy = _face_diff(w, g)
+    for wt, t, tf, (u, v, w) in _walk(traj, fn):
+        ux, uy = gridmod.face_gradients(u, g)
+        wx, wy = gridmod.face_gradients(w, g)
         inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)
-                + np.sum(np.abs(ks.law_f(u))) + np.sum((u + v) * w)
-                + np.sum(params.resupply.field(g, t))) * vol
-        scale += weights[i] * inst * tf
-    dts = np.diff(traj.times)
-    h_scale = max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0)
-    return float(0.5 * h_scale * (1.0 + scale))
+                + np.sum(np.abs(params.kinetics.law_f(u))) + np.sum((u + v) * w)
+                + np.sum(params.resupply.field(g, t))) * g.cell_volume
+        scale += wt * inst * tf
+    return _budget(traj, scale)
 
 
 def check_mass_inequality(traj: TrajectoryHandle, tol: float = 1e-3):
@@ -523,14 +485,11 @@ def check_mass_inequality(traj: TrajectoryHandle, tol: float = 1e-3):
     for i, t in enumerate(traj.times):
         _, v, _ = traj.load(i)
         masses.append(gridmod.integrate(v, g))
-        gv = ks.law_g(v)
-        src = traj.sources_at(t)
-        if src is not None:
-            gv = gv + src[1]
-        int_g.append(gridmod.integrate(gv, g))
+        int_g.append(gridmod.integrate(_with_source(traj, t, ks.law_g(v), 1), g))
     times = np.asarray(traj.times)
     rows = []
     for i, t in enumerate(times):
+        # a trapezoid over each prefix of the times, not the walk's weights
         rhs = masses[0] + float(np.trapezoid(int_g[: i + 1], times[: i + 1]))
         slack = rhs - masses[i]
         rows.append((float(t), float(slack), slack >= -tol))

@@ -191,6 +191,20 @@ def test_run_lands_on_cadence_snapshot_and_end_times(tmp_path):
     assert result.series["t"][-1] == 1.0
 
 
+def test_run_ends_on_t_end_that_a_cadence_multiple_misses_by_rounding(tmp_path):
+    # 3 * 0.3 == 0.8999999999999999, one rounding short of t_end = 0.9
+    cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=0.9,
+                  cadence=0.3, snapshot_every=0.3, out_dir=str(tmp_path))
+    result = S.run(cfg.build_setup())
+    assert result.completed
+    assert result.final_state.t == 0.9
+    assert result.series["t"][-1] == 0.9
+    assert [e.t for e in result.report.by_check("weighted_functional")] == [
+        0.0, 0.3, 0.6, 0.9]
+    paths = sorted(tmp_path.glob("u_*.fld"))
+    assert [G.read_field(p)[2] for p in paths] == [0.0, 0.3, 0.6, 0.9]
+
+
 def test_diffusion_solve_in_place_matches_allocating_solve():
     g = G.Grid(24, 17, 1.3, 0.8)
     b = np.random.default_rng(5).random(g.shape)
