@@ -132,7 +132,7 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     inputs are left unchanged and the result is a new array.
     """
     g.check_conforms(carrier, potential)
-    cmin = float(np.min(carrier))
+    cmin = float(carrier.min())
     if cmin < CARRIER_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
     gx, gy = face_gradients(potential, g)
@@ -146,15 +146,15 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:
     """Largest face-normal difference magnitude over all interior faces."""
     gx, gy = face_gradients(phi, g)
-    mx = float(np.max(np.abs(gx))) if gx.size else 0.0
-    my = float(np.max(np.abs(gy))) if gy.size else 0.0
+    mx = float(np.abs(gx).max()) if gx.size else 0.0
+    my = float(np.abs(gy).max()) if gy.size else 0.0
     return max(mx, my)
 
 
 def integrate(phi: np.ndarray, g: Grid) -> float:
     """Midpoint-rule integral over the domain (exact for linears)."""
     g.check_conforms(phi)
-    return float(np.sum(phi)) * g.cell_volume
+    return float(phi.sum()) * g.cell_volume
 
 
 def norm_lp(phi: np.ndarray, g: Grid, p: float) -> float:
@@ -165,7 +165,7 @@ def norm_lp(phi: np.ndarray, g: Grid, p: float) -> float:
 
 
 def norm_linf(phi: np.ndarray) -> float:
-    return float(np.max(np.abs(phi)))
+    return float(np.abs(phi).max())
 
 
 def _second_difference(phi: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,11 +53,15 @@ class EnvelopeConstants:
 
 
 class GrowthLaw:
-    """Base class; subclasses evaluate law(s) and ship default envelopes."""
+    """Base class; subclasses evaluate law(s) and law'(s) and ship default envelopes."""
 
     name = "growth"
 
     def __call__(self, s):
+        raise NotImplementedError
+
+    def derivative(self, s):
+        """law'(s) in closed form, for s >= 0 (not checked)."""
         raise NotImplementedError
 
     def default_envelope(self) -> EnvelopeConstants:
@@ -79,6 +84,9 @@ class PurePower(GrowthLaw):
         s = _require_nonneg(s)
         return self.L - self.K * s**self.alpha
 
+    def derivative(self, s):
+        return -self.K * self.alpha * s ** (self.alpha - 1.0)
+
     def default_envelope(self) -> EnvelopeConstants:
         return EnvelopeConstants(k=self.K, l=0.0, K=self.K, L=self.L, exponent=self.alpha)
 
@@ -100,6 +108,9 @@ class Allee(GrowthLaw):
     def __call__(self, s):
         s = _require_nonneg(s)
         return s * (1.0 - s) * (s - 2.0)
+
+    def derivative(self, s):
+        return -3.0 * s**2 + 6.0 * s - 2.0
 
     def default_envelope(self) -> EnvelopeConstants:
         return EnvelopeConstants(k=2.0, l=3.0, K=0.5, L=9.0, exponent=3.0)
@@ -124,6 +135,9 @@ class Logistic(GrowthLaw):
     def __call__(self, s):
         s = _require_nonneg(s)
         return self.a * s - self.b * s**self.alpha
+
+    def derivative(self, s):
+        return self.a - self.b * self.alpha * s ** (self.alpha - 1.0)
 
     def default_envelope(self) -> EnvelopeConstants:
         # upper: a s - (b/2) s^alpha peaks at s* = (2a/(b alpha))^(1/(alpha-1))
@@ -330,21 +344,32 @@ class ResupplySpec:
             return math.exp(-self.decay_lambda * t)
         return 1.0
 
-    def eval(self, x, y, t: float):
-        fac = self.factor(t)
+    def _unit_profile(self, x, y):
+        """The spatial profile at unit amplitude: ones, or the Gaussian bump."""
         if self.profile == "constant":
-            return self.amplitude * fac * np.ones_like(np.asarray(x, dtype=float))
+            return np.ones_like(np.asarray(x, dtype=float))
         cx, cy = self.center
         rr = (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
-        return self.amplitude * fac * np.exp(-rr / (2.0 * self.width**2))
+        return np.exp(-rr / (2.0 * self.width**2))
+
+    def eval(self, x, y, t: float):
+        return self.amplitude * self.factor(t) * self._unit_profile(x, y)
 
     def field(self, g: gridmod.Grid, t: float) -> np.ndarray:
-        X, Y = g.cell_centers()
-        return np.asarray(self.eval(X, Y, t), dtype=float)
+        """r at the cell centres of g: eval's product on the cached profile."""
+        return self.amplitude * self.factor(t) * _profile_on(self, g)
 
     def linf(self, t: float) -> float:
         """Analytic sup over the whole domain at time t (dominates cell samples)."""
         return self.amplitude * self.factor(t)
+
+
+@lru_cache(maxsize=16)
+def _profile_on(spec: ResupplySpec, g: gridmod.Grid) -> np.ndarray:
+    """Cached read-only unit resupply profile at the cell centres of g."""
+    profile = spec._unit_profile(*g.cell_centers())
+    profile.setflags(write=False)
+    return profile
 
 
 @dataclass(frozen=True)

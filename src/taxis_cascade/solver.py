@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -43,6 +44,7 @@ from taxis_cascade.errors import (
 CLAMP_FLOOR = -1e-12
 BLOWUP_LIMIT = 1e8
 TINY_GRADIENT = 1e-30
+FIXED_DT_WARN_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
 
 def _clamp_nonnegative(phi, name):
     """Zero out dust in [-1e-12, 0); anything below is a positivity error."""
-    fmin = float(np.min(phi))
+    fmin = float(phi.min())
     if fmin >= 0.0:
         return phi, 0
     if fmin < CLAMP_FLOOR:
@@ -229,7 +231,7 @@ def _clamp_nonnegative(phi, name):
 
 def _watchdog(phi, name, t):
     # max|phi| without a temporary; NaN or inf anywhere makes m non-finite
-    m = max(float(np.max(phi)), -float(np.min(phi)))
+    m = max(float(phi.max()), -float(phi.min()))
     if not math.isfinite(m):
         raise BlowUpError(f"{name} lost finiteness at t={t:.6g}")
     if m > BLOWUP_LIMIT:
@@ -237,11 +239,15 @@ def _watchdog(phi, name, t):
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
-         control: StepControl = StepControl(), mms: "MmsSpec | None" = None
+         control: StepControl = StepControl(), mms: "MmsSpec | None" = None,
+         laws: tuple[np.ndarray, np.ndarray] | None = None
          ) -> tuple[State, StepStats]:
     """One IMEX step of size dt; returns the new state and step statistics.
 
-    The input state is left unchanged; the new state's fields are new arrays.
+    ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
+    already; they are read, not written.  Without them each law is evaluated
+    where it is used, so the two never take memory at the same time.  The
+    input state is left unchanged; the new state's fields are new arrays.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -255,7 +261,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
     diffusion = _SpectralHelmholtz(g, dt, 1.0)
     u_new = gridmod.taxis_divergence(state.u, state.w, g)
-    np.subtract(ks.law_f(state.u), u_new, out=u_new)
+    np.subtract(ks.law_f(state.u) if laws is None else laws[0], u_new, out=u_new)
     u_new *= dt
     u_new += state.u
     if mms is not None:
@@ -265,7 +271,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     _watchdog(u_new, "u", t_new)
 
     v_new = gridmod.taxis_divergence(state.v, u_new, g)
-    np.subtract(ks.law_g(state.v), v_new, out=v_new)
+    np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
     v_new *= dt
     v_new += state.v
     if mms is not None:
@@ -300,27 +306,20 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     return new_state, stats
 
 
-def _slope_estimate(law, s: float) -> float:
-    """|law'(s)| by differencing, one-sided near the s >= 0 boundary."""
-    h = 1e-6 * max(1.0, abs(s))
-    if s - h < 0.0:
-        return abs(float(law(s + h)) - float(law(max(s, 0.0)))) / h
-    return abs(float(law(s + h)) - float(law(s - h))) / (2.0 * h)
-
-
 def suggest_dt(state: State, params: ModelParams, g: gridmod.Grid,
                control: StepControl) -> float:
     """Advective and reaction-limited step size.
 
     dt = safety * min(dt_max, h_min / (max|grad w| + max|grad u|),
-                      1 / (1 + |f'| + |g'|)) with the slopes estimated at the
-    current field maxima.  Returns safety * dt_max for the flat zero state.
+                      1 / (1 + |f'| + |g'|)) with the laws' analytic slopes
+    at the current field maxima.  Returns safety * dt_max for the flat zero
+    state.
     """
     grad_sum = (gridmod.max_face_gradient(state.w, g)
                 + gridmod.max_face_gradient(state.u, g))
     advective = g.h_min / (grad_sum + TINY_GRADIENT)
-    slope_f = _slope_estimate(params.kinetics.law_f, float(np.max(state.u)))
-    slope_g = _slope_estimate(params.kinetics.law_g, float(np.max(state.v)))
+    slope_f = abs(params.kinetics.law_f.derivative(float(state.u.max())))
+    slope_g = abs(params.kinetics.law_g.derivative(float(state.v.max())))
     reactive = 1.0 / (1.0 + slope_f + slope_g)
     return control.safety * min(control.dt_max, advective, reactive)
 
@@ -592,6 +591,13 @@ def run(setup: RunSetup) -> RunResult:
     state = State(setup.initial.u0.astype(float).copy(),
                   setup.initial.v0.astype(float).copy(),
                   setup.initial.w0.astype(float).copy())
+    if setup.fixed_dt is not None:
+        dt_bound = suggest_dt(state, params, g, control)
+        if setup.fixed_dt > FIXED_DT_WARN_RATIO * dt_bound:
+            warnings.warn(
+                f"fixed_dt {setup.fixed_dt!r} exceeds {FIXED_DT_WARN_RATIO:g}x the "
+                f"suggested step {dt_bound!r} of the initial state",
+                RuntimeWarning, stacklevel=2)
     report = mon.MonitorReport()
     step_checks: dict[str, CheckStats] = {}
     series: dict[str, list] = {k: [] for k in (
@@ -621,6 +627,8 @@ def run(setup: RunSetup) -> RunResult:
     total_clamps = 0
     try:
         while True:
+            # the growth terms of this state, for the record and the next step
+            fu = ks.law_f(state.u)
             gv = ks.law_g(state.v)
             series["t"].append(state.t)
             series["dt"].append(dt)
@@ -633,7 +641,7 @@ def run(setup: RunSetup) -> RunResult:
             series["clamps"].append(clamps)
             series["int_u_alpha"].append(gridmod.integrate(state.u**ks.alpha, g))
             series["int_v_beta"].append(gridmod.integrate(state.v**ks.beta, g))
-            series["int_f_u"].append(gridmod.integrate(ks.law_f(state.u), g))
+            series["int_f_u"].append(gridmod.integrate(fu, g))
             series["int_g_v"].append(gridmod.integrate(gv, g))
             series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv), g))
             series["int_consumption"].append(
@@ -688,7 +696,8 @@ def run(setup: RunSetup) -> RunResult:
             else:
                 dt = suggest_dt(state, params, g, control)
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
-            state, stats = step(state, params, dt, g, control, mms=setup.mms)
+            state, stats = step(state, params, dt, g, control, mms=setup.mms,
+                                laws=(fu, gv))
             state.t = t_new
             clamps = stats.clamps
             total_clamps += clamps

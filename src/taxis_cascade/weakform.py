@@ -189,9 +189,10 @@ def default_basis(t_end: float) -> list[TestFunction]:
 class TrajectoryHandle:
     """Ordered FLD1 snapshot triples with the run's grid and model context.
 
-    Snapshot fields are loaded lazily and cached on the handle, so they are
-    freed with it; identities assume the first snapshot carries the initial
-    datum.
+    Snapshot fields, and on a manufactured trajectory the source triple at
+    each snapshot time, are built lazily and cached on the handle, so they
+    are freed with it; identities assume the first snapshot carries the
+    initial datum.
     """
 
     grid: gridmod.Grid
@@ -200,6 +201,7 @@ class TrajectoryHandle:
     params: object = None       # solver.ModelParams
     mms: object = None          # solver.MmsSpec or None
     _loaded: dict = field(default_factory=dict, init=False, repr=False)
+    _sources: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.paths):
@@ -229,7 +231,9 @@ class TrajectoryHandle:
     def sources_at(self, t: float):
         if self.mms is None:
             return None
-        return self.mms.sources(self.params, self.grid, t)
+        if t not in self._sources:
+            self._sources[t] = self.mms.sources(self.params, self.grid, t)
+        return self._sources[t]
 
 
 _SNAP_RE = re.compile(r"^u_(\d+)\.fld$")

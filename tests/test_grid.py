@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from taxis_cascade import grid as G
 from taxis_cascade.errors import DomainError, StructuralError
@@ -107,17 +109,22 @@ def test_taxis_negative_carrier_rejected():
     G.taxis_divergence(c, np.ones(g.shape), g)
 
 
-def test_discrete_conservation():
-    rng = np.random.default_rng(4)
-    g = G.Grid(13, 11, 2.0, 1.5)
-    phi = rng.standard_normal(g.shape) * 10
-    c = rng.random(g.shape)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=hs.builds(G.Grid, hs.integers(4, 32), hs.integers(4, 32),
+                   hs.floats(0.5, 3.0), hs.floats(0.5, 3.0)),
+       seed=hs.integers(0, 2**32 - 1), log_c=hs.floats(-3.0, 3.0),
+       log_phi=hs.floats(-3.0, 3.0), vacant=hs.floats(0.0, 0.9))
+def test_discrete_conservation(g, seed, log_c, log_phi, vacant):
+    # any nonnegative carrier, empty cells included, and any potential
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(g.shape) * 10.0**log_phi
+    c = rng.random(g.shape) * (rng.random(g.shape) >= vacant) * 10.0**log_c
     gx = np.abs(np.diff(phi, axis=1)) / g.hx
     gy = np.abs(np.diff(phi, axis=0)) / g.hy
     flux_scale = (gx.sum() / g.hx + gy.sum() / g.hy) * g.cell_volume
     tol = 10 * np.finfo(float).eps * flux_scale
     assert abs(G.integrate(G.laplacian(phi, g), g)) <= tol
-    assert abs(G.integrate(G.taxis_divergence(c, phi, g), g)) <= tol
+    assert abs(G.integrate(G.taxis_divergence(c, phi, g), g)) <= tol * c.max()
 
 
 def test_integrate_examples():

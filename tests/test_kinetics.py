@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
 from taxis_cascade.errors import DomainError, StructuralError
@@ -22,6 +25,22 @@ def test_law_values():
     assert allee(3.0) == pytest.approx(3.0 * (-2.0) * 1.0, abs=1e-14)
     logi = K.Logistic(a=2.0, b=1.0, alpha=2.0)
     assert logi(2.0) == 0.0
+
+
+# the presets' laws, plus fractional exponents and nondefault coefficients
+SHIPPED_LAWS = (K.PurePower(1.0, 1.0, 3.0), K.PurePower(1.0, 1.0, 6.0),
+                K.PurePower(1.0, 1.0, 1.8), K.PurePower(1.0, 1.0, 2.2),
+                K.PurePower(0.5, 2.0, 2.5), K.Allee(), K.Logistic(),
+                K.Logistic(a=1.5, b=0.8, alpha=2.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(law=hs.sampled_from(SHIPPED_LAWS), s=hs.floats(0.0, 50.0))
+def test_law_derivative_matches_central_difference(law, s):
+    h = 1e-6 * max(1.0, s)
+    c = max(s, h)  # keeps both difference points in the domain s >= 0
+    fd = (float(law(c + h)) - float(law(c - h))) / (2.0 * h)
+    assert float(law.derivative(c)) == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
 def test_laws_reject_negative_argument():
@@ -168,6 +187,19 @@ def test_resupply_eval_and_stars():
         K.ResupplySpec(amplitude=-1.0)
     with pytest.raises(StructuralError):
         K.ResupplySpec(profile="striped")
+
+
+@pytest.mark.parametrize("profile", ["constant", "gaussian"])
+@pytest.mark.parametrize("decay_lambda", [0.0, 0.7])
+def test_resupply_field_is_eval_on_the_cell_centres(profile, decay_lambda):
+    g = G.Grid(12, 9, 1.3, 0.8)
+    r = K.ResupplySpec(profile=profile, amplitude=0.3, center=(0.4, 0.55),
+                       width=0.15, decay_lambda=decay_lambda)
+    X, Y = g.cell_centers()
+    for t in (0.0, 0.37, 2.5):
+        field = r.field(g, t)
+        assert field.flags.writeable  # a new array, not the cached profile
+        assert field.tobytes() == np.asarray(r.eval(X, Y, t), dtype=float).tobytes()
 
 
 def test_initial_data_validation():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as hs
 from scipy.integrate import solve_ivp
 
 from oracles import dense_step
+from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import presets
@@ -286,6 +288,56 @@ def test_step_outputs_are_fresh_and_inputs_untouched(manufactured):
     if manufactured:
         for s, s0 in zip(mms.sources(setup.params, setup.grid, 2e-3), sources_before):
             assert s.tobytes() == s0.tobytes()
+
+
+@pytest.mark.parametrize("manufactured", [False, True])
+def test_step_with_the_callers_laws_is_bitwise_step(manufactured):
+    setup, st = thm1_core_start(24)
+    mms = S.shipped_mms() if manufactured else None
+    if manufactured:
+        st = mms.state(setup.grid)
+    ks = setup.params.kinetics
+    args = (st, setup.params, 1e-3, setup.grid, setup.control)
+    plain, _ = S.step(*args, mms=mms)
+    shared, _ = S.step(*args, mms=mms, laws=(ks.law_f(st.u), ks.law_g(st.v)))
+    for name in "uvw":
+        assert getattr(shared, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def test_run_evaluates_each_law_once_per_state(monkeypatch):
+    # the record's law_f(u) and law_g(v) are the next step's growth terms,
+    # and suggest_dt takes analytic slopes, so a state costs two law calls
+    cfg = replace(presets.preset("thm2-decay").config, nx=16, ny=16, t_end=1.0,
+                  snapshot_every=0.0, out_dir=None)
+    setup = cfg.build_setup()
+    calls = []
+    for cls in K.GrowthLaw.__subclasses__():
+        def counting(self, s, _law=cls.__call__):
+            calls.append(s)
+            return _law(self, s)
+        monkeypatch.setattr(cls, "__call__", counting)
+    result = S.run(setup)
+    assert result.completed and result.steps > 0
+    assert len(calls) == 2 * (result.steps + 1)
+
+
+def test_run_warns_when_fixed_dt_far_exceeds_the_suggested_step(tmp_path):
+    setup, st = thm1_core_start(16)
+    bound = S.suggest_dt(st, setup.params, setup.grid, setup.control)
+    with pytest.warns(RuntimeWarning, match="fixed_dt") as record:
+        S.run(replace(setup, fixed_dt=11.0 * bound, t_end=0.0))
+    assert len(record) == 1
+    assert repr(11.0 * bound) in str(record[0].message)
+    assert repr(bound) in str(record[0].message)
+    # neither a step just inside the bound, the manufactured study (dt = h^2)
+    # nor the epsilon sweep (half the suggested step) warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S.run(replace(setup, fixed_dt=9.0 * bound, t_end=0.0))
+        S.run(cli.mms_config(128, t_end=0.0).build_setup())
+        cfg = replace(presets.preset("thm1-core").config, nx=12, ny=12)
+        cli.sweep_epsilon(cfg, [1e-1, 1e-2], t_end=0.05, snapshot_every=0.05,
+                          out_root=str(tmp_path))
 
 
 def test_watchdog_catches_non_finite_and_huge_values():

@@ -246,6 +246,31 @@ def test_mass_inequality_on_manufactured_run(tmp_path):
     assert W.check_mass_inequality(traj)[-1][1] < -0.3
 
 
+def test_manufactured_sources_built_once_per_snapshot(tmp_path, monkeypatch):
+    cli.mms_study([16], t_end=0.25, snapshot_every=0.05, out_root=tmp_path)
+    run_dir = tmp_path / "mms-16"
+    cached = W.TrajectoryHandle.sources_at
+
+    def rebuilt(traj, t):
+        return None if traj.mms is None else traj.mms.sources(traj.params, traj.grid, t)
+
+    monkeypatch.setattr(W.TrajectoryHandle, "sources_at", rebuilt)
+    cli.verify_weak(run_dir, tmp_path / "rebuilt.csv")
+    monkeypatch.setattr(W.TrajectoryHandle, "sources_at", cached)
+    calls = []
+    build = S.MmsSpec.sources
+
+    def counting(mms, params, g, t):
+        calls.append(t)
+        return build(mms, params, g, t)
+
+    monkeypatch.setattr(S.MmsSpec, "sources", counting)
+    cli.verify_weak(run_dir, tmp_path / "cached.csv")
+    assert 0 < len(calls) <= len(W.load_trajectory(run_dir))
+    assert ((tmp_path / "cached.csv").read_bytes()
+            == (tmp_path / "rebuilt.csv").read_bytes())
+
+
 def test_mms_residuals_shrink_at_first_order(tmp_path):
     vals = {}
     for nx in (12, 24):
