@@ -36,13 +36,22 @@ def _load_cfg(args) -> Config:
     return load_config(args.config)
 
 
+def _parse_list(text: str, kind, option: str) -> list:
+    """Comma-separated numbers of one type; anything else is a StructuralError."""
+    try:
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise StructuralError(
+            f"{option} needs comma-separated {kind.__name__} values, got {text!r}") from None
+
+
 def _print_gate(name, gate):
     verdict = "pass" if gate.passed else "FAIL"
     print(f"{name}: {verdict}")
     for check, ok in gate.checks.items():
         margin = gate.margins[check]
         flag = "" if ok else "  <-- fails"
-        edge = "  (knife-edge)" if abs(margin) < kin.KNIFE_EDGE else ""
+        edge = "  (knife-edge)" if check in gate.knife_edge else ""
         print(f"  {check:24s} {'ok' if ok else 'violated':8s} margin={margin:.6g}{flag}{edge}")
 
 
@@ -218,7 +227,7 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
 
 
 def cmd_mms(args) -> int:
-    levels = [int(s) for s in args.levels.split(",")]
+    levels = _parse_list(args.levels, int, "--levels")
     study = mms_study(levels, t_end=args.t_end, dt_coeff=args.dt_coeff,
                       out_root=args.out)
     lines = list(study.table_rows())
@@ -319,7 +328,7 @@ def cmd_sweep(args) -> int:
     except (StructuralError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    eps_list = [float(s) for s in args.eps.split(",")]
+    eps_list = _parse_list(args.eps, float, "--eps")
     sweep = sweep_epsilon(cfg, eps_list, t_end=args.t_end, fixed_dt=args.dt,
                           out_root=args.out)
     lines = list(sweep.table_rows())

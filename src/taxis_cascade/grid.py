@@ -212,13 +212,16 @@ def write_field(path, phi: np.ndarray, g: Grid, t: float) -> None:
 
 def read_field(path) -> tuple[np.ndarray, Grid, float]:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii")
+        header = fh.readline()
         parts = header.split()
-        if len(parts) != 6 or parts[0] != "FLD1":
+        if len(parts) != 6 or parts[0] != b"FLD1":
             raise StructuralError(f"{path}: not an FLD1 file (header {header!r})")
-        nx, ny = int(parts[1]), int(parts[2])
-        g = Grid(nx, ny, float(parts[3]), float(parts[4]))
-        t = float(parts[5])
+        try:  # int and float parse bytes as ASCII and reject anything else
+            nx, ny = int(parts[1]), int(parts[2])
+            Lx, Ly, t = (float(x) for x in parts[3:])
+        except ValueError:
+            raise StructuralError(f"{path}: malformed FLD1 header {header!r}") from None
+        g = Grid(nx, ny, Lx, Ly)
         raw = fh.read(8 * nx * ny)
         if len(raw) != 8 * nx * ny:
             raise StructuralError(f"{path}: truncated payload")

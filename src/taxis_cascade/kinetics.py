@@ -266,7 +266,8 @@ class GateResult:
     passed: bool
     checks: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
-    knife_edge: bool = False
+    # the exponent checks whose margin is within KNIFE_EDGE of zero
+    knife_edge: tuple = ()
 
 
 def global_existence_gate(spec: KineticSpec) -> GateResult:
@@ -275,7 +276,7 @@ def global_existence_gate(spec: KineticSpec) -> GateResult:
     min_margin = min(spec.alpha, spec.beta) - (spec.alpha + 1.0) / (spec.alpha - 1.0)
     checks = {"alpha_supercritical": alpha_margin > 0, "min_condition": min_margin > 0}
     margins = {"alpha_supercritical": alpha_margin, "min_condition": min_margin}
-    knife = any(abs(m) < KNIFE_EDGE for m in margins.values())
+    knife = tuple(k for k, m in margins.items() if abs(m) < KNIFE_EDGE)
     return GateResult(passed=all(checks.values()), checks=checks, margins=margins,
                       knife_edge=knife)
 
@@ -293,7 +294,7 @@ def eventual_regularity_gate(spec: KineticSpec, params) -> GateResult:
     r2 = params.resupply.r_double_star
     checks["resupply_integrable"] = math.isfinite(r2)
     margins["resupply_integrable"] = r2
-    knife = g1.knife_edge or abs(beta_margin) < KNIFE_EDGE
+    knife = g1.knife_edge + (("beta_supercritical",) if abs(beta_margin) < KNIFE_EDGE else ())
     return GateResult(passed=all(checks.values()), checks=checks, margins=margins,
                       knife_edge=knife)
 

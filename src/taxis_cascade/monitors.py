@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +31,17 @@ class MonitorEntry:
     bound: float
     margin: float
     passed: bool
-    window: tuple[float, float] | None = None
-    note: str = ""
 
     @classmethod
-    def compare(cls, t, check, value, bound, tol=0.0, window=None, note=""):
+    def compare(cls, t, check, value, bound, tol=0.0):
         margin = bound - value
         return cls(t=t, check=check, value=value, bound=bound, margin=margin,
-                   passed=margin >= -tol, window=window, note=note)
+                   passed=margin >= -tol)
 
     @classmethod
-    def report_only(cls, t, check, value, window=None, note="report-only"):
+    def report_only(cls, t, check, value):
         return cls(t=t, check=check, value=value, bound=math.nan, margin=math.nan,
-                   passed=True, window=window, note=note)
+                   passed=True)
 
 
 class MonitorReport:
@@ -159,19 +157,25 @@ def check_window_integrals(t, times, int_u_alpha, int_v_beta,
                            consts: BoundConstants, dt: float) -> list[MonitorEntry]:
     """Space-time integrals of u^alpha and v^beta over the window [t-1, t]."""
     out = []
-    window = (t - 1.0, t)
     for name, series, bound in (("window_u_alpha", int_u_alpha, consts.window_alpha_bound),
                                 ("window_v_beta", int_v_beta, consts.window_beta_bound)):
         value = math.nan
         if t >= 1.0 and times[0] <= t - 1.0 + 1e-12:
             value = _window_trapz(times, series, t - 1.0, t)
-        if math.isnan(value):
-            out.append(MonitorEntry.report_only(t, name, math.nan, window=window,
-                                                note="insufficient window"))
+        if math.isnan(value):  # the record does not yet cover the window
+            out.append(MonitorEntry.report_only(t, name, math.nan))
             continue
         tol = bound * (REL_TOL + DT_SLACK * dt)
-        out.append(MonitorEntry.compare(t, name, value, bound, tol=tol, window=window))
+        out.append(MonitorEntry.compare(t, name, value, bound, tol=tol))
     return out
+
+
+def _v_mass_defect(times, int_g_series, int_abs_g_series, mass_v_series):
+    """Signed defect, max|int g| and elapsed time (floored at one unit)."""
+    lhs = mass_v_series[-1] - mass_v_series[0]
+    rhs = float(np.trapezoid(int_g_series, times))
+    c_max = float(np.max(int_abs_g_series))
+    return lhs - rhs, c_max, max(times[-1] - times[0], 1.0)
 
 
 def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series) -> tuple[float, float]:
@@ -180,25 +184,17 @@ def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series) -> tup
     The relative defect is normalized by max|int g| seen times the elapsed
     time (floored at one unit), the first-order accumulation scale.
     """
-    elapsed = times[-1] - times[0]
-    lhs = mass_v_series[-1] - mass_v_series[0]
-    rhs = float(np.trapezoid(int_g_series, times))
-    c_max = float(np.max(int_abs_g_series))
-    denom = max(c_max * max(elapsed, 1.0), 1e-300)
-    signed = lhs - rhs
-    return signed, abs(signed) / denom
+    signed, c_max, elapsed = _v_mass_defect(times, int_g_series, int_abs_g_series,
+                                            mass_v_series)
+    return signed, abs(signed) / max(c_max * elapsed, 1e-300)
 
 
 def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
                           mass_v_series, dt_scale: float) -> MonitorEntry:
     """Pass when |defect| stays under the C*dt*t accumulation envelope."""
-    signed, rel = v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series)
-    c_max = float(np.max(int_abs_g_series))
-    elapsed = max(times[-1] - times[0], 1.0)
-    bound = c_max * dt_scale * elapsed
-    entry = MonitorEntry.compare(t, "v_mass_identity", abs(signed), bound)
-    entry.note = f"relative={rel!r}"
-    return entry
+    signed, c_max, elapsed = _v_mass_defect(times, int_g_series, int_abs_g_series,
+                                            mass_v_series)
+    return MonitorEntry.compare(t, "v_mass_identity", abs(signed), c_max * dt_scale * elapsed)
 
 
 def log_gradient_integrand(v: np.ndarray, g) -> float:
@@ -210,25 +206,15 @@ def log_gradient_integrand(v: np.ndarray, g) -> float:
     return float(total) * g.cell_volume
 
 
-def check_log_gradient_energy(t, times, cumulative_series) -> MonitorEntry:
-    """Report-only: cumulative log-gradient energy with a linear-growth fit."""
-    value = cumulative_series[-1]
-    entry = MonitorEntry.report_only(t, "log_gradient_energy", value)
-    if len(times) >= 3 and times[-1] > times[0]:
-        a, b = _linear_fit(times, cumulative_series)
-        entry.note = f"report-only fit a={a:.6g} b={b:.6g}"
-    return entry
-
-
-def _linear_fit(ts, ys):
-    coeffs = np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)
-    return float(coeffs[1]), float(coeffs[0])  # intercept, slope
+def check_log_gradient_energy(t, cumulative: float) -> MonitorEntry:
+    """Report-only: time integral of the log-gradient energy up to t."""
+    return MonitorEntry.report_only(t, "log_gradient_energy", cumulative)
 
 
 def least_squares_slope(ts, ys) -> float:
     if len(ts) < 2:
         return 0.0
-    return _linear_fit(ts, ys)[1]
+    return float(np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -237,31 +223,29 @@ class DecayDetection:
     t_detect: float  # nan when not detected
     tail_w_integral: float
     tail_consumption: float
-    note: str = ""
 
 
 def detect_w_decay(times, linf_w, int_w_series, int_consumption_series,
-                   delta: float, gate_ok: bool = True) -> DecayDetection:
+                   delta: float) -> DecayDetection:
     """Earliest recorded time after which ||w||_inf stays below delta.
 
     Also reports the space-time tails of w and of the consumption term past
-    that time.  Without the eventual-regularity gate the result is marked
-    "hypotheses unmet" but still computed.
+    that time.  It is computed whether or not the eventual-regularity
+    hypotheses hold.
     """
     times = np.asarray(times, dtype=float)
     linf_w = np.asarray(linf_w, dtype=float)
-    note = "" if gate_ok else "hypotheses unmet"
     above = np.nonzero(linf_w >= delta)[0]
     if above.size == 0:
         idx = 0
     elif above[-1] == len(times) - 1:
-        return DecayDetection(False, math.nan, math.nan, math.nan, note=note or "no decay")
+        return DecayDetection(False, math.nan, math.nan, math.nan)
     else:
         idx = int(above[-1]) + 1
     t_detect = float(times[idx])
     tail_w = float(np.trapezoid(np.asarray(int_w_series)[idx:], times[idx:]))
     tail_c = float(np.trapezoid(np.asarray(int_consumption_series)[idx:], times[idx:]))
-    return DecayDetection(True, t_detect, tail_w, tail_c, note=note)
+    return DecayDetection(True, t_detect, tail_w, tail_c)
 
 
 @dataclass(frozen=True)
@@ -323,7 +307,6 @@ def weighted_functional(u: np.ndarray, w: np.ndarray, fp: FunctionalParams, g) -
 class RegularityReport:
     regularized: bool
     slopes: dict
-    note: str = ""
 
 
 def eventual_regularity_report(cadence_times, series: dict, t_detect: float,
@@ -338,7 +321,7 @@ def eventual_regularity_report(cadence_times, series: dict, t_detect: float,
     ts = np.asarray(cadence_times, dtype=float)
     keep = ts >= t_start
     if np.count_nonzero(keep) < 3:
-        return RegularityReport(False, {}, note="tail too short")
+        return RegularityReport(False, {})  # tail too short
     slopes = {}
     for name, ys in series.items():
         ys = np.asarray(ys, dtype=float)

@@ -17,99 +17,63 @@ class Preset:
     description: str
 
 
-def _base_config(**kw) -> Config:
-    cfg = Config(
-        nx=40, ny=40, Lx=1.0, Ly=1.0,
-        t_end=20.0, dt_max=0.02, safety=0.2,
-        cadence=0.25, delta=1e-2, q=2.0,
-        snapshot_every=0.25,
-    )
-    return replace(cfg, **kw)
+_BASE = Config(
+    nx=40, ny=40, Lx=1.0, Ly=1.0,
+    t_end=20.0, dt_max=0.02, safety=0.2,
+    cadence=0.25, delta=1e-2, q=2.0,
+    snapshot_every=0.25,
+)
+
+# steady resupply without nutrient decay, the setting of the existence presets
+_STEADY = dict(
+    mu=0.0, epsilon=1e-3,
+    profile="constant", amplitude=0.1, decay_lambda=0.0,
+    init_w="gaussian(0.5, 0.5, 0.22, 0.5, 0.3)",
+)
+_THM1_INIT = dict(
+    init_u="gaussian(0.35, 0.35, 0.16, 0.8, 0.2)",
+    init_v="gaussian(0.62, 0.58, 0.18, 0.25, 0.85)",
+)
 
 
-def _thm1_core() -> Preset:
-    cfg = _base_config(
-        label="thm1-core",
-        mu=0.0, epsilon=1e-3,
-        f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
-        profile="constant", amplitude=0.1, decay_lambda=0.0,
-        init_u="gaussian(0.35, 0.35, 0.16, 0.8, 0.2)",
-        init_v="gaussian(0.62, 0.58, 0.18, 0.25, 0.85)",
-        init_w="gaussian(0.5, 0.5, 0.22, 0.5, 0.3)",
-        out_dir="runs/thm1-core",
-    )
-    return Preset("thm1-core", cfg, True, False,
-                  "cubic degradation in both species, steady resupply")
-
-
-def _thm1_subquadratic_g() -> Preset:
-    cfg = _base_config(
-        label="thm1-subquadratic-g",
-        mu=0.0, epsilon=1e-3,
-        f_law="purepower(1.0, 1.0, 6.0)", g_law="purepower(1.0, 1.0, 1.8)",
-        profile="constant", amplitude=0.1, decay_lambda=0.0,
-        init_u="gaussian(0.35, 0.35, 0.16, 0.8, 0.2)",
-        init_v="gaussian(0.62, 0.58, 0.18, 0.25, 0.85)",
-        init_w="gaussian(0.5, 0.5, 0.22, 0.5, 0.3)",
-        out_dir="runs/thm1-subquadratic-g",
-    )
-    return Preset("thm1-subquadratic-g", cfg, True, False,
-                  "large forager exponent buys a subquadratic exploiter law")
-
-
-def _allee() -> Preset:
-    cfg = _base_config(
-        label="allee",
-        mu=0.0, epsilon=1e-3,
-        f_law="allee", g_law="purepower(1.0, 1.0, 3.0)",
-        profile="constant", amplitude=0.1, decay_lambda=0.0,
-        init_u="gaussian(0.4, 0.4, 0.18, 0.6, 1.2)",
-        init_v="gaussian(0.6, 0.6, 0.2, 0.25, 0.85)",
-        init_w="gaussian(0.5, 0.5, 0.22, 0.5, 0.3)",
-        out_dir="runs/allee",
-    )
-    return Preset("allee", cfg, True, False,
-                  "bistable forager law above its survival threshold")
-
-
-def _thm2_decay() -> Preset:
-    cfg = _base_config(
-        label="thm2-decay",
-        t_end=40.0,
-        mu=0.5, epsilon=0.0,
-        f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
-        profile="gaussian", amplitude=0.3, center=(0.5, 0.5), width=0.15,
-        decay_lambda=1.0,
-        init_u="gaussian(0.4, 0.45, 0.18, 0.7, 0.3)",
-        init_v="gaussian(0.6, 0.55, 0.2, 0.25, 0.85)",
-        init_w="gaussian(0.5, 0.5, 0.2, 0.3, 0.1)",
-        out_dir="runs/thm2-decay",
-    )
-    return Preset("thm2-decay", cfg, True, True,
-                  "decaying resupply and positive nutrient decay; the nutrient "
-                  "dies out and the tail should look smooth")
-
-
-def _gate_fail_alpha() -> Preset:
-    cfg = _base_config(
-        label="gate-fail-alpha",
-        mu=0.0, epsilon=1e-3,
-        f_law="purepower(1.0, 1.0, 2.2)", g_law="purepower(1.0, 1.0, 3.0)",
-        profile="constant", amplitude=0.1, decay_lambda=0.0,
-        init_u="gaussian(0.35, 0.35, 0.16, 0.8, 0.2)",
-        init_v="gaussian(0.62, 0.58, 0.18, 0.25, 0.85)",
-        init_w="gaussian(0.5, 0.5, 0.22, 0.5, 0.3)",
-        out_dir="runs/gate-fail-alpha",
-    )
-    return Preset("gate-fail-alpha", cfg, False, False,
-                  "forager exponent below the supercritical threshold; must be "
-                  "rejected by the gate")
+def _preset(name, expect_existence, expect_regularity, description, **kw) -> Preset:
+    cfg = replace(_BASE, label=name, out_dir=f"runs/{name}", **kw)
+    return Preset(name, cfg, expect_existence, expect_regularity, description)
 
 
 _PRESETS = {
     p.name: p for p in (
-        _thm1_core(), _thm1_subquadratic_g(), _allee(), _thm2_decay(),
-        _gate_fail_alpha())
+        _preset("thm1-core", True, False,
+                "cubic degradation in both species, steady resupply",
+                f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
+                **_STEADY, **_THM1_INIT),
+        _preset("thm1-subquadratic-g", True, False,
+                "large forager exponent buys a subquadratic exploiter law",
+                f_law="purepower(1.0, 1.0, 6.0)", g_law="purepower(1.0, 1.0, 1.8)",
+                **_STEADY, **_THM1_INIT),
+        _preset("allee", True, False,
+                "bistable forager law above its survival threshold",
+                f_law="allee", g_law="purepower(1.0, 1.0, 3.0)",
+                init_u="gaussian(0.4, 0.4, 0.18, 0.6, 1.2)",
+                init_v="gaussian(0.6, 0.6, 0.2, 0.25, 0.85)",
+                **_STEADY),
+        _preset("thm2-decay", True, True,
+                "decaying resupply and positive nutrient decay; the nutrient "
+                "dies out and the tail should look smooth",
+                t_end=40.0,
+                mu=0.5, epsilon=0.0,
+                f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
+                profile="gaussian", amplitude=0.3, center=(0.5, 0.5), width=0.15,
+                decay_lambda=1.0,
+                init_u="gaussian(0.4, 0.45, 0.18, 0.7, 0.3)",
+                init_v="gaussian(0.6, 0.55, 0.2, 0.25, 0.85)",
+                init_w="gaussian(0.5, 0.5, 0.2, 0.3, 0.1)"),
+        _preset("gate-fail-alpha", False, False,
+                "forager exponent below the supercritical threshold; must be "
+                "rejected by the gate",
+                f_law="purepower(1.0, 1.0, 2.2)", g_law="purepower(1.0, 1.0, 3.0)",
+                **_STEADY, **_THM1_INIT),
+    )
 }
 
 

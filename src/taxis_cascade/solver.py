@@ -477,18 +477,7 @@ class RunSetup:
 
 @dataclass
 class CheckStats:
-    min_margin: float = math.inf
     violations: int = 0
-    worst_t: float = math.nan
-    count: int = 0
-
-    def update(self, entry: mon.MonitorEntry):
-        self.count += 1
-        if entry.margin < self.min_margin:
-            self.min_margin = entry.margin
-            self.worst_t = entry.t
-        if not entry.passed:
-            self.violations += 1
 
 
 @dataclass
@@ -579,10 +568,6 @@ def run(setup: RunSetup) -> RunResult:
     setup.initial.validate(g)
     t0 = time.perf_counter()
 
-    gate1 = kin.global_existence_gate(ks)
-    gate2 = kin.eventual_regularity_gate(ks, params)
-    hypotheses_note = "" if gate1.passed else "hypotheses unmet"
-
     consts = mon.BoundConstants.from_setup(
         g, ks, params.resupply, params.mu, setup.initial.u0, setup.initial.v0,
         setup.initial.w0)
@@ -603,7 +588,7 @@ def run(setup: RunSetup) -> RunResult:
     series: dict[str, list] = {k: [] for k in (
         "t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
         "clamps", "int_u_alpha", "int_v_beta", "int_f_u", "int_g_v",
-        "int_abs_g_v", "int_consumption", "wbar", "cum_log_grad")}
+        "int_abs_g_v", "int_consumption", "wbar")}
     # cadence-time norms whose growth over the tail decides eventual regularity
     cadence_t: list[float] = []
     tail: dict[str, list] = {k: [] for k in (
@@ -651,7 +636,6 @@ def run(setup: RunSetup) -> RunResult:
             log_grad = mon.log_gradient_integrand(state.v, g)
             if state.step_index > 0:
                 cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
-            series["cum_log_grad"].append(cum_log_grad)
             t_prev, log_grad_prev = state.t, log_grad
             # the v-mass identity's bound scales with the largest step so far
             dt_peak = max(dt_peak, dt)
@@ -662,9 +646,9 @@ def run(setup: RunSetup) -> RunResult:
                 entries += mon.check_w_supersolution(
                     state.t, series["linf_w"][-1], wbar, consts, params.mu, dt)
                 for e in entries:
-                    if hypotheses_note:
-                        e.note = (e.note + " " + hypotheses_note).strip()
-                    step_checks.setdefault(e.check, CheckStats()).update(e)
+                    stats = step_checks.setdefault(e.check, CheckStats())
+                    if not e.passed:
+                        stats.violations += 1
                 if cad_hit:
                     report.extend(entries)
                     report.extend(mon.check_window_integrals(
@@ -673,8 +657,7 @@ def run(setup: RunSetup) -> RunResult:
                     report.append(mon.check_v_mass_identity(
                         state.t, series["t"], series["int_g_v"], series["int_abs_g_v"],
                         series["mass_v"], dt_scale=dt_peak))
-                    report.append(mon.check_log_gradient_energy(
-                        state.t, series["t"], series["cum_log_grad"]))
+                    report.append(mon.check_log_gradient_energy(state.t, cum_log_grad))
                     cadence_t.append(state.t)
                     tail["linf_u"].append(series["linf_u"][-1])
                     tail["linf_v"].append(series["linf_v"][-1])
@@ -684,8 +667,7 @@ def run(setup: RunSetup) -> RunResult:
                     wf = mon.weighted_functional(state.u, state.w, fparams, g)
                     tail["weighted_functional"].append(math.nan if wf is None else wf)
                     report.append(mon.MonitorEntry.report_only(
-                        state.t, "weighted_functional", tail["weighted_functional"][-1],
-                        note="pre-decay, skipped" if wf is None else "report-only"))
+                        state.t, "weighted_functional", tail["weighted_functional"][-1]))
             if out_dir is not None and snap_hit:
                 _write_snapshot(out_dir, state, g)
 
@@ -715,21 +697,17 @@ def run(setup: RunSetup) -> RunResult:
     if completed and checks_active:
         decay = mon.detect_w_decay(series_np["t"], series_np["linf_w"],
                                    series_np["mass_w"], series_np["int_consumption"],
-                                   setup.monitor_delta, gate_ok=gate2.passed)
-        note = decay.note or "report-only"
+                                   setup.monitor_delta)
         report.append(mon.MonitorEntry.report_only(
-            state.t, "w_decay_detect", decay.t_detect if decay.detected else math.nan,
-            note=note))
+            state.t, "w_decay_detect", decay.t_detect if decay.detected else math.nan))
         if decay.detected:
             report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_mass", decay.tail_w_integral, note=note))
+                state.t, "w_tail_mass", decay.tail_w_integral))
             report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_consumption", decay.tail_consumption, note=note))
+                state.t, "w_tail_consumption", decay.tail_consumption))
             regularity = mon.eventual_regularity_report(cadence_t, tail, decay.t_detect)
             report.append(mon.MonitorEntry.report_only(
-                state.t, "eventual_regularity",
-                1.0 if regularity.regularized else 0.0,
-                note=(regularity.note or "report-only")))
+                state.t, "eventual_regularity", 1.0 if regularity.regularized else 0.0))
 
     result = RunResult(
         setup=setup, series=series_np, report=report, consts=consts,

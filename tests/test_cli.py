@@ -103,6 +103,32 @@ def test_gate_subcommand(capsys):
     assert cli.main(["gate", "--preset", "gate-fail-alpha"]) == 1
 
 
+def test_gate_knife_edge_only_on_exponent_checks(tmp_path, capsys):
+    # zero resupply and mu = 0 put those margins at exactly 0; that is no
+    # knife-edge, which only concerns the exponent thresholds
+    p = write_cfg(tmp_path, small_cfg(tmp_path, amplitude=0.0))
+    assert cli.main(["gate", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "resupply_integrable      ok       margin=0\n" in out
+    assert "(knife-edge)" not in out
+    # alpha a hair above 1 + sqrt(2) also puts min_condition on the edge
+    p = write_cfg(tmp_path, small_cfg(tmp_path, f_law="purepower(1.0, 1.0, 2.41421356247)"))
+    assert cli.main(["gate", str(p)]) == 0
+    edged = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+             if ln.endswith("(knife-edge)")]
+    assert edged == ["alpha_supercritical", "min_condition"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mms", "--levels", "16,x"],
+    ["mms", "--levels", "16,"],
+    ["sweep-epsilon", "--preset", "thm1-core", "--eps", "1e-1,abc"],
+])
+def test_malformed_list_option_exits_one(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]} ")
+
+
 def test_preset_list_and_show(capsys):
     assert cli.main(["preset", "list"]) == 0
     out = capsys.readouterr().out
@@ -197,6 +223,18 @@ def test_verify_weak_subcommand(tmp_path, capsys):
     assert lines[0] == "test_fn,identity,value,budget,pass"
     assert any("mass_inequality" in ln for ln in lines)
     assert len(lines) == 1 + 5 * 3 + 1
+
+
+def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys):
+    p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
+    assert cli.main(["run", str(p)]) == 0
+    snap = sorted((tmp_path / "out").glob("w_*.fld"))[-1]
+    data = snap.read_bytes()
+    snap.write_bytes(b"FLD1 12 12 1.0 1.0 \xff" + data[data.index(b"\n"):])
+    code = cli.main(["verify-weak", "--traj", str(tmp_path / "out"),
+                     "--out", str(tmp_path / "weakform.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_watchdog_exit_code(tmp_path):
