@@ -1,7 +1,9 @@
 """Command line entry point: run, gate, mms, sweep-epsilon, verify-weak, preset.
 
 Exit codes: 0 success (and, for `run`, all pass/fail monitors green),
-1 validation or gate failure, 2 runtime abort with partial outputs.
+1 validation or gate failure, 2 runtime abort with partial outputs.  An
+input error raised anywhere below `main` is reported there, on one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -55,40 +57,33 @@ def _print_gate(name, gate):
         print(f"  {check:24s} {'ok' if ok else 'violated':8s} margin={margin:.6g}{flag}{edge}")
 
 
-def _validate(cfg: Config, force: bool) -> tuple[int, "solver.RunSetup | None"]:
-    try:
-        setup = cfg.build_setup(out_dir=Path(cfg.out_dir) if cfg.out_dir else None)
-    except (StructuralError, DomainError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION, None
+def _validate(cfg: Config, force: bool) -> "solver.RunSetup | None":
+    """The run's setup, or None once an envelope or gate rejection is printed."""
+    setup = cfg.build_setup()
     ks = setup.params.kinetics
     env = kin.validate_envelope(ks)
     if not env.holds:
-        print(f"validation error: growth envelope violated "
+        print(f"error: growth envelope violated "
               f"({env.worst_check} at s={env.worst_point:.4g}, "
               f"margin {env.worst_margin:.3e})", file=sys.stderr)
-        return EXIT_VALIDATION, None
+        return None
     gate1 = kin.global_existence_gate(ks)
     if not gate1.passed and not force:
         _print_gate("global-existence gate", gate1)
         print("gate failed; use --force to integrate anyway", file=sys.stderr)
-        return EXIT_VALIDATION, None
-    return EXIT_OK, setup
+        return None
+    return setup
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_cfg(args)
-    except (StructuralError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load_cfg(args)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if args.t_end is not None:
         cfg = replace(cfg, t_end=args.t_end)
-    code, setup = _validate(cfg, args.force)
-    if code != EXIT_OK:
-        return code
+    setup = _validate(cfg, args.force)
+    if setup is None:
+        return EXIT_VALIDATION
     result = solver.run(setup)
     failures = result.report.failures()
     step_violations = sum(s.violations for s in result.step_checks.values())
@@ -113,14 +108,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    try:
-        cfg = _load_cfg(args)
-        ks = cfg.build_kinetics()
-        params = solver.ModelParams(mu=cfg.mu, epsilon=cfg.epsilon,
-                                    resupply=cfg.build_resupply(), kinetics=ks)
-    except (StructuralError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    params = _load_cfg(args).build_params()
+    ks = params.kinetics
     env = kin.validate_envelope(ks)
     print(f"envelope: {'holds' if env.holds else 'VIOLATED'} "
           f"(worst margin {env.worst_margin:.3e} at s={env.worst_point:.4g}, "
@@ -191,8 +180,8 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
               out_root=None, snapshot_every: float = 0.0,
               mms: "solver.MmsSpec | None" = None) -> MmsStudy:
     """Integrate the manufactured problem at each level, report errors/orders."""
-    if list(levels) != sorted(levels):
-        raise StructuralError("levels must be ascending")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise StructuralError("levels must be strictly ascending")
     rows = []
     for nx in levels:
         cfg = mms_config(nx, t_end=t_end, dt_coeff=dt_coeff,
@@ -323,11 +312,7 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load_cfg(args)
-    except (StructuralError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load_cfg(args)
     eps_list = _parse_list(args.eps, float, "--eps")
     sweep = sweep_epsilon(cfg, eps_list, t_end=args.t_end, fixed_dt=args.dt,
                           out_root=args.out)
@@ -357,9 +342,8 @@ def verify_weak(traj_dir, out_csv=None):
         dbudget = weakform.defect_budget(traj, fn)
         dv = weakform.defect_v(traj, fn)
         rows.append((fn.name, "v_inequality", dv, dbudget, dv >= -dbudget))
-    mass_rows = weakform.check_mass_inequality(traj)
-    worst = min(mass_rows, key=lambda r: r[1])
-    rows.append(("-", "mass_inequality", worst[1], 1e-3, worst[1] >= -1e-3))
+    _, slack, ok = min(weakform.check_mass_inequality(traj), key=lambda r: r[1])
+    rows.append(("-", "mass_inequality", slack, weakform.MASS_TOL, ok))
     lines = ["test_fn,identity,value,budget,pass"]
     lines += [f"{n},{ident},{v!r},{b!r},{'true' if ok else 'false'}"
               for n, ident, v, b, ok in rows]
@@ -382,14 +366,8 @@ def cmd_preset(args) -> int:
                   f"regularity={'pass' if p.expect_regularity else 'fail'}  {p.description}")
         return EXIT_OK
     if not args.name:
-        print("preset show needs a name", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        p = preset(args.name)
-    except StructuralError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    print(format_config(p.config), end="")
+        raise StructuralError("preset show needs a name")
+    print(format_config(preset(args.name).config), end="")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,19 +99,14 @@ class Config:
 
     def build_law(self, text: str, where: str) -> kin.GrowthLaw:
         name, args = _parse_call(text, where)
-        if name == "purepower":
-            if len(args) != 3:
-                raise StructuralError(f"{where}: purepower needs (K, L, alpha)")
-            return kin.PurePower(K=args[0], L=args[1], alpha=args[2])
-        if name == "allee":
-            if args:
-                raise StructuralError(f"{where}: allee takes no arguments")
-            return kin.Allee()
-        if name == "logistic":
-            if len(args) != 3:
-                raise StructuralError(f"{where}: logistic needs (a, b, alpha)")
-            return kin.Logistic(a=args[0], b=args[1], alpha=args[2])
-        raise StructuralError(f"{where}: unknown growth law {name!r}")
+        cls = kin.LAWS.get(name)
+        if cls is None:
+            raise StructuralError(f"{where}: unknown growth law {name!r}")
+        arg_names = [f.name for f in fields(cls)]
+        if len(args) != len(arg_names):
+            need = f"needs ({', '.join(arg_names)})" if arg_names else "takes no arguments"
+            raise StructuralError(f"{where}: {name} {need}")
+        return cls(*args)
 
     def build_kinetics(self) -> kin.KineticSpec:
         law_f = self.build_law(self.f_law, "kinetics.f_law")
@@ -191,11 +186,14 @@ class Config:
             comps.append(solver.MmsComponent(*(float(t) for t in toks)))
         return solver.MmsSpec(u=comps[0], v=comps[1], w=comps[2])
 
+    def build_params(self) -> solver.ModelParams:
+        ks = self.build_kinetics()
+        return solver.ModelParams(mu=self.mu, epsilon=self.epsilon,
+                                  resupply=self.build_resupply(), kinetics=ks)
+
     def build_setup(self, out_dir=None) -> solver.RunSetup:
         g = self.build_grid()
-        ks = self.build_kinetics()
-        params = solver.ModelParams(mu=self.mu, epsilon=self.epsilon,
-                                    resupply=self.build_resupply(), kinetics=ks)
+        params = self.build_params()
         control = solver.StepControl(dt_max=self.dt_max, safety=self.safety,
                                      lin_tol=self.lin_tol)
         if out_dir is None and self.out_dir is not None:

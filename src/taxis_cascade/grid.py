@@ -80,9 +80,6 @@ class Grid:
                     f"field shape {np.shape(phi)} does not conform to grid {self.shape}"
                 )
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Interior face-normal differences: x-faces (ny, nx-1), y-faces (ny-1, nx)."""

@@ -43,19 +43,13 @@ class EnvelopeConstants:
     L: float
     exponent: float
 
-    def __post_init__(self):
-        if not (self.exponent > 1):
-            raise DomainError(f"envelope exponent must exceed 1, got {self.exponent}")
-        if not (self.K > 0 and self.k > 0):
-            raise DomainError("leading envelope constants K, k must be positive")
-        if self.L < 0 or self.l < 0:
-            raise DomainError("offset envelope constants L, l must be nonnegative")
-
 
 class GrowthLaw:
-    """Base class; subclasses evaluate law(s) and law'(s) and ship default envelopes."""
+    """Base class; subclasses evaluate law(s) and law'(s) and ship default envelopes.
 
-    name = "growth"
+    A subclass is a frozen dataclass whose fields are its config arguments in
+    call order, with its config name in the class attribute ``name``.
+    """
 
     def __call__(self, s):
         raise NotImplementedError
@@ -65,9 +59,6 @@ class GrowthLaw:
         raise NotImplementedError
 
     def default_envelope(self) -> EnvelopeConstants:
-        raise NotImplementedError
-
-    def describe(self) -> str:
         raise NotImplementedError
 
 
@@ -80,6 +71,10 @@ class PurePower(GrowthLaw):
     alpha: float = 3.0
     name = "purepower"
 
+    def __post_init__(self):
+        if not (self.K > 0 and self.alpha > 1):
+            raise DomainError("purepower law needs K > 0, alpha > 1")
+
     def __call__(self, s):
         s = _require_nonneg(s)
         return self.L - self.K * s**self.alpha
@@ -89,9 +84,6 @@ class PurePower(GrowthLaw):
 
     def default_envelope(self) -> EnvelopeConstants:
         return EnvelopeConstants(k=self.K, l=0.0, K=self.K, L=self.L, exponent=self.alpha)
-
-    def describe(self) -> str:
-        return f"purepower({self.K!r}, {self.L!r}, {self.alpha!r})"
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,6 @@ class Allee(GrowthLaw):
 
     def default_envelope(self) -> EnvelopeConstants:
         return EnvelopeConstants(k=2.0, l=3.0, K=0.5, L=9.0, exponent=3.0)
-
-    def describe(self) -> str:
-        return "allee"
 
 
 @dataclass(frozen=True)
@@ -145,8 +134,9 @@ class Logistic(GrowthLaw):
         L = self.a * s_star * (self.alpha - 1.0) / self.alpha
         return EnvelopeConstants(k=self.b, l=0.0, K=self.b / 2.0, L=L, exponent=self.alpha)
 
-    def describe(self) -> str:
-        return f"logistic({self.a!r}, {self.b!r}, {self.alpha!r})"
+
+# the growth laws a config may name, by their call-syntax name
+LAWS = {law.name: law for law in (PurePower, Allee, Logistic)}
 
 
 @dataclass(frozen=True)
@@ -180,10 +170,6 @@ class KineticSpec:
             raise DomainError("law_f(0) must be nonnegative")
         if float(self.law_g(0.0)) < 0:
             raise DomainError("law_g(0) must be nonnegative")
-
-    @property
-    def rho(self) -> float:
-        return min(self.alpha, self.beta)
 
     @classmethod
     def from_laws(cls, law_f: GrowthLaw, law_g: GrowthLaw, **overrides) -> "KineticSpec":

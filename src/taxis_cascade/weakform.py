@@ -24,6 +24,9 @@ from taxis_cascade import grid as gridmod
 from taxis_cascade.config import parse_config
 from taxis_cascade.errors import DomainError, StructuralError
 
+# quadrature slack the exploiter mass inequality may show and still pass
+MASS_TOL = 1e-3
+
 
 # --- smooth bump building blocks -----------------------------------------
 
@@ -247,11 +250,7 @@ def load_trajectory(run_dir) -> TrajectoryHandle:
         raise StructuralError(f"{run_dir}: no manifest.txt")
     cfg = parse_config(manifest.read_text(), label=run_dir.name)
     g = cfg.build_grid()
-    from taxis_cascade import solver  # local import to keep layering flat
-
-    params = solver.ModelParams(mu=cfg.mu, epsilon=cfg.epsilon,
-                                resupply=cfg.build_resupply(),
-                                kinetics=cfg.build_kinetics())
+    params = cfg.build_params()
     entries = []
     for p in sorted(run_dir.glob("u_*.fld")):
         m = _SNAP_RE.match(p.name)
@@ -480,8 +479,8 @@ def identity_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
     return _budget(traj, scale)
 
 
-def check_mass_inequality(traj: TrajectoryHandle, tol: float = 1e-3):
-    """Per-snapshot slack of the exploiter mass inequality (>= -tol passes)."""
+def check_mass_inequality(traj: TrajectoryHandle):
+    """Per-snapshot slack of the exploiter mass inequality (>= -MASS_TOL passes)."""
     g = traj.grid
     ks = traj.params.kinetics
     masses = []
@@ -496,5 +495,5 @@ def check_mass_inequality(traj: TrajectoryHandle, tol: float = 1e-3):
         # a trapezoid over each prefix of the times, not the walk's weights
         rhs = masses[0] + float(np.trapezoid(int_g[: i + 1], times[: i + 1]))
         slack = rhs - masses[i]
-        rows.append((float(t), float(slack), slack >= -tol))
+        rows.append((float(t), float(slack), slack >= -MASS_TOL))
     return rows

@@ -129,6 +129,28 @@ def test_malformed_list_option_exits_one(argv, capsys):
     assert capsys.readouterr().err.startswith(f"error: {argv[-2]} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{bad_key}"],
+    ["gate", "{bad_key}"],
+    ["sweep-epsilon", "{bad_key}"],
+    ["run", "{negative_recipe}"],
+    ["preset", "show", "nope"],
+    ["preset", "show"],
+], ids=["run-unknown-key", "gate-unknown-key", "sweep-unknown-key",
+        "run-negative-recipe", "preset-unknown", "preset-no-name"])
+def test_input_error_is_one_error_line(tmp_path, capsys, argv):
+    bad_key = tmp_path / "bad_key.ini"
+    bad_key.write_text("[model]\nepsilonn = 0.1\n")
+    negative_recipe = tmp_path / "negative_recipe.ini"
+    negative_recipe.write_text("[initial]\nu = constant(-1.0)\n"
+                               f"[output]\ndir = {tmp_path / 'out'}\n")
+    argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_preset_list_and_show(capsys):
     assert cli.main(["preset", "list"]) == 0
     out = capsys.readouterr().out
@@ -195,8 +217,9 @@ def test_mms_constant_solution_reports_exact():
 def test_mms_levels_must_ascend():
     from taxis_cascade.errors import StructuralError
 
-    with pytest.raises(StructuralError):
-        cli.mms_study([32, 16])
+    for levels in ([32, 16], [8, 8]):
+        with pytest.raises(StructuralError):
+            cli.mms_study(levels)
 
 
 def test_mms_temporal_share_first_order():

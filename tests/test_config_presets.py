@@ -27,6 +27,13 @@ def test_parse_errors_carry_context():
     with pytest.raises(StructuralError) as err:
         parse_config("[grid\nnx = 4\n")  # malformed section header
     assert "line" in str(err.value).lower() or "parse" in str(err.value).lower()
+    for law, message in (("purepower(1.0, 2.0)", "purepower needs (K, L, alpha)"),
+                         ("logistic", "logistic needs (a, b, alpha)"),
+                         ("allee(1.0)", "allee takes no arguments"),
+                         ("cubicish", "unknown growth law 'cubicish'")):
+        with pytest.raises(StructuralError) as err:
+            parse_config(f"[kinetics]\nf_law = {law}\n").build_kinetics()
+        assert str(err.value) == f"kinetics.f_law: {message}"
 
 
 @pytest.mark.parametrize("text, hint", [

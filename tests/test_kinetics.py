@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as hs
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
+from taxis_cascade.config import Config
 from taxis_cascade.errors import DomainError, StructuralError
 
 
@@ -57,6 +59,10 @@ def test_spec_structural_validation():
         K.KineticSpec.from_laws(K.PurePower(1.0, 1.0, 3.0),
                                 K.PurePower(1.0, 1.0, 3.0), K_f=-1.0)
     with pytest.raises(DomainError):
+        # a law without degradation, even when its envelope is overridden
+        K.KineticSpec.from_laws(K.PurePower(0.0, 1.0, 3.0), K.PurePower(),
+                                K_f=1e-13, k_f=1e-13)
+    with pytest.raises(DomainError):
         # f(0) < 0 is inadmissible
         K.KineticSpec(law_f=K.PurePower(1.0, -0.5, 3.0), law_g=K.PurePower(),
                       alpha=3.0, beta=3.0, k_f=1.0, K_f=1.0, l_f=1.0, L_f=0.0,
@@ -65,9 +71,12 @@ def test_spec_structural_validation():
         K.Logistic(a=-1.0, b=1.0, alpha=3.0)
 
 
-def test_rho_is_min_exponent():
-    assert spec_pp(4.0, 2.0).rho == 2.0
-    assert spec_pp(2.5, 6.0).rho == 2.5
+def test_laws_table_rebuilds_every_law():
+    for cls in K.GrowthLaw.__subclasses__():
+        assert K.LAWS[cls.name] is cls
+    for law in SHIPPED_LAWS:
+        text = f"{law.name}({', '.join(repr(x) for x in astuple(law))})"
+        assert Config().build_law(text, "kinetics.f_law") == law
 
 
 def dense_scan_envelope(law, k, l, Kc, L, exponent, n=10**6, s_max=50.0):
