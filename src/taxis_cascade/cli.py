@@ -194,7 +194,7 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
         if not result.completed:
             raise RuntimeError(f"mms level {nx} aborted: {result.failure}")
         g = setup.grid
-        exact = setup.mms.fields(g, result.final_state.t)
+        exact = setup.params.mms.fields(g, result.final_state.t)
         errors = {}
         for name, num, ex in zip("uvw", (result.final_state.u, result.final_state.v,
                                          result.final_state.w), exact):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,6 +25,14 @@ from taxis_cascade.errors import StructuralError
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
+def _number(raw: str) -> float:
+    """The finite float that raw spells; NaN and +-inf raise ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
     m = _CALL_RE.match(text)
     if not m:
@@ -33,7 +42,7 @@ def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
     if m.group(2) is not None and m.group(2).strip():
         for tok in m.group(2).split(","):
             try:
-                args.append(float(tok))
+                args.append(_number(tok))
             except ValueError as exc:
                 raise StructuralError(f"{where}: bad number {tok!r} in {text!r}") from exc
     return name, args
@@ -159,17 +168,13 @@ class Config:
         mms = self.build_mms()
         if mms is not None:
             u0, v0, w0 = mms.fields(g, 0.0)
-            data = kin.InitialData(u0=u0, v0=v0, w0=w0)
-            data.validate(g)
-            return data
+            return kin.InitialData(u0=u0, v0=v0, w0=w0)
         rng = np.random.default_rng(self.seed) if self.seed is not None else None
-        data = kin.InitialData(
+        return kin.InitialData(
             u0=self._build_field(self.init_u, g, rng, "initial.u"),
             v0=self._build_field(self.init_v, g, rng, "initial.v"),
             w0=self._build_field(self.init_w, g, rng, "initial.w"),
         )
-        data.validate(g)
-        return data
 
     def build_mms(self) -> solver.MmsSpec | None:
         specs = (self.mms_u, self.mms_v, self.mms_w)
@@ -183,13 +188,16 @@ class Config:
             if len(toks) != 5:
                 raise StructuralError(
                     f"mms.{name}: need 5 numbers (base cos_amp cos_rate flat_amp flat_rate)")
-            comps.append(solver.MmsComponent(*(float(t) for t in toks)))
+            try:
+                comps.append(solver.MmsComponent(*(_number(t) for t in toks)))
+            except ValueError:
+                raise StructuralError(f"mms.{name}: bad number in {text!r}") from None
         return solver.MmsSpec(u=comps[0], v=comps[1], w=comps[2])
 
     def build_params(self) -> solver.ModelParams:
-        ks = self.build_kinetics()
         return solver.ModelParams(mu=self.mu, epsilon=self.epsilon,
-                                  resupply=self.build_resupply(), kinetics=ks)
+                                  resupply=self.build_resupply(),
+                                  kinetics=self.build_kinetics(), mms=self.build_mms())
 
     def build_setup(self, out_dir=None) -> solver.RunSetup:
         g = self.build_grid()
@@ -203,8 +211,7 @@ class Config:
             t_end=self.t_end, monitor_cadence=self.cadence,
             monitor_delta=self.delta, monitor_q=self.q,
             snapshot_every=self.snapshot_every, out_dir=out_dir,
-            config_text=format_config(self), label=self.label,
-            mms=self.build_mms(), fixed_dt=self.fixed_dt)
+            config_text=format_config(self), label=self.label, fixed_dt=self.fixed_dt)
 
     def resolved(self) -> "Config":
         """Fill alpha/beta and envelope constants from the laws' defaults."""
@@ -218,33 +225,33 @@ def _pair(raw: str) -> tuple[float, float]:
     toks = raw.replace(",", " ").split()
     if len(toks) != 2:
         raise ValueError(raw)
-    return (float(toks[0]), float(toks[1]))
+    return (_number(toks[0]), _number(toks[1]))
 
 
 # section -> key -> (Config field, converter); the only keys parse_config
 # accepts, in the order format_config writes them
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "grid": {"nx": ("nx", int), "ny": ("ny", int), "Lx": ("Lx", float),
-             "Ly": ("Ly", float)},
-    "time": {key: (key, float) for key in ("t_end", "dt_max", "safety", "lin_tol",
-                                           "fixed_dt")},
-    "model": {"mu": ("mu", float), "epsilon": ("epsilon", float)},
+    "grid": {"nx": ("nx", int), "ny": ("ny", int), "Lx": ("Lx", _number),
+             "Ly": ("Ly", _number)},
+    "time": {key: (key, _number) for key in ("t_end", "dt_max", "safety", "lin_tol",
+                                             "fixed_dt")},
+    "model": {"mu": ("mu", _number), "epsilon": ("epsilon", _number)},
     "kinetics": {"f_law": ("f_law", str), "g_law": ("g_law", str),
-                 **{key: (key, float) for key in ("alpha", "beta") + ENVELOPE_KEYS}},
+                 **{key: (key, _number) for key in ("alpha", "beta") + ENVELOPE_KEYS}},
     "resupply": {"profile": ("profile", str), "center": ("center", _pair),
-                 "width": ("width", float), "amplitude": ("amplitude", float),
-                 "decay_lambda": ("decay_lambda", float)},
+                 "width": ("width", _number), "amplitude": ("amplitude", _number),
+                 "decay_lambda": ("decay_lambda", _number)},
     "initial": {"u": ("init_u", str), "v": ("init_v", str), "w": ("init_w", str),
                 "seed": ("seed", int)},
-    "monitors": {"cadence": ("cadence", float), "delta": ("delta", float),
-                 "q": ("q", float)},
-    "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", float)},
+    "monitors": {"cadence": ("cadence", _number), "delta": ("delta", _number),
+                 "q": ("q", _number)},
+    "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", _number)},
     "mms": {"u": ("mms_u", str), "v": ("mms_v", str), "w": ("mms_w", str)},
 }
 
 
 def _format_value(value, conv) -> str:
-    if conv is float:
+    if conv is _number:
         return repr(value)
     if conv is _pair:
         return f"{value[0]!r} {value[1]!r}"

@@ -225,7 +225,8 @@ def validate_envelope(spec: KineticSpec, tol: float = 1e-12) -> EnvelopeReport:
     """Check both envelope sandwiches on the geometric sample.
 
     Failure is a report outcome, never an exception; the worst (most
-    negative) normalized slack and where it occurred are returned.
+    negative) normalized slack and where it occurred are returned.  A
+    non-finite slack (a NaN constant or law value) counts as -inf.
     """
     sample = envelope_sample()
     worst = math.inf
@@ -238,6 +239,7 @@ def validate_envelope(spec: KineticSpec, tol: float = 1e-12) -> EnvelopeReport:
     for name, law, k, l, K, L, exponent in cases:
         lower, upper = _envelope_margins(law, k, l, K, L, exponent, sample)
         for side, margins in (("lower", lower), ("upper", upper)):
+            margins = np.where(np.isfinite(margins), margins, -np.inf)
             i = int(np.argmin(margins))
             if margins[i] < worst:
                 worst = float(margins[i])

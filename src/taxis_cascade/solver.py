@@ -55,6 +55,8 @@ class ModelParams:
     epsilon: float
     resupply: kin.ResupplySpec
     kinetics: kin.KineticSpec
+    # the manufactured source triple added to the system, or None
+    mms: MmsSpec | None = None
 
     def __post_init__(self):
         if self.mu < 0:
@@ -217,10 +219,10 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
         p_img *= beta
         p_img += r
         rz = rz_new
-    rnorm = math.sqrt(_dot(r, r))
+    # a zero b only gets here with a non-finite operator, whose residual is nan
+    rel = math.sqrt(_dot(r, r)) / bnorm if bnorm > 0 else math.nan
     raise LinearSolveError(
-        "w-solve: PCG stalled at relative residual "
-        f"{rnorm / bnorm:.3e} after {max_iter} iterations"
+        f"w-solve: PCG stalled at relative residual {rel:.3e} after {max_iter} iterations"
     )
 
 
@@ -248,21 +250,22 @@ def _watchdog(phi, name, t):
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
-         control: StepControl = StepControl(), mms: "MmsSpec | None" = None,
-         laws: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> tuple[State, StepStats]:
+         control: StepControl = StepControl(),
+         laws: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[State, StepStats]:
     """One IMEX step of size dt; returns the new state and step statistics.
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
     already; they are read, not written.  Without them each law is evaluated
     where it is used, so the two never take memory at the same time.  The
     input state is left unchanged; the new state's fields are new arrays.
+    A manufactured model (``params.mms``) adds its sources at the new time.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     g.check_conforms(state.u, state.v, state.w)
     ks = params.kinetics
     t_new = state.t + dt
+    mms = params.mms
     if mms is not None:
         s_u, s_v, s_w = mms.sources(params, g, t_new)
 
@@ -469,7 +472,6 @@ class RunSetup:
     out_dir: Path | None = None
     config_text: str = ""
     label: str = "run"
-    mms: MmsSpec | None = None
     fixed_dt: float | None = None
 
     def __post_init__(self):
@@ -482,6 +484,7 @@ class RunSetup:
         if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
                                               and self.fixed_dt > 0):
             raise DomainError(f"fixed_dt must be finite and positive, got {self.fixed_dt}")
+        self.initial.validate(self.grid)
 
 
 @dataclass
@@ -501,10 +504,13 @@ class RunResult:
     decay: mon.DecayDetection | None = None
     regularity: mon.RegularityReport | None = None
     step_checks: dict = field(default_factory=dict)
-    total_clamps: int = 0
     w_iterations: int = 0
     steps: int = 0
     wall_time: float = 0.0
+
+    @property
+    def total_clamps(self) -> int:
+        return int(self.series["clamps"].sum())
 
 
 def git_blob_hash(text: str) -> str:
@@ -522,15 +528,10 @@ class _EventClock:
         self.k_cad = 0
         self.k_snap = 0
 
-    def next_cadence(self) -> float:
-        if self.cadence <= 0:
-            return math.inf
-        return (self.k_cad + 1) * self.cadence
-
-    def next_snapshot(self) -> float:
-        if self.snap <= 0:
-            return math.inf
-        return (self.k_snap + 1) * self.snap
+    @staticmethod
+    def _next(every: float, hits: int) -> float:
+        """The next multiple of ``every`` after ``hits`` landings; inf when off."""
+        return (hits + 1) * every if every > 0 else math.inf
 
     def clip(self, t: float, dt: float) -> tuple[float, float, bool, bool]:
         """Clip dt to the next event; returns (dt, t_new, cadence_hit, snap_hit).
@@ -538,7 +539,7 @@ class _EventClock:
         Landing on t_end counts as a cadence and a snapshot hit.  An event
         that rounding puts within eps of t_end (3 * 0.3 < 0.9) is t_end.
         """
-        nc, ns = self.next_cadence(), self.next_snapshot()
+        nc, ns = self._next(self.cadence, self.k_cad), self._next(self.snap, self.k_snap)
         target = min(nc, ns, self.t_end)
         eps = 1e-9 * max(1.0, abs(target))
         if target >= self.t_end - eps:
@@ -575,7 +576,6 @@ def run(setup: RunSetup) -> RunResult:
     params = setup.params
     ks = params.kinetics
     control = setup.control
-    setup.initial.validate(g)
     t0 = time.perf_counter()
 
     consts = mon.BoundConstants.from_setup(
@@ -583,9 +583,9 @@ def run(setup: RunSetup) -> RunResult:
         setup.initial.w0)
     fparams = mon.pick_theta_delta(setup.monitor_q)
 
-    state = State(setup.initial.u0.astype(float).copy(),
-                  setup.initial.v0.astype(float).copy(),
-                  setup.initial.w0.astype(float).copy())
+    state = State(setup.initial.u0.astype(float),
+                  setup.initial.v0.astype(float),
+                  setup.initial.w0.astype(float))
     if setup.fixed_dt is not None:
         dt_bound = suggest_dt(state, params, g, control)
         if setup.fixed_dt > FIXED_DT_WARN_RATIO * dt_bound:
@@ -608,18 +608,21 @@ def run(setup: RunSetup) -> RunResult:
     out_dir = Path(setup.out_dir) if setup.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # the snapshots of an earlier run here would join this run's trajectory
+        for p in out_dir.glob("[uvw]_" + "[0-9]" * 8 + ".fld"):
+            p.unlink()
 
     # against a source-augmented (manufactured) system the a-priori bounds
     # do not apply; record series and snapshots only
-    checks_active = setup.mms is None
+    checks_active = params.mms is None
     clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end)
     wbar = gridmod.norm_linf(setup.initial.w0)
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
-    dt_peak = cum_log_grad = 0.0
+    cum_log_grad = 0.0
     completed = True
     failure = ""
-    total_clamps = w_iterations = 0
+    w_iterations = 0
     try:
         while True:
             # the growth terms of this state, for the record and the next step
@@ -647,8 +650,6 @@ def run(setup: RunSetup) -> RunResult:
             if state.step_index > 0:
                 cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
             t_prev, log_grad_prev = state.t, log_grad
-            # the v-mass identity's bound scales with the largest step so far
-            dt_peak = max(dt_peak, dt)
 
             if checks_active:
                 entries = mon.check_mass(state.t, series["mass_u"][-1],
@@ -664,9 +665,10 @@ def run(setup: RunSetup) -> RunResult:
                     report.extend(mon.check_window_integrals(
                         state.t, series["t"], series["int_u_alpha"], series["int_v_beta"],
                         consts, dt))
+                    # the identity's bound scales with the largest step so far
                     report.append(mon.check_v_mass_identity(
                         state.t, series["t"], series["int_g_v"], series["int_abs_g_v"],
-                        series["mass_v"], dt_scale=dt_peak))
+                        series["mass_v"], dt_scale=max(series["dt"])))
                     report.append(mon.check_log_gradient_energy(state.t, cum_log_grad))
                     cadence_t.append(state.t)
                     tail["linf_u"].append(series["linf_u"][-1])
@@ -688,11 +690,9 @@ def run(setup: RunSetup) -> RunResult:
             else:
                 dt = suggest_dt(state, params, g, control)
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
-            state, stats = step(state, params, dt, g, control, mms=setup.mms,
-                                laws=(fu, gv))
+            state, stats = step(state, params, dt, g, control, laws=(fu, gv))
             state.t = t_new
             clamps = stats.clamps
-            total_clamps += clamps
             w_iterations += stats.cg_iterations[2]
             # advance the nutrient supersolution with the analytic resupply sup
             r_prev, r_now = r_now, params.resupply.linf(t_new)
@@ -723,8 +723,7 @@ def run(setup: RunSetup) -> RunResult:
     result = RunResult(
         setup=setup, series=series_np, report=report, consts=consts,
         final_state=state, completed=completed, failure=failure, decay=decay,
-        regularity=regularity, step_checks=step_checks,
-        total_clamps=total_clamps, w_iterations=w_iterations,
+        regularity=regularity, step_checks=step_checks, w_iterations=w_iterations,
         steps=state.step_index,
         wall_time=time.perf_counter() - t0)
     if out_dir is not None:

@@ -202,7 +202,6 @@ class TrajectoryHandle:
     times: list[float]
     paths: list[tuple[Path, Path, Path]]
     params: object = None       # solver.ModelParams
-    mms: object = None          # solver.MmsSpec or None
     _loaded: dict = field(default_factory=dict, init=False, repr=False)
     _sources: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -232,10 +231,10 @@ class TrajectoryHandle:
         return self._loaded[i]
 
     def sources_at(self, t: float):
-        if self.mms is None:
+        if self.params.mms is None:
             return None
         if t not in self._sources:
-            self._sources[t] = self.mms.sources(self.params, self.grid, t)
+            self._sources[t] = self.params.mms.sources(self.params, self.grid, t)
         return self._sources[t]
 
 
@@ -267,8 +266,7 @@ def load_trajectory(run_dir) -> TrajectoryHandle:
         raise StructuralError(f"{run_dir}: no snapshots found")
     entries.sort(key=lambda e: e[0])
     return TrajectoryHandle(grid=g, times=[e[0] for e in entries],
-                            paths=[e[1] for e in entries], params=params,
-                            mms=cfg.build_mms())
+                            paths=[e[1] for e in entries], params=params)
 
 
 # --- quadrature helpers ----------------------------------------------------

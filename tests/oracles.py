@@ -88,7 +88,7 @@ def dense_laplacian_matrix(g):
     return L
 
 
-def dense_step(state, params, dt, g, mms=None):
+def dense_step(state, params, dt, g):
     """The same IMEX update assembled densely and solved by elimination."""
     ny, nx = g.shape
     n = nx * ny
@@ -97,8 +97,8 @@ def dense_step(state, params, dt, g, mms=None):
     ks = params.kinetics
     t_new = state.t + dt
     s_u = s_v = s_w = 0.0
-    if mms is not None:
-        s_u, s_v, s_w = mms.sources(params, g, t_new)
+    if params.mms is not None:
+        s_u, s_v, s_w = params.mms.sources(params, g, t_new)
 
     rhs_u = state.u + dt * (-brute_force_taxis(state.u, state.w, g)
                             + ks.law_f(state.u) + s_u)

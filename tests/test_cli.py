@@ -129,6 +129,18 @@ def test_malformed_list_option_exits_one(argv, capsys):
     assert capsys.readouterr().err.startswith(f"error: {argv[-2]} ")
 
 
+# every number a config gives must be finite
+NONFINITE_INI = {
+    "nan-mu": "[model]\nmu = nan\n",
+    "inf-amplitude": "[resupply]\namplitude = inf\n",
+    "nan-L_f": "[kinetics]\nL_f = nan\n",
+    "nan-law-arg": "[kinetics]\nf_law = logistic(nan, 1.0, 4.0)\n",
+    "nan-center": "[resupply]\nprofile = gaussian\ncenter = 0.5 nan\n",
+    "nan-delta": "[monitors]\ndelta = nan\n",
+    "inf-mms": "[mms]\nu = 2 1 1 0 inf\nv = 1 0 0 0.5 1\nw = 0.3 0 0 0.2 1\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{bad_key}"],
     ["gate", "{bad_key}"],
@@ -136,15 +148,22 @@ def test_malformed_list_option_exits_one(argv, capsys):
     ["run", "{negative_recipe}"],
     ["preset", "show", "nope"],
     ["preset", "show"],
-], ids=["run-unknown-key", "gate-unknown-key", "sweep-unknown-key",
-        "run-negative-recipe", "preset-unknown", "preset-no-name"])
+] + [[cmd, "{%s}" % name] for name in NONFINITE_INI for cmd in ("run", "gate")],
+    ids=["run-unknown-key", "gate-unknown-key", "sweep-unknown-key",
+         "run-negative-recipe", "preset-unknown", "preset-no-name"]
+    + [f"{cmd}-{name}" for name in NONFINITE_INI for cmd in ("run", "gate")])
 def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     bad_key = tmp_path / "bad_key.ini"
     bad_key.write_text("[model]\nepsilonn = 0.1\n")
     negative_recipe = tmp_path / "negative_recipe.ini"
     negative_recipe.write_text("[initial]\nu = constant(-1.0)\n"
                                f"[output]\ndir = {tmp_path / 'out'}\n")
-    argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe) for a in argv]
+    nonfinite = {}
+    for name, text in NONFINITE_INI.items():
+        nonfinite[name] = tmp_path / f"{name}.ini"
+        nonfinite[name].write_text(text)
+    argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe, **nonfinite)
+            for a in argv]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -125,6 +125,14 @@ def test_logistic_default_envelope_validates():
     assert lo >= -1e-12 and up >= -1e-9
 
 
+def test_nan_law_parameter_violates_the_envelope():
+    # a NaN margin never compares below the worst one, yet it is no slack
+    spec = K.KineticSpec.from_laws(K.Logistic(math.nan, 1.0, 4.0), K.PurePower())
+    rep = K.validate_envelope(spec)
+    assert not rep.holds
+    assert rep.worst_check.startswith("f:")
+
+
 def test_understated_exponent_fails_at_large_s():
     # law decays like s^4 but the declared envelope says alpha = 3
     spec = K.KineticSpec.from_laws(K.PurePower(1.0, 1.0, 4.0),

@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 
 from taxis_cascade import grid as G
 from taxis_cascade import monitors as M
+from taxis_cascade import solver as S
+from taxis_cascade.config import Config
 from taxis_cascade.errors import DomainError
 
 
@@ -308,3 +310,12 @@ def test_eventual_regularity_report_flat_vs_growing():
     rep2 = M.eventual_regularity_report(ts, growing, t_detect=4.0)
     assert not rep2.regularized
     assert rep2.slopes["a"] == pytest.approx(0.01, rel=1e-9)
+
+
+def test_default_config_passes_its_own_v_mass_monitor():
+    # u = v = 1, w = 0 is an equilibrium, so the C*dt*t envelope is zero;
+    # the rounding of each diffusion solve must not fail the identity
+    result = S.run(Config(nx=16, ny=16, t_end=1.0).build_setup())
+    assert result.completed
+    assert result.report.by_check("v_mass_identity")
+    assert result.report.failures() == []

@@ -87,11 +87,11 @@ def test_step_matches_dense_oracle():
 def test_step_matches_dense_oracle_with_sources():
     g = G.Grid(8, 8)
     mms = S.shipped_mms()
-    params = make_params(mu=0.3)
+    params = replace(make_params(mu=0.3), mms=mms)
     st = mms.state(g, 0.0)
     dt = 1e-3
-    new, _ = S.step(st, params, dt, g, S.StepControl(lin_tol=1e-13), mms=mms)
-    u1, v1, w1 = dense_step(st, params, dt, g, mms=mms)
+    new, _ = S.step(st, params, dt, g, S.StepControl(lin_tol=1e-13))
+    u1, v1, w1 = dense_step(st, params, dt, g)
     assert np.max(np.abs(new.u - u1)) < 1e-10
     assert np.max(np.abs(new.w - w1)) < 1e-10
     # one manufactured step: local defect is dt*(O(dt) + O(h^2) truncation)
@@ -159,6 +159,12 @@ def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
     assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
 
 
+def test_stalled_w_solve_of_a_zero_rhs_reports_without_dividing_by_zero():
+    g = G.Grid(8, 8)
+    with pytest.raises(LinearSolveError, match="relative residual nan"):
+        S._pcg(g, 1e-3, np.full(g.shape, math.nan), np.zeros(g.shape), 1e-10, 3)
+
+
 def test_w_solve_iteration_cap_raises_and_run_records_it():
     # peaked populations make the w diagonal vary, so one iteration is too few
     g = G.Grid(16, 16)
@@ -195,10 +201,10 @@ def test_manufactured_w_solve_takes_no_iteration():
     # the start P^-1(c b / diag) already meets lin_tol on the smooth
     # manufactured state, where P^-1 b needed 3 iterations
     setup = cli.mms_config(32).build_setup()
-    st = setup.mms.state(setup.grid)
+    st = setup.params.mms.state(setup.grid)
     for _ in range(5):
         st, stats = S.step(st, setup.params, setup.fixed_dt, setup.grid,
-                           setup.control, mms=setup.mms)
+                           setup.control)
         assert stats.cg_iterations == (0, 0, 0)
 
 
@@ -331,11 +337,11 @@ def test_step_outputs_are_fresh_and_inputs_untouched(manufactured):
     if manufactured:
         st = mms.state(setup.grid)
         sources_before = mms.sources(setup.params, setup.grid, 2e-3)
-    args = (setup.params, 1e-3, setup.grid, setup.control)
+    args = (replace(setup.params, mms=mms), 1e-3, setup.grid, setup.control)
     st_before = st.copy()
-    one, _ = S.step(st, *args, mms=mms)
+    one, _ = S.step(st, *args)
     one_before = one.copy()
-    two, _ = S.step(one, *args, mms=mms)
+    two, _ = S.step(one, *args)
     fields = [st.u, st.v, st.w, one.u, one.v, one.w, two.u, two.v, two.w]
     for i, a in enumerate(fields):
         for b in fields[i + 1:]:
@@ -355,9 +361,9 @@ def test_step_with_the_callers_laws_is_bitwise_step(manufactured):
     if manufactured:
         st = mms.state(setup.grid)
     ks = setup.params.kinetics
-    args = (st, setup.params, 1e-3, setup.grid, setup.control)
-    plain, _ = S.step(*args, mms=mms)
-    shared, _ = S.step(*args, mms=mms, laws=(ks.law_f(st.u), ks.law_g(st.v)))
+    args = (st, replace(setup.params, mms=mms), 1e-3, setup.grid, setup.control)
+    plain, _ = S.step(*args)
+    shared, _ = S.step(*args, laws=(ks.law_f(st.u), ks.law_g(st.v)))
     for name in "uvw":
         assert getattr(shared, name).tobytes() == getattr(plain, name).tobytes()
 

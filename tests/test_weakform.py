@@ -242,7 +242,7 @@ def test_mass_inequality_on_manufactured_run(tmp_path):
     traj = W.load_trajectory(tmp_path / "mms-16")
     assert all(ok for _, _, ok in W.check_mass_inequality(traj))
     # the manufactured v source carries the identity: without it the slack fails
-    traj.mms = None
+    traj.params = replace(traj.params, mms=None)
     assert W.check_mass_inequality(traj)[-1][1] < -0.3
 
 
@@ -252,7 +252,8 @@ def test_manufactured_sources_built_once_per_snapshot(tmp_path, monkeypatch):
     cached = W.TrajectoryHandle.sources_at
 
     def rebuilt(traj, t):
-        return None if traj.mms is None else traj.mms.sources(traj.params, traj.grid, t)
+        mms = traj.params.mms
+        return None if mms is None else mms.sources(traj.params, traj.grid, t)
 
     monkeypatch.setattr(W.TrajectoryHandle, "sources_at", rebuilt)
     cli.verify_weak(run_dir, tmp_path / "rebuilt.csv")
@@ -295,3 +296,16 @@ def test_budget_shrinks_with_resolution(tmp_path, budget):
         fn = W.default_basis(traj.t_end)[1]
         budgets[nx] = getattr(W, budget)(traj, fn)
     assert budgets[24] < budgets[12]
+
+
+def test_rerun_into_one_directory_replaces_the_snapshots(tmp_path):
+    small_run(tmp_path, nx=16, t_end=0.5, snapshot_every=0.1)
+    stray = tmp_path / "run" / "u_notes.fld"
+    stray.write_text("kept")
+    first = {p.name for p in (tmp_path / "run").glob("*.fld")}
+    traj = small_run(tmp_path, nx=16, t_end=0.2, snapshot_every=0.1)
+    assert traj.times == pytest.approx([0.0, 0.1, 0.2])
+    assert traj.t_end == 0.2
+    names = {p.name for p in (tmp_path / "run").glob("*.fld")}
+    assert len(names) == 3 * len(traj) + 1 and stray.read_text() == "kept"
+    assert names != first
