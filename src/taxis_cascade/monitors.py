@@ -59,9 +59,6 @@ class MonitorReport:
     def failures(self) -> list[MonitorEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def by_check(self, name: str) -> list[MonitorEntry]:
-        return [e for e in self.entries if e.check == name]
-
     def csv_rows(self):
         yield "t,check_name,value,bound,margin,pass"
         for e in self.entries:
@@ -170,32 +167,16 @@ def check_window_integrals(t, times, int_u_alpha, int_v_beta,
     return out
 
 
-def _v_mass_defect(times, int_g_series, int_abs_g_series, mass_v_series):
-    """Signed defect, max|int g| and elapsed time (floored at one unit)."""
-    lhs = mass_v_series[-1] - mass_v_series[0]
-    rhs = float(np.trapezoid(int_g_series, times))
-    c_max = float(np.max(int_abs_g_series))
-    return lhs - rhs, c_max, max(times[-1] - times[0], 1.0)
-
-
-def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series) -> tuple[float, float]:
-    """Signed and relative defect of mass_v(t) = mass_v(0) + int_0^t int g(v).
-
-    The relative defect is normalized by max|int g| seen times the elapsed
-    time (floored at one unit), the first-order accumulation scale.
-    """
-    signed, c_max, elapsed = _v_mass_defect(times, int_g_series, int_abs_g_series,
-                                            mass_v_series)
-    return signed, abs(signed) / max(c_max * elapsed, 1e-300)
-
-
 def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
                           mass_v_series, dt_scale: float) -> MonitorEntry:
     """Pass when |defect| stays under the C*dt*t accumulation envelope, give or
     take steps * eps * max|mass_v|: each diffusion solve moves the v mass by
-    rounding, even at an equilibrium, where the envelope is zero."""
-    signed, c_max, elapsed = _v_mass_defect(times, int_g_series, int_abs_g_series,
-                                            mass_v_series)
+    rounding, even at an equilibrium, where the envelope is zero.  The
+    elapsed time is floored at one unit."""
+    signed = (mass_v_series[-1] - mass_v_series[0]
+              - float(np.trapezoid(int_g_series, times)))
+    c_max = float(np.max(int_abs_g_series))
+    elapsed = max(times[-1] - times[0], 1.0)
     rounding = (len(times) - 1) * np.finfo(float).eps * float(np.max(np.abs(mass_v_series)))
     return MonitorEntry.compare(t, "v_mass_identity", abs(signed), c_max * dt_scale * elapsed,
                                 tol=rounding)

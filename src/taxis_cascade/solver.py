@@ -3,7 +3,9 @@
 One step advances the cascade in order u -> v -> w: diffusion is implicit
 (backward Euler), taxis and growth are explicit, and the v-taxis potential is
 the freshly solved u.  The u and v systems I - dt*Lap are solved directly by
-the cosine transform that diagonalizes the Neumann Laplacian.  The nutrient
+the cosine transform that diagonalizes the Neumann Laplacian: on grids of at
+most DENSE_DCT_MAX cells a side as four small products with cached dense
+cosine matrices, on larger grids by scipy's DCT.  The nutrient
 consumption is semi-implicit through a nonnegative diagonal, so w inherits
 nonnegativity from the M-matrix solve whatever dt is; that solve is the only
 iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
@@ -14,9 +16,10 @@ clamped to zero and counted; anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more: each right-hand side is built in the array that the solve then
-overwrites with the new field, and the transforms run in place.  The
-in-place forms keep the operation order of the plain expressions, so the
-result is bit for bit what they give.
+overwrites with the new field, and each transform writes into the result
+array or the solver's one work array.  The in-place forms keep the
+operation order of the plain expressions, so the result is bit for bit what
+they give.
 """
 
 from __future__ import annotations
@@ -47,6 +50,24 @@ CLAMP_FLOOR = -1e-12
 BLOWUP_LIMIT = 1e8
 TINY_GRADIENT = 1e-30
 FIXED_DT_WARN_RATIO = 10.0
+
+# Grids with at most this many cells a side take the dense cosine path of
+# _SpectralHelmholtz.  One solve (forward and inverse transform), dense
+# matmul against scipy.fft (numpy 2.4, scipy 1.17, OPENBLAS_NUM_THREADS=1,
+# a shared 2-CPU x86-64 machine):
+#
+#     n     scipy pair   dense pair
+#     32      38 us        9.5 us
+#     40      57 us        19 us
+#     64     154 us        61 us
+#     80     127 us        75 us
+#     96     183 us       170 us
+#    128     349 us       428 us
+#    256    1579 us      2876 us
+#
+# scipy's dispatch around its transform dominates small grids; the n^3
+# matmul overtakes it from about 96.
+DENSE_DCT_MAX = 80
 
 
 @dataclass(frozen=True)
@@ -112,6 +133,14 @@ def _neumann_eigenvalues(g: gridmod.Grid) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=32)
+def _cosine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix C of size n: C @ x is dct(x, norm="ortho")."""
+    matrix = _fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+    matrix.setflags(write=False)
+    return matrix
+
+
 class _SpectralHelmholtz:
     """Exact inverse of c*I - dt*Lap in the Neumann (half-sample cosine) basis.
 
@@ -122,21 +151,37 @@ class _SpectralHelmholtz:
     StepControl.lin_tol and max_iter govern only the w solve, for which this
     class with c the mean nutrient diagonal is the preconditioner in ``_pcg``,
     and it also gives that solve its start P^-1(c b / diag).
-    ``solve`` runs both transforms in place and divides by the denominators
-    (not multiplying by reciprocals, which would change the bits).
+
+    When neither side exceeds DENSE_DCT_MAX the transforms are the products
+    Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
+    skips scipy's per-call dispatch; larger grids call scipy's DCT in place.
+    Both paths divide by the denominators (not multiplying by reciprocals,
+    which would change the bits).  The dense path holds one work array and
+    writes the denominators into it only when it divides.  Its products round
+    the k = 0 mode, so it then restores the exact cell sum, sum(b) / c.
     """
 
     def __init__(self, g: gridmod.Grid, dt: float, diag_const: float):
-        self.denom = np.multiply(_neumann_eigenvalues(g), dt)
-        self.denom += diag_const
+        self.dense = max(g.nx, g.ny) <= DENSE_DCT_MAX
+        if self.dense:
+            self.eigenvalues = _neumann_eigenvalues(g)
+            self.dt = dt
+            self.diag_const = diag_const
+            self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
+            self.work = np.empty(g.shape)
+        else:
+            self.denom = np.multiply(_neumann_eigenvalues(g), dt)
+            self.denom += diag_const
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Return x with (c*I - dt*Lap) x = b, written into ``out`` when given.
 
         ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
-        b is left alone.  Both transforms run in place in the result array,
-        so a call with ``out`` allocates no field.
+        b is left alone.  The transforms write into the result array and the
+        solver's work array, so a call with ``out`` allocates no field.
         """
+        if self.dense:
+            return self._solve_dense(b, out)
         if out is None:
             out = np.array(b, dtype=float)
         elif out is not b:
@@ -147,6 +192,22 @@ class _SpectralHelmholtz:
         # overwrite_x permits an in-place transform but does not promise one
         if not np.may_share_memory(x, out):
             np.copyto(out, x)
+        return out
+
+    def _solve_dense(self, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        total = float(np.sum(b))  # read before out = b is overwritten
+        if out is None:
+            out = np.empty_like(self.work)
+        cy, cx = self.cosines
+        work = self.work
+        np.matmul(cy, b, out=work)
+        np.matmul(work, cx.T, out=out)  # the DCT-II coefficients
+        np.multiply(self.eigenvalues, self.dt, out=work)
+        work += self.diag_const
+        out /= work
+        np.matmul(cy.T, out, out=work)
+        np.matmul(work, cx, out=out)
+        out += (total / self.diag_const - float(np.sum(out))) / out.size
         return out
 
 
@@ -291,7 +352,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         v_new += s_v
     v_new, clamp_v = _clamp_nonnegative(diffusion.solve(v_new, out=v_new), "v")
     _watchdog(v_new, "v", t_new)
-    del diffusion  # free its denominator table before the w solve allocates
+    del diffusion  # free its denominator or work array before the w solve allocates
 
     # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new;
     # rhs_w holds the denominator first
@@ -620,6 +681,7 @@ def run(setup: RunSetup) -> RunResult:
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
     cum_log_grad = 0.0
+    scratch = np.empty(g.shape)  # the recorder's u^alpha, v^beta and |g(v)|
     completed = True
     failure = ""
     w_iterations = 0
@@ -637,11 +699,13 @@ def run(setup: RunSetup) -> RunResult:
             series["linf_v"].append(gridmod.norm_linf(state.v))
             series["linf_w"].append(gridmod.norm_linf(state.w))
             series["clamps"].append(clamps)
-            series["int_u_alpha"].append(gridmod.integrate(state.u**ks.alpha, g))
-            series["int_v_beta"].append(gridmod.integrate(state.v**ks.beta, g))
+            series["int_u_alpha"].append(
+                gridmod.integrate(np.power(state.u, ks.alpha, out=scratch), g))
+            series["int_v_beta"].append(
+                gridmod.integrate(np.power(state.v, ks.beta, out=scratch), g))
             series["int_f_u"].append(gridmod.integrate(fu, g))
             series["int_g_v"].append(gridmod.integrate(gv, g))
-            series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv), g))
+            series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv, out=scratch), g))
             series["int_consumption"].append(
                 gridmod.integrate(consumption_term(state.u, state.v, state.w,
                                                    params.epsilon), g))

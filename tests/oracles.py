@@ -115,3 +115,23 @@ def dense_step(state, params, dt, g):
     rhs_w = state.w + dt * (params.resupply.field(g, t_new) + s_w)
     w1 = np.linalg.solve(Aw, rhs_w.ravel()).reshape(ny, nx)
     return u1, v1, w1
+
+
+def by_check(report, name):
+    """The entries of a monitor report that one check wrote, in order."""
+    return [e for e in report.entries if e.check == name]
+
+
+def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series):
+    """Signed and relative defect of mass_v(t) = mass_v(0) + int_0^t int g(v).
+
+    The trapezoid rule is summed interval by interval.  The relative defect
+    is normalized by max|int g| seen times the elapsed time (floored at one
+    unit), the first-order accumulation scale.
+    """
+    growth = 0.0
+    for k in range(len(times) - 1):
+        growth += 0.5 * (times[k + 1] - times[k]) * (int_g_series[k] + int_g_series[k + 1])
+    signed = mass_v_series[-1] - mass_v_series[0] - growth
+    scale = max(int_abs_g_series) * max(times[-1] - times[0], 1.0)
+    return signed, abs(signed) / max(scale, 1e-300)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import peak_of_forced_decay, windowed_forcing
+from oracles import peak_of_forced_decay, v_mass_residual, windowed_forcing
 from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
 from taxis_cascade import solver as S
@@ -143,8 +143,8 @@ def _homogeneous_identity_run(dt):
                  init_w="constant(0.0)", cadence=1.0, label=f"identity-{dt}")
     res = S.run(cfg.build_setup())
     assert res.completed
-    _, rel = M.v_mass_residual(res.series["t"], res.series["int_g_v"],
-                               res.series["int_abs_g_v"], res.series["mass_v"])
+    _, rel = v_mass_residual(res.series["t"], res.series["int_g_v"],
+                             res.series["int_abs_g_v"], res.series["mass_v"])
     return rel
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import by_check, v_mass_residual
 from taxis_cascade import grid as G
 from taxis_cascade import monitors as M
 from taxis_cascade import solver as S
@@ -158,8 +159,10 @@ def test_v_mass_identity_zero_law():
     ts = list(np.linspace(0.0, 2.0, 50))
     zeros = [0.0] * 50
     mass = [1.5] * 50
-    signed, rel = M.v_mass_residual(ts, zeros, zeros, mass)
+    signed, rel = v_mass_residual(ts, zeros, zeros, mass)
     assert signed == 0.0 and rel == 0.0
+    entry = M.check_v_mass_identity(ts[-1], ts, zeros, zeros, mass, dt_scale=ts[1])
+    assert entry.passed and entry.value == 0.0
 
 
 def test_log_gradient_integrand_frozen_linear():
@@ -317,5 +320,5 @@ def test_default_config_passes_its_own_v_mass_monitor():
     # the rounding of each diffusion solve must not fail the identity
     result = S.run(Config(nx=16, ny=16, t_end=1.0).build_setup())
     assert result.completed
-    assert result.report.by_check("v_mass_identity")
+    assert by_check(result.report, "v_mass_identity")
     assert result.report.failures() == []

@@ -12,9 +12,10 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
-from oracles import dense_step
+from oracles import by_check, dense_step
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
@@ -247,7 +248,7 @@ def test_run_lands_on_cadence_snapshot_and_end_times(tmp_path):
                   cadence=0.3, snapshot_every=0.2, out_dir=str(tmp_path))
     result = S.run(cfg.build_setup())
     assert result.completed
-    assert [e.t for e in result.report.by_check("weighted_functional")] == [
+    assert [e.t for e in by_check(result.report, "weighted_functional")] == [
         0.0, 0.3, 0.6, 3 * 0.3, 1.0]
     # the snapshot due at 3 * 0.2 lands on the cadence time 2 * 0.3 = 0.6
     for name in "uvw":
@@ -265,7 +266,7 @@ def test_run_ends_on_t_end_that_a_cadence_multiple_misses_by_rounding(tmp_path):
     assert result.completed
     assert result.final_state.t == 0.9
     assert result.series["t"][-1] == 0.9
-    assert [e.t for e in result.report.by_check("weighted_functional")] == [
+    assert [e.t for e in by_check(result.report, "weighted_functional")] == [
         0.0, 0.3, 0.6, 0.9]
     paths = sorted(tmp_path.glob("u_*.fld"))
     assert [G.read_field(p)[2] for p in paths] == [0.0, 0.3, 0.6, 0.9]
@@ -283,6 +284,41 @@ def test_diffusion_solve_in_place_matches_allocating_solve():
     assert out.tobytes() == x.tobytes()
     assert helm.solve(b, out=b) is b
     assert b.tobytes() == x.tobytes()
+
+
+# grids on the dense cosine path, up to its cutoff, and a preconditioner-like
+# c (the mean w diagonal 1 + dt (mu + sigma)) beside the diffusion's c = 1
+@pytest.mark.parametrize("shape", [(24, 17), (40, 40), (80, 80)])
+@pytest.mark.parametrize("c", [1.0, 1.37])
+def test_dense_cosine_solve_matches_the_dct_solve(monkeypatch, shape, c):
+    g = G.Grid(*shape, 1.3, 0.8)
+    b = np.random.default_rng(7).random(g.shape)
+    dt = 3e-3
+    dense = S._SpectralHelmholtz(g, dt, c)
+    assert dense.dense
+    monkeypatch.setattr(S, "DENSE_DCT_MAX", 0)
+    by_dct = S._SpectralHelmholtz(g, dt, c)
+    assert not by_dct.dense
+    x, ref = dense.solve(b), by_dct.solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    eps = np.finfo(float).eps
+    assert abs(float(np.sum(x)) - float(np.sum(b)) / c) <= 4 * eps * float(np.sum(np.abs(b)))
+    out = np.full(g.shape, np.nan)
+    assert dense.solve(b, out=out) is out
+    assert out.tobytes() == x.tobytes()
+    assert dense.solve(b, out=b) is b
+    assert b.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(81, 40), (40, 81)])
+def test_grid_beyond_the_dense_cutoff_keeps_the_dct_solve(shape):
+    g = G.Grid(*shape)
+    helm = S._SpectralHelmholtz(g, 3e-3, 1.0)
+    assert not helm.dense
+    b = np.random.default_rng(3).random(g.shape)
+    coeffs = sfft.dctn(b, type=2, norm="ortho") / helm.denom
+    plain = sfft.idctn(coeffs, type=2, norm="ortho")
+    assert helm.solve(b).tobytes() == plain.tobytes()
 
 
 def thm1_core_start(n):
@@ -385,6 +421,33 @@ def test_run_evaluates_each_law_once_per_state(monkeypatch):
     assert len(calls) == 2 * (result.steps + 1)
 
 
+def test_recorded_integrals_equal_the_plain_expressions(monkeypatch):
+    # the recorder writes u^alpha, v^beta and |g(v)| into one buffer of its
+    # own; each recorded value must be the integral of the plain expression
+    states = []
+
+    def recording_step(*args, _step=S.step, **kwargs):
+        new, stats = _step(*args, **kwargs)
+        states.append(new)
+        return new, stats
+
+    monkeypatch.setattr(S, "step", recording_step)
+    cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=0.3,
+                  out_dir=None)
+    setup = cfg.build_setup()
+    result = S.run(setup)
+    assert result.completed and result.steps == len(states) > 0
+    g, ks = setup.grid, setup.params.kinetics
+    init = setup.initial
+    states.insert(0, S.State(init.u0.astype(float), init.v0.astype(float),
+                             init.w0.astype(float)))
+    plain = {"int_u_alpha": [G.integrate(st.u**ks.alpha, g) for st in states],
+             "int_v_beta": [G.integrate(st.v**ks.beta, g) for st in states],
+             "int_abs_g_v": [G.integrate(np.abs(ks.law_g(st.v)), g) for st in states]}
+    for name, values in plain.items():
+        assert result.series[name].tobytes() == np.asarray(values).tobytes()
+
+
 def test_run_warns_when_fixed_dt_far_exceeds_the_suggested_step(tmp_path):
     setup, st = thm1_core_start(16)
     bound = S.suggest_dt(st, setup.params, setup.grid, setup.control)
@@ -418,10 +481,11 @@ def test_watchdog_catches_non_finite_and_huge_values():
 
 
 _THREAD_PROBE = """
-import hashlib
+import hashlib, sys
 from dataclasses import replace
 from taxis_cascade import presets, solver
-cfg = replace(presets.preset("thm1-core").config, nx=128, ny=128, out_dir=None)
+n = int(sys.argv[1])
+cfg = replace(presets.preset("thm1-core").config, nx=n, ny=n, out_dir=None)
 setup = cfg.build_setup()
 init = setup.initial
 st = solver.State(init.u0.astype(float), init.v0.astype(float), init.w0.astype(float))
@@ -433,14 +497,17 @@ for phi in (st.u, st.v, st.w):
 """
 
 
-def test_final_state_independent_of_blas_threads():
+# 40 takes the dense cosine path, whose matmuls go through BLAS; 128 the DCT
+@pytest.mark.parametrize("n", [40, 128])
+def test_final_state_independent_of_blas_threads(n):
     # in fresh processes, since BLAS reads its thread count at import
+    assert (n <= S.DENSE_DCT_MAX) == (n == 40)
     src = str(Path(S.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(n)], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         digests.append(proc.stdout.split())
     assert len(digests[0]) == 3
