@@ -134,9 +134,8 @@ def mms_config(nx: int, t_end: float = 0.25, dt_coeff: float = 1.0,
         mu=0.3, epsilon=0.0,
         f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
         profile="constant", amplitude=0.0,
-        init_u="mms", init_v="mms", init_w="mms",
         cadence=t_end, snapshot_every=snapshot_every,
-        mms_u=mms.u.describe(), mms_v=mms.v.describe(), mms_w=mms.w.describe(),
+        mms_u=mms.u, mms_v=mms.v, mms_w=mms.w,
         label=f"mms-{nx}",
     )
 

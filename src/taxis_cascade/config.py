@@ -1,9 +1,10 @@
 """INI-style run configuration: parsing, canonical formatting, assembly.
 
 Sections: [grid], [time], [model], [kinetics], [resupply], [initial],
-[monitors], [output], and optionally [mms] for manufactured runs.  Values
-with arguments use call syntax, e.g. ``gaussian(0.4, 0.4, 0.18, 0.7, 0.3)``.
-Key case is preserved (k_f and K_f are distinct constants).
+[monitors], [output], or instead of [initial] an [mms] manufactured triple,
+which is then the initial data.  Values with arguments use call syntax, e.g.
+``gaussian(0.4, 0.4, 0.18, 0.7, 0.3)``.  Key case is preserved (k_f and K_f
+are distinct constants).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import configparser
 import difflib
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,8 @@ def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
     return name, args
 
 
-ENVELOPE_KEYS = ("k_f", "K_f", "l_f", "L_f", "k_g", "K_g", "l_g", "L_g")
+# the kinetic constants a config may set; unset ones default from the laws
+KINETIC_KEYS = ("alpha", "beta", "k_f", "K_f", "l_f", "L_f", "k_g", "K_g", "l_g", "L_g")
 
 
 @dataclass
@@ -99,9 +101,9 @@ class Config:
     out_dir: str | None = None
     snapshot_every: float = 0.0
     # [mms]
-    mms_u: str | None = None
-    mms_v: str | None = None
-    mms_w: str | None = None
+    mms_u: solver.MmsComponent | None = None
+    mms_v: solver.MmsComponent | None = None
+    mms_w: solver.MmsComponent | None = None
     label: str = "run"
 
     # -- assembly ----------------------------------------------------------
@@ -120,15 +122,8 @@ class Config:
     def build_kinetics(self) -> kin.KineticSpec:
         law_f = self.build_law(self.f_law, "kinetics.f_law")
         law_g = self.build_law(self.g_law, "kinetics.g_law")
-        overrides = {}
-        if self.alpha is not None:
-            overrides["alpha"] = self.alpha
-        if self.beta is not None:
-            overrides["beta"] = self.beta
-        for key in ENVELOPE_KEYS:
-            val = getattr(self, key)
-            if val is not None:
-                overrides[key] = val
+        overrides = {key: getattr(self, key) for key in KINETIC_KEYS
+                     if getattr(self, key) is not None}
         return kin.KineticSpec.from_laws(law_f, law_g, **overrides)
 
     def build_resupply(self) -> kin.ResupplySpec:
@@ -160,8 +155,6 @@ class Config:
                 raise StructuralError(f"{where}: random recipe requires [initial] seed")
             lo, hi = args
             return lo + (hi - lo) * rng.random(g.shape)
-        if name == "mms":
-            raise StructuralError(f"{where}: 'mms' recipe needs an [mms] section")
         raise StructuralError(f"{where}: unknown recipe {name!r}")
 
     def build_initial(self, g: gridmod.Grid) -> kin.InitialData:
@@ -177,22 +170,12 @@ class Config:
         )
 
     def build_mms(self) -> solver.MmsSpec | None:
-        specs = (self.mms_u, self.mms_v, self.mms_w)
-        if all(s is None for s in specs):
+        comps = (self.mms_u, self.mms_v, self.mms_w)
+        if all(c is None for c in comps):
             return None
-        if any(s is None for s in specs):
+        if any(c is None for c in comps):
             raise StructuralError("[mms] needs all of u, v, w")
-        comps = []
-        for name, text in zip("uvw", specs):
-            toks = text.split()
-            if len(toks) != 5:
-                raise StructuralError(
-                    f"mms.{name}: need 5 numbers (base cos_amp cos_rate flat_amp flat_rate)")
-            try:
-                comps.append(solver.MmsComponent(*(_number(t) for t in toks)))
-            except ValueError:
-                raise StructuralError(f"mms.{name}: bad number in {text!r}") from None
-        return solver.MmsSpec(u=comps[0], v=comps[1], w=comps[2])
+        return solver.MmsSpec(*comps)
 
     def build_params(self) -> solver.ModelParams:
         return solver.ModelParams(mu=self.mu, epsilon=self.epsilon,
@@ -214,11 +197,9 @@ class Config:
             config_text=format_config(self), label=self.label, fixed_dt=self.fixed_dt)
 
     def resolved(self) -> "Config":
-        """Fill alpha/beta and envelope constants from the laws' defaults."""
+        """Fill the unset kinetic constants from the laws' defaults."""
         ks = self.build_kinetics()
-        return replace(self, alpha=ks.alpha, beta=ks.beta, k_f=ks.k_f, K_f=ks.K_f,
-                       l_f=ks.l_f, L_f=ks.L_f, k_g=ks.k_g, K_g=ks.K_g,
-                       l_g=ks.l_g, L_g=ks.L_g)
+        return replace(self, **{key: getattr(ks, key) for key in KINETIC_KEYS})
 
 
 def _pair(raw: str) -> tuple[float, float]:
@@ -226,6 +207,21 @@ def _pair(raw: str) -> tuple[float, float]:
     if len(toks) != 2:
         raise ValueError(raw)
     return (_number(toks[0]), _number(toks[1]))
+
+
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
+def _mms_component(raw: str) -> solver.MmsComponent:
+    """Five finite numbers: base cos_amp cos_rate flat_amp flat_rate."""
+    toks = raw.split()
+    if len(toks) != 5:
+        raise ValueError(raw)
+    return solver.MmsComponent(*(_number(t) for t in toks))
 
 
 # section -> key -> (Config field, converter); the only keys parse_config
@@ -237,16 +233,17 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                                              "fixed_dt")},
     "model": {"mu": ("mu", _number), "epsilon": ("epsilon", _number)},
     "kinetics": {"f_law": ("f_law", str), "g_law": ("g_law", str),
-                 **{key: (key, _number) for key in ("alpha", "beta") + ENVELOPE_KEYS}},
+                 **{key: (key, _number) for key in KINETIC_KEYS}},
     "resupply": {"profile": ("profile", str), "center": ("center", _pair),
                  "width": ("width", _number), "amplitude": ("amplitude", _number),
                  "decay_lambda": ("decay_lambda", _number)},
     "initial": {"u": ("init_u", str), "v": ("init_v", str), "w": ("init_w", str),
-                "seed": ("seed", int)},
+                "seed": ("seed", _seed)},
     "monitors": {"cadence": ("cadence", _number), "delta": ("delta", _number),
                  "q": ("q", _number)},
     "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", _number)},
-    "mms": {"u": ("mms_u", str), "v": ("mms_v", str), "w": ("mms_w", str)},
+    "mms": {"u": ("mms_u", _mms_component), "v": ("mms_v", _mms_component),
+            "w": ("mms_w", _mms_component)},
 }
 
 
@@ -255,6 +252,8 @@ def _format_value(value, conv) -> str:
         return repr(value)
     if conv is _pair:
         return f"{value[0]!r} {value[1]!r}"
+    if conv is _mms_component:
+        return " ".join(map(repr, astuple(value)))
     return str(value)
 
 
@@ -262,11 +261,15 @@ def format_config(cfg: Config) -> str:
     """Canonical INI text in _SCHEMA order; parsing it back gives cfg.resolved().
 
     Unset (None) values and sections left empty are omitted, and so are the
-    Gaussian-only resupply keys of any other profile.
+    Gaussian-only resupply keys of any other profile and the [initial]
+    section of a manufactured config, whose [mms] triple is its initial data.
     """
     r = cfg.resolved()
+    manufactured = any(getattr(r, attr) is not None for attr, _ in _SCHEMA["mms"].values())
     text = []
     for section, keys in _SCHEMA.items():
+        if section == "initial" and manufactured:
+            continue
         lines = []
         for key, (attr, conv) in keys.items():
             value = getattr(r, attr)
@@ -302,6 +305,8 @@ def parse_config(text: str, label: str = "run") -> Config:
     sections = [f"[{name}]" for name in _SCHEMA]
     if parser.defaults():
         errors.append(_unknown("section", f"[{parser.default_section}]", sections))
+    if parser.has_section("mms") and parser.has_section("initial"):
+        errors.append("[initial] next to [mms], whose triple is the initial data")
     cfg = Config(label=label)
     for section in parser.sections():
         keys = _SCHEMA.get(section)

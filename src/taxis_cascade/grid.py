@@ -9,8 +9,10 @@ global sum of any divergence vanishes up to rounding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -196,7 +198,15 @@ def seminorm_w2p(phi: np.ndarray, g: Grid, p: float) -> float:
 # --- FLD1 snapshot files ------------------------------------------------
 #
 # One ASCII header line "FLD1 nx ny Lx Ly t\n", then nx*ny little-endian
-# float64 values, row-major (x fastest).
+# float64 values, row-major (x fastest).  A run's snapshot file names are
+# the field and the 8-digit step index.
+
+SNAPSHOT_NAME = re.compile(r"^([uvw])_(\d{8})\.fld$", re.ASCII)
+
+
+def snapshot_paths(run_dir, index: int) -> tuple[Path, Path, Path]:
+    """The u, v and w snapshot files of step ``index`` in ``run_dir``."""
+    return tuple(Path(run_dir) / f"{name}_{index:08d}.fld" for name in "uvw")
 
 
 def write_field(path, phi: np.ndarray, g: Grid, t: float) -> None:

@@ -2,9 +2,9 @@
 
 One step advances the cascade in order u -> v -> w: diffusion is implicit
 (backward Euler), taxis and growth are explicit, and the v-taxis potential is
-the freshly solved u.  The u and v systems I - dt*Lap are solved directly by
-the cosine transform that diagonalizes the Neumann Laplacian: on grids of at
-most DENSE_DCT_MAX cells a side as four small products with cached dense
+the freshly solved u.  One operator c*I - dt*Lap per step serves all three
+solves.  The u and v systems (c = 1) are solved directly by the cosine
+transform that diagonalizes the Neumann Laplacian: on grids of at most DENSE_DCT_MAX cells a side as four small products with cached dense
 cosine matrices, on larger grids by scipy's DCT.  The nutrient
 consumption is semi-implicit through a nonnegative diagonal, so w inherits
 nonnegativity from the M-matrix solve whatever dt is; that solve is the only
@@ -145,69 +145,59 @@ class _SpectralHelmholtz:
     """Exact inverse of c*I - dt*Lap in the Neumann (half-sample cosine) basis.
 
     The mirror-ghost five-point Laplacian is diagonalized by the type-II DCT
-    per axis with eigenvalues -(2/h^2)(1 - cos(pi k / n)).  With c = 1 this is
-    the u and v diffusion solve: the k = 0 denominator is 1, so the cell sum
-    of the right-hand side is kept to rounding.  That solve is direct, so
-    StepControl.lin_tol and max_iter govern only the w solve, for which this
-    class with c the mean nutrient diagonal is the preconditioner in ``_pcg``,
-    and it also gives that solve its start P^-1(c b / diag).
+    per axis with eigenvalues -(2/h^2)(1 - cos(pi k / n)).  One instance per
+    step serves all three of its solves, with c given per solve: c = 1 is
+    the u and v diffusion solve, whose k = 0 denominator is 1, so the cell
+    sum of the right-hand side is kept to rounding; c the mean nutrient
+    diagonal is the preconditioner of ``_pcg`` and gives the w solve its
+    start P^-1(c b / diag).  The solves are direct, so StepControl.lin_tol
+    and max_iter govern only the w solve.
 
     When neither side exceeds DENSE_DCT_MAX the transforms are the products
     Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
     skips scipy's per-call dispatch; larger grids call scipy's DCT in place.
-    Both paths divide by the denominators (not multiplying by reciprocals,
-    which would change the bits).  The dense path holds one work array and
-    writes the denominators into it only when it divides.  Its products round
-    the k = 0 mode, so it then restores the exact cell sum, sum(b) / c.
+    Every solve writes the denominators lambda*dt + c into the one work
+    array and divides by them (not multiplying by reciprocals, which would
+    change the bits).  The dense products round the k = 0 mode, so that
+    path then restores the exact cell sum, sum(b) / c.
     """
 
-    def __init__(self, g: gridmod.Grid, dt: float, diag_const: float):
+    def __init__(self, g: gridmod.Grid, dt: float):
         self.dense = max(g.nx, g.ny) <= DENSE_DCT_MAX
+        self.eigenvalues = _neumann_eigenvalues(g)
+        self.dt = dt
+        self.work = np.empty(g.shape)
         if self.dense:
-            self.eigenvalues = _neumann_eigenvalues(g)
-            self.dt = dt
-            self.diag_const = diag_const
             self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
-            self.work = np.empty(g.shape)
-        else:
-            self.denom = np.multiply(_neumann_eigenvalues(g), dt)
-            self.denom += diag_const
 
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Return x with (c*I - dt*Lap) x = b, written into ``out`` when given.
+    def solve(self, b: np.ndarray, out: np.ndarray, c: float = 1.0) -> np.ndarray:
+        """Write x with (c*I - dt*Lap) x = b into ``out`` and return it.
 
         ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
-        b is left alone.  The transforms write into the result array and the
-        solver's work array, so a call with ``out`` allocates no field.
+        b is left alone.  The transforms write into ``out`` and the work
+        array, so a solve allocates no field.
         """
         if self.dense:
-            return self._solve_dense(b, out)
-        if out is None:
-            out = np.array(b, dtype=float)
-        elif out is not b:
-            np.copyto(out, b)
-        coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
-        np.divide(coeffs, self.denom, out=coeffs)
-        x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
-        # overwrite_x permits an in-place transform but does not promise one
-        if not np.may_share_memory(x, out):
-            np.copyto(out, x)
-        return out
-
-    def _solve_dense(self, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        total = float(np.sum(b))  # read before out = b is overwritten
-        if out is None:
-            out = np.empty_like(self.work)
-        cy, cx = self.cosines
-        work = self.work
-        np.matmul(cy, b, out=work)
-        np.matmul(work, cx.T, out=out)  # the DCT-II coefficients
-        np.multiply(self.eigenvalues, self.dt, out=work)
-        work += self.diag_const
-        out /= work
-        np.matmul(cy.T, out, out=work)
-        np.matmul(work, cx, out=out)
-        out += (total / self.diag_const - float(np.sum(out))) / out.size
+            total = float(np.sum(b))  # read before out = b is overwritten
+            cy, cx = self.cosines
+            np.matmul(cy, b, out=self.work)
+            coeffs = np.matmul(self.work, cx.T, out=out)
+        else:
+            if out is not b:
+                np.copyto(out, b)
+            coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
+        np.multiply(self.eigenvalues, self.dt, out=self.work)
+        self.work += c
+        coeffs /= self.work
+        if not self.dense:
+            x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
+            # overwrite_x permits an in-place transform but does not promise one
+            if not np.may_share_memory(x, out):
+                np.copyto(out, x)
+            return out
+        np.matmul(cy.T, out, out=self.work)
+        np.matmul(self.work, cx, out=out)
+        out += (total / c - float(np.sum(out))) / out.size
         return out
 
 
@@ -216,12 +206,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
+def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
          rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
     """The w solve (diag*I - dt*Lap) x = b by preconditioned conjugate gradients.
 
     The operator splits as A = P + diag(diag - c), with c = mean(diag) and
-    P = c*I - dt*Lap inverted exactly by the DCT.  CG starts from
+    P = c*I - dt*Lap inverted exactly by ``spectral`` (the step's operator,
+    which carries dt) at that c.  CG starts from
     x0 = P^-1(c b / diag): then P x0 = c b / diag, so the initial residual
     r0 = b - A x0 = (diag - c)(b / diag - x0) is a pointwise product of the
     spread of the diagonal and the diffusion increment, with no stencil and
@@ -248,17 +239,16 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
     bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
     c = float(np.mean(diag))
-    precond = _SpectralHelmholtz(g, dt, c)
     p = np.empty_like(b)
     p_img = np.empty_like(b)  # P p
     work = np.divide(b, diag)
     x = np.multiply(work, c)
-    precond.solve(x, out=x)
+    spectral.solve(x, x, c)
     r = np.subtract(work, x, out=b)
     r *= np.subtract(diag, c, out=work)
     if math.sqrt(_dot(r, r)) <= target:
         return x, 0
-    precond.solve(r, out=p)
+    spectral.solve(r, p, c)
     np.copyto(p_img, r)
     rz = _dot(r, p)
     for it in range(1, max_iter + 1):
@@ -272,7 +262,7 @@ def _pcg(g: gridmod.Grid, dt: float, diag: np.ndarray, b: np.ndarray,
         x += work
         if math.sqrt(_dot(r, r)) <= target:
             return x, it
-        z = precond.solve(r, out=work)
+        z = spectral.solve(r, work, c)
         rz_new = _dot(r, z)
         beta = rz_new / rz
         p *= beta
@@ -330,9 +320,10 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u, s_v, s_w = mms.sources(params, g, t_new)
 
+    # c*I - dt*Lap for all three solves: u and v at c = 1, w at its mean diagonal
+    spectral = _SpectralHelmholtz(g, dt)
     # Each right-hand side is built in the array that the solve turns into the
     # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
-    diffusion = _SpectralHelmholtz(g, dt, 1.0)
     u_new = gridmod.taxis_divergence(state.u, state.w, g)
     np.subtract(ks.law_f(state.u) if laws is None else laws[0], u_new, out=u_new)
     u_new *= dt
@@ -340,7 +331,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u *= dt
         u_new += s_u
-    u_new, clamp_u = _clamp_nonnegative(diffusion.solve(u_new, out=u_new), "u")
+    u_new, clamp_u = _clamp_nonnegative(spectral.solve(u_new, u_new), "u")
     _watchdog(u_new, "u", t_new)
 
     v_new = gridmod.taxis_divergence(state.v, u_new, g)
@@ -350,9 +341,8 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_v *= dt
         v_new += s_v
-    v_new, clamp_v = _clamp_nonnegative(diffusion.solve(v_new, out=v_new), "v")
+    v_new, clamp_v = _clamp_nonnegative(spectral.solve(v_new, v_new), "v")
     _watchdog(v_new, "v", t_new)
-    del diffusion  # free its denominator or work array before the w solve allocates
 
     # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new;
     # rhs_w holds the denominator first
@@ -369,7 +359,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_w *= dt
         rhs_w += s_w
-    w_new, it_w = _pcg(g, dt, diag, rhs_w, control.lin_tol, control.max_iter)
+    w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
     w_new, clamp_w = _clamp_nonnegative(w_new, "w")
     _watchdog(w_new, "w", t_new)
 
@@ -413,10 +403,6 @@ class MmsComponent:
     def __post_init__(self):
         if self.cos_rate < 0 or self.flat_rate < 0:
             raise StructuralError("manufactured decay rates must be nonnegative")
-
-    def describe(self) -> str:
-        return (f"{self.base!r} {self.cos_amp!r} {self.cos_rate!r} "
-                f"{self.flat_amp!r} {self.flat_rate!r}")
 
 
 @lru_cache(maxsize=16)
@@ -542,9 +528,10 @@ class RunSetup:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise DomainError(f"{name} must be finite and nonnegative, got {value}")
-        if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
-                                              and self.fixed_dt > 0):
-            raise DomainError(f"fixed_dt must be finite and positive, got {self.fixed_dt}")
+        for name in ("fixed_dt", "monitor_delta"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
         self.initial.validate(self.grid)
 
 
@@ -621,8 +608,9 @@ class _EventClock:
 
 
 def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
-    for name, phi in (("u", state.u), ("v", state.v), ("w", state.w)):
-        gridmod.write_field(out_dir / f"{name}_{state.step_index:08d}.fld", phi, g, state.t)
+    paths = gridmod.snapshot_paths(out_dir, state.step_index)
+    for path, phi in zip(paths, (state.u, state.v, state.w)):
+        gridmod.write_field(path, phi, g, state.t)
 
 
 def run(setup: RunSetup) -> RunResult:
@@ -670,8 +658,9 @@ def run(setup: RunSetup) -> RunResult:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         # the snapshots of an earlier run here would join this run's trajectory
-        for p in out_dir.glob("[uvw]_" + "[0-9]" * 8 + ".fld"):
-            p.unlink()
+        for p in out_dir.iterdir():
+            if gridmod.SNAPSHOT_NAME.match(p.name):
+                p.unlink()
 
     # against a source-augmented (manufactured) system the a-priori bounds
     # do not apply; record series and snapshots only

@@ -14,7 +14,6 @@ initial-trace contributions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,6 +105,10 @@ class TemporalBump:
     t0: float
     t1: float
 
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.t0, self.t1)
+
     def _map(self, t):
         mid = 0.5 * (self.t0 + self.t1)
         half = 0.5 * (self.t1 - self.t0)
@@ -124,40 +127,38 @@ class TemporalBump:
 class TemporalPlateau:
     """Identically 1 on [0, a], smooth monotone descent to 0 at b.
 
-    Uses the classic two-mollifier partition so all derivatives vanish at
-    both junctions; exercises the phi(.,0) initial-trace terms.
+    Uses the classic two-mollifier partition q / (p + q) so all derivatives
+    vanish at both junctions; exercises the phi(.,0) initial-trace terms.
+    p + q >= 1/e for every t, and the quotient is exactly 1 up to a and
+    exactly 0 from b on (p = 0 there, respectively q = 0).
     """
 
     a: float
     b: float
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (0.0, self.b)
 
     def _pieces(self, t):
         z = (np.asarray(t, dtype=float) - self.a) / (self.b - self.a)
         return z, _mollifier_piece(z), _mollifier_piece(1.0 - z)
 
     def value(self, t):
-        z, p, q = self._pieces(t)
-        out = np.where(z <= 0.0, 1.0, 0.0)
-        mid = (z > 0.0) & (z < 1.0)
-        denom = p + q
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(mid, q / np.where(denom > 0, denom, 1.0), 0.0)
-        return np.where(mid, frac, out)
+        _, p, q = self._pieces(t)
+        return q / (p + q)
 
     def dvalue(self, t):
         z, p, q = self._pieces(t)
         dp = _mollifier_piece_dz(z)
         dq = -_mollifier_piece_dz(1.0 - z)
-        mid = (z > 0.0) & (z < 1.0)
-        denom = (p + q) ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = np.where(mid, (dq * p - q * dp) / np.where(denom > 0, denom, 1.0), 0.0)
-        return val / (self.b - self.a)
+        return (dq * p - q * dp) / (p + q) ** 2 / (self.b - self.a)
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function with closed-form derivatives."""
+    """Separable space-time test function with closed-form derivatives; the
+    temporal factor's ``support`` is the (lo, hi) outside which it vanishes."""
 
     name: str
     spatial: object
@@ -238,9 +239,6 @@ class TrajectoryHandle:
         return self._sources[t]
 
 
-_SNAP_RE = re.compile(r"^u_(\d+)\.fld$")
-
-
 def load_trajectory(run_dir) -> TrajectoryHandle:
     """Build a handle from a run directory (snapshots + manifest)."""
     run_dir = Path(run_dir)
@@ -252,14 +250,12 @@ def load_trajectory(run_dir) -> TrajectoryHandle:
     params = cfg.build_params()
     entries = []
     for p in sorted(run_dir.glob("u_*.fld")):
-        m = _SNAP_RE.match(p.name)
+        m = gridmod.SNAPSHOT_NAME.match(p.name)
         if not m:
             continue
-        idx = m.group(1)
-        vp = run_dir / f"v_{idx}.fld"
-        wp = run_dir / f"w_{idx}.fld"
+        _, vp, wp = gridmod.snapshot_paths(run_dir, int(m.group(2)))
         if not (vp.exists() and wp.exists()):
-            raise StructuralError(f"{run_dir}: incomplete snapshot triple {idx}")
+            raise StructuralError(f"{run_dir}: incomplete snapshot triple {m.group(2)}")
         _, _, t = gridmod.read_field(p)
         entries.append((t, (p, vp, wp)))
     if not entries:
@@ -285,11 +281,7 @@ def _check_support(fn: TestFunction, traj: TrajectoryHandle):
     """Disjoint temporal support is fine (all integrals vanish); support that
     overlaps the recorded range but sticks out of it is a structural error."""
     t0, t1 = traj.times[0], traj.times[-1]
-    tm = fn.temporal
-    if isinstance(tm, TemporalBump):
-        lo, hi = tm.t0, tm.t1
-    else:
-        lo, hi = 0.0, tm.b
+    lo, hi = fn.temporal.support
     if hi <= t0 + 1e-12 or lo >= t1 - 1e-12:
         return
     if lo < t0 - 1e-9 or hi > t1 + 1e-9:
@@ -303,7 +295,7 @@ def _face_mean(phi):
 
 
 def _walk(traj: TrajectoryHandle, fn: TestFunction):
-    """Yield (trapezoid weight, t, phi(t), (u, v, w)) where phi(t) != 0.
+    """Yield (trapezoid weight, t, phi(t), phi_t(t), (u, v, w)) where phi(t) != 0.
 
     Snapshots where the temporal factor vanishes are skipped unloaded.  The
     shipped factors vanish together with their derivative (both carry the
@@ -313,7 +305,7 @@ def _walk(traj: TrajectoryHandle, fn: TestFunction):
     for i, t in enumerate(traj.times):
         tf = float(fn.temporal.value(t))
         if tf != 0.0:
-            yield weights[i], t, tf, traj.load(i)
+            yield weights[i], t, tf, float(fn.temporal.dvalue(t)), traj.load(i)
 
 
 def _with_source(traj: TrajectoryHandle, t: float, x, k: int):
@@ -333,9 +325,11 @@ def _budget(traj: TrajectoryHandle, scale: float) -> float:
 class _Samples:
     """Time-independent samples of one test function on a trajectory's grid:
     values at the cell centers, values and normal derivatives at the interior
-    face midpoints, and phi(t_0) for the initial-trace terms."""
+    face midpoints, and phi(t_0) for the initial-trace terms.  Building them
+    checks the temporal support against the trajectory."""
 
     def __init__(self, fn: TestFunction, traj: TrajectoryHandle):
+        _check_support(fn, traj)
         g = traj.grid
         X, Y = g.cell_centers()
         # (x, y) of the x-face and of the y-face midpoints between adjacent centers
@@ -355,13 +349,11 @@ class _Samples:
 
 def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """Signed space-time residual of the forager identity against phi."""
-    _check_support(fn, traj)
     g = traj.grid
     sp = _Samples(fn, traj)
     ks = traj.params.kinetics
     total = 0.0
-    for wt, t, tf, (u, _, w) in _walk(traj, fn):
-        tdf = float(fn.temporal.dvalue(t))
+    for wt, t, tf, tdf, (u, _, w) in _walk(traj, fn):
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
         ufx, ufy = _face_mean(u)
@@ -385,13 +377,11 @@ def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
     epsilon the trajectory was produced with; for regularized runs the
     residual therefore reports the regularization defect.
     """
-    _check_support(fn, traj)
     g = traj.grid
     sp = _Samples(fn, traj)
     params = traj.params
     total = 0.0
-    for wt, t, tf, (u, v, w) in _walk(traj, fn):
-        tdf = float(fn.temporal.dvalue(t))
+    for wt, t, tf, tdf, (u, v, w) in _walk(traj, fn):
         wx, wy = gridmod.face_gradients(w, g)
         r_cells = _with_source(traj, t, params.resupply.field(g, t), 2)
         inst = (
@@ -408,7 +398,6 @@ def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
 
 def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """LHS minus RHS of the logarithmic exploiter inequality (>= 0 expected)."""
-    _check_support(fn, traj)
     g = traj.grid
     sp = _Samples(fn, traj)
     vol = sp.vol
@@ -417,8 +406,7 @@ def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
         raise DomainError("the exploiter inequality needs a nonnegative test function")
     lhs = 0.0
     rhs = 0.0
-    for wt, t, tf, (u, v, _) in _walk(traj, fn):
-        tdf = float(fn.temporal.dvalue(t))
+    for wt, t, tf, tdf, (u, v, _) in _walk(traj, fn):
         ell = np.log1p(v)
         lx, ly = gridmod.face_gradients(ell, g)
         ux, uy = gridmod.face_gradients(u, g)
@@ -447,7 +435,7 @@ def defect_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """
     g = traj.grid
     scale = 0.0
-    for wt, _, tf, (u, v, _) in _walk(traj, fn):
+    for wt, _, tf, _, (u, v, _) in _walk(traj, fn):
         ell = np.log1p(v)
         lx, ly = gridmod.face_gradients(ell, g)
         ux, uy = gridmod.face_gradients(u, g)
@@ -467,7 +455,7 @@ def identity_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
     g = traj.grid
     params = traj.params
     scale = 0.0
-    for wt, t, tf, (u, v, w) in _walk(traj, fn):
+    for wt, t, tf, _, (u, v, w) in _walk(traj, fn):
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
         inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from taxis_cascade import cli
+from taxis_cascade import solver as S
 from taxis_cascade.config import format_config, parse_config
 from taxis_cascade.errors import DomainError
 from taxis_cascade.presets import preset
@@ -139,6 +140,14 @@ NONFINITE_INI = {
     "nan-delta": "[monitors]\ndelta = nan\n",
     "inf-mms": "[mms]\nu = 2 1 1 0 inf\nv = 1 0 0 0.5 1\nw = 0.3 0 0 0.2 1\n",
 }
+# inputs a run must refuse: a seed numpy rejects, a decay threshold that can
+# never be met, and recipes beside the [mms] triple that is the initial data
+RUN_REJECTS_INI = {
+    "negative-seed": "[initial]\nu = random(0.2, 0.8)\nseed = -1\n",
+    "negative-delta": "[monitors]\ndelta = -1\n",
+    "mms-and-initial": "[mms]\nu = 2 1 1 0 0\nv = 1 0 0 0.5 1\nw = 0.3 0 0 0.2 1\n"
+                       "[initial]\nu = gaussian(0.4, 0.4, 0.18, 0.7, 0.3)\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,10 +157,12 @@ NONFINITE_INI = {
     ["run", "{negative_recipe}"],
     ["preset", "show", "nope"],
     ["preset", "show"],
-] + [[cmd, "{%s}" % name] for name in NONFINITE_INI for cmd in ("run", "gate")],
+] + [[cmd, "{%s}" % name] for name in NONFINITE_INI for cmd in ("run", "gate")]
+    + [["run", "{%s}" % name] for name in RUN_REJECTS_INI],
     ids=["run-unknown-key", "gate-unknown-key", "sweep-unknown-key",
          "run-negative-recipe", "preset-unknown", "preset-no-name"]
-    + [f"{cmd}-{name}" for name in NONFINITE_INI for cmd in ("run", "gate")])
+    + [f"{cmd}-{name}" for name in NONFINITE_INI for cmd in ("run", "gate")]
+    + [f"run-{name}" for name in RUN_REJECTS_INI])
 def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     bad_key = tmp_path / "bad_key.ini"
     bad_key.write_text("[model]\nepsilonn = 0.1\n")
@@ -159,7 +170,7 @@ def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     negative_recipe.write_text("[initial]\nu = constant(-1.0)\n"
                                f"[output]\ndir = {tmp_path / 'out'}\n")
     nonfinite = {}
-    for name, text in NONFINITE_INI.items():
+    for name, text in {**NONFINITE_INI, **RUN_REJECTS_INI}.items():
         nonfinite[name] = tmp_path / f"{name}.ini"
         nonfinite[name].write_text(text)
     argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe, **nonfinite)
@@ -168,6 +179,17 @@ def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_manufactured_config_and_manifest_have_no_initial_section(tmp_path):
+    cfg = cli.mms_config(16, t_end=0.01)
+    text = format_config(cfg)
+    assert "[initial]" not in text and "[mms]" in text
+    assert parse_config(text, label=cfg.label) == cfg.resolved()
+    cli.mms_study([16], t_end=0.01, out_root=tmp_path)
+    manifest = (tmp_path / "mms-16" / "manifest.txt").read_text()
+    assert "[initial]" not in manifest
+    assert parse_config(manifest).build_mms() == cfg.build_mms() == S.shipped_mms()
 
 
 def test_preset_list_and_show(capsys):

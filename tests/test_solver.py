@@ -134,7 +134,7 @@ seeds = hs.integers(0, 2**32 - 1)
 def test_diffusion_solve_inverts_and_conserves(g, log_ratio, seed):
     dt = 10.0**log_ratio * g.h_min**2
     b = np.random.default_rng(seed).random(g.shape)
-    x = S._SpectralHelmholtz(g, dt, 1.0).solve(b)
+    x = S._SpectralHelmholtz(g, dt).solve(b, np.empty_like(b))
     residual = x - dt * G.laplacian(x, g) - b
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
     assert abs(float(np.sum(x)) - float(np.sum(b))) <= 1e-13 * float(np.sum(b))
@@ -155,7 +155,8 @@ def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
     diag = 1.0 + dt * (mu + sigma / (1.0 + epsilon * sigma * w_old))
     b = rng.random(g.shape)
     control = S.StepControl()
-    x, _ = S._pcg(g, dt, diag, b.copy(), control.lin_tol, control.max_iter)  # b is used up
+    x, _ = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), control.lin_tol,
+                  control.max_iter)  # b is used up
     residual = b - (diag * x - dt * G.laplacian(x, g))
     assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
 
@@ -163,7 +164,8 @@ def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
 def test_stalled_w_solve_of_a_zero_rhs_reports_without_dividing_by_zero():
     g = G.Grid(8, 8)
     with pytest.raises(LinearSolveError, match="relative residual nan"):
-        S._pcg(g, 1e-3, np.full(g.shape, math.nan), np.zeros(g.shape), 1e-10, 3)
+        S._pcg(S._SpectralHelmholtz(g, 1e-3), np.full(g.shape, math.nan),
+               np.zeros(g.shape), 1e-10, 3)
 
 
 def test_w_solve_iteration_cap_raises_and_run_records_it():
@@ -192,7 +194,8 @@ def test_w_solve_with_a_constant_diagonal_takes_no_iteration(g):
     diag = np.full(g.shape, 1.0 + dt * 0.7)
     b = np.random.default_rng(11).random(g.shape)
     control = S.StepControl()
-    x, iterations = S._pcg(g, dt, diag, b.copy(), control.lin_tol, control.max_iter)
+    x, iterations = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), control.lin_tol,
+                           control.max_iter)
     assert iterations == 0
     residual = b - (diag * x - dt * G.laplacian(x, g))
     assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
@@ -276,8 +279,8 @@ def test_diffusion_solve_in_place_matches_allocating_solve():
     g = G.Grid(24, 17, 1.3, 0.8)
     b = np.random.default_rng(5).random(g.shape)
     b_before = b.copy()
-    helm = S._SpectralHelmholtz(g, 3e-3, 1.0)
-    x = helm.solve(b)
+    helm = S._SpectralHelmholtz(g, 3e-3)
+    x = helm.solve(b, np.empty_like(b))
     assert b.tobytes() == b_before.tobytes()
     out = np.full(g.shape, np.nan)
     assert helm.solve(b, out=out) is out
@@ -294,31 +297,31 @@ def test_dense_cosine_solve_matches_the_dct_solve(monkeypatch, shape, c):
     g = G.Grid(*shape, 1.3, 0.8)
     b = np.random.default_rng(7).random(g.shape)
     dt = 3e-3
-    dense = S._SpectralHelmholtz(g, dt, c)
+    dense = S._SpectralHelmholtz(g, dt)
     assert dense.dense
     monkeypatch.setattr(S, "DENSE_DCT_MAX", 0)
-    by_dct = S._SpectralHelmholtz(g, dt, c)
+    by_dct = S._SpectralHelmholtz(g, dt)
     assert not by_dct.dense
-    x, ref = dense.solve(b), by_dct.solve(b)
+    x, ref = dense.solve(b, np.empty_like(b), c), by_dct.solve(b, np.empty_like(b), c)
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     eps = np.finfo(float).eps
     assert abs(float(np.sum(x)) - float(np.sum(b)) / c) <= 4 * eps * float(np.sum(np.abs(b)))
     out = np.full(g.shape, np.nan)
-    assert dense.solve(b, out=out) is out
+    assert dense.solve(b, out, c) is out
     assert out.tobytes() == x.tobytes()
-    assert dense.solve(b, out=b) is b
+    assert dense.solve(b, b, c) is b
     assert b.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(81, 40), (40, 81)])
 def test_grid_beyond_the_dense_cutoff_keeps_the_dct_solve(shape):
     g = G.Grid(*shape)
-    helm = S._SpectralHelmholtz(g, 3e-3, 1.0)
+    helm = S._SpectralHelmholtz(g, 3e-3)
     assert not helm.dense
     b = np.random.default_rng(3).random(g.shape)
-    coeffs = sfft.dctn(b, type=2, norm="ortho") / helm.denom
+    coeffs = sfft.dctn(b, type=2, norm="ortho") / (S._neumann_eigenvalues(g) * 3e-3 + 1.0)
     plain = sfft.idctn(coeffs, type=2, norm="ortho")
-    assert helm.solve(b).tobytes() == plain.tobytes()
+    assert helm.solve(b, np.empty_like(b)).tobytes() == plain.tobytes()
 
 
 def thm1_core_start(n):
@@ -345,6 +348,22 @@ def test_step_allocates_its_outputs_and_few_work_arrays():
         tracemalloc.stop()
     assert (peak - base) / field <= 10.0
     assert round((current - base) / field) == 3
+
+
+@pytest.mark.parametrize("n", [24, 96])  # the dense and the DCT path
+def test_step_builds_one_spectral_operator_for_its_three_solves(monkeypatch, n):
+    setup, st = thm1_core_start(n)
+    built = []
+
+    class Counting(S._SpectralHelmholtz):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(S, "_SpectralHelmholtz", Counting)
+    _, stats = S.step(st, setup.params, 2e-3, setup.grid, setup.control)
+    assert stats.cg_iterations[2] > 0  # the preconditioner was used
+    assert built == [(setup.grid, 2e-3)]
 
 
 def test_mms_sources_build_their_fields_one_at_a_time():

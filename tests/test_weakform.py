@@ -46,6 +46,9 @@ def test_temporal_bump_and_plateau_derivatives():
             fd = (float(fac.value(t + h)) - float(fac.value(t - h))) / (2 * h)
             assert float(fac.dvalue(t)) == pytest.approx(fd, abs=1e-5)
     assert float(tb.value(0.2)) == 0.0 and float(tb.value(0.8)) == 0.0
+    assert float(tp.value(0.3)) == 1.0 and float(tp.value(0.9)) == 0.0
+    outside = np.array([0.0, 0.1, 0.3, 0.9, 1.5])
+    assert np.all(tp.dvalue(outside) == 0.0)
 
 
 def test_default_basis_is_admissible():
@@ -74,8 +77,7 @@ def small_run(tmp_path, nx=12, t_end=1.0, snapshot_every=0.05, mms=False, **cfg_
     )
     if mms:
         m = S.shipped_mms()
-        kw.update(mms_u=m.u.describe(), mms_v=m.v.describe(), mms_w=m.w.describe(),
-                  init_u="mms", init_v="mms", init_w="mms", mu=0.3, epsilon=0.0,
+        kw.update(mms_u=m.u, mms_v=m.v, mms_w=m.w, mu=0.3, epsilon=0.0,
                   amplitude=0.0, fixed_dt=(1.0 / nx) ** 2)
     kw.update(cfg_kw)
     cfg = Config(**kw)
@@ -109,6 +111,28 @@ def test_residual_zero_for_disjoint_support(tmp_path):
     assert W.residual_u(traj, fn) == 0.0
     assert W.residual_w(traj, fn) == 0.0
     assert W.defect_v(traj, fn) == 0.0
+
+
+class _Ramp:
+    """A time factor of no shipped type: 1 - t/T on [0, T], 0 after."""
+
+    def __init__(self, T):
+        self.support = (0.0, T)
+        self.T = T
+
+    def value(self, t):
+        return np.clip(1.0 - np.asarray(t, dtype=float) / self.T, 0.0, None)
+
+    def dvalue(self, t):
+        return np.where(np.asarray(t, dtype=float) < self.T, -1.0 / self.T, 0.0)
+
+
+def test_custom_time_factor_states_its_own_support(tmp_path):
+    traj = small_run(tmp_path, t_end=0.5)
+    fn = W.TestFunction("ramp", W.SpatialConstant(), _Ramp(0.4))
+    assert math.isfinite(W.residual_u(traj, fn))
+    with pytest.raises(StructuralError):
+        W.residual_u(traj, W.TestFunction("long", W.SpatialConstant(), _Ramp(0.8)))
 
 
 def test_support_overflow_is_structural_error(tmp_path):
@@ -296,6 +320,16 @@ def test_budget_shrinks_with_resolution(tmp_path, budget):
         fn = W.default_basis(traj.t_end)[1]
         budgets[nx] = getattr(W, budget)(traj, fn)
     assert budgets[24] < budgets[12]
+
+
+def test_snapshot_with_a_malformed_step_index_is_not_loaded(tmp_path):
+    # the run's sweep keeps a u_5.fld triple, so the loader must skip it too
+    traj = small_run(tmp_path, t_end=0.5, snapshot_every=0.25)
+    assert len(traj) == 3
+    for name, phi in zip("uvw", traj.load(2)):
+        G.write_field(tmp_path / "run" / f"{name}_5.fld", phi, traj.grid, 9.0)
+    again = W.load_trajectory(tmp_path / "run")
+    assert again.times == traj.times
 
 
 def test_rerun_into_one_directory_replaces_the_snapshots(tmp_path):
