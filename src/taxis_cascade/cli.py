@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for `run`, all pass/fail monitors green),
 1 validation or gate failure, 2 runtime abort with partial outputs.  An
 input error raised anywhere below `main` is reported there, on one
-``error:`` line.
+``error:`` line; so is a study (`mms`, `sweep-epsilon`) whose run aborted,
+on one ``aborted:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from taxis_cascade import grid as gridmod
 from taxis_cascade import kinetics as kin
 from taxis_cascade import solver, weakform
 from taxis_cascade.config import Config, format_config, load_config
-from taxis_cascade.errors import DomainError, StructuralError
+from taxis_cascade.errors import DomainError, StructuralError, StudyAbortError
 from taxis_cascade.presets import preset, preset_names
 
 EXIT_OK = 0
@@ -191,7 +192,7 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
         result = solver.run(setup)
         wall = time.perf_counter() - t0
         if not result.completed:
-            raise RuntimeError(f"mms level {nx} aborted: {result.failure}")
+            raise StudyAbortError(f"mms level {nx}: {result.failure}")
         g = setup.grid
         exact = setup.params.mms.fields(g, result.final_state.t)
         errors = {}
@@ -295,7 +296,7 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
             setup = mcfg.build_setup()
             result = solver.run(setup)
             if not result.completed:
-                raise RuntimeError(f"sweep member eps={eps} aborted: {result.failure}")
+                raise StudyAbortError(f"sweep member eps={eps}: {result.failure}")
             run_dirs.append(Path(mcfg.out_dir))
         diffs = []
         for a, b in zip(run_dirs, run_dirs[1:]):
@@ -427,6 +428,9 @@ def main(argv=None) -> int:
     except (StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except StudyAbortError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORT
 
 
 if __name__ == "__main__":

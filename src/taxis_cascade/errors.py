@@ -27,3 +27,7 @@ class LinearSolveError(RuntimeError):
 
 class BlowUpError(RuntimeError):
     """Watchdog: a field left the trusted range (NaN/Inf or > 1e8)."""
+
+
+class StudyAbortError(RuntimeError):
+    """A run inside a study (an mms level, a sweep member) aborted."""

@@ -404,89 +404,62 @@ class MmsComponent:
         if self.cos_rate < 0 or self.flat_rate < 0:
             raise StructuralError("manufactured decay rates must be nonnegative")
 
+    def amplitudes(self, t: float) -> tuple[float, float, float, float]:
+        """(A, B, dA/dt, dB/dt): the component is base + A C + B with C the cosine mode."""
+        a = math.exp(-self.cos_rate * t) * self.cos_amp
+        b = math.exp(-self.flat_rate * t) * self.flat_amp
+        return a, b, -self.cos_rate * a, -self.flat_rate * b
+
 
 @lru_cache(maxsize=16)
-def _mms_trig(g: gridmod.Grid):
-    """Cached first-cosine-mode arrays of the manufactured family on g."""
+def _cosine_mode(g: gridmod.Grid):
+    """(C, k^2, |grad C|^2) on g for C = cos(pi x/Lx) cos(pi y/Ly); lap C = -k^2 C."""
     kx = math.pi / g.Lx
     ky = math.pi / g.Ly
     X, Y = g.cell_centers()
-    bundle = {
-        "kx": kx, "ky": ky,
-        "coscos": np.cos(kx * X) * np.cos(ky * Y),
-        "sincos": np.sin(kx * X) * np.cos(ky * Y),
-        "cossin": np.cos(kx * X) * np.sin(ky * Y),
-    }
-    for v in bundle.values():
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
-    return bundle
-
-
-class _MmsFields:
-    """Closed-form value and derivatives of one component at one time.
-
-    Each method builds its array when called, so a caller holds only the
-    fields it is using: ``sources`` needs all fifteen, but not at once.
-    """
-
-    def __init__(self, comp: MmsComponent, g: gridmod.Grid, t: float):
-        self.trig = _mms_trig(g)
-        self.comp = comp
-        self.ec = math.exp(-comp.cos_rate * t) * comp.cos_amp
-        self.ef = math.exp(-comp.flat_rate * t) * comp.flat_amp
-
-    def value(self) -> np.ndarray:
-        return self.comp.base + self.ec * self.trig["coscos"] + self.ef
-
-    def ddt(self) -> np.ndarray:
-        return (-self.comp.cos_rate * self.ec * self.trig["coscos"]
-                - self.comp.flat_rate * self.ef)
-
-    def lap(self) -> np.ndarray:
-        kx, ky = self.trig["kx"], self.trig["ky"]
-        return -(kx**2 + ky**2) * self.ec * self.trig["coscos"]
-
-    def gx(self) -> np.ndarray:
-        return -self.ec * self.trig["kx"] * self.trig["sincos"]
-
-    def gy(self) -> np.ndarray:
-        return -self.ec * self.trig["ky"] * self.trig["cossin"]
+    cos_x, cos_y = np.cos(kx * X), np.cos(ky * Y)
+    mode = cos_x * cos_y
+    grad_sq = (kx * np.sin(kx * X) * cos_y) ** 2 + (ky * cos_x * np.sin(ky * Y)) ** 2
+    mode.setflags(write=False)
+    grad_sq.setflags(write=False)
+    return mode, kx**2 + ky**2, grad_sq
 
 
 @dataclass(frozen=True)
 class MmsSpec:
-    """Cosine-based manufactured triple with zero normal derivative on the boundary."""
+    """Manufactured triple on one cosine mode C, with zero normal derivative on the boundary.
+
+    Every term of the system is a scalar times C, |grad C|^2 or a field, so
+    the sources are closed-form expressions in the amplitudes of the three
+    components: with c = base + A C + B, c_t - lap c = (A' + k^2 A) C + B'
+    and div(c grad p) = A_c A_p |grad C|^2 - k^2 A_p c C.
+    """
 
     u: MmsComponent
     v: MmsComponent
     w: MmsComponent
 
     def fields(self, g: gridmod.Grid, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (_MmsFields(self.u, g, t).value(),
-                _MmsFields(self.v, g, t).value(),
-                _MmsFields(self.w, g, t).value())
-
-    def state(self, g: gridmod.Grid, t: float = 0.0) -> State:
-        u, v, w = self.fields(g, t)
-        return State(u, v, w, t=t)
+        mode = _cosine_mode(g)[0]
+        out = []
+        for comp in (self.u, self.v, self.w):
+            a, b, _, _ = comp.amplitudes(t)
+            out.append(comp.base + a * mode + b)
+        return tuple(out)
 
     def sources(self, params: ModelParams, g: gridmod.Grid, t: float):
         """Residual sources making the triple an exact solution of the system."""
-        fu = _MmsFields(self.u, g, t)
-        fv = _MmsFields(self.v, g, t)
-        fw = _MmsFields(self.w, g, t)
+        mode, k2, grad_sq = _cosine_mode(g)
+        a_u, _, da_u, db_u = self.u.amplitudes(t)
+        a_v, _, da_v, db_v = self.v.amplitudes(t)
+        a_w, _, da_w, db_w = self.w.amplitudes(t)
         ks = params.kinetics
-        u, v = fu.value(), fv.value()
-        # div(c grad p) = grad c . grad p + c lap p, all in closed form
-        s_u = (fu.ddt() - fu.lap()
-               + (fu.gx() * fw.gx() + fu.gy() * fw.gy() + u * fw.lap())
-               - ks.law_f(u))
-        s_v = (fv.ddt() - fv.lap()
-               + (fv.gx() * fu.gx() + fv.gy() * fu.gy() + v * fu.lap())
-               - ks.law_g(v))
-        w = fw.value()
-        s_w = (fw.ddt() - fw.lap()
+        u, v, w = self.fields(g, t)
+        s_u = ((da_u + k2 * a_u) * mode + db_u + (a_u * a_w) * grad_sq
+               - (k2 * a_w) * u * mode - ks.law_f(u))
+        s_v = ((da_v + k2 * a_v) * mode + db_v + (a_v * a_u) * grad_sq
+               - (k2 * a_u) * v * mode - ks.law_g(v))
+        s_w = ((da_w + k2 * a_w) * mode + db_w
                + consumption_term(u, v, w, params.epsilon)
                + params.mu * w
                - params.resupply.field(g, t))
@@ -547,14 +520,20 @@ class RunResult:
     report: mon.MonitorReport
     consts: mon.BoundConstants
     final_state: State
-    completed: bool
     failure: str = ""
     decay: mon.DecayDetection | None = None
     regularity: mon.RegularityReport | None = None
     step_checks: dict = field(default_factory=dict)
     w_iterations: int = 0
-    steps: int = 0
     wall_time: float = 0.0
+
+    @property
+    def completed(self) -> bool:
+        return not self.failure
+
+    @property
+    def steps(self) -> int:
+        return self.final_state.step_index
 
     @property
     def total_clamps(self) -> int:
@@ -671,7 +650,6 @@ def run(setup: RunSetup) -> RunResult:
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
     cum_log_grad = 0.0
     scratch = np.empty(g.shape)  # the recorder's u^alpha, v^beta and |g(v)|
-    completed = True
     failure = ""
     w_iterations = 0
     try:
@@ -751,14 +729,13 @@ def run(setup: RunSetup) -> RunResult:
             r_prev, r_now = r_now, params.resupply.linf(t_new)
             wbar = mon.supersolution_step(wbar, params.mu, r_prev, r_now, dt)
     except (PositivityError, LinearSolveError, BlowUpError) as exc:
-        completed = False
         failure = f"{type(exc).__name__}: {exc}"
 
     series_np = {k: np.asarray(v, dtype=float) for k, v in series.items()}
 
     decay = None
     regularity = None
-    if completed and checks_active:
+    if not failure and checks_active:
         decay = mon.detect_w_decay(series_np["t"], series_np["linf_w"],
                                    series_np["mass_w"], series_np["int_consumption"],
                                    setup.monitor_delta)
@@ -775,9 +752,8 @@ def run(setup: RunSetup) -> RunResult:
 
     result = RunResult(
         setup=setup, series=series_np, report=report, consts=consts,
-        final_state=state, completed=completed, failure=failure, decay=decay,
+        final_state=state, failure=failure, decay=decay,
         regularity=regularity, step_checks=step_checks, w_iterations=w_iterations,
-        steps=state.step_index,
         wall_time=time.perf_counter() - t0)
     if out_dir is not None:
         _write_outputs(result, out_dir)

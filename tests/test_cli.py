@@ -313,3 +313,33 @@ def test_watchdog_exit_code(tmp_path):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "failed" in manifest
     assert (tmp_path / "out" / "timeseries.csv").exists()  # partial outputs
+
+
+def test_aborted_mms_study_exits_two_with_one_aborted_line(capsys):
+    # dt = 100 h^2 drives u negative on the first step
+    with pytest.warns(RuntimeWarning, match="fixed_dt"):
+        code = cli.main(["mms", "--levels", "16", "--dt-coeff", "100", "--t-end", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: mms level 16: PositivityError: ")
+    assert err.count("\n") == 1
+
+
+def test_aborted_sweep_member_exits_two_with_one_aborted_line(tmp_path, monkeypatch,
+                                                              capsys):
+    real_run = S.run
+
+    def second_member_fails(setup):
+        result = real_run(setup)
+        if setup.params.epsilon == 1e-2:
+            result = replace(result, failure="BlowUpError: u left the trusted range")
+        return result
+
+    monkeypatch.setattr(S, "run", second_member_fails)
+    p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.2, snapshot_every=0.1))
+    code = cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2",
+                     "--out", str(tmp_path / "sweep")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "eps_hi,eps_lo" not in out
+    assert err == "aborted: sweep member eps=0.01: BlowUpError: u left the trusted range\n"

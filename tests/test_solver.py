@@ -89,7 +89,7 @@ def test_step_matches_dense_oracle_with_sources():
     g = G.Grid(8, 8)
     mms = S.shipped_mms()
     params = replace(make_params(mu=0.3), mms=mms)
-    st = mms.state(g, 0.0)
+    st = S.State(*mms.fields(g, 0.0))
     dt = 1e-3
     new, _ = S.step(st, params, dt, g, S.StepControl(lin_tol=1e-13))
     u1, v1, w1 = dense_step(st, params, dt, g)
@@ -205,7 +205,7 @@ def test_manufactured_w_solve_takes_no_iteration():
     # the start P^-1(c b / diag) already meets lin_tol on the smooth
     # manufactured state, where P^-1 b needed 3 iterations
     setup = cli.mms_config(32).build_setup()
-    st = setup.params.mms.state(setup.grid)
+    st = S.State(*setup.params.mms.fields(setup.grid, 0.0))
     for _ in range(5):
         st, stats = S.step(st, setup.params, setup.fixed_dt, setup.grid,
                            setup.control)
@@ -367,11 +367,11 @@ def test_step_builds_one_spectral_operator_for_its_three_solves(monkeypatch, n):
 
 
 def test_mms_sources_build_their_fields_one_at_a_time():
-    # fifteen closed-form fields go into the three sources; holding them all
-    # at once peaked at 21 field-sizes
+    # each source is one expression in the three fields and the cached cosine
+    # mode; building them peaks at about 9 field-sizes and keeps only the 3
     setup, st = thm1_core_start(64)
     mms = S.shipped_mms()
-    mms.sources(setup.params, setup.grid, 0.0)  # warm the trig cache
+    mms.sources(setup.params, setup.grid, 0.0)  # warm the cosine-mode cache
     field = st.u.nbytes
     tracemalloc.start()
     try:
@@ -390,7 +390,7 @@ def test_step_outputs_are_fresh_and_inputs_untouched(manufactured):
     setup, st = thm1_core_start(24)
     mms = S.shipped_mms() if manufactured else None
     if manufactured:
-        st = mms.state(setup.grid)
+        st = S.State(*mms.fields(setup.grid, 0.0))
         sources_before = mms.sources(setup.params, setup.grid, 2e-3)
     args = (replace(setup.params, mms=mms), 1e-3, setup.grid, setup.control)
     st_before = st.copy()
@@ -414,7 +414,7 @@ def test_step_with_the_callers_laws_is_bitwise_step(manufactured):
     setup, st = thm1_core_start(24)
     mms = S.shipped_mms() if manufactured else None
     if manufactured:
-        st = mms.state(setup.grid)
+        st = S.State(*mms.fields(setup.grid, 0.0))
     ks = setup.params.kinetics
     args = (st, replace(setup.params, mms=mms), 1e-3, setup.grid, setup.control)
     plain, _ = S.step(*args)
@@ -641,12 +641,36 @@ def test_homogeneous_reduction_against_ode_oracle():
 # --- manufactured sources against a symbolic oracle ------------------------
 
 
-def test_mms_sources_match_sympy():
-    x, y, t = sp.symbols("x y t", real=True)
-    u = 2 + sp.cos(sp.pi * x) * sp.cos(sp.pi * y) * sp.exp(-t)
-    v = 1 + sp.Rational(1, 2) * sp.exp(-t)
-    w = sp.Rational(3, 10) + sp.Rational(1, 5) * sp.exp(-t)
-    mu = sp.Rational(3, 10)
+_x, _y, _t = sp.symbols("x y t", real=True)
+# (label, sympy u, v, w, the same triple as an MmsSpec, grid, mu, epsilon, r)
+MMS_ORACLE_CASES = [
+    # the shipped triple: only u has a cosine part, eps = r = 0
+    ("shipped",
+     2 + sp.cos(sp.pi * _x) * sp.cos(sp.pi * _y) * sp.exp(-_t),
+     1 + sp.Rational(1, 2) * sp.exp(-_t),
+     sp.Rational(3, 10) + sp.Rational(1, 5) * sp.exp(-_t),
+     S.shipped_mms(), G.Grid(16, 16), 0.3, 0.0, 0.0),
+    # a cosine part in every component on [0, 2] x [0, 1], so the products
+    # of two cosine amplitudes, eps and r all enter the sources
+    ("all-cosine",
+     2 + sp.Rational(7, 10) * sp.cos(sp.pi * _x / 2) * sp.cos(sp.pi * _y)
+     * sp.exp(-sp.Rational(13, 10) * _t) + sp.Rational(2, 5) * sp.exp(-_t / 2),
+     1 + sp.Rational(3, 10) * sp.cos(sp.pi * _x / 2) * sp.cos(sp.pi * _y)
+     * sp.exp(-sp.Rational(4, 5) * _t) + sp.Rational(1, 2) * sp.exp(-_t),
+     sp.Rational(1, 2) + sp.Rational(1, 5) * sp.cos(sp.pi * _x / 2) * sp.cos(sp.pi * _y)
+     * sp.exp(-2 * _t) + sp.Rational(1, 5) * sp.exp(-sp.Rational(7, 10) * _t),
+     S.MmsSpec(u=S.MmsComponent(2.0, 0.7, 1.3, 0.4, 0.5),
+               v=S.MmsComponent(1.0, 0.3, 0.8, 0.5, 1.0),
+               w=S.MmsComponent(0.5, 0.2, 2.0, 0.2, 0.7)),
+     G.Grid(24, 12, 2.0, 1.0), 0.3, 0.1, 0.2),
+]
+
+
+@pytest.mark.parametrize("case", MMS_ORACLE_CASES, ids=[c[0] for c in MMS_ORACLE_CASES])
+def test_mms_sources_match_sympy(case):
+    _, u, v, w, mms, grid, mu_f, eps_f, r_f = case
+    x, y, t = _x, _y, _t
+    mu, eps, r = (sp.nsimplify(c) for c in (mu_f, eps_f, r_f))
     f = lambda s: 1 - s**3
     g_law = lambda s: 1 - s**3
 
@@ -659,14 +683,13 @@ def test_mms_sources_match_sympy():
     s_v = (sp.diff(v, t) - lap(v)
            + sp.diff(v * sp.diff(u, x), x) + sp.diff(v * sp.diff(u, y), y)
            - g_law(v))
-    s_w = sp.diff(w, t) - lap(w) + (u + v) * w + mu * w  # eps = 0, r = 0
-    fn_u = sp.lambdify((x, y, t), sp.simplify(s_u), "numpy")
-    fn_v = sp.lambdify((x, y, t), sp.simplify(s_v), "numpy")
-    fn_w = sp.lambdify((x, y, t), sp.simplify(s_w), "numpy")
+    s_w = (sp.diff(w, t) - lap(w) + (u + v) * w / (1 + eps * (u + v) * w)
+           + mu * w - r)
+    fn_u = sp.lambdify((x, y, t), s_u, "numpy")
+    fn_v = sp.lambdify((x, y, t), s_v, "numpy")
+    fn_w = sp.lambdify((x, y, t), s_w, "numpy")
 
-    grid = G.Grid(16, 16)
-    mms = S.shipped_mms()
-    params = make_params(mu=0.3)
+    params = make_params(mu=mu_f, epsilon=eps_f, amplitude=r_f)
     rng = np.random.default_rng(31)
     for tv in (0.0, 0.37, 1.21):
         got_u, got_v, got_w = mms.sources(params, grid, tv)
