@@ -333,19 +333,8 @@ class ResupplySpec:
             return math.exp(-self.decay_lambda * t)
         return 1.0
 
-    def _unit_profile(self, x, y):
-        """The spatial profile at unit amplitude: ones, or the Gaussian bump."""
-        if self.profile == "constant":
-            return np.ones_like(np.asarray(x, dtype=float))
-        cx, cy = self.center
-        rr = (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
-        return np.exp(-rr / (2.0 * self.width**2))
-
-    def eval(self, x, y, t: float):
-        return self.amplitude * self.factor(t) * self._unit_profile(x, y)
-
     def field(self, g: gridmod.Grid, t: float) -> np.ndarray:
-        """r at the cell centres of g: eval's product on the cached profile."""
+        """r at the cell centres of g: amplitude * factor(t) * cached profile."""
         return self.amplitude * self.factor(t) * _profile_on(self, g)
 
     def linf(self, t: float) -> float:
@@ -355,8 +344,13 @@ class ResupplySpec:
 
 @lru_cache(maxsize=16)
 def _profile_on(spec: ResupplySpec, g: gridmod.Grid) -> np.ndarray:
-    """Cached read-only unit resupply profile at the cell centres of g."""
-    profile = spec._unit_profile(*g.cell_centers())
+    """Cached read-only unit profile (ones or the Gaussian bump) at g's cells."""
+    X, Y = g.cell_centers()
+    if spec.profile == "constant":
+        profile = np.ones_like(X)
+    else:
+        cx, cy = spec.center
+        profile = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * spec.width**2))
     profile.setflags(write=False)
     return profile
 

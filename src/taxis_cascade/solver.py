@@ -94,9 +94,6 @@ class State:
     t: float = 0.0
     step_index: int = 0
 
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.w.copy(), self.t, self.step_index)
-
 
 @dataclass(frozen=True)
 class StepControl:

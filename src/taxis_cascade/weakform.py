@@ -7,6 +7,11 @@ functions: midpoint in space on the cell centers, trapezoid in time on the
 snapshot times, field gradients by face differences, test-function
 derivatives in closed form.
 
+Each test function is a spatial factor times a temporal factor, and each
+factor is one call that returns its value with its derivatives: a spatial
+factor ``spatial(x, y)`` gives (phi, d_x phi, d_y phi), a temporal factor
+``temporal(t)`` gives (phi, phi_t) and states its ``support``.
+
 A finite basis can falsify the inequalities but never certify them; the
 five shipped functions are chosen to exercise every term, including the
 initial-trace contributions.
@@ -31,39 +36,27 @@ MASS_TOL = 1e-3
 
 
 def _bump(z):
-    """exp(1 - 1/(1 - z^2)) inside |z| < 1, zero outside; C-infinity."""
+    """exp(1 - 1/(1 - z^2)) inside |z| < 1, else 0 (C-infinity), and its slope."""
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
+    value = np.zeros_like(z)
+    slope = np.zeros_like(z)
     inside = np.abs(z) < 1.0
     zi = z[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - zi**2))
-    return out
-
-
-def _bump_dz(z):
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - zi**2)) * (-2.0 * zi / (1.0 - zi**2) ** 2)
-    return out
+    value[inside] = np.exp(1.0 - 1.0 / (1.0 - zi**2))
+    slope[inside] = value[inside] * (-2.0 * zi / (1.0 - zi**2) ** 2)
+    return value, slope
 
 
 def _mollifier_piece(z):
-    """exp(-1/z) for z > 0 else 0; building block of the smooth step."""
+    """exp(-1/z) for z > 0 else 0, and its slope; building block of the step."""
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
+    value = np.zeros_like(z)
+    slope = np.zeros_like(z)
     pos = z > 0.0
-    out[pos] = np.exp(-1.0 / z[pos])
-    return out
-
-
-def _mollifier_piece_dz(z):
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    out[pos] = np.exp(-1.0 / z[pos]) / z[pos] ** 2
-    return out
+    zp = z[pos]
+    value[pos] = np.exp(-1.0 / zp)
+    slope[pos] = value[pos] / zp**2
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -74,28 +67,21 @@ class SpatialBump:
     cy: float
     r: float
 
-    def value(self, x, y):
-        rho = np.sqrt((np.asarray(x) - self.cx) ** 2 + (np.asarray(y) - self.cy) ** 2) / self.r
-        return _bump(rho)
-
-    def grad(self, x, y):
+    def __call__(self, x, y):
         dx = np.asarray(x, dtype=float) - self.cx
         dy = np.asarray(y, dtype=float) - self.cy
         rho = np.sqrt(dx**2 + dy**2) / self.r
-        d = _bump_dz(rho)
+        value, slope = _bump(rho)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(rho > 0.0, d / (rho * self.r**2), 0.0)
-        return scale * dx, scale * dy
+            scale = np.where(rho > 0.0, slope / (rho * self.r**2), 0.0)
+        return value, scale * dx, scale * dy
 
 
 @dataclass(frozen=True)
 class SpatialConstant:
-    def value(self, x, y):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def grad(self, x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return z, z.copy()
+    def __call__(self, x, y):
+        one = np.ones_like(np.asarray(x, dtype=float))
+        return one, np.zeros_like(one), np.zeros_like(one)
 
 
 @dataclass(frozen=True)
@@ -109,18 +95,10 @@ class TemporalBump:
     def support(self) -> tuple[float, float]:
         return (self.t0, self.t1)
 
-    def _map(self, t):
-        mid = 0.5 * (self.t0 + self.t1)
+    def __call__(self, t):
         half = 0.5 * (self.t1 - self.t0)
-        return (np.asarray(t, dtype=float) - mid) / half, half
-
-    def value(self, t):
-        z, _ = self._map(t)
-        return _bump(z)
-
-    def dvalue(self, t):
-        z, half = self._map(t)
-        return _bump_dz(z) / half
+        value, slope = _bump((np.asarray(t, dtype=float) - 0.5 * (self.t0 + self.t1)) / half)
+        return value, slope / half
 
 
 @dataclass(frozen=True)
@@ -140,25 +118,21 @@ class TemporalPlateau:
     def support(self) -> tuple[float, float]:
         return (0.0, self.b)
 
-    def _pieces(self, t):
+    def __call__(self, t):
         z = (np.asarray(t, dtype=float) - self.a) / (self.b - self.a)
-        return z, _mollifier_piece(z), _mollifier_piece(1.0 - z)
-
-    def value(self, t):
-        _, p, q = self._pieces(t)
-        return q / (p + q)
-
-    def dvalue(self, t):
-        z, p, q = self._pieces(t)
-        dp = _mollifier_piece_dz(z)
-        dq = -_mollifier_piece_dz(1.0 - z)
-        return (dq * p - q * dp) / (p + q) ** 2 / (self.b - self.a)
+        p, dp = _mollifier_piece(z)
+        q, dq = _mollifier_piece(1.0 - z)
+        return q / (p + q), (-dq * p - q * dp) / (p + q) ** 2 / (self.b - self.a)
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function with closed-form derivatives; the
-    temporal factor's ``support`` is the (lo, hi) outside which it vanishes."""
+    """Separable space-time test function with closed-form derivatives.
+
+    ``spatial(x, y)`` returns (phi, d_x phi, d_y phi) and ``temporal(t)``
+    returns (phi, phi_t); the temporal factor's ``support`` is the (lo, hi)
+    outside which it vanishes.
+    """
 
     name: str
     spatial: object
@@ -303,9 +277,9 @@ def _walk(traj: TrajectoryHandle, fn: TestFunction):
     """
     weights = time_weights(traj.times)
     for i, t in enumerate(traj.times):
-        tf = float(fn.temporal.value(t))
+        tf, tdf = fn.temporal(t)
         if tf != 0.0:
-            yield weights[i], t, tf, float(fn.temporal.dvalue(t)), traj.load(i)
+            yield weights[i], t, float(tf), float(tdf), traj.load(i)
 
 
 def _with_source(traj: TrajectoryHandle, t: float, x, k: int):
@@ -334,13 +308,11 @@ class _Samples:
         X, Y = g.cell_centers()
         # (x, y) of the x-face and of the y-face midpoints between adjacent centers
         xface, yface = zip(_face_mean(X), _face_mean(Y))
-        self.cells = fn.spatial.value(X, Y)
-        self.gx_on_xfaces = fn.spatial.grad(*xface)[0]
-        self.gy_on_yfaces = fn.spatial.grad(*yface)[1]
-        self.on_xfaces = fn.spatial.value(*xface)
-        self.on_yfaces = fn.spatial.value(*yface)
+        self.cells = fn.spatial(X, Y)[0]
+        self.on_xfaces, self.gx_on_xfaces, _ = fn.spatial(*xface)
+        self.on_yfaces, _, self.gy_on_yfaces = fn.spatial(*yface)
         self.vol = g.cell_volume
-        self.tf0 = float(fn.temporal.value(traj.times[0]))
+        self.tf0 = float(fn.temporal(traj.times[0])[0])
 
     def initial_trace(self, phi0) -> float:
         """int phi0 * phi(., t_0) over the domain."""

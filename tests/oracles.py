@@ -5,6 +5,8 @@ faces, dense matrices, direct elimination.  None of it calls back into the
 vectorized production kernels.
 """
 
+import math
+
 import numpy as np
 
 
@@ -135,3 +137,18 @@ def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series):
     signed = mass_v_series[-1] - mass_v_series[0] - growth
     scale = max(int_abs_g_series) * max(times[-1] - times[0], 1.0)
     return signed, abs(signed) / max(scale, 1e-300)
+
+
+def resupply_reference(spec, x, y, t):
+    """r(x, y, t) from the spec's fields: amplitude, then the temporal factor
+    (exp(-lambda t), or 1 without decay), then the unit profile (ones, or the
+    Gaussian bump)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    factor = math.exp(-spec.decay_lambda * t) if spec.decay_lambda > 0 else 1.0
+    if spec.profile == "constant":
+        profile = np.ones_like(x)
+    else:
+        cx, cy = spec.center
+        profile = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * spec.width**2))
+    return spec.amplitude * factor * profile

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from oracles import resupply_reference
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
@@ -183,12 +184,12 @@ def test_gate_knife_edge_flag():
 
 def test_resupply_eval_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
-    assert float(r.eval(0.3, 0.9, 5.0)) == pytest.approx(0.2)
+    assert float(resupply_reference(r, 0.3, 0.9, 5.0)) == pytest.approx(0.2)
     assert r.r_star == 0.2 and r.r_double_star == math.inf
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
                           width=0.1, decay_lambda=1.0)
-    assert float(bump.eval(0.5, 0.5, 0.0)) == pytest.approx(1.0)
+    assert float(resupply_reference(bump, 0.5, 0.5, 0.0)) == pytest.approx(1.0)
     assert bump.r_double_star == pytest.approx(1.0)
 
     decaying = K.ResupplySpec(profile="constant", amplitude=1.0, decay_lambda=2.0)
@@ -199,7 +200,7 @@ def test_resupply_eval_and_stars():
     assert quad == pytest.approx(decaying.r_double_star, rel=1e-6)
 
     with pytest.raises(DomainError):
-        r.eval(0.1, 0.1, -0.5)
+        r.linf(-0.5)
     with pytest.raises(DomainError):
         K.ResupplySpec(amplitude=-1.0)
     with pytest.raises(StructuralError):
@@ -216,7 +217,7 @@ def test_resupply_field_is_eval_on_the_cell_centres(profile, decay_lambda):
     for t in (0.0, 0.37, 2.5):
         field = r.field(g, t)
         assert field.flags.writeable  # a new array, not the cached profile
-        assert field.tobytes() == np.asarray(r.eval(X, Y, t), dtype=float).tobytes()
+        assert field.tobytes() == resupply_reference(r, X, Y, t).tobytes()
 
 
 def test_initial_data_validation():

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -20,35 +21,47 @@ from taxis_cascade.errors import DomainError, StructuralError
 
 def test_spatial_bump_shape_and_gradient():
     b = W.SpatialBump(0.5, 0.5, 0.3)
-    assert float(b.value(0.5, 0.5)) == pytest.approx(1.0)
-    assert float(b.value(0.81, 0.5)) == 0.0  # outside support
-    assert float(b.value(0.8, 0.5)) == 0.0   # boundary of support
+    assert float(b(0.5, 0.5)[0]) == pytest.approx(1.0)
+    assert float(b(0.81, 0.5)[0]) == 0.0  # outside support
+    assert float(b(0.8, 0.5)[0]) == 0.0   # boundary of support
     # finite-difference check of the closed-form gradient
     h = 1e-7
     for x, y in ((0.55, 0.48), (0.4, 0.62), (0.65, 0.65)):
-        gx, gy = b.grad(x, y)
-        fdx = (float(b.value(x + h, y)) - float(b.value(x - h, y))) / (2 * h)
-        fdy = (float(b.value(x, y + h)) - float(b.value(x, y - h))) / (2 * h)
+        _, gx, gy = b(x, y)
+        fdx = (float(b(x + h, y)[0]) - float(b(x - h, y)[0])) / (2 * h)
+        fdy = (float(b(x, y + h)[0]) - float(b(x, y - h)[0])) / (2 * h)
         assert float(gx) == pytest.approx(fdx, abs=1e-5)
         assert float(gy) == pytest.approx(fdy, abs=1e-5)
-    assert np.all(b.value(np.linspace(0, 1, 50), 0.5) >= 0.0)
+    assert np.all(b(np.linspace(0, 1, 50), 0.5)[0] >= 0.0)
+
+
+def test_spatial_factors_at_the_bump_centre_and_constant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, gx, gy = W.SpatialBump(0.5, 0.5, 0.3)(0.5, 0.5)
+    assert (float(value), float(gx), float(gy)) == (1.0, 0.0, 0.0)
+    X, Y = G.Grid(6, 4).cell_centers()
+    one, zx, zy = W.SpatialConstant()(X, Y)
+    assert np.all(one == 1.0)
+    for z in (zx, zy):
+        assert z.shape == X.shape and np.all(z == 0.0)
 
 
 def test_temporal_bump_and_plateau_derivatives():
     tb = W.TemporalBump(0.2, 0.8)
     tp = W.TemporalPlateau(0.3, 0.9)
-    assert float(tp.value(0.0)) == 1.0
-    assert float(tp.value(0.29)) == 1.0
-    assert float(tp.value(0.95)) == 0.0
+    assert float(tp(0.0)[0]) == 1.0
+    assert float(tp(0.29)[0]) == 1.0
+    assert float(tp(0.95)[0]) == 0.0
     h = 1e-7
     for t in (0.35, 0.5, 0.7, 0.85):
         for fac in (tb, tp):
-            fd = (float(fac.value(t + h)) - float(fac.value(t - h))) / (2 * h)
-            assert float(fac.dvalue(t)) == pytest.approx(fd, abs=1e-5)
-    assert float(tb.value(0.2)) == 0.0 and float(tb.value(0.8)) == 0.0
-    assert float(tp.value(0.3)) == 1.0 and float(tp.value(0.9)) == 0.0
+            fd = (float(fac(t + h)[0]) - float(fac(t - h)[0])) / (2 * h)
+            assert float(fac(t)[1]) == pytest.approx(fd, abs=1e-5)
+    assert float(tb(0.2)[0]) == 0.0 and float(tb(0.8)[0]) == 0.0
+    assert float(tp(0.3)[0]) == 1.0 and float(tp(0.9)[0]) == 0.0
     outside = np.array([0.0, 0.1, 0.3, 0.9, 1.5])
-    assert np.all(tp.dvalue(outside) == 0.0)
+    assert np.all(tp(outside)[1] == 0.0)
 
 
 def test_default_basis_is_admissible():
@@ -57,7 +70,7 @@ def test_default_basis_is_admissible():
     xs = np.linspace(0, 1, 31)
     X, Y = np.meshgrid(xs, xs)
     for fn in basis:
-        assert np.all(fn.spatial.value(X, Y) >= 0.0)
+        assert np.all(fn.spatial(X, Y)[0] >= 0.0)
 
 
 # --- trajectories ------------------------------------------------------------
@@ -120,11 +133,9 @@ class _Ramp:
         self.support = (0.0, T)
         self.T = T
 
-    def value(self, t):
-        return np.clip(1.0 - np.asarray(t, dtype=float) / self.T, 0.0, None)
-
-    def dvalue(self, t):
-        return np.where(np.asarray(t, dtype=float) < self.T, -1.0 / self.T, 0.0)
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.clip(1.0 - t / self.T, 0.0, None), np.where(t < self.T, -1.0 / self.T, 0.0)
 
 
 def test_custom_time_factor_states_its_own_support(tmp_path):
@@ -146,8 +157,9 @@ def test_defect_v_rejects_negative_psi(tmp_path):
     traj = small_run(tmp_path, t_end=0.2)
 
     class NegativeSpatial(W.SpatialConstant):
-        def value(self, x, y):
-            return -np.ones_like(np.asarray(x, dtype=float))
+        def __call__(self, x, y):
+            one, zx, zy = super().__call__(x, y)
+            return -one, zx, zy
 
     fn = W.TestFunction("neg", NegativeSpatial(), W.TemporalBump(0.05, 0.15))
     with pytest.raises(DomainError):
@@ -160,13 +172,9 @@ class _LinComb:
     def __init__(self, a, s1, b, s2):
         self.a, self.s1, self.b, self.s2 = a, s1, b, s2
 
-    def value(self, x, y):
-        return self.a * self.s1.value(x, y) + self.b * self.s2.value(x, y)
-
-    def grad(self, x, y):
-        g1x, g1y = self.s1.grad(x, y)
-        g2x, g2y = self.s2.grad(x, y)
-        return self.a * g1x + self.b * g2x, self.a * g1y + self.b * g2y
+    def __call__(self, x, y):
+        return tuple(self.a * f1 + self.b * f2
+                     for f1, f2 in zip(self.s1(x, y), self.s2(x, y)))
 
 
 def test_residual_linearity(tmp_path):
