@@ -58,32 +58,22 @@ def _print_gate(name, gate):
         print(f"  {check:24s} {'ok' if ok else 'violated':8s} margin={margin:.6g}{flag}{edge}")
 
 
-def _validate(cfg: Config, force: bool) -> "solver.RunSetup | None":
-    """The run's setup, or None once an envelope or gate rejection is printed."""
-    setup = cfg.build_setup()
-    ks = setup.params.kinetics
-    env = kin.validate_envelope(ks)
-    if not env.holds:
-        print(f"error: growth envelope violated "
-              f"({env.worst_check} at s={env.worst_point:.4g}, "
-              f"margin {env.worst_margin:.3e})", file=sys.stderr)
-        return None
-    gate1 = kin.global_existence_gate(ks)
-    if not gate1.passed and not force:
-        _print_gate("global-existence gate", gate1)
-        print("gate failed; use --force to integrate anyway", file=sys.stderr)
-        return None
-    return setup
-
-
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if args.t_end is not None:
         cfg = replace(cfg, t_end=args.t_end)
-    setup = _validate(cfg, args.force)
-    if setup is None:
+    setup = cfg.build_setup()
+    ks = setup.params.kinetics
+    env = kin.validate_envelope(ks)
+    if not env.holds:
+        raise DomainError(f"growth envelope violated ({env.worst_check} at "
+                          f"s={env.worst_point:.4g}, margin {env.worst_margin:.3e})")
+    gate1 = kin.global_existence_gate(ks)
+    if not gate1.passed and not args.force:
+        _print_gate("global-existence gate", gate1)
+        print("gate failed; use --force to integrate anyway", file=sys.stderr)
         return EXIT_VALIDATION
     result = solver.run(setup)
     failures = result.report.failures()

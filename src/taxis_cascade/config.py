@@ -21,7 +21,7 @@ import numpy as np
 from taxis_cascade import grid as gridmod
 from taxis_cascade import kinetics as kin
 from taxis_cascade import solver
-from taxis_cascade.errors import StructuralError
+from taxis_cascade.errors import DomainError, StructuralError
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
@@ -34,7 +34,8 @@ def _number(raw: str) -> float:
     return value
 
 
-def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
+def _parse_call(text: str, where: str, known: dict, kind: str) -> tuple[str, list[float]]:
+    """(name, arguments) of ``name(a, ...)``; ``known`` maps each name to its argument names."""
     m = _CALL_RE.match(text)
     if not m:
         raise StructuralError(f"{where}: cannot parse {text!r}")
@@ -46,7 +47,18 @@ def _parse_call(text: str, where: str) -> tuple[str, list[float]]:
                 args.append(_number(tok))
             except ValueError as exc:
                 raise StructuralError(f"{where}: bad number {tok!r} in {text!r}") from exc
+    arg_names = known.get(name)
+    if arg_names is None:
+        raise StructuralError(f"{where}: unknown {kind} {name!r}")
+    if len(args) != len(arg_names):
+        need = f"needs ({', '.join(arg_names)})" if arg_names else "takes no arguments"
+        raise StructuralError(f"{where}: {name} {need}")
     return name, args
+
+
+LAW_ARGS = {name: tuple(f.name for f in fields(cls)) for name, cls in kin.LAWS.items()}
+RECIPES = {"constant": ("value",), "gaussian": ("cx", "cy", "width", "amplitude", "floor"),
+           "random": ("lo", "hi")}
 
 
 # the kinetic constants a config may set; unset ones default from the laws
@@ -109,15 +121,8 @@ class Config:
     # -- assembly ----------------------------------------------------------
 
     def build_law(self, text: str, where: str) -> kin.GrowthLaw:
-        name, args = _parse_call(text, where)
-        cls = kin.LAWS.get(name)
-        if cls is None:
-            raise StructuralError(f"{where}: unknown growth law {name!r}")
-        arg_names = [f.name for f in fields(cls)]
-        if len(args) != len(arg_names):
-            need = f"needs ({', '.join(arg_names)})" if arg_names else "takes no arguments"
-            raise StructuralError(f"{where}: {name} {need}")
-        return cls(*args)
+        name, args = _parse_call(text, where, LAW_ARGS, "growth law")
+        return kin.LAWS[name](*args)
 
     def build_kinetics(self) -> kin.KineticSpec:
         law_f = self.build_law(self.f_law, "kinetics.f_law")
@@ -135,27 +140,20 @@ class Config:
         return gridmod.Grid(self.nx, self.ny, self.Lx, self.Ly)
 
     def _build_field(self, recipe: str, g: gridmod.Grid, rng, where: str) -> np.ndarray:
-        name, args = _parse_call(recipe, where)
-        X, Y = g.cell_centers()
+        name, args = _parse_call(recipe, where, RECIPES, "recipe")
         if name == "constant":
-            if len(args) != 1:
-                raise StructuralError(f"{where}: constant needs (value)")
             return np.full(g.shape, args[0])
         if name == "gaussian":
-            if len(args) != 5:
-                raise StructuralError(
-                    f"{where}: gaussian needs (cx, cy, width, amplitude, floor)")
             cx, cy, width, amp, floor = args
+            if not width > 0:
+                raise DomainError(f"{where}: gaussian needs positive width, got {width!r}")
+            X, Y = g.cell_centers()
             rr = (X - cx) ** 2 + (Y - cy) ** 2
             return floor + amp * np.exp(-rr / (2.0 * width**2))
-        if name == "random":
-            if len(args) != 2:
-                raise StructuralError(f"{where}: random needs (lo, hi)")
-            if rng is None:
-                raise StructuralError(f"{where}: random recipe requires [initial] seed")
-            lo, hi = args
-            return lo + (hi - lo) * rng.random(g.shape)
-        raise StructuralError(f"{where}: unknown recipe {name!r}")
+        if rng is None:
+            raise StructuralError(f"{where}: random recipe requires [initial] seed")
+        lo, hi = args
+        return lo + (hi - lo) * rng.random(g.shape)
 
     def build_initial(self, g: gridmod.Grid) -> kin.InitialData:
         mms = self.build_mms()

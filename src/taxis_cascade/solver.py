@@ -11,8 +11,9 @@ nonnegativity from the M-matrix solve whatever dt is; that solve is the only
 iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
 max_iter govern it alone.  It starts from the consumption-scaled guess
 P^-1(c b / diag), whose residual is pointwise, and meets lin_tol after 0
-to 2 iterations on the shipped problems.  Entries in [-1e-12, 0) are
-clamped to zero and counted; anything lower is a hard positivity error.
+to 2 iterations on the shipped problems.  ``_admit`` clamps entries of a new
+field in [-1e-12, 0) to zero and counts them; anything lower is a hard
+positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more: each right-hand side is built in the array that the solve then
@@ -274,27 +275,24 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
     )
 
 
-def _clamp_nonnegative(phi, name):
-    """Zero out dust in [-1e-12, 0); anything below is a positivity error."""
+def _admit(phi, name, t) -> int:
+    """Zero a new field's dust in [CLAMP_FLOOR, 0) in place and return its count;
+    lower entries (-inf too) are a positivity error, and NaN, +inf or a value
+    above BLOWUP_LIMIT is a blow-up.  Reads the field twice: min, then max."""
     fmin = float(phi.min())
-    if fmin >= 0.0:
-        return phi, 0
     if fmin < CLAMP_FLOOR:
         idx = np.unravel_index(int(np.argmin(phi)), phi.shape)
         raise PositivityError(name, tuple(int(i) for i in idx), fmin)
-    mask = phi < 0.0
-    count = int(np.count_nonzero(mask))
-    phi[mask] = 0.0
-    return phi, count
-
-
-def _watchdog(phi, name, t):
-    # max|phi| without a temporary; NaN or inf anywhere makes m non-finite
-    m = max(float(phi.max()), -float(phi.min()))
-    if not math.isfinite(m):
+    fmax = float(phi.max())
+    if not math.isfinite(fmin + fmax):
         raise BlowUpError(f"{name} lost finiteness at t={t:.6g}")
-    if m > BLOWUP_LIMIT:
-        raise BlowUpError(f"|{name}| reached {m:.3e} (> {BLOWUP_LIMIT:.0e}) at t={t:.6g}")
+    if fmax > BLOWUP_LIMIT:
+        raise BlowUpError(f"|{name}| reached {fmax:.3e} (> {BLOWUP_LIMIT:.0e}) at t={t:.6g}")
+    if fmin >= 0.0:
+        return 0
+    mask = phi < 0.0
+    phi[mask] = 0.0
+    return int(np.count_nonzero(mask))
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
@@ -328,8 +326,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u *= dt
         u_new += s_u
-    u_new, clamp_u = _clamp_nonnegative(spectral.solve(u_new, u_new), "u")
-    _watchdog(u_new, "u", t_new)
+    clamp_u = _admit(spectral.solve(u_new, u_new), "u", t_new)
 
     v_new = gridmod.taxis_divergence(state.v, u_new, g)
     np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
@@ -338,8 +335,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_v *= dt
         v_new += s_v
-    v_new, clamp_v = _clamp_nonnegative(spectral.solve(v_new, v_new), "v")
-    _watchdog(v_new, "v", t_new)
+    clamp_v = _admit(spectral.solve(v_new, v_new), "v", t_new)
 
     # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new;
     # rhs_w holds the denominator first
@@ -357,8 +353,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         s_w *= dt
         rhs_w += s_w
     w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
-    w_new, clamp_w = _clamp_nonnegative(w_new, "w")
-    _watchdog(w_new, "w", t_new)
+    clamp_w = _admit(w_new, "w", t_new)
 
     new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
     stats = StepStats(clamps=clamp_u + clamp_v + clamp_w,
@@ -674,12 +669,12 @@ def run(setup: RunSetup) -> RunResult:
                 gridmod.integrate(consumption_term(state.u, state.v, state.w,
                                                    params.epsilon), g))
             series["wbar"].append(wbar)
-            log_grad = mon.log_gradient_integrand(state.v, g)
-            if state.step_index > 0:
-                cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
-            t_prev, log_grad_prev = state.t, log_grad
 
             if checks_active:
+                log_grad = mon.log_gradient_integrand(state.v, g)
+                if state.step_index > 0:
+                    cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
+                t_prev, log_grad_prev = state.t, log_grad
                 entries = mon.check_mass(state.t, series["mass_u"][-1],
                                          series["mass_v"][-1], consts, dt)
                 entries += mon.check_w_supersolution(

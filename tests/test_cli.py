@@ -147,6 +147,9 @@ RUN_REJECTS_INI = {
     "negative-delta": "[monitors]\ndelta = -1\n",
     "mms-and-initial": "[mms]\nu = 2 1 1 0 0\nv = 1 0 0 0.5 1\nw = 0.3 0 0 0.2 1\n"
                        "[initial]\nu = gaussian(0.4, 0.4, 0.18, 0.7, 0.3)\n",
+    "zero-width-gaussian": "[initial]\nu = gaussian(0.5, 0.5, 0.0, 1.0, 0.2)\n",
+    "negative-width-gaussian": "[initial]\nu = gaussian(0.5, 0.5, -0.1, 1.0, 0.2)\n",
+    "envelope-violated": "[kinetics]\nK_f = 5.0\n",
 }
 
 

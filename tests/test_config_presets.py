@@ -34,6 +34,13 @@ def test_parse_errors_carry_context():
         with pytest.raises(StructuralError) as err:
             parse_config(f"[kinetics]\nf_law = {law}\n").build_kinetics()
         assert str(err.value) == f"kinetics.f_law: {message}"
+    for recipe, message in (("constant()", "constant needs (value)"),
+                            ("gaussian(1, 2)",
+                             "gaussian needs (cx, cy, width, amplitude, floor)"),
+                            ("sparkle(1)", "unknown recipe 'sparkle'")):
+        with pytest.raises(StructuralError) as err:
+            parse_config(f"[initial]\nu = {recipe}\n").build_setup()
+        assert str(err.value) == f"initial.u: {message}"
 
 
 @pytest.mark.parametrize("text, hint", [

@@ -182,14 +182,14 @@ def test_gate_knife_edge_flag():
     assert gate.knife_edge
 
 
-def test_resupply_eval_and_stars():
+def test_resupply_values_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
-    assert float(resupply_reference(r, 0.3, 0.9, 5.0)) == pytest.approx(0.2)
+    assert np.all(r.field(G.Grid(4, 4), 5.0) == 0.2) and r.linf(5.0) == 0.2
     assert r.r_star == 0.2 and r.r_double_star == math.inf
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
                           width=0.1, decay_lambda=1.0)
-    assert float(resupply_reference(bump, 0.5, 0.5, 0.0)) == pytest.approx(1.0)
+    assert bump.field(G.Grid(5, 5), 0.0)[2, 2] == 1.0  # the cell centred at (0.5, 0.5)
     assert bump.r_double_star == pytest.approx(1.0)
 
     decaying = K.ResupplySpec(profile="constant", amplitude=1.0, decay_lambda=2.0)
@@ -209,7 +209,7 @@ def test_resupply_eval_and_stars():
 
 @pytest.mark.parametrize("profile", ["constant", "gaussian"])
 @pytest.mark.parametrize("decay_lambda", [0.0, 0.7])
-def test_resupply_field_is_eval_on_the_cell_centres(profile, decay_lambda):
+def test_resupply_field_matches_the_reference_on_the_cell_centres(profile, decay_lambda):
     g = G.Grid(12, 9, 1.3, 0.8)
     r = K.ResupplySpec(profile=profile, amplitude=0.3, center=(0.4, 0.55),
                        width=0.15, decay_lambda=decay_lambda)

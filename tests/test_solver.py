@@ -487,16 +487,22 @@ def test_run_warns_when_fixed_dt_far_exceeds_the_suggested_step(tmp_path):
 
 
 def test_watchdog_catches_non_finite_and_huge_values():
-    for bad in (np.nan, np.inf, -np.inf):
+    for bad in (np.nan, np.inf):
         phi = np.ones((4, 4))
         phi[1, 2] = bad
         with pytest.raises(BlowUpError, match="lost finiteness"):
-            S._watchdog(phi, "u", 0.5)
+            S._admit(phi, "u", 0.5)
     phi = np.ones((4, 4))
-    phi[0, 3] = -2e8
-    with pytest.raises(BlowUpError, match="reached 2.000e"):
-        S._watchdog(phi, "u", 0.5)
-    S._watchdog(np.ones((4, 4)), "u", 0.5)
+    phi[0, 3] = 2e8
+    with pytest.raises(BlowUpError, match="reached 2.000e\\+08"):
+        S._admit(phi, "u", 0.5)
+    # below the clamp floor is a positivity error before any blow-up check
+    for bad in (-np.inf, -2e8):
+        phi = np.ones((4, 4))
+        phi[0, 3] = bad
+        with pytest.raises(PositivityError):
+            S._admit(phi, "u", 0.5)
+    assert S._admit(np.ones((4, 4)), "u", 0.5) == 0
 
 
 _THREAD_PROBE = """
@@ -564,10 +570,10 @@ def test_positivity_over_many_steps():
 
 def test_clamp_window():
     phi = np.array([[0.5, -5e-13], [1.0, 2.0]])
-    out, count = S._clamp_nonnegative(phi.copy(), "u")
-    assert count == 1 and out[0, 1] == 0.0
+    count = S._admit(phi, "u", 0.5)
+    assert count == 1 and phi[0, 1] == 0.0
     with pytest.raises(PositivityError):
-        S._clamp_nonnegative(np.array([[0.1, -1e-11]]), "u")
+        S._admit(np.array([[0.1, -1e-11]]), "u", 0.5)
 
 
 def test_blowup_watchdog():
