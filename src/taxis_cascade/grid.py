@@ -83,11 +83,15 @@ class Grid:
                 )
 
 
+def face_differences(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undivided jumps across interior faces: x-faces (ny, nx-1), y-faces (ny-1, nx)."""
+    return np.subtract(phi[:, 1:], phi[:, :-1]), np.subtract(phi[1:, :], phi[:-1, :])
+
+
 def face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Interior face-normal differences: x-faces (ny, nx-1), y-faces (ny-1, nx)."""
-    gx = np.subtract(phi[:, 1:], phi[:, :-1])
+    gx, gy = face_differences(phi)
     gx /= g.hx
-    gy = np.subtract(phi[1:, :], phi[:-1, :])
     gy /= g.hy
     return gx, gy
 
@@ -98,10 +102,13 @@ def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid) -> np.ndarray:
     Cell i gains its right-face flux and loses its left-face flux, divided by
     the cell width; boundary faces carry zero flux.  The fluxes are divided
     by the cell width once, in place, so the caller must pass arrays it owns.
+    The sums are those of adding into zeros: 0.0 + fx turns a -0.0 flux
+    into +0.0, so the first x-flux is written as that sum, not copied.
     """
-    div = np.zeros((g.ny, g.nx))
+    div = np.empty((g.ny, g.nx))
     fx /= g.hx
-    div[:, :-1] += fx
+    np.add(fx, 0.0, out=div[:, :-1])
+    div[:, -1] = 0.0
     div[:, 1:] -= fx
     fy /= g.hy
     div[:-1, :] += fy
@@ -143,10 +150,14 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
 
 
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:
-    """Largest face-normal difference magnitude over all interior faces."""
-    gx, gy = face_gradients(phi, g)
-    mx = float(np.abs(gx).max()) if gx.size else 0.0
-    my = float(np.abs(gy).max()) if gy.size else 0.0
+    """Largest face-normal difference magnitude over all interior faces.
+
+    Division by h > 0 is monotone and rounds symmetrically, so dividing the
+    largest undivided jump gives the bits of the largest divided one.
+    """
+    dx, dy = face_differences(phi)
+    mx = float(np.abs(dx, out=dx).max()) / g.hx
+    my = float(np.abs(dy, out=dy).max()) / g.hy
     return max(mx, my)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from taxis_cascade import grid as G
+from taxis_cascade import monitors as M
 from taxis_cascade.errors import DomainError, StructuralError
 
 
@@ -59,7 +60,7 @@ def test_laplacian_rotation_symmetry():
                        np.rot90(G.laplacian(phi, g)), atol=1e-14)
 
 
-from oracles import brute_force_taxis
+from oracles import brute_force_taxis, log_gradient_reference, taxis_divergence_reference
 
 
 def test_taxis_constant_potential_is_zero():
@@ -125,6 +126,53 @@ def test_discrete_conservation(g, seed, log_c, log_phi, vacant):
     tol = 10 * np.finfo(float).eps * flux_scale
     assert abs(G.integrate(G.laplacian(phi, g), g)) <= tol
     assert abs(G.integrate(G.taxis_divergence(c, phi, g), g)) <= tol * c.max()
+
+
+GRIDS = hs.builds(G.Grid, hs.integers(4, 24), hs.integers(4, 24),
+                  hs.floats(0.5, 3.0), hs.floats(0.5, 3.0))
+
+
+def patchy_field(rng, shape, vacant, signed):
+    """Random entries with exact zeros of both signs and one flat 3x3 patch."""
+    phi = rng.random(shape) - (0.5 if signed else 0.0)
+    zero = rng.random(shape) < vacant
+    phi[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    j, i = rng.integers(0, shape[0] - 1), rng.integers(0, shape[1] - 1)
+    phi[j:j + 3, i:i + 3] = phi[j, i]
+    return phi
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=GRIDS, seed=hs.integers(0, 2**32 - 1), vacant=hs.floats(0.0, 0.9),
+       signed=hs.booleans())
+def test_max_face_gradient_is_the_largest_face_gradient_bitwise(g, seed, vacant, signed):
+    phi = patchy_field(np.random.default_rng(seed), g.shape, vacant, signed)
+    gx, gy = G.face_gradients(phi, g)
+    want = max(float(np.abs(gx).max()), float(np.abs(gy).max()))
+    assert same_bits(G.max_face_gradient(phi, g), want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=GRIDS, seed=hs.integers(0, 2**32 - 1), vacant=hs.floats(0.0, 0.9),
+       signed=hs.booleans())
+def test_log_gradient_integrand_is_the_plain_expression_bitwise(g, seed, vacant, signed):
+    v = patchy_field(np.random.default_rng(seed), g.shape, vacant, signed)
+    assert same_bits(M.log_gradient_integrand(v, g), log_gradient_reference(v, g))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=GRIDS, seed=hs.integers(0, 2**32 - 1), vacant=hs.floats(0.0, 0.9))
+def test_taxis_divergence_is_the_zeros_then_add_assembly_bitwise(g, seed, vacant):
+    # vacant cells and flat patches make zero fluxes of both signs
+    rng = np.random.default_rng(seed)
+    carrier = patchy_field(rng, g.shape, vacant, signed=False)
+    potential = patchy_field(rng, g.shape, vacant, signed=True)
+    assert same_bits(G.taxis_divergence(carrier, potential, g),
+                     taxis_divergence_reference(carrier, potential, g))
 
 
 def test_integrate_examples():

@@ -332,11 +332,10 @@ def thm1_core_start(n):
                           init.w0.astype(float))
 
 
-def test_step_allocates_its_outputs_and_few_work_arrays():
-    # after a warm-up step (cached eigenvalue tables, FFT plans) one step
-    # holds at most 10 field-sizes at a time and keeps exactly its 3 outputs
-    setup, st = thm1_core_start(64)
-    args = (setup.params, 2e-3, setup.grid, setup.control)
+def step_memory(setup, st, dt):
+    """(peak, kept) field-sizes of one step after a warm-up step (cached
+    eigenvalue tables, cosine mode, FFT plans)."""
+    args = (setup.params, dt, setup.grid, setup.control)
     st, _ = S.step(st, *args)
     field = st.u.nbytes
     tracemalloc.start()
@@ -346,8 +345,26 @@ def test_step_allocates_its_outputs_and_few_work_arrays():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - base) / field <= 10.0
-    assert round((current - base) / field) == 3
+    return (peak - base) / field, round((current - base) / field)
+
+
+def test_step_allocates_its_outputs_and_few_work_arrays():
+    # one step holds at most 10 field-sizes at a time and keeps exactly its
+    # 3 outputs
+    peak, kept = step_memory(*thm1_core_start(64), 2e-3)
+    assert peak <= 10.0
+    assert kept == 3
+
+
+def test_manufactured_step_allocates_its_outputs_and_few_work_arrays():
+    # the sources add their own fields and temporaries to the step: at most
+    # 13 field-sizes at a time, and still only the 3 outputs kept
+    setup = cli.mms_config(64).build_setup()
+    init = setup.initial
+    st = S.State(init.u0.astype(float), init.v0.astype(float), init.w0.astype(float))
+    peak, kept = step_memory(setup, st, setup.fixed_dt)
+    assert peak <= 13.0
+    assert kept == 3
 
 
 @pytest.mark.parametrize("n", [24, 96])  # the dense and the DCT path
@@ -438,6 +455,27 @@ def test_run_evaluates_each_law_once_per_state(monkeypatch):
     result = S.run(setup)
     assert result.completed and result.steps > 0
     assert len(calls) == 2 * (result.steps + 1)
+
+
+def test_manufactured_run_skips_the_integrals_only_the_monitors_read(monkeypatch):
+    # with the monitors off, consumption is evaluated only by the sources
+    # (once per step), and the four monitor-only series stay empty
+    calls = []
+
+    def counting(*args, _term=S.consumption_term):
+        calls.append(args)
+        return _term(*args)
+
+    monkeypatch.setattr(S, "consumption_term", counting)
+    result = S.run(cli.mms_config(16, t_end=0.05).build_setup())
+    assert result.completed and result.steps > 0
+    assert len(calls) == result.steps
+    series = result.series
+    for name in ("int_u_alpha", "int_v_beta", "int_abs_g_v", "int_consumption"):
+        assert series[name].shape == (0,)
+    for name in ("t", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
+                 "int_f_u", "int_g_v"):
+        assert len(series[name]) == result.steps + 1
 
 
 def test_recorded_integrals_equal_the_plain_expressions(monkeypatch):
