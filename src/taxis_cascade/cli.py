@@ -263,8 +263,8 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
     the O(eps) Cauchy differences in step noise, so dt is frozen (default:
     half the suggested step of the initial state).
     """
-    if any(b > a for a, b in zip(eps_list, eps_list[1:])):
-        raise StructuralError("epsilon list must be descending")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise StructuralError("epsilon list must be strictly descending")
     cfg = base_cfg
     if t_end is not None:
         cfg = replace(cfg, t_end=t_end)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-epsilon", help="regularization robustness sweep")
     add_config_args(p)
     p.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",
-                   help="descending comma-separated epsilons")
+                   help="strictly descending comma-separated epsilons")
     p.add_argument("--t-end", type=float, dest="t_end", default=None)
     p.add_argument("--dt", type=float, default=None, help="shared fixed step")
     p.add_argument("--out", help="output root (default: temporary)")

@@ -24,6 +24,9 @@ from taxis_cascade.errors import DomainError, StructuralError
 
 ALPHA_CRITICAL = 1.0 + math.sqrt(2.0)
 KNIFE_EDGE = 1e-9
+# the largest whole exponent that power() evaluates by repeated products;
+# libm pow costs about 8 products per entry, so beyond it pow is cheaper
+POWER_PRODUCTS_MAX = 8
 
 
 def _require_nonneg(s):
@@ -31,6 +34,22 @@ def _require_nonneg(s):
     if np.any(arr < 0):
         raise DomainError("growth laws are only defined for s >= 0")
     return arr
+
+
+def power(s, a, out=None):
+    """s^a, like ``np.power(s, a, out=out)``.
+
+    A whole exponent 2 <= a <= POWER_PRODUCTS_MAX is the left-to-right
+    product s*s*...*s (a - 1 products): deterministic, and within a
+    relative (a - 1) eps of libm's pow where no product is subnormal.  Any
+    other exponent is ``np.power``.  ``out`` must not share memory with ``s``.
+    """
+    if 2 <= a <= POWER_PRODUCTS_MAX and float(a).is_integer():
+        p = np.multiply(s, s, out=out)
+        for _ in range(int(a) - 2):
+            p *= s
+        return p
+    return np.power(s, a, out=out)
 
 
 @dataclass(frozen=True)
@@ -64,7 +83,11 @@ class GrowthLaw:
 
 @dataclass(frozen=True)
 class PurePower(GrowthLaw):
-    """law(s) = L - K s^alpha; the upper envelope is the law itself."""
+    """law(s) = L - K s^alpha; the upper envelope is the law itself.
+
+    s^alpha comes from ``power``: a whole alpha up to 8 is a product, which
+    moves the value by rounding against pow and keeps it deterministic.
+    """
 
     K: float = 1.0
     L: float = 1.0
@@ -77,7 +100,7 @@ class PurePower(GrowthLaw):
 
     def __call__(self, s):
         s = _require_nonneg(s)
-        return self.L - self.K * s**self.alpha
+        return self.L - self.K * power(s, self.alpha)
 
     def derivative(self, s):
         return -self.K * self.alpha * s ** (self.alpha - 1.0)
@@ -110,7 +133,12 @@ class Allee(GrowthLaw):
 
 @dataclass(frozen=True)
 class Logistic(GrowthLaw):
-    """Generalized logistic law a s - b s^alpha."""
+    """Generalized logistic law a s - b s^alpha.
+
+    s^alpha comes from ``power``, as in ``PurePower``: a whole alpha up to 8
+    is a product, so values move by rounding against pow and stay
+    deterministic.
+    """
 
     a: float = 1.0
     b: float = 1.0
@@ -123,7 +151,7 @@ class Logistic(GrowthLaw):
 
     def __call__(self, s):
         s = _require_nonneg(s)
-        return self.a * s - self.b * s**self.alpha
+        return self.a * s - self.b * power(s, self.alpha)
 
     def derivative(self, s):
         return self.a - self.b * self.alpha * s ** (self.alpha - 1.0)
@@ -207,12 +235,14 @@ def _envelope_margins(law, k, l, K, L, exponent, sample):
 
     Margins are divided by (1 + s^exponent) so the 60-point geometric sample
     reports on one scale; the entries at the largest point double as the
-    asymptotic-ratio check.
+    asymptotic-ratio check.  s^exponent comes from ``power``, as in the
+    laws, so a law equal to its envelope has a margin of exactly 0.
     """
     vals = law(sample)
-    scale = 1.0 + sample**exponent
-    lower = (vals - (-k * sample**exponent - l)) / scale
-    upper = ((-K * sample**exponent + L) - vals) / scale
+    sa = power(sample, exponent)
+    scale = 1.0 + sa
+    lower = (vals - (-k * sa - l)) / scale
+    upper = ((-K * sa + L) - vals) / scale
     return lower, upper
 
 

@@ -670,9 +670,9 @@ def run(setup: RunSetup) -> RunResult:
             if checks_active:
                 # the integrals that only the monitors and the decay verdict read
                 series["int_u_alpha"].append(
-                    gridmod.integrate(np.power(state.u, ks.alpha, out=scratch), g))
+                    gridmod.integrate(kin.power(state.u, ks.alpha, out=scratch), g))
                 series["int_v_beta"].append(
-                    gridmod.integrate(np.power(state.v, ks.beta, out=scratch), g))
+                    gridmod.integrate(kin.power(state.v, ks.beta, out=scratch), g))
                 series["int_abs_g_v"].append(
                     gridmod.integrate(np.abs(gv, out=scratch), g))
                 series["int_consumption"].append(

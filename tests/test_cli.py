@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taxis_cascade import cli
+from taxis_cascade import cli, weakform
 from taxis_cascade import solver as S
 from taxis_cascade.config import format_config, parse_config
-from taxis_cascade.errors import DomainError
+from taxis_cascade.errors import DomainError, StructuralError
 from taxis_cascade.presets import preset
 
 
@@ -224,11 +224,29 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
-def test_sweep_duplicated_eps_gives_zero_difference(tmp_path):
+def test_identical_runs_give_zero_sweep_difference(tmp_path):
+    trajs = []
+    for k in range(2):
+        cfg = small_cfg(tmp_path, t_end=0.2, snapshot_every=0.1, epsilon=1e-1,
+                        out_dir=str(tmp_path / f"member{k}"))
+        assert S.run(cfg.build_setup()).completed
+        trajs.append(weakform.load_trajectory(cfg.out_dir))
+    assert cli._traj_diff(*trajs) == (0.0, 0.0, 0.0)
+
+
+def test_sweep_rejects_a_repeated_eps_before_any_member_runs(tmp_path, monkeypatch,
+                                                              capsys):
+    runs = []
+    monkeypatch.setattr(S, "run", lambda setup: runs.append(setup))
     cfg = small_cfg(tmp_path, t_end=0.2, snapshot_every=0.1)
-    sweep = cli.sweep_epsilon(cfg, [1e-1, 1e-1], out_root=str(tmp_path / "dup"))
-    assert len(sweep.diffs) == 1
-    assert all(d == 0.0 for d in sweep.diffs[0][2:])
+    with pytest.raises(StructuralError, match="strictly descending"):
+        cli.sweep_epsilon(cfg, [1e-1, 1e-2, 1e-2], out_root=str(tmp_path / "dup"))
+    p = write_cfg(tmp_path, cfg)
+    assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-2,1e-2"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "eps_hi,eps_lo" not in out
+    assert runs == []
 
 
 def test_sweep_w_difference_bounded_by_ceiling(tmp_path):

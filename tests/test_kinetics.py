@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from oracles import resupply_reference
 from taxis_cascade import grid as G
@@ -44,6 +45,55 @@ def test_law_derivative_matches_central_difference(law, s):
     c = max(s, h)  # keeps both difference points in the domain s >= 0
     fd = (float(law(c + h)) - float(law(c - h))) / (2.0 * h)
     assert float(law.derivative(c)) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+def left_to_right_product(s, n):
+    p = s * s
+    for _ in range(n - 2):
+        p = p * s
+    return p
+
+
+# zero or at least 1e-30, so that no product up to s^8 is subnormal
+FIELDS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                    elements=hs.one_of(hs.just(0.0), hs.floats(1e-30, 1e3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=FIELDS, n=hs.integers(2, K.POWER_PRODUCTS_MAX))
+def test_power_of_a_whole_exponent_is_the_left_to_right_product(s, n):
+    out = np.full_like(s, np.nan)
+    assert K.power(s, float(n), out=out) is out
+    assert out.tobytes() == left_to_right_product(s, n).tobytes()
+    assert K.power(s, n).tobytes() == out.tobytes()
+    # each product rounds once: within (n - 1) eps of libm's pow
+    exact = np.power(s, float(n))
+    assert np.all(np.abs(out - exact) <= (n - 1) * np.finfo(float).eps * exact)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=FIELDS, a=hs.one_of(
+    hs.floats(1.0001, 12.0).filter(lambda a: not a.is_integer()),
+    hs.sampled_from([1.0, 9.0, 10.0, 0.5, 1.5, 8.5])))
+def test_power_of_any_other_exponent_is_numpys(s, a):
+    out = np.full_like(s, np.nan)
+    assert K.power(s, a, out=out) is out
+    assert out.tobytes() == np.power(s, a).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s=FIELDS, n=hs.integers(2, K.POWER_PRODUCTS_MAX))
+def test_laws_of_a_whole_exponent_use_the_product(s, n):
+    sn = left_to_right_product(s, n)
+    pp, logi = K.PurePower(0.7, 1.3, float(n)), K.Logistic(1.5, 0.8, float(n))
+    assert pp(s).tobytes() == (1.3 - 0.7 * sn).tobytes()
+    assert logi(s).tobytes() == (1.5 * s - 0.8 * sn).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(law=hs.sampled_from(SHIPPED_LAWS), s=hs.floats(0.0, 50.0))
+def test_law_on_a_float_equals_the_law_on_a_one_element_array(law, s):
+    assert float(law(s)) == law(np.array([s]))[0]
 
 
 def test_laws_reject_negative_argument():
@@ -93,7 +143,7 @@ def test_purepower_envelope_tight_upper():
     spec = spec_pp(3.0, 3.0)
     rep = K.validate_envelope(spec)
     assert rep.holds
-    assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)  # law == upper envelope
+    assert rep.worst_margin == 0.0  # law == upper envelope
 
 
 def test_allee_default_envelope_validates():

@@ -498,8 +498,10 @@ def test_recorded_integrals_equal_the_plain_expressions(monkeypatch):
     init = setup.initial
     states.insert(0, S.State(init.u0.astype(float), init.v0.astype(float),
                              init.w0.astype(float)))
-    plain = {"int_u_alpha": [G.integrate(st.u**ks.alpha, g) for st in states],
-             "int_v_beta": [G.integrate(st.v**ks.beta, g) for st in states],
+    # a whole exponent is the left-to-right product (kinetics.power)
+    assert ks.alpha == ks.beta == 3.0
+    plain = {"int_u_alpha": [G.integrate(st.u * st.u * st.u, g) for st in states],
+             "int_v_beta": [G.integrate(st.v * st.v * st.v, g) for st in states],
              "int_abs_g_v": [G.integrate(np.abs(ks.law_g(st.v)), g) for st in states]}
     for name, values in plain.items():
         assert result.series[name].tobytes() == np.asarray(values).tobytes()
