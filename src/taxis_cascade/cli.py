@@ -230,10 +230,12 @@ class SweepResult:
             yield ",".join(repr(float(x)) for x in row)
 
     def strictly_decreasing(self) -> dict:
+        """Per difference column, whether it strictly decreases down the
+        rows; None with fewer than two rows, which have nothing to compare."""
         out = {}
         for j, name in ((2, "u_l2"), (3, "v_l1"), (4, "w_l2")):
             vals = [row[j] for row in self.diffs]
-            out[name] = all(a > b for a, b in zip(vals, vals[1:]))
+            out[name] = all(a > b for a, b in zip(vals, vals[1:])) if len(vals) > 1 else None
         return out
 
 
@@ -263,6 +265,8 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
     the O(eps) Cauchy differences in step noise, so dt is frozen (default:
     half the suggested step of the initial state).
     """
+    if len(eps_list) < 2:
+        raise StructuralError(f"an epsilon sweep needs at least two epsilons, got {len(eps_list)}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise StructuralError("epsilon list must be strictly descending")
     cfg = base_cfg
@@ -309,7 +313,8 @@ def cmd_sweep(args) -> int:
     lines = list(sweep.table_rows())
     print("\n".join(lines))
     mono = sweep.strictly_decreasing()
-    print("strictly decreasing: " + ", ".join(f"{k}={v}" for k, v in mono.items()))
+    print("strictly decreasing: " + ", ".join(
+        f"{k}={'n/a' if v is None else v}" for k, v in mono.items()))
     if args.out:
         (Path(args.out) / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK

@@ -30,8 +30,10 @@ POWER_PRODUCTS_MAX = 8
 
 
 def _require_nonneg(s):
+    # one reduction, no mask: fmin skips NaN as ``np.any(arr < 0)`` does, so
+    # a NaN next to a negative entry still raises (min would return the NaN)
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
+    if arr.size and np.fmin.reduce(arr, axis=None) < 0:
         raise DomainError("growth laws are only defined for s >= 0")
     return arr
 

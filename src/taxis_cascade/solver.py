@@ -20,7 +20,11 @@ nothing more: each right-hand side is built in the array that the solve then
 overwrites with the new field, and each transform writes into the result
 array or the solver's one work array.  The in-place forms keep the
 operation order of the plain expressions, so the result is bit for bit what
-they give.
+they give.  ``run`` first raises glibc's heap thresholds (``_settle_heap``),
+so the memory a step frees serves the next step instead of being returned
+to the system and faulted in again, however many temporaries a step makes.
+A manufactured model adds sources evaluated by amplitude: a spatially flat
+component is a scalar, and a term whose coefficient is zero costs nothing.
 """
 
 from __future__ import annotations
@@ -154,10 +158,13 @@ class _SpectralHelmholtz:
     When neither side exceeds DENSE_DCT_MAX the transforms are the products
     Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
     skips scipy's per-call dispatch; larger grids call scipy's DCT in place.
-    Every solve writes the denominators lambda*dt + c into the one work
-    array and divides by them (not multiplying by reciprocals, which would
-    change the bits).  The dense products round the k = 0 mode, so that
-    path then restores the exact cell sum, sum(b) / c.
+    A solve divides by the denominators lambda*dt + c held in the one work
+    array (not multiplying by reciprocals, which would change the bits).
+    On the DCT path the array holds nothing else, so the table is written
+    only when c changes: u and v share one, the w solves another.  The
+    dense products pass through the work array, so that path writes the
+    table on every solve; they also round the k = 0 mode, so it then
+    restores the exact cell sum, sum(b) / c.
     """
 
     def __init__(self, g: gridmod.Grid, dt: float):
@@ -165,6 +172,7 @@ class _SpectralHelmholtz:
         self.eigenvalues = _neumann_eigenvalues(g)
         self.dt = dt
         self.work = np.empty(g.shape)
+        self.shift = None  # the c whose denominators the work array holds
         if self.dense:
             self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
 
@@ -184,8 +192,11 @@ class _SpectralHelmholtz:
             if out is not b:
                 np.copyto(out, b)
             coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
-        np.multiply(self.eigenvalues, self.dt, out=self.work)
-        self.work += c
+        if c != self.shift:
+            np.multiply(self.eigenvalues, self.dt, out=self.work)
+            self.work += c
+            # the dense products below overwrite the table
+            self.shift = None if self.dense else c
         coeffs /= self.work
         if not self.dense:
             x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
@@ -228,11 +239,7 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
     of this call in place, in the operation order of the textbook
     expressions, so the bits do not depend on the buffering: diag - c is
     recomputed where needed rather than kept, and one work array holds
-    b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn.  x is
-    allocated after the work arrays so that it, not they, lies highest on
-    the heap; freed below a live block, their memory is reused by the next
-    step instead of being returned to the operating system and faulted in
-    again.
+    b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn.
     """
     bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
@@ -402,6 +409,15 @@ class MmsComponent:
         b = math.exp(-self.flat_rate * t) * self.flat_amp
         return a, b, -self.cos_rate * a, -self.flat_rate * b
 
+    def value(self, mode: np.ndarray, t: float):
+        """base + A C + B at time t on the cosine mode C; the scalar base + B
+        when the component has no cosine part."""
+        a, b, _, _ = self.amplitudes(t)
+        if self.cos_amp == 0.0:
+            # a numpy scalar, so the laws and sums treat it as a field entry
+            return np.float64(self.base + b)
+        return self.base + a * mode + b
+
 
 @lru_cache(maxsize=16)
 def _cosine_mode(g: gridmod.Grid):
@@ -433,29 +449,75 @@ class MmsSpec:
 
     def fields(self, g: gridmod.Grid, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mode = _cosine_mode(g)[0]
-        out = []
-        for comp in (self.u, self.v, self.w):
-            a, b, _, _ = comp.amplitudes(t)
-            out.append(comp.base + a * mode + b)
-        return tuple(out)
+        return tuple(np.full(g.shape, comp.value(mode, t)) for comp in (self.u, self.v, self.w))
 
     def sources(self, params: ModelParams, g: gridmod.Grid, t: float):
-        """Residual sources making the triple an exact solution of the system."""
+        """Residual sources making the triple an exact solution of the system.
+
+        Evaluated by amplitude: a component without a cosine part is the
+        scalar base + B, each term coef * C, coef * |grad C|^2 or
+        coef * field * C is computed only when its coefficient is nonzero,
+        and the scalar terms are added once.  On the shipped triple, whose v
+        and w are flat, that is a handful of field passes per source.
+        Returns three new writable arrays (``step`` scales them in place).
+        """
         mode, k2, grad_sq = _cosine_mode(g)
-        a_u, _, da_u, db_u = self.u.amplitudes(t)
-        a_v, _, da_v, db_v = self.v.amplitudes(t)
-        a_w, _, da_w, db_w = self.w.amplitudes(t)
+        comps = (self.u, self.v, self.w)
+        u, v, w = (comp.value(mode, t) for comp in comps)
+        (a_u, _, da_u, db_u), (a_v, _, da_v, db_v), (a_w, _, da_w, db_w) = (
+            comp.amplitudes(t) for comp in comps)
         ks = params.kinetics
-        u, v, w = self.fields(g, t)
-        s_u = ((da_u + k2 * a_u) * mode + db_u + (a_u * a_w) * grad_sq
-               - (k2 * a_w) * u * mode - ks.law_f(u))
-        s_v = ((da_v + k2 * a_v) * mode + db_v + (a_v * a_u) * grad_sq
-               - (k2 * a_u) * v * mode - ks.law_g(v))
-        s_w = ((da_w + k2 * a_w) * mode + db_w
-               + consumption_term(u, v, w, params.epsilon)
-               + params.mu * w
-               - params.resupply.field(g, t))
+        resupply = params.resupply
+        r = resupply.field(g, t) if resupply.linf(t) != 0.0 else 0.0
+        s_u = _combine(g, (_scaled(da_u + k2 * a_u, mode), db_u,
+                           _scaled(a_u * a_w, grad_sq), _scaled(-k2 * a_w, u, mode)),
+                       ks.law_f(u))
+        s_v = _combine(g, (_scaled(da_v + k2 * a_v, mode), db_v,
+                           _scaled(a_v * a_u, grad_sq), _scaled(-k2 * a_u, v, mode)),
+                       ks.law_g(v))
+        s_w = _combine(g, (_scaled(da_w + k2 * a_w, mode), db_w,
+                           consumption_term(u, v, w, params.epsilon), params.mu * w),
+                       r)
         return s_u, s_v, s_w
+
+
+def _scaled(coef: float, *factors):
+    """coef times the factors (scalars or fields), or 0.0 with no pass when coef is 0."""
+    if coef == 0.0:
+        return 0.0
+    for factor in factors:
+        coef = coef * factor
+    return coef
+
+
+def _combine(g: gridmod.Grid, terms, minus) -> np.ndarray:
+    """sum(terms) - minus as a new writable array on g.
+
+    Each term and ``minus`` is a scalar or a new field of the caller's; the
+    fields are summed into the first of them, and the scalars are summed
+    apart and added once, or not at all when their sum is zero.
+    """
+    out = None
+    scalar = 0.0
+    for term in terms:
+        if np.ndim(term) == 0:
+            scalar += float(term)
+        elif out is None:
+            out = term
+        else:
+            out += term
+    if np.ndim(minus) == 0:
+        scalar -= float(minus)
+    elif out is None:
+        out = np.subtract(scalar, minus, out=minus)
+        scalar = 0.0
+    else:
+        out -= minus
+    if out is None:
+        return np.full(g.shape, scalar)
+    if scalar != 0.0:
+        out += scalar
+    return out
 
 
 def shipped_mms() -> MmsSpec:
@@ -578,6 +640,30 @@ class _EventClock:
         return dt, t_new, cad_hit or last, snap_hit or last
 
 
+# After one block this large is allocated and freed (_settle_heap), glibc
+# takes fields of up to 1024^2 from the heap and keeps up to twice this
+# much free at its top: more than the working set of a 256^2 run.
+HEAP_SETTLE_BYTES = 8 << 20
+
+
+def _settle_heap() -> None:
+    """Make freed field memory stay in the heap for the rest of the process.
+
+    glibc serves blocks above its mmap threshold (128 KiB at first, exactly
+    one 128^2 field) by fresh mappings and returns free heap above its trim
+    threshold to the system, so whether a step's temporaries fault their
+    pages in again would turn on the order and sizes of earlier allocations.
+    By mallopt(3), freeing a mapped block raises the mmap threshold to its
+    size and the trim threshold to twice that: after this one unused 8 MiB
+    block, fields come from the heap and a run's working set stays mapped.
+    On other allocators it is an allocation and a free, nothing more.
+    mallopt(M_MMAP_THRESHOLD) through ctypes would do the same on glibc
+    only, needs a libc lookup per platform, and switches the dynamic rule
+    off for the whole process for good.
+    """
+    np.empty(HEAP_SETTLE_BYTES, dtype=np.uint8)
+
+
 def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
     paths = gridmod.snapshot_paths(out_dir, state.step_index)
     for path, phi in zip(paths, (state.u, state.v, state.w)):
@@ -599,6 +685,7 @@ def run(setup: RunSetup) -> RunResult:
     ks = params.kinetics
     control = setup.control
     t0 = time.perf_counter()
+    _settle_heap()
 
     consts = mon.BoundConstants.from_setup(
         g, ks, params.resupply, params.mu, setup.initial.u0, setup.initial.v0,
@@ -643,10 +730,9 @@ def run(setup: RunSetup) -> RunResult:
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
     cum_log_grad = 0.0
-    # the recorder's u^alpha, v^beta and |g(v)|; allocated on a manufactured
-    # run too, where without it the heap layout (README, Solver) costs a
-    # 128^2 run 25 times the page faults
-    scratch = np.empty(g.shape)
+    # the recorder's u^alpha, v^beta and |g(v)|, which only the monitors read
+    if checks_active:
+        scratch = np.empty(g.shape)
     failure = ""
     w_iterations = 0
     try:

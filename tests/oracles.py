@@ -179,3 +179,35 @@ def resupply_reference(spec, x, y, t):
         cx, cy = spec.center
         profile = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * spec.width**2))
     return spec.amplitude * factor * profile
+
+
+def mms_sources_reference(mms, params, g, t):
+    """The manufactured sources as the full closed-form expressions.
+
+    Every term is evaluated on whole fields, zero amplitudes included, with
+    the cosine mode, its gradient and each component written out here.
+    """
+    kx, ky = math.pi / g.Lx, math.pi / g.Ly
+    X, Y = g.cell_centers()
+    mode = np.cos(kx * X) * np.cos(ky * Y)
+    grad_sq = ((kx * np.sin(kx * X) * np.cos(ky * Y)) ** 2
+               + (ky * np.cos(kx * X) * np.sin(ky * Y)) ** 2)
+    k2 = kx**2 + ky**2
+
+    def component(c):
+        a = math.exp(-c.cos_rate * t) * c.cos_amp
+        b = math.exp(-c.flat_rate * t) * c.flat_amp
+        return c.base + a * mode + b, a, -c.cos_rate * a, -c.flat_rate * b
+
+    u, a_u, da_u, db_u = component(mms.u)
+    v, a_v, da_v, db_v = component(mms.v)
+    w, a_w, da_w, db_w = component(mms.w)
+    ks = params.kinetics
+    sigma = (u + v) * w
+    s_u = ((da_u + k2 * a_u) * mode + db_u + (a_u * a_w) * grad_sq
+           - (k2 * a_w) * u * mode - ks.law_f(u))
+    s_v = ((da_v + k2 * a_v) * mode + db_v + (a_v * a_u) * grad_sq
+           - (k2 * a_u) * v * mode - ks.law_g(v))
+    s_w = ((da_w + k2 * a_w) * mode + db_w + sigma / (1.0 + params.epsilon * sigma)
+           + params.mu * w - resupply_reference(params.resupply, X, Y, t))
+    return s_u, s_v, s_w

@@ -249,6 +249,32 @@ def test_sweep_rejects_a_repeated_eps_before_any_member_runs(tmp_path, monkeypat
     assert runs == []
 
 
+@pytest.mark.parametrize("eps", ["5e-1", ""])
+def test_sweep_refuses_fewer_than_two_eps_before_any_member_runs(tmp_path, monkeypatch,
+                                                                 capsys, eps):
+    runs = []
+    monkeypatch.setattr(S, "run", lambda setup: runs.append(setup))
+    cfg = small_cfg(tmp_path, t_end=0.2, snapshot_every=0.1)
+    with pytest.raises(StructuralError, match="at least two"):
+        cli.sweep_epsilon(cfg, [5e-1] if eps else [], out_root=str(tmp_path / "one"))
+    p = write_cfg(tmp_path, cfg)
+    assert cli.main(["sweep-epsilon", str(p), "--eps", eps or "5e-1"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "strictly decreasing" not in out
+    assert runs == []
+
+
+def test_sweep_of_two_eps_has_no_trend_to_report(tmp_path, capsys):
+    # one difference row: nothing to be strictly decreasing over
+    cfg = small_cfg(tmp_path, t_end=0.1, snapshot_every=0.05, out_dir=None)
+    p = write_cfg(tmp_path, cfg)
+    assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3  # header, one difference row, the verdict
+    assert out[-1] == "strictly decreasing: u_l2=n/a, v_l1=n/a, w_l2=n/a"
+
+
 def test_sweep_w_difference_bounded_by_ceiling(tmp_path):
     # L-infinity ceiling: ||w_a - w_b||_{L2(Omega x (0,T))} <= w* sqrt(|Omega| T)
     import math

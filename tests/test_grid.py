@@ -175,6 +175,27 @@ def test_taxis_divergence_is_the_zeros_then_add_assembly_bitwise(g, seed, vacant
                      taxis_divergence_reference(carrier, potential, g))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=GRIDS, seed=hs.integers(0, 2**32 - 1), vacant=hs.floats(0.0, 1.0),
+       signed=hs.booleans())
+def test_norm_linf_is_the_largest_magnitude_bitwise(g, seed, vacant, signed):
+    # vacant = 1 gives a field of zeros of both signs only
+    phi = patchy_field(np.random.default_rng(seed), g.shape, vacant, signed)
+    assert same_bits(G.norm_linf(phi), np.abs(phi).max())
+
+
+@pytest.mark.parametrize("fill", [-0.0, 0.0, -np.inf])
+def test_norm_linf_of_a_flat_field_is_the_largest_magnitude_bitwise(fill):
+    phi = np.full((6, 5), fill)
+    assert same_bits(G.norm_linf(phi), np.abs(phi).max())
+
+
+def test_norm_linf_propagates_nan():
+    phi = np.ones((6, 5))
+    phi[2, 3] = np.nan
+    assert np.isnan(G.norm_linf(phi))
+
+
 def test_integrate_examples():
     g = G.Grid(10, 10)
     assert G.integrate(np.ones(g.shape), g) == pytest.approx(1.0, abs=1e-14)

@@ -101,6 +101,12 @@ def test_laws_reject_negative_argument():
         K.Allee()(-0.1)
     with pytest.raises(DomainError):
         K.PurePower()(np.array([0.5, -1.0]))
+    # a NaN next to a negative entry does not hide it; NaN alone or an empty
+    # field is not negative
+    with pytest.raises(DomainError):
+        K.PurePower()(np.array([np.nan, 0.5, -1.0]))
+    assert np.isnan(K.PurePower()(np.array([np.nan, 0.5]))[0])
+    assert K.PurePower()(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_spec_structural_validation():

@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as hs
 from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
-from oracles import by_check, dense_step
+from oracles import by_check, dense_step, mms_sources_reference
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
@@ -23,6 +24,11 @@ from taxis_cascade import presets
 from taxis_cascade import solver as S
 from taxis_cascade.errors import (BlowUpError, DomainError, LinearSolveError,
                                   PositivityError)
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def pp_spec(alpha=3.0, beta=3.0):
@@ -381,6 +387,53 @@ def test_step_builds_one_spectral_operator_for_its_three_solves(monkeypatch, n):
     _, stats = S.step(st, setup.params, 2e-3, setup.grid, setup.control)
     assert stats.cg_iterations[2] > 0  # the preconditioner was used
     assert built == [(setup.grid, 2e-3)]
+
+
+@pytest.mark.parametrize("n", [24, 96])  # the dense and the DCT path
+def test_operator_solves_at_shifts_in_turn_as_fresh_operators_bitwise(n):
+    # a step's solves come at c = 1, 1, then the w shift; the DCT path keeps
+    # one denominator table per shift instead of rewriting it per solve
+    g = G.Grid(n, n)
+    rng = np.random.default_rng(n)
+    dt, c_w = 2e-3, 1.0 + rng.random()
+    op = S._SpectralHelmholtz(g, dt)
+    assert op.dense == (n <= S.DENSE_DCT_MAX)
+    for c in (1.0, 1.0, c_w, c_w, 1.0):
+        b = rng.random(g.shape)
+        got = op.solve(b, np.empty(g.shape), c)
+        want = S._SpectralHelmholtz(g, dt).solve(b, np.empty(g.shape), c)
+        assert got.tobytes() == want.tobytes()
+
+
+_FAULT_PROBE = """
+import resource
+from taxis_cascade import cli
+counts = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.mms_study([128], t_end=0.02)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*counts)
+"""
+
+
+@pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts of glibc's heap")
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_manufactured_128_run_faults_its_heap_in_once(hash_seed):
+    # one 128^2 study (328 steps) in a fresh process faults in about 890
+    # pages, and a second one in the same process about 8, whatever the
+    # layout of unrelated small allocations: the run's working set stays
+    # mapped (solver._settle_heap).  Without it the second study faults in
+    # about 930 pages, or 26,000 where glibc trims the heap every other step.
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    first, second = (int(x) for x in proc.stdout.split())
+    assert first <= 1700
+    assert second <= 100
 
 
 def test_mms_sources_build_their_fields_one_at_a_time():
@@ -746,6 +799,42 @@ def test_mms_sources_match_sympy(case):
             assert got_u[j, i] == pytest.approx(float(fn_u(X[j, i], Y[j, i], tv)), abs=1e-12)
             assert got_v[j, i] == pytest.approx(float(fn_v(X[j, i], Y[j, i], tv)), abs=1e-12)
             assert got_w[j, i] == pytest.approx(float(fn_w(X[j, i], Y[j, i], tv)), abs=1e-12)
+
+
+# every amplitude of a general triple, that triple with each of its six
+# amplitudes zero in turn (a zero cosine amplitude makes the component flat),
+# and a triple with no cosine part at all, whose u and v sources are scalars
+_ALL_AMPLITUDES = S.MmsSpec(u=S.MmsComponent(2.0, 0.7, 1.3, 0.4, 0.5),
+                            v=S.MmsComponent(1.0, 0.3, 0.8, 0.5, 1.0),
+                            w=S.MmsComponent(0.5, 0.2, 2.0, 0.2, 0.7))
+_ZEROED_AMPLITUDES = [
+    (f"{slot}.{amp}=0", replace(_ALL_AMPLITUDES, **{
+        slot: replace(getattr(_ALL_AMPLITUDES, slot), **{amp: 0.0})}))
+    for slot in "uvw" for amp in ("cos_amp", "flat_amp")]
+_FLAT = S.MmsSpec(u=S.MmsComponent(2.0, 0.0, 0.0, 0.4, 0.5),
+                 v=S.MmsComponent(1.0, 0.0, 0.0, 0.5, 1.0),
+                 w=S.MmsComponent(0.5, 0.0, 0.0, 0.2, 0.7))
+MMS_AMPLITUDE_CASES = ([("all", _ALL_AMPLITUDES), ("shipped", S.shipped_mms()),
+                        ("flat", _FLAT)] + _ZEROED_AMPLITUDES)
+
+
+@pytest.mark.parametrize("case", MMS_AMPLITUDE_CASES, ids=[c[0] for c in MMS_AMPLITUDE_CASES])
+@pytest.mark.parametrize("mu, eps, r", [(0.3, 0.0, 0.0), (0.3, 0.1, 0.2)])
+def test_mms_sources_by_amplitude_match_the_full_expressions(case, mu, eps, r):
+    mms = case[1]
+    g = G.Grid(24, 12, 2.0, 1.0)
+    params = make_params(mu=mu, epsilon=eps, amplitude=r, decay_lambda=0.5)
+    for t in (0.0, 0.37):
+        got = mms.sources(params, g, t)
+        want = mms_sources_reference(mms, params, g, t)
+        for s, ref in zip(got, want):
+            assert s.shape == g.shape and s.dtype == np.float64 and s.flags.writeable
+            scale = float(np.abs(ref).max())
+            assert float(np.abs(s - ref).max()) <= 1e-14 * scale
+        for i, a in enumerate(got):  # three new arrays, none of them cached
+            assert not np.shares_memory(a, S._cosine_mode(g)[0])
+            for b in got[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def test_mms_constant_equilibrium_has_zero_sources():
