@@ -326,6 +326,10 @@ def cmd_sweep(args) -> int:
 def verify_weak(traj_dir, out_csv=None):
     """Evaluate the three identities over the shipped basis plus the mass rows."""
     traj = weakform.load_trajectory(traj_dir)
+    if len(traj) < 2:
+        # the basis lives on [0, t_end]; a zero span leaves it no support
+        raise StructuralError(f"{traj_dir}: trajectory spans no time "
+                              f"(one snapshot, at t={traj.t_end:g})")
     basis = weakform.default_basis(traj.t_end)
     rows = []
     for fn in basis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,11 @@ def _cached_centers(nx, ny, hx, hy):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform rectangular mesh of nx-by-ny cells on [0, Lx] x [0, Ly]."""
+    """Uniform rectangular mesh of nx-by-ny cells on [0, Lx] x [0, Ly].
+
+    The derived sizes are computed once per instance; equality and hashing
+    use the four fields alone.
+    """
 
     nx: int
     ny: int
@@ -46,28 +50,28 @@ class Grid:
         if not (self.Lx > 0 and self.Ly > 0):
             raise StructuralError("domain side lengths must be positive")
 
-    @property
+    @cached_property
     def hx(self) -> float:
         return self.Lx / self.nx
 
-    @property
+    @cached_property
     def hy(self) -> float:
         return self.Ly / self.ny
 
-    @property
+    @cached_property
     def h_min(self) -> float:
         return min(self.hx, self.hy)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.hx * self.hy
 
-    @property
+    @cached_property
     def volume(self) -> float:
         """Total domain measure |Omega|."""
         return self.Lx * self.Ly
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
 
@@ -142,14 +146,13 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     if cmin < CARRIER_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
     gx, gy = face_gradients(potential, g)
-    # the upwind carrier: the right/upper cell, overwritten by the left/lower
-    # one where the gradient is positive (the bits of np.where, faster)
-    fx = carrier[:, 1:].copy()
-    np.copyto(fx, carrier[:, :-1], where=gx > 0.0)
-    fx *= gx
-    fy = carrier[1:, :].copy()
-    np.copyto(fy, carrier[:-1, :], where=gy > 0.0)
-    fy *= gy
+    # the upwind flux: the right/upper carrier times the gradient, rewritten
+    # with the left/lower one where the gradient is positive (the products
+    # of np.where(g > 0, left, right) * g)
+    fx = np.multiply(carrier[:, 1:], gx)
+    np.multiply(carrier[:, :-1], gx, out=fx, where=gx > 0.0)
+    fy = np.multiply(carrier[1:, :], gy)
+    np.multiply(carrier[:-1, :], gy, out=fy, where=gy > 0.0)
     return _flux_divergence(fx, fy, g)
 
 

@@ -110,8 +110,12 @@ class BoundConstants:
         )
 
 
-def check_mass(t, mass_u, mass_v, consts: BoundConstants, dt: float) -> list[MonitorEntry]:
-    """Population masses against their ODE-comparison ceilings."""
+def check_mass(t, mass_u, mass_v, consts: BoundConstants, dt) -> list[MonitorEntry]:
+    """Population masses against their ODE-comparison ceilings.
+
+    Takes one recorded state (scalars) or a whole record (arrays of t, the
+    masses and dt); an entry then holds arrays and ``passed`` per state.
+    """
     out = []
     for name, value, star in (("mass_u", mass_u, consts.u_star),
                               ("mass_v", mass_v, consts.v_star)):
@@ -131,6 +135,8 @@ def supersolution_step(wbar: float, mu: float, r_prev: float, r_new: float, dt: 
 
 
 def check_w_supersolution(t, linf_w, wbar, consts: BoundConstants, mu, dt) -> list[MonitorEntry]:
+    """sup w against the flat supersolution and, for mu > 0, the ceiling w_star;
+    like ``check_mass`` on one state (scalars) or a whole record (arrays)."""
     out = [MonitorEntry.compare(t, "w_supersolution", linf_w, wbar,
                                 tol=REL_TOL + DT_SLACK * dt)]
     if mu > 0:

@@ -117,11 +117,18 @@ class StepControl:
 class StepStats:
     clamps: int = 0
     cg_iterations: tuple[int, int, int] = (0, 0, 0)
+    # sup norms of the new u, v and w, read by admission (``_admit``)
+    linf: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 def consumption_term(u, v, w, epsilon):
-    """Nutrient uptake (u+v) w / (1 + eps (u+v) w); pointwise nonincreasing in eps."""
+    """Nutrient uptake (u+v) w / (1 + eps (u+v) w); pointwise nonincreasing in eps.
+
+    At eps = 0 the uptake is (u+v) w itself: s / (1 + 0 s) is s for finite s.
+    """
     s = (u + v) * w
+    if epsilon == 0.0:
+        return s
     return s / (1.0 + epsilon * s)
 
 
@@ -184,7 +191,7 @@ class _SpectralHelmholtz:
         array, so a solve allocates no field.
         """
         if self.dense:
-            total = float(np.sum(b))  # read before out = b is overwritten
+            total = float(b.sum())  # read before out = b is overwritten
             cy, cx = self.cosines
             np.matmul(cy, b, out=self.work)
             coeffs = np.matmul(self.work, cx.T, out=out)
@@ -206,7 +213,7 @@ class _SpectralHelmholtz:
             return out
         np.matmul(cy.T, out, out=self.work)
         np.matmul(self.work, cx, out=out)
-        out += (total / c - float(np.sum(out))) / out.size
+        out += (total / c - float(out.sum())) / out.size
         return out
 
 
@@ -234,18 +241,18 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
     converges to a relative residual of rtol within max_iter iterations, or
     raises LinearSolveError.
 
-    ``b`` is overwritten (it ends as the residual); ``diag`` is left alone
-    and x is a new array.  Besides b the iteration updates three work arrays
-    of this call in place, in the operation order of the textbook
-    expressions, so the bits do not depend on the buffering: diag - c is
-    recomputed where needed rather than kept, and one work array holds
-    b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn.
+    ``b`` is overwritten: it becomes the first residual r0, which is P p0, and
+    from then on carries P p while the first update moves the residual to a
+    new array.  ``diag`` is left alone and x is a new array.  The iteration
+    updates its arrays in place, in the operation order of the textbook
+    expressions, so the bits do not depend on the buffering.  One work array
+    holds b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn; diag - c
+    is recomputed for each iteration after the first rather than kept.
     """
     bnorm = math.sqrt(_dot(b, b))
     target = rtol * bnorm
-    c = float(np.mean(diag))
+    c = float(diag.sum()) / diag.size  # the bits of np.mean(diag)
     p = np.empty_like(b)
-    p_img = np.empty_like(b)  # P p
     work = np.divide(b, diag)
     x = np.multiply(work, c)
     spectral.solve(x, x, c)
@@ -254,15 +261,15 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
     if math.sqrt(_dot(r, r)) <= target:
         return x, 0
     spectral.solve(r, p, c)
-    np.copyto(p_img, r)
+    p_img = r  # P p0 = r0
     rz = _dot(r, p)
     for it in range(1, max_iter + 1):
-        np.subtract(diag, c, out=work)
         work *= p
         work += p_img  # A p
         alpha = rz / _dot(p, work)
         work *= alpha
-        r -= work
+        # the first update leaves r0 behind as P p0
+        r = np.subtract(r, work, out=None if r is p_img else r)
         np.multiply(p, alpha, out=work)
         x += work
         if math.sqrt(_dot(r, r)) <= target:
@@ -275,6 +282,7 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
         p_img *= beta
         p_img += r
         rz = rz_new
+        np.subtract(diag, c, out=work)
     # a zero b only gets here with a non-finite operator, whose residual is nan
     rel = math.sqrt(_dot(r, r)) / bnorm if bnorm > 0 else math.nan
     raise LinearSolveError(
@@ -282,10 +290,16 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
     )
 
 
-def _admit(phi, name, t) -> int:
-    """Zero a new field's dust in [CLAMP_FLOOR, 0) in place and return its count;
-    lower entries (-inf too) are a positivity error, and NaN, +inf or a value
-    above BLOWUP_LIMIT is a blow-up.  Reads the field twice: min, then max."""
+def _admit(phi, name, t) -> tuple[int, float]:
+    """Zero a new field's dust in [CLAMP_FLOOR, 0) in place; return its count
+    and the sup norm of the admitted field.  Lower entries (-inf too) are a
+    positivity error, and NaN, +inf or a value above BLOWUP_LIMIT is a
+    blow-up.  Reads the field twice: min, then max.
+
+    Once the dust is zero the sup norm is max(fmax, 0.0) + 0.0, which has the
+    bits of ``grid.norm_linf`` of the admitted field: fmax when some entry is
+    positive, else +0.0 (every entry dust or a zero of either sign).
+    """
     fmin = float(phi.min())
     if fmin < CLAMP_FLOOR:
         idx = np.unravel_index(int(np.argmin(phi)), phi.shape)
@@ -295,11 +309,12 @@ def _admit(phi, name, t) -> int:
         raise BlowUpError(f"{name} lost finiteness at t={t:.6g}")
     if fmax > BLOWUP_LIMIT:
         raise BlowUpError(f"|{name}| reached {fmax:.3e} (> {BLOWUP_LIMIT:.0e}) at t={t:.6g}")
+    sup = max(fmax, 0.0) + 0.0
     if fmin >= 0.0:
-        return 0
+        return 0, sup
     mask = phi < 0.0
     phi[mask] = 0.0
-    return int(np.count_nonzero(mask))
+    return int(np.count_nonzero(mask)), sup
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
@@ -312,6 +327,10 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     where it is used, so the two never take memory at the same time.  The
     input state is left unchanged; the new state's fields are new arrays.
     A manufactured model (``params.mms``) adds its sources at the new time.
+    A term that the model sets to zero costs no pass: at eps = 0 the uptake
+    has no denominator, mu = 0 adds nothing to the w diagonal, and a constant
+    resupply profile enters as the scalar linf(t) * dt, the bits of the
+    field's product with dt.  The stats carry the new fields' sup norms.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -333,7 +352,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_u *= dt
         u_new += s_u
-    clamp_u = _admit(spectral.solve(u_new, u_new), "u", t_new)
+    clamp_u, linf_u = _admit(spectral.solve(u_new, u_new), "u", t_new)
 
     v_new = gridmod.taxis_divergence(state.v, u_new, g)
     np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
@@ -342,46 +361,63 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_v *= dt
         v_new += s_v
-    clamp_v = _admit(spectral.solve(v_new, v_new), "v", t_new)
+    clamp_v, linf_v = _admit(spectral.solve(v_new, v_new), "v", t_new)
 
-    # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new;
-    # rhs_w holds the denominator first
+    # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new.
+    # At eps = 0 the denominator is 1.0 and sigma / 1.0 is sigma; at mu = 0
+    # the sum changes at most a -0.0, which dt * and + 1.0 turn into 1.0.
     diag = np.add(u_new, v_new)
-    rhs_w = np.multiply(diag, params.epsilon)
-    rhs_w *= state.w
-    rhs_w += 1.0
-    diag /= rhs_w
-    diag += params.mu
+    rhs_w = None
+    if params.epsilon != 0.0:
+        # rhs_w holds the denominator first
+        rhs_w = np.multiply(diag, params.epsilon)
+        rhs_w *= state.w
+        rhs_w += 1.0
+        diag /= rhs_w
+    if params.mu != 0.0:
+        diag += params.mu
     diag *= dt
     diag += 1.0
-    np.multiply(params.resupply.field(g, t_new), dt, out=rhs_w)
-    rhs_w += state.w
+    resupply = params.resupply
+    if resupply.profile == "constant":
+        # the field is linf(t) times ones: its product with dt is this scalar
+        rhs_w = np.add(state.w, resupply.linf(t_new) * dt, out=rhs_w)
+    else:
+        rhs_w = np.multiply(resupply.field(g, t_new), dt, out=rhs_w)
+        rhs_w += state.w
     if mms is not None:
         s_w *= dt
         rhs_w += s_w
     w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
-    clamp_w = _admit(w_new, "w", t_new)
+    clamp_w, linf_w = _admit(w_new, "w", t_new)
 
     new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
     stats = StepStats(clamps=clamp_u + clamp_v + clamp_w,
-                      cg_iterations=(0, 0, it_w))
+                      cg_iterations=(0, 0, it_w), linf=(linf_u, linf_v, linf_w))
     return new_state, stats
 
 
 def suggest_dt(state: State, params: ModelParams, g: gridmod.Grid,
-               control: StepControl) -> float:
+               control: StepControl, u_max: float | None = None,
+               v_max: float | None = None) -> float:
     """Advective and reaction-limited step size.
 
     dt = safety * min(dt_max, h_min / (max|grad w| + max|grad u|),
                       1 / (1 + |f'| + |g'|)) with the laws' analytic slopes
     at the current field maxima.  Returns safety * dt_max for the flat zero
-    state.
+    state.  ``u_max`` and ``v_max`` are those maxima when the caller has them
+    (``run`` passes the sup norms, which are the maxima of nonnegative
+    fields); otherwise they are read from the state.
     """
     grad_sum = (gridmod.max_face_gradient(state.w, g)
                 + gridmod.max_face_gradient(state.u, g))
     advective = g.h_min / (grad_sum + TINY_GRADIENT)
-    slope_f = abs(params.kinetics.law_f.derivative(float(state.u.max())))
-    slope_g = abs(params.kinetics.law_g.derivative(float(state.v.max())))
+    if u_max is None:
+        u_max = float(state.u.max())
+    if v_max is None:
+        v_max = float(state.v.max())
+    slope_f = abs(params.kinetics.law_f.derivative(u_max))
+    slope_g = abs(params.kinetics.law_g.derivative(v_max))
     reactive = 1.0 / (1.0 + slope_f + slope_g)
     return control.safety * min(control.dt_max, advective, reactive)
 
@@ -664,6 +700,17 @@ def _settle_heap() -> None:
     np.empty(HEAP_SETTLE_BYTES, dtype=np.uint8)
 
 
+def _count_step_checks(series: dict, consts: mon.BoundConstants,
+                       mu: float) -> dict[str, CheckStats]:
+    """Failed per-step check entries over every recorded state, by one
+    evaluation of the checks on the recorded arrays (an entry holds arrays)."""
+    entries = mon.check_mass(series["t"], series["mass_u"], series["mass_v"], consts,
+                             series["dt"])
+    entries += mon.check_w_supersolution(series["t"], series["linf_w"], series["wbar"],
+                                         consts, mu, series["dt"])
+    return {e.check: CheckStats(int(np.count_nonzero(~e.passed))) for e in entries}
+
+
 def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
     paths = gridmod.snapshot_paths(out_dir, state.step_index)
     for path, phi in zip(paths, (state.u, state.v, state.w)):
@@ -679,6 +726,14 @@ def run(setup: RunSetup) -> RunResult:
     written) instead.  A manufactured run (``params.mms``) runs no monitor,
     and its series ``int_u_alpha``, ``int_v_beta``, ``int_abs_g_v`` and
     ``int_consumption``, which only the monitors read, are empty.
+
+    Each fact of a state is computed once.  The sup norms ``linf_*`` of a new
+    state come from admission (``StepStats.linf``); those of the initial
+    state from ``grid.norm_linf``; ``suggest_dt`` takes u's and v's from the
+    record.  The per-step checks (mass ceilings, nutrient supersolution) add
+    entries to the report at cadence hits; ``step_checks`` counts the failed
+    ones of every recorded state, by one evaluation of the same checks on the
+    recorded arrays after the loop, whether or not the run completed.
     """
     g = setup.grid
     params = setup.params
@@ -686,6 +741,17 @@ def run(setup: RunSetup) -> RunResult:
     control = setup.control
     t0 = time.perf_counter()
     _settle_heap()
+    out_dir = Path(setup.out_dir) if setup.out_dir is not None else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, or among its parents
+            raise StructuralError(
+                f"cannot make output directory {out_dir}: {exc.strerror}") from None
+        # the snapshots of an earlier run here would join this run's trajectory
+        for p in out_dir.iterdir():
+            if gridmod.SNAPSHOT_NAME.match(p.name):
+                p.unlink()
 
     consts = mon.BoundConstants.from_setup(
         g, ks, params.resupply, params.mu, setup.initial.u0, setup.initial.v0,
@@ -703,7 +769,6 @@ def run(setup: RunSetup) -> RunResult:
                 f"suggested step {dt_bound!r} of the initial state",
                 RuntimeWarning, stacklevel=2)
     report = mon.MonitorReport()
-    step_checks: dict[str, CheckStats] = {}
     series: dict[str, list] = {k: [] for k in (
         "t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
         "clamps", "int_u_alpha", "int_v_beta", "int_f_u", "int_g_v",
@@ -714,19 +779,12 @@ def run(setup: RunSetup) -> RunResult:
         "linf_u", "linf_v", "maxgrad_u", "maxgrad_v", "seminorm_u_w24",
         "weighted_functional")}
 
-    out_dir = Path(setup.out_dir) if setup.out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # the snapshots of an earlier run here would join this run's trajectory
-        for p in out_dir.iterdir():
-            if gridmod.SNAPSHOT_NAME.match(p.name):
-                p.unlink()
-
     # against a source-augmented (manufactured) system the a-priori bounds
     # do not apply; record series and snapshots only
     checks_active = params.mms is None
     clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end)
-    wbar = gridmod.norm_linf(setup.initial.w0)
+    linf = tuple(gridmod.norm_linf(phi) for phi in (state.u, state.v, state.w))
+    wbar = linf[2]
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
     cum_log_grad = 0.0
@@ -745,9 +803,9 @@ def run(setup: RunSetup) -> RunResult:
             series["mass_u"].append(gridmod.integrate(state.u, g))
             series["mass_v"].append(gridmod.integrate(state.v, g))
             series["mass_w"].append(gridmod.integrate(state.w, g))
-            series["linf_u"].append(gridmod.norm_linf(state.u))
-            series["linf_v"].append(gridmod.norm_linf(state.v))
-            series["linf_w"].append(gridmod.norm_linf(state.w))
+            series["linf_u"].append(linf[0])
+            series["linf_v"].append(linf[1])
+            series["linf_w"].append(linf[2])
             series["clamps"].append(clamps)
             series["int_f_u"].append(gridmod.integrate(fu, g))
             series["int_g_v"].append(gridmod.integrate(gv, g))
@@ -768,16 +826,11 @@ def run(setup: RunSetup) -> RunResult:
                 if state.step_index > 0:
                     cum_log_grad += 0.5 * (state.t - t_prev) * (log_grad + log_grad_prev)
                 t_prev, log_grad_prev = state.t, log_grad
-                entries = mon.check_mass(state.t, series["mass_u"][-1],
-                                         series["mass_v"][-1], consts, dt)
-                entries += mon.check_w_supersolution(
-                    state.t, series["linf_w"][-1], wbar, consts, params.mu, dt)
-                for e in entries:
-                    stats = step_checks.setdefault(e.check, CheckStats())
-                    if not e.passed:
-                        stats.violations += 1
                 if cad_hit:
-                    report.extend(entries)
+                    report.extend(mon.check_mass(state.t, series["mass_u"][-1],
+                                                 series["mass_v"][-1], consts, dt))
+                    report.extend(mon.check_w_supersolution(
+                        state.t, linf[2], wbar, consts, params.mu, dt))
                     report.extend(mon.check_window_integrals(
                         state.t, series["t"], series["int_u_alpha"], series["int_v_beta"],
                         consts, dt))
@@ -804,11 +857,12 @@ def run(setup: RunSetup) -> RunResult:
             if setup.fixed_dt is not None:
                 dt = setup.fixed_dt
             else:
-                dt = suggest_dt(state, params, g, control)
+                dt = suggest_dt(state, params, g, control, linf[0], linf[1])
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
             state, stats = step(state, params, dt, g, control, laws=(fu, gv))
             state.t = t_new
             clamps = stats.clamps
+            linf = stats.linf
             w_iterations += stats.cg_iterations[2]
             # advance the nutrient supersolution with the analytic resupply sup
             r_prev, r_now = r_now, params.resupply.linf(t_new)
@@ -817,6 +871,7 @@ def run(setup: RunSetup) -> RunResult:
         failure = f"{type(exc).__name__}: {exc}"
 
     series_np = {k: np.asarray(v, dtype=float) for k, v in series.items()}
+    step_checks = _count_step_checks(series_np, consts, params.mu) if checks_active else {}
 
     decay = None
     regularity = None
@@ -853,13 +908,14 @@ def _write_outputs(result: RunResult, out_dir: Path):
     series = result.series
     cols = ["t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v",
             "linf_w", "clamps"]
-    lines = [",".join(cols)]
-    n = len(series["t"])
-    for i in range(n):
-        row = [_fmt(series[c][i]) if c != "clamps" else str(int(series["clamps"][i]))
-               for c in cols]
-        lines.append(",".join(row))
-    (out_dir / "timeseries.csv").write_text("\n".join(lines) + "\n")
+    # row by row: the whole file as one string (twice, joined and then with
+    # its last newline) took a few hundred KiB of fresh heap on long runs
+    with open(out_dir / "timeseries.csv", "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(len(series["t"])):
+            row = [_fmt(series[c][i]) if c != "clamps" else str(int(series["clamps"][i]))
+                   for c in cols]
+            fh.write(",".join(row) + "\n")
 
     (out_dir / "monitors.csv").write_text(
         "\n".join(result.report.csv_rows()) + "\n")

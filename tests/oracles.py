@@ -1,8 +1,10 @@
 """Independent brute-force oracles shared across test modules.
 
 Everything here is written the slow, explicit way on purpose: loops over
-faces, dense matrices, direct elimination.  None of it calls back into the
-vectorized production kernels.
+faces, dense matrices, direct elimination, whole-field expressions.  None of
+it calls back into the vectorized production kernels; the oracles of the w
+solve and the step take the spectral inverse of c I - dt Lap as a function
+``solve(b, c)``, which the tests check against dense elimination on its own.
 """
 
 import math
@@ -211,3 +213,66 @@ def mms_sources_reference(mms, params, g, t):
     s_w = ((da_w + k2 * a_w) * mode + db_w + sigma / (1.0 + params.epsilon * sigma)
            + params.mu * w - resupply_reference(params.resupply, X, Y, t))
     return s_u, s_v, s_w
+
+
+def _dot(a, b):
+    return float(np.einsum("ij,ij->", a, b))
+
+
+def pcg_reference(diag, b, rtol, max_iter, solve):
+    """The textbook preconditioned CG of the w solve, one new array per expression.
+
+    Preconditioner P = c I - dt Lap with c = mean(diag), start
+    x0 = P^-1(c b / diag), residual r0 = (b / diag - x0)(diag - c), and P p
+    carried by the recurrence P p_new = r + beta P p.  Returns (x, iterations),
+    or (None, max_iter) when it does not converge.
+    """
+    target = rtol * math.sqrt(_dot(b, b))
+    c = float(np.mean(diag))
+    x = solve(b / diag * c, c)
+    r = (b / diag - x) * (diag - c)
+    if math.sqrt(_dot(r, r)) <= target:
+        return x, 0
+    p = solve(r, c)
+    p_img = r
+    rz = _dot(r, p)
+    for it in range(1, max_iter + 1):
+        a_p = (diag - c) * p + p_img
+        alpha = rz / _dot(p, a_p)
+        r = r - a_p * alpha
+        x = x + p * alpha
+        if math.sqrt(_dot(r, r)) <= target:
+            return x, it
+        z = solve(r, c)
+        rz_new = _dot(r, z)
+        beta = rz_new / rz
+        p = p * beta + z
+        p_img = p_img * beta + r
+        rz = rz_new
+    return None, max_iter
+
+
+def step_reference(state, params, dt, g, control, solve):
+    """One IMEX step of a model without manufactured sources, as the full
+    expressions: the consumption denominator at eps = 0, the + mu at mu = 0
+    and the resupply as a whole field are all evaluated.
+
+    Plain expressions in the operation order of ``solver.step``, with the
+    dust of each new field zeroed.  Returns (u, v, w, w-solve iterations).
+    """
+    ks = params.kinetics
+    t_new = state.t + dt
+
+    def admit(phi):
+        return np.where(phi < 0.0, 0.0, phi)
+
+    u1 = admit(solve((ks.law_f(state.u) - taxis_divergence_reference(state.u, state.w, g))
+                     * dt + state.u, 1.0))
+    v1 = admit(solve((ks.law_g(state.v) - taxis_divergence_reference(state.v, u1, g))
+                     * dt + state.v, 1.0))
+    sigma = u1 + v1
+    diag = (sigma / (sigma * params.epsilon * state.w + 1.0) + params.mu) * dt + 1.0
+    X, Y = g.cell_centers()
+    rhs_w = resupply_reference(params.resupply, X, Y, t_new) * dt + state.w
+    w1, iterations = pcg_reference(diag, rhs_w, control.lin_tol, control.max_iter, solve)
+    return u1, v1, admit(w1), iterations

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,6 +347,48 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys):
                      "--out", str(tmp_path / "weakform.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_weak_refuses_a_trajectory_that_spans_no_time(tmp_path, capsys):
+    # a t_end = 0 run is one snapshot; its test functions would have no
+    # support, and dividing by b - a = 0 wrote NaN rows and failed identities
+    p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.0))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "weakform.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify-weak", "--traj", str(tmp_path / "out"), "--out", str(csv)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "spans no time" in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{missing}"],
+    ["gate", "{missing}"],
+    ["run", "{folder}"],
+    ["run", "--preset", "thm2-decay", "--t-end", "0.1", "--out", "{afile}"],
+    ["run", "{good}", "--out", "{afile}"],
+    ["mms", "--levels", "8", "--t-end", "0.01", "--out", "{afile}"],
+], ids=["run-missing-ini", "gate-missing-ini", "run-ini-is-a-folder",
+        "run-out-is-a-file", "run-ini-out-is-a-file", "mms-out-is-a-file"])
+def test_missing_input_or_file_output_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    good = write_cfg(tmp_path, small_cfg(tmp_path, out_dir=None))
+    argv = [a.format(missing=tmp_path / "nope.ini", folder=tmp_path, afile=afile, good=good)
+            for a in argv]
+    steps = []
+    monkeypatch.setattr(S, "step", lambda *a, **k: steps.append(a))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert steps == []
+    assert afile.read_text() == "kept\n"
 
 
 def test_watchdog_exit_code(tmp_path):

@@ -16,10 +16,12 @@ from hypothesis import strategies as hs
 from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
-from oracles import by_check, dense_step, mms_sources_reference
+from oracles import (by_check, dense_step, mms_sources_reference, pcg_reference,
+                     step_reference)
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
+from taxis_cascade import monitors as M
 from taxis_cascade import presets
 from taxis_cascade import solver as S
 from taxis_cascade.errors import (BlowUpError, DomainError, LinearSolveError,
@@ -595,7 +597,7 @@ def test_watchdog_catches_non_finite_and_huge_values():
         phi[0, 3] = bad
         with pytest.raises(PositivityError):
             S._admit(phi, "u", 0.5)
-    assert S._admit(np.ones((4, 4)), "u", 0.5) == 0
+    assert S._admit(np.ones((4, 4)), "u", 0.5) == (0, 1.0)
 
 
 _THREAD_PROBE = """
@@ -663,10 +665,156 @@ def test_positivity_over_many_steps():
 
 def test_clamp_window():
     phi = np.array([[0.5, -5e-13], [1.0, 2.0]])
-    count = S._admit(phi, "u", 0.5)
+    count, sup = S._admit(phi, "u", 0.5)
     assert count == 1 and phi[0, 1] == 0.0
+    assert sup == 2.0
     with pytest.raises(PositivityError):
         S._admit(np.array([[0.1, -1e-11]]), "u", 0.5)
+
+
+@pytest.mark.parametrize("entries, dust", [
+    ([-5e-13, -1e-13], 2),             # every entry dust: sup +0.0
+    ([-0.0, -0.0], 0),                 # negative zeros are not dust
+    ([-0.0, -5e-13], 1),
+    ([0.0, -0.0], 0),
+    ([0.5, -0.0, -5e-13, 2.0], 1),
+    ([3.0, 1.0], 0),
+])
+def test_admission_sup_is_norm_linf_of_the_admitted_field_bitwise(entries, dust):
+    phi = np.array([entries, entries[::-1]])
+    count, sup = S._admit(phi, "u", 0.5)
+    assert count == 2 * dust
+    assert not np.any(phi < 0.0)
+    assert np.float64(sup).tobytes() == np.float64(G.norm_linf(phi)).tobytes()
+    assert math.copysign(1.0, sup) == 1.0
+
+
+@pytest.mark.parametrize("negative_zero_w", [False, True])
+def test_recorded_sup_norms_are_norm_linf_of_every_state_bitwise(monkeypatch,
+                                                                  negative_zero_w):
+    # the new states' norms come from admission, the initial state's from
+    # norm_linf; w0 = -0.0 with no resupply keeps a flat zero w all along
+    states = []
+
+    def recording_step(*args, _step=S.step, **kwargs):
+        new, stats = _step(*args, **kwargs)
+        states.append(new)
+        return new, stats
+
+    monkeypatch.setattr(S, "step", recording_step)
+    cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=0.3,
+                  out_dir=None)
+    setup = cfg.build_setup()
+    if negative_zero_w:
+        init = setup.initial
+        setup = replace(setup, params=replace(setup.params, resupply=K.ResupplySpec()),
+                        initial=K.InitialData(init.u0, init.v0, np.full(init.w0.shape, -0.0)))
+    result = S.run(setup)
+    assert result.completed and result.steps == len(states) > 0
+    init = setup.initial
+    states.insert(0, S.State(init.u0.astype(float), init.v0.astype(float),
+                             init.w0.astype(float)))
+    for name in "uvw":
+        expected = np.array([G.norm_linf(getattr(st, name)) for st in states])
+        assert result.series[f"linf_{name}"].tobytes() == expected.tobytes()
+    if negative_zero_w:
+        assert result.series["linf_w"].tobytes() == np.zeros(len(states)).tobytes()
+
+
+def _per_step_violations(result):
+    """Failed per-step check entries, one state of the record at a time."""
+    series, consts, mu = result.series, result.consts, result.setup.params.mu
+    counts = {}
+    for i in range(len(series["t"])):
+        t, dt = float(series["t"][i]), float(series["dt"][i])
+        entries = M.check_mass(t, float(series["mass_u"][i]), float(series["mass_v"][i]),
+                               consts, dt)
+        entries += M.check_w_supersolution(t, float(series["linf_w"][i]),
+                                           float(series["wbar"][i]), consts, mu, dt)
+        for e in entries:
+            counts[e.check] = counts.get(e.check, 0) + (not e.passed)
+    return counts
+
+
+def _tightened_constants(monkeypatch):
+    # ceilings below what thm2-decay reaches, so each check fails somewhere
+    original = M.BoundConstants.from_setup.__func__
+
+    def tightened(cls, *args):
+        c = original(cls, *args)
+        return replace(c, u_star=0.3 * c.u_star, v_star=0.97 * c.v_star, w_star=0.35)
+
+    monkeypatch.setattr(M.BoundConstants, "from_setup", classmethod(tightened))
+
+
+def test_step_checks_are_the_per_step_loop_over_the_record(monkeypatch):
+    _tightened_constants(monkeypatch)
+    cfg = replace(presets.preset("thm2-decay").config, t_end=3.0, out_dir=None)
+    result = S.run(cfg.build_setup())
+    assert result.completed
+    counts = {name: stats.violations for name, stats in result.step_checks.items()}
+    assert list(counts) == ["mass_u", "mass_v", "w_supersolution", "w_ceiling"]
+    assert counts == _per_step_violations(result)
+    assert counts["mass_u"] > 0 and counts["mass_v"] > 0 and counts["w_ceiling"] > 0
+    # the report holds the cadence-time entries of the same checks
+    failed = {e.check for e in result.report.failures()}
+    assert {"mass_u", "mass_v", "w_ceiling"} <= failed
+
+
+def test_step_checks_of_a_failed_run_count_the_states_it_recorded(monkeypatch):
+    _tightened_constants(monkeypatch)
+    taken = []
+
+    def failing_step(*args, _step=S.step, **kwargs):
+        if len(taken) == 40:
+            raise PositivityError("u", (0, 0), -1.0)
+        taken.append(None)
+        return _step(*args, **kwargs)
+
+    monkeypatch.setattr(S, "step", failing_step)
+    cfg = replace(presets.preset("thm2-decay").config, t_end=3.0, out_dir=None)
+    result = S.run(cfg.build_setup())
+    assert result.failure.startswith("PositivityError")
+    assert len(result.series["t"]) == 41
+    counts = {name: stats.violations for name, stats in result.step_checks.items()}
+    assert counts == _per_step_violations(result)
+    assert counts["mass_u"] > 0
+
+
+@pytest.mark.parametrize("n", [16, 96])  # dense cosine path and scipy's DCT
+@pytest.mark.parametrize("amp, iterations", [(0.0, 0), (0.05, 1), (5.0, 3)])
+def test_w_solve_is_the_textbook_pcg_bitwise(n, amp, iterations):
+    g = G.Grid(n, n)
+    X, Y = g.cell_centers()
+    dt = 5e-3
+    b = 0.5 + 0.4 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.05)
+    diag = 1.0 + dt * (0.1 + amp * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01))
+    x, it = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), 1e-10, 2000)
+    spectral = S._SpectralHelmholtz(g, dt)
+    x_ref, it_ref = pcg_reference(diag, b, 1e-10, 2000,
+                                  lambda r, c: spectral.solve(r, np.empty_like(r), c))
+    assert it == it_ref == iterations
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [24, 96])  # dense cosine path and scipy's DCT
+@pytest.mark.parametrize("eps, mu, profile", [
+    (0.0, 0.0, "constant"), (0.0, 0.4, "gaussian"), (1e-3, 0.0, "constant"),
+    (1e-3, 0.4, "gaussian"), (0.0, 0.0, "gaussian"), (1e-3, 0.4, "constant")])
+def test_step_skipping_zero_terms_is_the_full_expression_step_bitwise(n, eps, mu, profile):
+    setup, st = thm1_core_start(n)
+    st.t = 0.3  # a decaying resupply factor below 1
+    resupply = K.ResupplySpec(profile=profile, amplitude=0.3, center=(0.4, 0.6),
+                              width=0.15, decay_lambda=0.7)
+    params = replace(setup.params, epsilon=eps, mu=mu, resupply=resupply)
+    dt = 2e-3
+    new, stats = S.step(st, params, dt, setup.grid, setup.control)
+    spectral = S._SpectralHelmholtz(setup.grid, dt)
+    u, v, w, it = step_reference(st, params, dt, setup.grid, setup.control,
+                                 lambda b, c: spectral.solve(b, np.empty_like(b), c))
+    assert (new.u.tobytes(), new.v.tobytes(), new.w.tobytes()) == (
+        u.tobytes(), v.tobytes(), w.tobytes())
+    assert stats.cg_iterations == (0, 0, it) and it >= 1
 
 
 def test_blowup_watchdog():
