@@ -325,6 +325,13 @@ def cmd_sweep(args) -> int:
 
 def verify_weak(traj_dir, out_csv=None):
     """Evaluate the three identities over the shipped basis plus the mass rows."""
+    if out_csv is not None:
+        # checked before the quadrature, which would otherwise run in vain
+        out = Path(out_csv)
+        if out.is_dir():
+            raise StructuralError(f"cannot write {out}: it is a directory")
+        if not out.parent.is_dir():
+            raise StructuralError(f"cannot write {out}: no directory {out.parent}")
     traj = weakform.load_trajectory(traj_dir)
     if len(traj) < 2:
         # the basis lives on [0, t_end]; a zero span leaves it no support

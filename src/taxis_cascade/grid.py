@@ -5,6 +5,13 @@ center, row-major with x varying fastest.  All operators close the domain
 with mirror ghost cells, i.e. zero normal flux through the boundary, and the
 diffusion/taxis operators are written in conservative face-flux form so the
 global sum of any divergence vanishes up to rounding.
+
+In a C-ordered field the x-neighbours of all rows are adjacent in memory
+except across row ends, so ``laplacian``, ``taxis_divergence`` and
+``max_face_gradient`` take their x-jumps as one flat run (``_face_jumps``)
+and zero its row-end entries, which lie on no face.  ``face_differences`` and
+``face_gradients`` keep (ny, nx-1) x-faces, because their readers sum over
+them and the order of a sum fixes its bits.
 """
 
 from __future__ import annotations
@@ -100,20 +107,41 @@ def face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
+def _face_jumps(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undivided jumps as in ``face_differences``, the x-jumps as one flat run.
+
+    Flat cells k and k+1 of a C-ordered field are x-neighbours except across
+    a row end, so entry k of the x-run, flat[k+1] - flat[k], is the jump
+    across an interior x-face, except at the ny-1 row ends k = j*nx - 1
+    (the slice [nx-1::nx]), where it straddles two rows and lies on no face.
+    One subtraction of length N-1 replaces ny short row loops over the
+    (ny, nx-1) views.  A field that is not C-ordered is copied in C order
+    first.  The y-jumps are (ny-1, nx), one block already.
+    """
+    flat = phi.ravel()
+    return np.subtract(flat[1:], flat[:-1]), np.subtract(phi[1:, :], phi[:-1, :])
+
+
 def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid) -> np.ndarray:
     """Divergence from interior face fluxes (+x / +y through each face).
 
-    Cell i gains its right-face flux and loses its left-face flux, divided by
-    the cell width; boundary faces carry zero flux.  The fluxes are divided
-    by the cell width once, in place, so the caller must pass arrays it owns.
-    The sums are those of adding into zeros: 0.0 + fx turns a -0.0 flux
-    into +0.0, so the first x-flux is written as that sum, not copied.
+    ``fx`` is a flat x-run as from ``_face_jumps`` and ``fy`` the (ny-1, nx)
+    y-fluxes.  Cell i gains its right-face flux and loses its left-face flux,
+    divided by the cell width; boundary faces carry zero flux, so the
+    row-end entries of ``fx`` are set to +0.0 first, whatever they hold.  The
+    fluxes are divided by the cell width once, in place, so the caller must
+    pass arrays it owns.  The sums are those of adding into zeros: 0.0 + fx
+    turns a -0.0 flux into +0.0, so the first x-flux is written as that sum,
+    not copied, and subtracting a +0.0 row-end flux from it leaves it as it
+    is; the result has the bits of the (ny, nx) assembly.
     """
-    div = np.empty((g.ny, g.nx))
+    d = np.empty(g.nx * g.ny)
+    fx[g.nx - 1::g.nx] = 0.0
     fx /= g.hx
-    np.add(fx, 0.0, out=div[:, :-1])
-    div[:, -1] = 0.0
-    div[:, 1:] -= fx
+    np.add(fx, 0.0, out=d[:-1])
+    d[-1] = 0.0
+    d[1:] -= fx
+    div = d.reshape(g.shape)
     fy /= g.hy
     div[:-1, :] += fy
     div[1:, :] -= fy
@@ -128,7 +156,9 @@ def laplacian(phi: np.ndarray, g: Grid) -> np.ndarray:
     result telescopes to zero.
     """
     g.check_conforms(phi)
-    gx, gy = face_gradients(phi, g)
+    gx, gy = _face_jumps(phi)
+    gx /= g.hx
+    gy /= g.hy
     return _flux_divergence(gx, gy, g)
 
 
@@ -139,18 +169,23 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     carrier is taken from the upstream cell relative to the face gradient
     (transport runs up the potential gradient).  Boundary faces carry zero
     flux.  With a unit carrier this reduces bitwise to ``laplacian``.  The
-    inputs are left unchanged and the result is a new array.
+    inputs are left unchanged and the result is a new array.  The x-faces
+    are one flat run (``_face_jumps``); its row-end entries take whatever
+    the carrier gives and are then zeroed by ``_flux_divergence``.
     """
     g.check_conforms(carrier, potential)
     cmin = float(carrier.min())
     if cmin < CARRIER_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
-    gx, gy = face_gradients(potential, g)
+    gx, gy = _face_jumps(potential)
+    gx /= g.hx
+    gy /= g.hy
     # the upwind flux: the right/upper carrier times the gradient, rewritten
     # with the left/lower one where the gradient is positive (the products
     # of np.where(g > 0, left, right) * g)
-    fx = np.multiply(carrier[:, 1:], gx)
-    np.multiply(carrier[:, :-1], gx, out=fx, where=gx > 0.0)
+    flat = carrier.ravel()
+    fx = np.multiply(flat[1:], gx)
+    np.multiply(flat[:-1], gx, out=fx, where=gx > 0.0)
     fy = np.multiply(carrier[1:, :], gy)
     np.multiply(carrier[:-1, :], gy, out=fy, where=gy > 0.0)
     return _flux_divergence(fx, fy, g)
@@ -159,10 +194,13 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:
     """Largest face-normal difference magnitude over all interior faces.
 
-    Division by h > 0 is monotone and rounds symmetrically, so dividing the
-    largest undivided jump gives the bits of the largest divided one.
+    The x-jumps are one flat run (``_face_jumps``) whose row-end entries are
+    set to zero, which cannot raise the largest magnitude.  Division by
+    h > 0 is monotone and rounds symmetrically, so dividing the largest
+    undivided jump gives the bits of the largest divided one.
     """
-    dx, dy = face_differences(phi)
+    dx, dy = _face_jumps(phi)
+    dx[g.nx - 1::g.nx] = 0.0
     mx = float(np.abs(dx, out=dx).max()) / g.hx
     my = float(np.abs(dy, out=dy).max()) / g.hy
     return max(mx, my)

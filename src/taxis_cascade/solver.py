@@ -4,16 +4,17 @@ One step advances the cascade in order u -> v -> w: diffusion is implicit
 (backward Euler), taxis and growth are explicit, and the v-taxis potential is
 the freshly solved u.  One operator c*I - dt*Lap per step serves all three
 solves.  The u and v systems (c = 1) are solved directly by the cosine
-transform that diagonalizes the Neumann Laplacian: on grids of at most DENSE_DCT_MAX cells a side as four small products with cached dense
-cosine matrices, on larger grids by scipy's DCT.  The nutrient
-consumption is semi-implicit through a nonnegative diagonal, so w inherits
-nonnegativity from the M-matrix solve whatever dt is; that solve is the only
-iterative one (spectrally preconditioned CG), and StepControl.lin_tol and
-max_iter govern it alone.  It starts from the consumption-scaled guess
-P^-1(c b / diag), whose residual is pointwise, and meets lin_tol after 0
-to 2 iterations on the shipped problems.  ``_admit`` clamps entries of a new
-field in [-1e-12, 0) to zero and counts them; anything lower is a hard
-positivity error.
+transform that diagonalizes the Neumann Laplacian: on grids of at most
+DENSE_DCT_MAX cells a side as four small products with cached dense cosine
+matrices and their C-contiguous transposes, on larger grids by scipy's DCT.
+The nutrient consumption is semi-implicit through a nonnegative diagonal, so
+w inherits nonnegativity from the M-matrix solve whatever dt is; that solve
+is the only iterative one (spectrally preconditioned CG), and
+StepControl.lin_tol and max_iter govern it alone.  It starts from the
+consumption-scaled guess P^-1(c b / diag), whose residual is pointwise, and
+meets lin_tol after 0 to 2 iterations on the shipped problems.  ``_admit``
+clamps entries of a new field in [-1e-12, 0) to zero and counts them;
+anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more: each right-hand side is built in the array that the solve then
@@ -57,21 +58,23 @@ TINY_GRADIENT = 1e-30
 FIXED_DT_WARN_RATIO = 10.0
 
 # Grids with at most this many cells a side take the dense cosine path of
-# _SpectralHelmholtz.  One solve (forward and inverse transform), dense
-# matmul against scipy.fft (numpy 2.4, scipy 1.17, OPENBLAS_NUM_THREADS=1,
-# a shared 2-CPU x86-64 machine):
+# _SpectralHelmholtz.  One solve (forward and inverse transform), scipy.fft
+# against the dense products, medians of three runs (numpy 2.4, scipy 1.17,
+# OPENBLAS_NUM_THREADS=1, a shared 2-CPU x86-64 machine whose speed drifts
+# by about 20% between runs):
 #
 #     n     scipy pair   dense pair
-#     32      38 us        9.5 us
-#     40      57 us        19 us
-#     64     154 us        61 us
-#     80     127 us        75 us
-#     96     183 us       170 us
-#    128     349 us       428 us
-#    256    1579 us      2876 us
+#     32      63 us        23 us
+#     40      78 us        32 us
+#     64     136 us        72 us
+#     80     197 us       125 us
+#     96     261 us       200 us
+#    128     452 us       538 us
+#    256    1616 us      3433 us
 #
 # scipy's dispatch around its transform dominates small grids; the n^3
-# matmul overtakes it from about 96.
+# products overtake it between 96 and 128.  No shipped workload lies
+# between 80 and 128, so the cutoff stays at 80.
 DENSE_DCT_MAX = 80
 
 
@@ -143,11 +146,14 @@ def _neumann_eigenvalues(g: gridmod.Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _cosine_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix C of size n: C @ x is dct(x, norm="ortho")."""
+def _cosine_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix C of size n (C @ x is dct(x, norm="ortho"))
+    and its transpose as a C-contiguous copy, both read-only."""
     matrix = _fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
+    transpose = np.ascontiguousarray(matrix.T)
     matrix.setflags(write=False)
-    return matrix
+    transpose.setflags(write=False)
+    return matrix, transpose
 
 
 class _SpectralHelmholtz:
@@ -165,13 +171,19 @@ class _SpectralHelmholtz:
     When neither side exceeds DENSE_DCT_MAX the transforms are the products
     Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
     skips scipy's per-call dispatch; larger grids call scipy's DCT in place.
-    A solve divides by the denominators lambda*dt + c held in the one work
-    array (not multiplying by reciprocals, which would change the bits).
-    On the DCT path the array holds nothing else, so the table is written
-    only when c changes: u and v share one, the w solves another.  The
-    dense products pass through the work array, so that path writes the
-    table on every solve; they also round the k = 0 mode, so it then
-    restores the exact cell sum, sum(b) / c.
+    Each matrix is cached with its transpose as a C-contiguous copy, so no
+    product reads a transposed view, and the products are ``np.dot`` with
+    ``out=``, the BLAS call of ``np.matmul`` with less dispatch.  On some
+    sizes they round differently from products on transposed views (the
+    README's Scheme lists them), deterministically and whatever the BLAS
+    thread count.  ``np.dot`` needs a C-contiguous ``out``, as every field
+    of a step is.  A solve divides by the denominators lambda*dt + c held
+    in the one work array (not multiplying by reciprocals, which would
+    change the bits).  On the DCT path the array holds nothing else, so the
+    table is written only when c changes: u and v share one, the w solves
+    another.  The dense products pass through the work array, so that path
+    writes the table on every solve; they also round the k = 0 mode, so it
+    then restores the exact cell sum, sum(b) / c.
     """
 
     def __init__(self, g: gridmod.Grid, dt: float):
@@ -192,9 +204,9 @@ class _SpectralHelmholtz:
         """
         if self.dense:
             total = float(b.sum())  # read before out = b is overwritten
-            cy, cx = self.cosines
-            np.matmul(cy, b, out=self.work)
-            coeffs = np.matmul(self.work, cx.T, out=out)
+            (cy, cy_t), (cx, cx_t) = self.cosines
+            np.dot(cy, b, out=self.work)
+            coeffs = np.dot(self.work, cx_t, out=out)
         else:
             if out is not b:
                 np.copyto(out, b)
@@ -211,8 +223,8 @@ class _SpectralHelmholtz:
             if not np.may_share_memory(x, out):
                 np.copyto(out, x)
             return out
-        np.matmul(cy.T, out, out=self.work)
-        np.matmul(self.work, cx, out=out)
+        np.dot(cy_t, out, out=self.work)
+        np.dot(self.work, cx, out=out)
         out += (total / c - float(out.sum())) / out.size
         return out
 

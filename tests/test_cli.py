@@ -366,6 +366,26 @@ def test_verify_weak_refuses_a_trajectory_that_spans_no_time(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("out", ["folder", "folder/missing/weakform.csv"],
+                         ids=["out-is-a-directory", "out-has-no-directory"])
+def test_verify_weak_checks_its_output_before_the_quadrature(tmp_path, capsys,
+                                                           monkeypatch, out):
+    p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    (tmp_path / "folder").mkdir()
+    loads, load = [], weakform.load_trajectory
+    monkeypatch.setattr(weakform, "load_trajectory", lambda *a: loads.append(a) or load(*a))
+    code = cli.main(["verify-weak", "--traj", str(tmp_path / "out"),
+                     "--out", str(tmp_path / out)])
+    assert code == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert loads == []
+    assert list((tmp_path / "folder").iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{missing}"],
     ["gate", "{missing}"],

@@ -175,6 +175,94 @@ def test_taxis_divergence_is_the_zeros_then_add_assembly_bitwise(g, seed, vacant
                      taxis_divergence_reference(carrier, potential, g))
 
 
+# The kernels run the x-faces of all rows as one flat subtraction, whose
+# entries at row ends (flat k = j*nx - 1) straddle two rows and lie on no
+# face.  These cases put large or non-finite values exactly there.
+
+SEAM_GRID = G.Grid(7, 5, 1.3, 0.6)  # nx != ny, Lx != Ly
+
+
+def seam_potential(g, rng):
+    """A steep ramp in x: each row-end jump is about nx-1 times any face jump."""
+    return rng.random(g.shape) + 1e12 * np.arange(g.nx) / g.nx
+
+
+def check_seam_kernels(carrier, potential, g):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(G.taxis_divergence(carrier, potential, g),
+                         taxis_divergence_reference(carrier, potential, g))
+        assert same_bits(G.laplacian(potential, g),
+                         taxis_divergence_reference(np.ones(g.shape), potential, g))
+        gx, gy = G.face_gradients(potential, g)
+        want = max(float(np.abs(gx).max()), float(np.abs(gy).max()))
+        assert same_bits(G.max_face_gradient(potential, g), want)
+
+
+@pytest.mark.parametrize("g", [SEAM_GRID, G.Grid(4, 9, 0.7, 2.1), G.Grid(16, 4)],
+                         ids=["7x5", "4x9", "16x4"])
+def test_flat_kernels_ignore_jumps_across_row_ends_bitwise(g):
+    rng = np.random.default_rng(11)
+    potential = seam_potential(g, rng)
+    dx, dy = G.face_differences(potential)
+    seams = np.diff(potential.ravel())[g.nx - 1::g.nx]
+    assert np.abs(seams).min() > 2.0 * max(np.abs(dx).max(), np.abs(dy).max())
+    check_seam_kernels(rng.random(g.shape), potential, g)
+    check_seam_kernels(rng.random(g.shape), rng.standard_normal(g.shape), g)
+
+
+@pytest.mark.parametrize("fill", [1e300, np.inf, np.nan])
+@pytest.mark.parametrize("column", [0, -1, "both"])
+def test_flat_taxis_keeps_extreme_carriers_where_the_rows_put_them(fill, column):
+    # the carrier of a row-end or row-start cell meets a row-end jump in the
+    # flat run; only its own interior faces may carry it into the result
+    g = SEAM_GRID
+    rng = np.random.default_rng(12)
+    carrier = rng.random(g.shape)
+    columns = [0, -1] if column == "both" else [column]
+    carrier[:, columns] = fill
+    for potential in (seam_potential(g, rng), rng.standard_normal(g.shape),
+                      np.full(g.shape, 2.5)):
+        check_seam_kernels(carrier, potential, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        div = G.taxis_divergence(carrier, np.full(g.shape, 2.5), g)
+    # a flat potential makes zero jumps, whose faces take the right or upper
+    # carrier: inf * 0 is NaN along a filled column's y-faces, and in the
+    # last two cells of each row from a filled last column; the row-end
+    # jumps of the flat run, multiplied by the same carriers, add none
+    bad = np.zeros(g.shape, dtype=bool)
+    if not np.isfinite(fill):
+        bad[:, 0] = 0 in columns
+        bad[:, -2] = bad[:, -1] = -1 in columns
+    assert np.array_equal(np.isnan(div), bad)
+    assert np.all(div[~bad] == 0.0)
+
+
+def layouts(a):
+    """The same values as a Fortran-ordered, a transposed and a sliced array."""
+    ny, nx = a.shape
+    fortran = np.asfortranarray(a)
+    transposed = np.ascontiguousarray(a.T).T
+    wide = np.full((ny + 3, 2 * nx + 1), np.nan)
+    wide[1:ny + 1, 1::2] = a
+    sliced = wide[1:ny + 1, 1::2]
+    return {"fortran": fortran, "transposed": transposed, "sliced": sliced}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "sliced"])
+def test_flat_kernels_on_non_c_ordered_inputs_bitwise(layout):
+    g = SEAM_GRID
+    rng = np.random.default_rng(13)
+    carrier = patchy_field(rng, g.shape, 0.3, signed=False)
+    potential = seam_potential(g, rng)
+    c, p = layouts(carrier)[layout], layouts(potential)[layout]
+    assert not (c.flags.c_contiguous or p.flags.c_contiguous)
+    before = c.copy(), p.copy()
+    check_seam_kernels(c, p, g)
+    assert same_bits(G.taxis_divergence(c, p, g), G.taxis_divergence(carrier, potential, g))
+    assert same_bits(G.max_face_gradient(p, g), G.max_face_gradient(potential, g))
+    assert same_bits(c, before[0]) and same_bits(p, before[1])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=GRIDS, seed=hs.integers(0, 2**32 - 1), vacant=hs.floats(0.0, 1.0),
        signed=hs.booleans())

@@ -298,8 +298,10 @@ def test_diffusion_solve_in_place_matches_allocating_solve():
 
 
 # grids on the dense cosine path, up to its cutoff, and a preconditioner-like
-# c (the mean w diagonal 1 + dt (mu + sigma)) beside the diffusion's c = 1
-@pytest.mark.parametrize("shape", [(24, 17), (40, 40), (80, 80)])
+# c (the mean w diagonal 1 + dt (mu + sigma)) beside the diffusion's c = 1;
+# at 20 and 32 the products on the cached transposes round differently
+# from products on transposed views
+@pytest.mark.parametrize("shape", [(24, 17), (40, 40), (80, 80), (20, 20), (32, 32)])
 @pytest.mark.parametrize("c", [1.0, 1.37])
 def test_dense_cosine_solve_matches_the_dct_solve(monkeypatch, shape, c):
     g = G.Grid(*shape, 1.3, 0.8)
