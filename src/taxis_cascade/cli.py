@@ -325,6 +325,8 @@ def cmd_sweep(args) -> int:
 
 def verify_weak(traj_dir, out_csv=None):
     """Evaluate the three identities over the shipped basis plus the mass rows."""
+    # the weak-form integrands run the grid kernels, as a run does
+    solver._settle_heap()
     if out_csv is not None:
         # checked before the quadrature, which would otherwise run in vain
         out = Path(out_csv)

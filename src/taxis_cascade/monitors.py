@@ -73,15 +73,6 @@ def mass_ode_star(alpha: float, K: float, L: float, omega_vol: float, y0: float)
     return max(y0, omega_vol * (L / K) ** (1.0 / alpha))
 
 
-def comparison_ode_bound(y0: float, a: float, C: float) -> float:
-    """Ceiling for y' + a y <= h with unit-window integrals of h at most C."""
-    if a <= 0:
-        raise DomainError(f"comparison bound needs a > 0, got {a}")
-    if C <= 0 or y0 < 0:
-        raise DomainError("comparison bound needs C > 0 and y0 >= 0")
-    return y0 + C / (1.0 - math.exp(-a))
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Explicit a-priori constants computed from the initial data."""
@@ -204,9 +195,9 @@ def log_gradient_integrand(v: np.ndarray, g) -> float:
     return float(np.sum(gx) + np.sum(gy)) * g.cell_volume
 
 
-def check_log_gradient_energy(t, cumulative: float) -> MonitorEntry:
-    """Report-only: time integral of the log-gradient energy up to t."""
-    return MonitorEntry.report_only(t, "log_gradient_energy", cumulative)
+def check_log_gradient_energy(t, energy: float) -> MonitorEntry:
+    """Report-only: the log-gradient energy at t (``log_gradient_integrand``)."""
+    return MonitorEntry.report_only(t, "log_gradient_energy", energy)
 
 
 def least_squares_slope(ts, ys) -> float:

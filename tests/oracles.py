@@ -11,6 +11,17 @@ import math
 
 import numpy as np
 
+from taxis_cascade.errors import DomainError
+
+
+def comparison_ode_bound(y0, a, C):
+    """Ceiling for y' + a y <= h with unit-window integrals of h at most C."""
+    if a <= 0:
+        raise DomainError(f"comparison bound needs a > 0, got {a}")
+    if C <= 0 or y0 < 0:
+        raise DomainError("comparison bound needs C > 0 and y0 >= 0")
+    return y0 + C / (1.0 - math.exp(-a))
+
 
 def windowed_forcing(rng, C, t_end, piece):
     """Nonnegative piecewise-constant h with rolling unit-window integrals <= C.

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import peak_of_forced_decay, v_mass_residual, windowed_forcing
+from oracles import (comparison_ode_bound, peak_of_forced_decay, v_mass_residual,
+                     windowed_forcing)
 from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
 from taxis_cascade import solver as S
@@ -233,7 +234,7 @@ def test_criterion_09_ode_comparison_ceilings():
         C = float(rng.uniform(0.1, 3.0))
         y0 = float(rng.uniform(0.0, 3.0))
         values, edges = windowed_forcing(rng, C, t_end=6.0, piece=0.25)
-        bound = M.comparison_ode_bound(y0, a, C)
+        bound = comparison_ode_bound(y0, a, C)
         ok = ok and peak_of_forced_decay(y0, a, values, edges) <= bound + 1e-8
     for _ in range(20):
         alpha = float(rng.uniform(1.5, 4.0))

@@ -61,6 +61,20 @@ def test_run_rejects_non_finite_or_negative_times(tmp_path, key, value):
     assert not (tmp_path / "out" / "timeseries.csv").exists()
 
 
+def test_bad_q_is_refused_before_the_snapshots_are_touched(tmp_path):
+    # the run clears the snapshots of its directory, so a setup it would
+    # refuse must be refused before it starts
+    first = write_cfg(tmp_path, small_cfg(tmp_path, name="thm2-decay"))
+    assert cli.main(["run", str(first)]) == 0
+    before = sorted(p.name for p in (tmp_path / "out").glob("*.fld"))
+    assert len(before) == 9
+    cfg = small_cfg(tmp_path, name="thm2-decay", q=1.0)
+    with pytest.raises(DomainError, match="q must exceed 1"):
+        cfg.build_setup()
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg, name="q.ini"))]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.fld")) == before
+
+
 def test_gate_fail_blocks_run_unless_forced(tmp_path):
     cfg = small_cfg(tmp_path, name="gate-fail-alpha", t_end=0.1)
     p = write_cfg(tmp_path, cfg)

@@ -16,8 +16,8 @@ from hypothesis import strategies as hs
 from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
-from oracles import (by_check, dense_step, mms_sources_reference, pcg_reference,
-                     step_reference)
+from oracles import (by_check, dense_step, log_gradient_reference, mms_sources_reference,
+                     pcg_reference, step_reference)
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
@@ -533,6 +533,45 @@ def test_manufactured_run_skips_the_integrals_only_the_monitors_read(monkeypatch
     for name in ("t", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
                  "int_f_u", "int_g_v"):
         assert len(series[name]) == result.steps + 1
+
+
+def test_log_gradient_energy_is_evaluated_at_cadence_hits_only(monkeypatch):
+    # one integrand call per cadence hit (t = 0, 0.25, 0.5, 0.75, 1), and each
+    # row is the energy of the state recorded at that time, bit for bit
+    calls, states = [], []
+
+    def counting(v, g, _integrand=M.log_gradient_integrand):
+        calls.append(v)
+        return _integrand(v, g)
+
+    def recording_step(*args, _step=S.step, **kwargs):
+        new, stats = _step(*args, **kwargs)
+        states.append(new)
+        return new, stats
+
+    monkeypatch.setattr(M, "log_gradient_integrand", counting)
+    monkeypatch.setattr(S, "step", recording_step)
+    cfg = replace(presets.preset("thm2-decay").config, nx=12, ny=12, t_end=1.0,
+                  out_dir=None)
+    setup = cfg.build_setup()
+    result = S.run(setup)
+    assert result.completed and result.steps == len(states) > 5
+    rows = by_check(result.report, "log_gradient_energy")
+    assert [e.t for e in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert len(calls) == len(rows) == 5
+    v_at = {0.0: setup.initial.v0.astype(float)}
+    v_at.update((st.t, st.v) for st in states)
+    for e in rows:
+        want = log_gradient_reference(v_at[e.t], setup.grid)
+        assert np.float64(e.value).tobytes() == np.float64(want).tobytes()
+
+
+def test_manufactured_run_never_evaluates_the_log_gradient_energy(monkeypatch):
+    calls = []
+    monkeypatch.setattr(M, "log_gradient_integrand", lambda *a: calls.append(a))
+    result = S.run(cli.mms_config(16, t_end=0.05).build_setup())
+    assert result.completed and result.steps > 0
+    assert calls == []
 
 
 def test_recorded_integrals_equal_the_plain_expressions(monkeypatch):
