@@ -16,6 +16,7 @@ them and the order of a sum fixes its bits.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -288,9 +289,12 @@ def read_field(path) -> tuple[np.ndarray, Grid, float]:
             Lx, Ly, t = (float(x) for x in parts[3:])
         except ValueError:
             raise StructuralError(f"{path}: malformed FLD1 header {header!r}") from None
+        if not np.isfinite(t):
+            raise StructuralError(f"{path}: non-finite time in FLD1 header {header!r}")
         g = Grid(nx, ny, Lx, Ly)
-        raw = fh.read(8 * nx * ny)
-        if len(raw) != 8 * nx * ny:
-            raise StructuralError(f"{path}: truncated payload")
-        phi = np.frombuffer(raw, dtype="<f8").reshape(ny, nx).copy()
+        # a corrupt size is held against the file before read() sizes a buffer by it
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held < 8 * nx * ny:
+            raise StructuralError(f"{path}: truncated payload ({held} of {8 * nx * ny} bytes)")
+        phi = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(ny, nx).copy()
     return phi, g, t

@@ -24,6 +24,8 @@ from taxis_cascade.errors import DomainError, StructuralError
 
 ALPHA_CRITICAL = 1.0 + math.sqrt(2.0)
 KNIFE_EDGE = 1e-9
+# the most negative normalized slack for which an envelope still holds
+ENVELOPE_TOL = 1e-12
 # the largest whole exponent that power() evaluates by repeated products;
 # libm pow costs about 8 products per entry, so beyond it pow is cheaper
 POWER_PRODUCTS_MAX = 8
@@ -253,7 +255,7 @@ def envelope_sample() -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 59)))
 
 
-def validate_envelope(spec: KineticSpec, tol: float = 1e-12) -> EnvelopeReport:
+def validate_envelope(spec: KineticSpec) -> EnvelopeReport:
     """Check both envelope sandwiches on the geometric sample.
 
     Failure is a report outcome, never an exception; the worst (most
@@ -277,7 +279,7 @@ def validate_envelope(spec: KineticSpec, tol: float = 1e-12) -> EnvelopeReport:
                 worst = float(margins[i])
                 worst_point = float(sample[i])
                 worst_check = f"{name}:{side}"
-    return EnvelopeReport(holds=worst >= -tol, worst_margin=worst,
+    return EnvelopeReport(holds=worst >= -ENVELOPE_TOL, worst_margin=worst,
                           worst_point=worst_point, worst_check=worst_check)
 
 

@@ -1,10 +1,14 @@
 """Runtime checks for every explicit bound, identity and decay statement.
 
-Each check produces a MonitorEntry with the measured value, the bound it is
-held against, the margin (bound - value) and a pass flag.  Checks whose
-constants are non-constructive are report-only: they log the value and never
-fail.  Discrete tolerances follow the scheme order: 1e-6 absolute plus a
-10*dt relative-scale slack unless a check states otherwise.
+Every statement checked here is a claim about a trajectory, so the checks
+judge the run's record: ``solver.run`` integrates and records, and
+``assess`` turns the record into the report, the per-step violation counts
+and the decay and regularity verdicts.  Each check produces a MonitorEntry
+with the measured value, the bound it is held against, the margin
+(bound - value) and a pass flag.  Checks whose constants are
+non-constructive are report-only: they log the value and never fail.
+Discrete tolerances follow the scheme order: 1e-6 absolute plus a 10*dt
+relative-scale slack unless a check states otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from taxis_cascade.errors import DomainError
 REL_TOL = 1e-6
 DT_SLACK = 10.0
 CEILING_DUST = 1e-8  # rounding allowance for exact-in-exact-arithmetic ceilings
+# largest growth per unit time of a tail norm that still counts as regularized
+REGULARITY_SLOPE_TOL = 1e-3
 
 
 @dataclass
@@ -170,10 +176,10 @@ def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
     take steps * eps * max|mass_v|: each diffusion solve moves the v mass by
     rounding, even at an equilibrium, where the envelope is zero.  The
     elapsed time is floored at one unit."""
-    signed = (mass_v_series[-1] - mass_v_series[0]
+    signed = (float(mass_v_series[-1] - mass_v_series[0])
               - float(np.trapezoid(int_g_series, times)))
     c_max = float(np.max(int_abs_g_series))
-    elapsed = max(times[-1] - times[0], 1.0)
+    elapsed = max(float(times[-1] - times[0]), 1.0)
     rounding = (len(times) - 1) * np.finfo(float).eps * float(np.max(np.abs(mass_v_series)))
     return MonitorEntry.compare(t, "v_mass_identity", abs(signed), c_max * dt_scale * elapsed,
                                 tol=rounding)
@@ -200,12 +206,6 @@ def check_log_gradient_energy(t, energy: float) -> MonitorEntry:
     return MonitorEntry.report_only(t, "log_gradient_energy", energy)
 
 
-def least_squares_slope(ts, ys) -> float:
-    if len(ts) < 2:
-        return 0.0
-    return float(np.polyfit(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float), 1)[0])
-
-
 @dataclass(frozen=True)
 class DecayDetection:
     detected: bool
@@ -220,10 +220,8 @@ def detect_w_decay(times, linf_w, int_w_series, int_consumption_series,
 
     Also reports the space-time tails of w and of the consumption term past
     that time.  It is computed whether or not the eventual-regularity
-    hypotheses hold.
+    hypotheses hold.  The series are arrays over the same times.
     """
-    times = np.asarray(times, dtype=float)
-    linf_w = np.asarray(linf_w, dtype=float)
     above = np.nonzero(linf_w >= delta)[0]
     if above.size == 0:
         idx = 0
@@ -232,8 +230,8 @@ def detect_w_decay(times, linf_w, int_w_series, int_consumption_series,
     else:
         idx = int(above[-1]) + 1
     t_detect = float(times[idx])
-    tail_w = float(np.trapezoid(np.asarray(int_w_series)[idx:], times[idx:]))
-    tail_c = float(np.trapezoid(np.asarray(int_consumption_series)[idx:], times[idx:]))
+    tail_w = float(np.trapezoid(int_w_series[idx:], times[idx:]))
+    tail_c = float(np.trapezoid(int_consumption_series[idx:], times[idx:]))
     return DecayDetection(True, t_detect, tail_w, tail_c)
 
 
@@ -298,27 +296,101 @@ class RegularityReport:
     slopes: dict
 
 
-def eventual_regularity_report(cadence_times, series: dict, t_detect: float,
-                               tol_slope: float = 1e-3) -> RegularityReport:
+def eventual_regularity_report(ts, series: dict, t_detect: float) -> RegularityReport:
     """Least-squares growth slopes of the tail norms past t_detect + 1.
 
-    The verdict is "regularized" when every tracked series grows at most
-    tol_slope per unit time over the tail.  Series with missing entries
-    (e.g. the weighted functional before arming) contribute their armed part.
+    ``ts`` and each series are arrays over the cadence hits.  The verdict is
+    "regularized" when every tracked series grows at most
+    REGULARITY_SLOPE_TOL per unit time over the tail.  Series with missing
+    entries (NaN, e.g. the weighted functional before arming) contribute
+    their armed part.
     """
-    t_start = t_detect + 1.0
-    ts = np.asarray(cadence_times, dtype=float)
-    keep = ts >= t_start
+    keep = ts >= t_detect + 1.0
     if np.count_nonzero(keep) < 3:
         return RegularityReport(False, {})  # tail too short
     slopes = {}
     for name, ys in series.items():
-        ys = np.asarray(ys, dtype=float)
         mask = keep & np.isfinite(ys)
         if np.count_nonzero(mask) < 3:
             slopes[name] = math.nan
             continue
-        slopes[name] = least_squares_slope(ts[mask], ys[mask])
+        slopes[name] = float(np.polyfit(ts[mask], ys[mask], 1)[0])
     finite = [s for s in slopes.values() if not math.isnan(s)]
-    ok = bool(finite) and all(s <= tol_slope for s in finite)
+    ok = bool(finite) and all(s <= REGULARITY_SLOPE_TOL for s in finite)
     return RegularityReport(ok, slopes)
+
+
+# --- judging a run's record -------------------------------------------------
+
+
+@dataclass
+class CheckStats:
+    """Failed entries of one per-step check over every recorded state."""
+
+    violations: int = 0
+
+
+def _row(entry: MonitorEntry, i: int) -> MonitorEntry:
+    """State i's entry, in Python scalars, of an entry evaluated on the record
+    arrays (a numpy scalar would print as np.float64(...) in monitors.csv)."""
+    t, value, bound, margin, passed = (x[i] if np.ndim(x) else x for x in (
+        entry.t, entry.value, entry.bound, entry.margin, entry.passed))
+    return MonitorEntry(float(t), entry.check, float(value), float(bound),
+                        float(margin), bool(passed))
+
+
+def assess(series: dict, cadence: dict, consts: BoundConstants, mu: float,
+           delta: float, completed: bool):
+    """Judge a run's record; returns (report, step_checks, decay, regularity).
+
+    ``series`` holds one array entry per recorded state (``solver.run``'s
+    series).  ``cadence`` holds one array entry per cadence hit: the record
+    index ``index`` and what only the live state gave, ``log_gradient_energy``,
+    ``maxgrad_u``, ``maxgrad_v``, ``seminorm_u_w24`` and
+    ``weighted_functional`` (NaN before it arms).
+
+    The per-step checks (mass ceilings, nutrient supersolution) are
+    evaluated once, on the record arrays: ``step_checks`` counts their
+    failed entries over every state, and each hit takes its rows from that
+    evaluation.  A hit's rows then go on with the window integrals, the
+    v-mass identity (its bound scaled by the largest step so far), the
+    log-gradient energy and the weighted functional, each over the record
+    up to the hit.  A completed run ends the report
+    with the decay verdict and, when w decayed, the regularity verdict over
+    the cadence hits; ``decay`` and ``regularity`` are otherwise None.
+    """
+    times, dt, hits = series["t"], series["dt"], cadence["index"]
+    per_step = check_mass(times, series["mass_u"], series["mass_v"], consts, dt)
+    per_step += check_w_supersolution(times, series["linf_w"], series["wbar"], consts, mu, dt)
+    step_checks = {e.check: CheckStats(int(np.count_nonzero(~e.passed))) for e in per_step}
+
+    report = MonitorReport()
+    for k, i in enumerate(hits):
+        t, upto = float(times[i]), slice(0, i + 1)
+        report.extend(_row(e, i) for e in per_step)
+        report.extend(check_window_integrals(
+            t, times[upto], series["int_u_alpha"][upto], series["int_v_beta"][upto],
+            consts, float(dt[i])))
+        report.append(check_v_mass_identity(
+            t, times[upto], series["int_g_v"][upto], series["int_abs_g_v"][upto],
+            series["mass_v"][upto], dt_scale=float(dt[upto].max())))
+        report.append(check_log_gradient_energy(t, float(cadence["log_gradient_energy"][k])))
+        report.append(MonitorEntry.report_only(
+            t, "weighted_functional", float(cadence["weighted_functional"][k])))
+
+    decay = regularity = None
+    if completed:
+        decay = detect_w_decay(times, series["linf_w"], series["mass_w"],
+                               series["int_consumption"], delta)
+        verdicts = [("w_decay_detect", decay.t_detect if decay.detected else math.nan)]
+        if decay.detected:
+            tail = {"linf_u": series["linf_u"][hits], "linf_v": series["linf_v"][hits]}
+            tail.update((name, cadence[name]) for name in (
+                "maxgrad_u", "maxgrad_v", "seminorm_u_w24", "weighted_functional"))
+            regularity = eventual_regularity_report(times[hits], tail, decay.t_detect)
+            verdicts += [("w_tail_mass", decay.tail_w_integral),
+                         ("w_tail_consumption", decay.tail_consumption),
+                         ("eventual_regularity", 1.0 if regularity.regularized else 0.0)]
+        report.extend(MonitorEntry.report_only(float(times[-1]), name, value)
+                      for name, value in verdicts)
+    return report, step_checks, decay, regularity

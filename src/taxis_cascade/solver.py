@@ -613,11 +613,6 @@ class RunSetup:
 
 
 @dataclass
-class CheckStats:
-    violations: int = 0
-
-
-@dataclass
 class RunResult:
     setup: RunSetup
     series: dict
@@ -714,17 +709,6 @@ def _settle_heap() -> None:
     np.empty(HEAP_SETTLE_BYTES, dtype=np.uint8)
 
 
-def _count_step_checks(series: dict, consts: mon.BoundConstants,
-                       mu: float) -> dict[str, CheckStats]:
-    """Failed per-step check entries over every recorded state, by one
-    evaluation of the checks on the recorded arrays (an entry holds arrays)."""
-    entries = mon.check_mass(series["t"], series["mass_u"], series["mass_v"], consts,
-                             series["dt"])
-    entries += mon.check_w_supersolution(series["t"], series["linf_w"], series["wbar"],
-                                         consts, mu, series["dt"])
-    return {e.check: CheckStats(int(np.count_nonzero(~e.passed))) for e in entries}
-
-
 def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
     paths = gridmod.snapshot_paths(out_dir, state.step_index)
     for path, phi in zip(paths, (state.u, state.v, state.w)):
@@ -732,22 +716,27 @@ def _write_snapshot(out_dir: Path, state: State, g: gridmod.Grid):
 
 
 def run(setup: RunSetup) -> RunResult:
-    """Integrate to t_end, evaluating every monitor; write outputs if configured.
+    """Integrate to t_end and record the trajectory; write outputs if configured.
 
     The initial state goes through the loop body as a step with dt = 0 that
     hits the cadence and the snapshot grid.  Watchdog failures do not raise:
     the partial series, report and a failure record are returned (and
-    written) instead.  A manufactured run (``params.mms``) runs no monitor,
-    and its series ``int_u_alpha``, ``int_v_beta``, ``int_abs_g_v`` and
-    ``int_consumption``, which only the monitors read, are empty.
+    written) instead.
+
+    ``run`` records; ``monitors.assess`` judges the record after the loop.
+    Per state the series take the masses, the sup norms, the growth
+    integrals, the flat nutrient supersolution ``wbar`` and the integrals
+    ``int_u_alpha``, ``int_v_beta``, ``int_abs_g_v`` and ``int_consumption``,
+    which only the monitors read.  At each cadence hit the record takes the
+    state's index and what only the live state gives: the log-gradient
+    energy, the largest face gradients of u and v, the W^{2,4} seminorm of u
+    and the weighted functional.  A manufactured run (``params.mms``) is
+    held to no a-priori bound: it records neither, and its report is empty.
 
     Each fact of a state is computed once.  The sup norms ``linf_*`` of a new
     state come from admission (``StepStats.linf``); those of the initial
     state from ``grid.norm_linf``; ``suggest_dt`` takes u's and v's from the
-    record.  The per-step checks (mass ceilings, nutrient supersolution) add
-    entries to the report at cadence hits; ``step_checks`` counts the failed
-    ones of every recorded state, by one evaluation of the same checks on the
-    recorded arrays after the loop, whether or not the run completed.
+    record.
     """
     g = setup.grid
     params = setup.params
@@ -782,15 +771,13 @@ def run(setup: RunSetup) -> RunResult:
                 f"fixed_dt {setup.fixed_dt!r} exceeds {FIXED_DT_WARN_RATIO:g}x the "
                 f"suggested step {dt_bound!r} of the initial state",
                 RuntimeWarning, stacklevel=2)
-    report = mon.MonitorReport()
     series: dict[str, list] = {k: [] for k in (
         "t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
         "clamps", "int_u_alpha", "int_v_beta", "int_f_u", "int_g_v",
         "int_abs_g_v", "int_consumption", "wbar")}
-    # cadence-time norms whose growth over the tail decides eventual regularity
-    cadence_t: list[float] = []
-    tail: dict[str, list] = {k: [] for k in (
-        "linf_u", "linf_v", "maxgrad_u", "maxgrad_v", "seminorm_u_w24",
+    # per cadence hit: the record index and what only the live state gives
+    cadence: dict[str, list] = {k: [] for k in (
+        "index", "log_gradient_energy", "maxgrad_u", "maxgrad_v", "seminorm_u_w24",
         "weighted_functional")}
 
     # against a source-augmented (manufactured) system the a-priori bounds
@@ -802,8 +789,7 @@ def run(setup: RunSetup) -> RunResult:
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
     # the recorder's u^alpha, v^beta and |g(v)|, which only the monitors read
-    if checks_active:
-        scratch = np.empty(g.shape)
+    scratch = np.empty(g.shape) if checks_active else None
     failure = ""
     w_iterations = 0
     try:
@@ -836,29 +822,13 @@ def run(setup: RunSetup) -> RunResult:
                     gridmod.integrate(consumption_term(state.u, state.v, state.w,
                                                        params.epsilon), g))
                 if cad_hit:
-                    report.extend(mon.check_mass(state.t, series["mass_u"][-1],
-                                                 series["mass_v"][-1], consts, dt))
-                    report.extend(mon.check_w_supersolution(
-                        state.t, linf[2], wbar, consts, params.mu, dt))
-                    report.extend(mon.check_window_integrals(
-                        state.t, series["t"], series["int_u_alpha"], series["int_v_beta"],
-                        consts, dt))
-                    # the identity's bound scales with the largest step so far
-                    report.append(mon.check_v_mass_identity(
-                        state.t, series["t"], series["int_g_v"], series["int_abs_g_v"],
-                        series["mass_v"], dt_scale=max(series["dt"])))
-                    report.append(mon.check_log_gradient_energy(
-                        state.t, mon.log_gradient_integrand(state.v, g)))
-                    cadence_t.append(state.t)
-                    tail["linf_u"].append(series["linf_u"][-1])
-                    tail["linf_v"].append(series["linf_v"][-1])
-                    tail["maxgrad_u"].append(gridmod.max_face_gradient(state.u, g))
-                    tail["maxgrad_v"].append(gridmod.max_face_gradient(state.v, g))
-                    tail["seminorm_u_w24"].append(gridmod.seminorm_w2p(state.u, g, 4))
+                    cadence["index"].append(len(series["t"]) - 1)
+                    cadence["log_gradient_energy"].append(mon.log_gradient_integrand(state.v, g))
+                    cadence["maxgrad_u"].append(gridmod.max_face_gradient(state.u, g))
+                    cadence["maxgrad_v"].append(gridmod.max_face_gradient(state.v, g))
+                    cadence["seminorm_u_w24"].append(gridmod.seminorm_w2p(state.u, g, 4))
                     wf = mon.weighted_functional(state.u, state.w, fparams, g)
-                    tail["weighted_functional"].append(math.nan if wf is None else wf)
-                    report.append(mon.MonitorEntry.report_only(
-                        state.t, "weighted_functional", tail["weighted_functional"][-1]))
+                    cadence["weighted_functional"].append(math.nan if wf is None else wf)
             if out_dir is not None and snap_hit:
                 _write_snapshot(out_dir, state, g)
 
@@ -881,24 +851,11 @@ def run(setup: RunSetup) -> RunResult:
         failure = f"{type(exc).__name__}: {exc}"
 
     series_np = {k: np.asarray(v, dtype=float) for k, v in series.items()}
-    step_checks = _count_step_checks(series_np, consts, params.mu) if checks_active else {}
-
-    decay = None
-    regularity = None
-    if not failure and checks_active:
-        decay = mon.detect_w_decay(series_np["t"], series_np["linf_w"],
-                                   series_np["mass_w"], series_np["int_consumption"],
-                                   setup.monitor_delta)
-        report.append(mon.MonitorEntry.report_only(
-            state.t, "w_decay_detect", decay.t_detect if decay.detected else math.nan))
-        if decay.detected:
-            report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_mass", decay.tail_w_integral))
-            report.append(mon.MonitorEntry.report_only(
-                state.t, "w_tail_consumption", decay.tail_consumption))
-            regularity = mon.eventual_regularity_report(cadence_t, tail, decay.t_detect)
-            report.append(mon.MonitorEntry.report_only(
-                state.t, "eventual_regularity", 1.0 if regularity.regularized else 0.0))
+    report, step_checks, decay, regularity = mon.MonitorReport(), {}, None, None
+    if checks_active:
+        report, step_checks, decay, regularity = mon.assess(
+            series_np, {k: np.asarray(v) for k, v in cadence.items()}, consts, params.mu,
+            setup.monitor_delta, completed=not failure)
 
     result = RunResult(
         setup=setup, series=series_np, report=report, consts=consts,

@@ -342,9 +342,11 @@ def test_fld1_rejects_garbage(tmp_path):
     path.write_bytes(b"FLD1 8 8 1.0 1.0 0.0\nshort")
     with pytest.raises(StructuralError):
         G.read_field(path)
-    # corrupt headers: a non-integer size, a non-numeric time, non-ASCII bytes
+    # corrupt headers: a non-integer size, a non-numeric time, non-ASCII
+    # bytes, a payload far beyond the file (2^67 bytes) and a NaN time
     for header in (b"FLD1 x 8 1.0 1.0 0.0\n", b"FLD1 8 8 1.0 1.0 now\n",
-                   b"FLD1 8 8 1.0 1.0 \xff\xfe\n", b"FLD1 \xd9\xa8 8 1.0 1.0 0.0\n"):
+                   b"FLD1 8 8 1.0 1.0 \xff\xfe\n", b"FLD1 \xd9\xa8 8 1.0 1.0 0.0\n",
+                   b"FLD1 4294967296 4294967296 1.0 1.0 0.5\n", b"FLD1 8 8 1.0 1.0 nan\n"):
         path.write_bytes(header + bytes(8 * 64))
         with pytest.raises(StructuralError):
             G.read_field(path)

@@ -322,3 +322,77 @@ def test_default_config_passes_its_own_v_mass_monitor():
     assert result.completed
     assert by_check(result.report, "v_mass_identity")
     assert result.report.failures() == []
+
+
+def _hand_record():
+    """Nine states at t = 0, 0.25, ..., 2 with cadence hits at t = 0, 1 and 2.
+
+    mass_u breaks its ceiling at states 4 (a hit) and 5 (between hits),
+    sup w breaks w_star at state 0, and the u^alpha window ending at t = 2
+    integrates to 8.8125 against a bound of 1 (tolerance 2.5 at dt = 0.25).
+    """
+    t = np.linspace(0.0, 2.0, 9)
+    dt = np.full(9, 0.25)
+    dt[0] = 0.0
+    ones = np.ones(9)
+    zeros = np.zeros(9)
+    mass_u = ones.copy()
+    mass_u[4:6] = 4.0
+    int_u_alpha = np.full(9, 0.5)
+    int_u_alpha[5:] = 10.0
+    linf_w = np.array([0.5, 0.4, 0.3, 0.2, 0.05, 0.04, 0.03, 0.02, 0.01])
+    series = {"t": t, "dt": dt, "mass_u": mass_u, "mass_v": ones, "mass_w": linf_w,
+              "linf_u": ones, "linf_v": ones, "linf_w": linf_w, "wbar": np.full(9, 0.5),
+              "int_u_alpha": int_u_alpha, "int_v_beta": ones, "int_g_v": zeros,
+              "int_abs_g_v": zeros, "int_consumption": 0.1 * linf_w}
+    cadence = {"index": np.array([0, 4, 8]),
+               "log_gradient_energy": np.array([0.3, 0.2, 0.1]),
+               "maxgrad_u": np.ones(3), "maxgrad_v": np.ones(3),
+               "seminorm_u_w24": np.ones(3),
+               "weighted_functional": np.array([math.nan, 0.7, 0.6])}
+    consts = M.BoundConstants(u_star=1.0, v_star=2.0, w_star=0.45,
+                              window_alpha_bound=1.0, window_beta_bound=5.0)
+    return series, cadence, consts
+
+
+def test_assess_judges_a_hand_built_record():
+    series, cadence, consts = _hand_record()
+    mu = 0.5
+    report, step_checks, decay, regularity = M.assess(series, cadence, consts, mu,
+                                                      delta=0.1, completed=True)
+    per_hit = ["mass_u", "mass_v", "w_supersolution", "w_ceiling", "window_u_alpha",
+               "window_v_beta", "v_mass_identity", "log_gradient_energy",
+               "weighted_functional"]
+    tail = ["w_decay_detect", "w_tail_mass", "w_tail_consumption", "eventual_regularity"]
+    assert [e.check for e in report.entries] == per_hit * 3 + tail
+    rows = [report.entries[9 * k:9 * k + 9] for k in range(3)]
+    for k, i in enumerate(cadence["index"]):
+        t = float(series["t"][i])
+        assert all(e.t == t for e in rows[k])
+        # the rows of one evaluation on the record equal the checks of the state alone
+        expected = M.check_mass(t, float(series["mass_u"][i]), float(series["mass_v"][i]),
+                                consts, float(series["dt"][i]))
+        expected += M.check_w_supersolution(t, float(series["linf_w"][i]),
+                                            float(series["wbar"][i]), consts, mu,
+                                            float(series["dt"][i]))
+        assert rows[k][:4] == expected
+        assert rows[k][7].value == cadence["log_gradient_energy"][k]
+    assert {e.check for e in rows[0] if not e.passed} == {"w_ceiling"}
+    assert {e.check for e in rows[1] if not e.passed} == {"mass_u"}
+    assert {e.check for e in rows[2] if not e.passed} == {"window_u_alpha"}
+    assert rows[2][4].value == pytest.approx(8.8125)
+    assert math.isnan(rows[0][4].value)  # the record does not yet cover [t-1, t]
+    # counted over every state, the state between hits included
+    assert {name: s.violations for name, s in step_checks.items()} == {
+        "mass_u": 2, "mass_v": 0, "w_supersolution": 0, "w_ceiling": 1}
+    assert decay.detected and decay.t_detect == 1.0
+    assert regularity == M.RegularityReport(False, {})  # one hit past t_detect + 1
+    # monitors.csv shows Python floats, not numpy scalar reprs
+    assert not any("np." in row for row in report.csv_rows())
+
+    partial, partial_checks, no_decay, no_regularity = M.assess(
+        series, cadence, consts, mu, delta=0.1, completed=False)
+    # repr, as NaN values differ from themselves
+    assert [repr(e) for e in partial.entries] == [repr(e) for e in report.entries[:27]]
+    assert partial_checks == step_checks
+    assert no_decay is None and no_regularity is None
