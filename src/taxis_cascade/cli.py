@@ -13,8 +13,9 @@ import argparse
 import math
 import sys
 import tempfile
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +66,7 @@ def cmd_run(args) -> int:
     if args.t_end is not None:
         cfg = replace(cfg, t_end=args.t_end)
     setup = cfg.build_setup()
-    ks = setup.params.kinetics
-    env = kin.validate_envelope(ks)
-    if not env.holds:
-        raise DomainError(f"growth envelope violated ({env.worst_check} at "
-                          f"s={env.worst_point:.4g}, margin {env.worst_margin:.3e})")
-    gate1 = kin.global_existence_gate(ks)
+    gate1 = kin.global_existence_gate(setup.params.kinetics)
     if not gate1.passed and not args.force:
         _print_gate("global-existence gate", gate1)
         print("gate failed; use --force to integrate anyway", file=sys.stderr)
@@ -166,21 +162,26 @@ class MmsStudy:
             yield f"order_l2_{name},{label}"
 
 
+def _check_span(t_end: float) -> None:
+    """A study compares states at t_end: over no time it has nothing to compare."""
+    if not t_end > 0:
+        raise DomainError(f"a study needs t_end > 0, got {t_end}")
+
+
 def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
               out_root=None, snapshot_every: float = 0.0,
               mms: "solver.MmsSpec | None" = None) -> MmsStudy:
     """Integrate the manufactured problem at each level, report errors/orders."""
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise StructuralError("levels must be strictly ascending")
+    _check_span(t_end)
     rows = []
     for nx in levels:
         cfg = mms_config(nx, t_end=t_end, dt_coeff=dt_coeff,
                          snapshot_every=snapshot_every, mms=mms)
         out_dir = Path(out_root) / f"mms-{nx}" if out_root else None
         setup = cfg.build_setup(out_dir=out_dir)
-        t0 = time.perf_counter()
         result = solver.run(setup)
-        wall = time.perf_counter() - t0
         if not result.completed:
             raise StudyAbortError(f"mms level {nx}: {result.failure}")
         g = setup.grid
@@ -191,7 +192,7 @@ def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
             errors[f"l2_{name}"] = gridmod.norm_lp(num - ex, g, 2)
             errors[f"linf_{name}"] = gridmod.norm_linf(num - ex)
         rows.append(MmsLevel(nx=nx, h=g.hx, dt=cfg.fixed_dt, steps=result.steps,
-                             wall_time=wall, errors=errors))
+                             wall_time=result.wall_time, errors=errors))
     orders = {}
     for name in ("u", "v", "w"):
         errs = np.array([lv.errors[f"l2_{name}"] for lv in rows])
@@ -263,46 +264,36 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
 
     Adaptive stepping would give each member its own step sequence and bury
     the O(eps) Cauchy differences in step noise, so dt is frozen (default:
-    half the suggested step of the initial state).
+    half the suggested step of the initial state).  Every member is set up,
+    and so admitted, before the first one runs; a row's epsilons are the
+    listed ones, and each member's trajectory is read once, with at most two
+    held at a time.
     """
     if len(eps_list) < 2:
         raise StructuralError(f"an epsilon sweep needs at least two epsilons, got {len(eps_list)}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise StructuralError("epsilon list must be strictly descending")
-    cfg = base_cfg
-    if t_end is not None:
-        cfg = replace(cfg, t_end=t_end)
+    cfg = base_cfg if t_end is None else replace(base_cfg, t_end=t_end)
+    _check_span(cfg.t_end)
     if fixed_dt is None:
         probe = replace(cfg, epsilon=eps_list[0]).build_setup()
         st0 = solver.State(probe.initial.u0, probe.initial.v0, probe.initial.w0)
         fixed_dt = 0.5 * solver.suggest_dt(st0, probe.params, probe.grid, probe.control)
-    tmp = None
-    if out_root is None:
-        tmp = tempfile.TemporaryDirectory(prefix="taxis-sweep-")
-        out_root = tmp.name
-    run_dirs = []
-    try:
-        for k, eps in enumerate(eps_list):
-            mcfg = replace(cfg, epsilon=eps, fixed_dt=fixed_dt,
-                           snapshot_every=snapshot_every,
-                           label=f"{cfg.label}-eps{eps:g}",
-                           out_dir=str(Path(out_root) / f"member{k}-eps{eps:g}"))
-            setup = mcfg.build_setup()
+    with (nullcontext(out_root) if out_root is not None
+          else tempfile.TemporaryDirectory(prefix="taxis-sweep-")) as root:
+        setups = [replace(cfg, epsilon=eps, fixed_dt=fixed_dt,
+                          snapshot_every=snapshot_every,
+                          label=f"{cfg.label}-eps{eps:g}",
+                          out_dir=str(Path(root) / f"member{k}-eps{eps:g}")).build_setup()
+                  for k, eps in enumerate(eps_list)]
+        for eps, setup in zip(eps_list, setups):
             result = solver.run(setup)
             if not result.completed:
                 raise StudyAbortError(f"sweep member eps={eps}: {result.failure}")
-            run_dirs.append(Path(mcfg.out_dir))
-        diffs = []
-        for a, b in zip(run_dirs, run_dirs[1:]):
-            ta = weakform.load_trajectory(a)
-            tb = weakform.load_trajectory(b)
-            du, dv, dw = _traj_diff(ta, tb)
-            diffs.append((float(ta.params.epsilon), float(tb.params.epsilon),
-                          du, dv, dw))
-        return SweepResult(diffs=diffs)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        trajs = map(weakform.load_trajectory, (setup.out_dir for setup in setups))
+        return SweepResult(diffs=[
+            (eps_a, eps_b, *_traj_diff(ta, tb))
+            for (eps_a, ta), (eps_b, tb) in pairwise(zip(eps_list, trajs))])
 
 
 def cmd_sweep(args) -> int:

@@ -582,6 +582,16 @@ def shipped_mms() -> MmsSpec:
 
 @dataclass
 class RunSetup:
+    """Everything a run needs, admitted once: a setup that exists may run.
+
+    Construction refuses a non-finite or negative time, a non-positive
+    ``fixed_dt`` or ``monitor_delta``, a ``monitor_q`` not above 1, initial
+    data that is off the grid, negative, non-finite or massless, and a
+    declared growth envelope ``-k s^a - l <= f(s) <= -K s^a + L`` (and its
+    g twin) that the laws break.  So every command that runs refuses these
+    before any step runs or any output directory is touched.
+    """
+
     grid: gridmod.Grid
     params: ModelParams
     initial: kin.InitialData
@@ -610,6 +620,10 @@ class RunSetup:
         # refused here, before run clears the snapshots of out_dir
         mon.pick_theta_delta(self.monitor_q)
         self.initial.validate(self.grid)
+        env = kin.validate_envelope(self.params.kinetics)
+        if not env.holds:
+            raise DomainError(f"growth envelope violated ({env.worst_check} at "
+                              f"s={env.worst_point:.4g}, margin {env.worst_margin:.3e})")
 
 
 @dataclass

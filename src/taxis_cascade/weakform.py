@@ -194,13 +194,18 @@ class TrajectoryHandle:
         return self.times[-1]
 
     def load(self, i: int):
+        """The (u, v, w) fields of snapshot ``i``, read on first use and cached.
+
+        Each file must carry the handle's grid and the snapshot's time; a
+        triple whose files disagree is a ``StructuralError`` naming the file.
+        """
         if i in self._loaded:
             return self._loaded[i]
         triple = []
         for p in self.paths[i]:
             phi, g, t = gridmod.read_field(p)
-            if g != self.grid:
-                raise StructuralError(f"{p}: grid mismatch")
+            if g != self.grid or t != self.times[i]:
+                raise StructuralError(f"{p}: grid or time mismatch")
             triple.append(phi)
         self._loaded[i] = tuple(triple)
         return self._loaded[i]

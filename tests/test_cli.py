@@ -176,11 +176,15 @@ RUN_REJECTS_INI = {
     ["preset", "show", "nope"],
     ["preset", "show"],
 ] + [[cmd, "{%s}" % name] for name in NONFINITE_INI for cmd in ("run", "gate")]
-    + [["run", "{%s}" % name] for name in RUN_REJECTS_INI],
+    + [["run", "{%s}" % name] for name in RUN_REJECTS_INI]
+    # a sweep sets every member up, and so refuses what run refuses, before
+    # the first member runs or makes its directory
+    + [["sweep-epsilon", "{%s}" % name, "--out", "{out}"] for name in RUN_REJECTS_INI],
     ids=["run-unknown-key", "gate-unknown-key", "sweep-unknown-key",
          "run-negative-recipe", "preset-unknown", "preset-no-name"]
     + [f"{cmd}-{name}" for name in NONFINITE_INI for cmd in ("run", "gate")]
-    + [f"run-{name}" for name in RUN_REJECTS_INI])
+    + [f"run-{name}" for name in RUN_REJECTS_INI]
+    + [f"sweep-{name}" for name in RUN_REJECTS_INI])
 def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     bad_key = tmp_path / "bad_key.ini"
     bad_key.write_text("[model]\nepsilonn = 0.1\n")
@@ -191,7 +195,8 @@ def test_input_error_is_one_error_line(tmp_path, capsys, argv):
     for name, text in {**NONFINITE_INI, **RUN_REJECTS_INI}.items():
         nonfinite[name] = tmp_path / f"{name}.ini"
         nonfinite[name].write_text(text)
-    argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe, **nonfinite)
+    argv = [a.format(bad_key=bad_key, negative_recipe=negative_recipe,
+                     out=tmp_path / "out", **nonfinite)
             for a in argv]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -249,19 +254,27 @@ def test_identical_runs_give_zero_sweep_difference(tmp_path):
     assert cli._traj_diff(*trajs) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("eps, t_end, error, match", [
+    ([1e-1, 1e-2, 1e-2], 0.2, StructuralError, "strictly descending"),
+    ([1e-1, -1e-1], 0.2, DomainError, "epsilon must lie in"),
+    ([1e-1, 1e-2], 0.0, DomainError, "t_end > 0"),
+], ids=["repeated-eps", "negative-last-eps", "zero-t-end"])
 def test_sweep_rejects_a_repeated_eps_before_any_member_runs(tmp_path, monkeypatch,
-                                                              capsys):
+                                                              capsys, eps, t_end, error,
+                                                              match):
     runs = []
     monkeypatch.setattr(S, "run", lambda setup: runs.append(setup))
-    cfg = small_cfg(tmp_path, t_end=0.2, snapshot_every=0.1)
-    with pytest.raises(StructuralError, match="strictly descending"):
-        cli.sweep_epsilon(cfg, [1e-1, 1e-2, 1e-2], out_root=str(tmp_path / "dup"))
+    cfg = small_cfg(tmp_path, t_end=t_end, snapshot_every=0.1)
+    with pytest.raises(error, match=match):
+        cli.sweep_epsilon(cfg, eps, out_root=str(tmp_path / "bad"))
     p = write_cfg(tmp_path, cfg)
-    assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-2,1e-2"]) == 1
+    assert cli.main(["sweep-epsilon", str(p), "--eps", ",".join(map(repr, eps)),
+                     "--out", str(tmp_path / "bad")]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "eps_hi,eps_lo" not in out
     assert runs == []
+    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("eps", ["5e-1", ""])
@@ -288,6 +301,17 @@ def test_sweep_of_two_eps_has_no_trend_to_report(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3  # header, one difference row, the verdict
     assert out[-1] == "strictly decreasing: u_l2=n/a, v_l1=n/a, w_l2=n/a"
+
+
+def test_sweep_reads_each_member_once(tmp_path, monkeypatch):
+    loads, load = [], weakform.load_trajectory
+    monkeypatch.setattr(weakform, "load_trajectory",
+                        lambda run_dir: loads.append(Path(run_dir).name) or load(run_dir))
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    sweep = cli.sweep_epsilon(small_cfg(tmp_path, t_end=0.2), eps,
+                              out_root=str(tmp_path / "sweep"))
+    assert loads == [f"member{k}-eps{e:g}" for k, e in enumerate(eps)]
+    assert [row[:2] for row in sweep.diffs] == list(zip(eps, eps[1:]))
 
 
 def test_sweep_w_difference_bounded_by_ceiling(tmp_path):
@@ -325,6 +349,18 @@ def test_mms_levels_must_ascend():
             cli.mms_study(levels)
 
 
+def test_mms_refuses_a_study_that_spans_no_time(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(S, "run", lambda setup: runs.append(setup))
+    with pytest.raises(DomainError, match="t_end > 0"):
+        cli.mms_study([16], t_end=0.0)
+    assert cli.main(["mms", "--levels", "16,32", "--t-end", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert runs == []
+
+
 def test_mms_temporal_share_first_order():
     # at a fixed grid, halving dt removes the (first-order) temporal error
     # share while the spatial floor stays: successive differences halve
@@ -351,16 +387,27 @@ def test_verify_weak_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 3 + 1
 
 
-def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("corrupt", ["bad-header", "mixed-time"])
+def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
     assert cli.main(["run", str(p)]) == 0
-    snap = sorted((tmp_path / "out").glob("w_*.fld"))[-1]
-    data = snap.read_bytes()
-    snap.write_bytes(b"FLD1 12 12 1.0 1.0 \xff" + data[data.index(b"\n"):])
+    capsys.readouterr()
+    if corrupt == "bad-header":
+        snap = sorted((tmp_path / "out").glob("w_*.fld"))[-1]
+        data = snap.read_bytes()
+        snap.write_bytes(b"FLD1 12 12 1.0 1.0 \xff" + data[data.index(b"\n"):])
+    else:
+        # every file is sound, but the middle triple takes its v from t_end
+        snaps = sorted((tmp_path / "out").glob("v_*.fld"))
+        snap = snaps[1]
+        snap.write_bytes(snaps[-1].read_bytes())
     code = cli.main(["verify-weak", "--traj", str(tmp_path / "out"),
                      "--out", str(tmp_path / "weakform.csv")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert snap.name in err
 
 
 def test_verify_weak_refuses_a_trajectory_that_spans_no_time(tmp_path, capsys):

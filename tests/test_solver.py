@@ -195,6 +195,17 @@ def test_w_solve_iteration_cap_raises_and_run_records_it():
     assert result.steps == 0
 
 
+def test_run_setup_refuses_a_growth_envelope_that_does_not_hold():
+    # admission belongs to the setup, so one built by hand is held to it too:
+    # f(s) = 1 - s^3 breaks the declared upper envelope -5 s^3 + 1
+    g = G.Grid(8, 8)
+    ones = np.ones(g.shape)
+    spec = replace(pp_spec(), K_f=5.0)
+    with pytest.raises(DomainError, match=r"growth envelope violated \(f:upper"):
+        S.RunSetup(grid=g, params=make_params(spec=spec),
+                   initial=K.InitialData(ones, ones, 0.0 * ones))
+
+
 @pytest.mark.parametrize("g", [G.Grid(16, 16), G.Grid(24, 11, 1.7, 0.6)])
 def test_w_solve_with_a_constant_diagonal_takes_no_iteration(g):
     # the preconditioner is then the operator itself, so x0 is the solution
