@@ -265,9 +265,10 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
     Adaptive stepping would give each member its own step sequence and bury
     the O(eps) Cauchy differences in step noise, so dt is frozen (default:
     half the suggested step of the initial state).  Every member is set up,
-    and so admitted, before the first one runs; a row's epsilons are the
-    listed ones, and each member's trajectory is read once, with at most two
-    held at a time.
+    and so admitted, before the first one runs, and a config that fails the
+    global-existence gate is refused, as ``run`` refuses it unforced; a row's
+    epsilons are the listed ones, and each member's trajectory is read once,
+    with at most two held at a time.
     """
     if len(eps_list) < 2:
         raise StructuralError(f"an epsilon sweep needs at least two epsilons, got {len(eps_list)}")
@@ -286,6 +287,11 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
                           label=f"{cfg.label}-eps{eps:g}",
                           out_dir=str(Path(root) / f"member{k}-eps{eps:g}")).build_setup()
                   for k, eps in enumerate(eps_list)]
+        gate = kin.global_existence_gate(setups[0].params.kinetics)
+        if not gate.passed:
+            raise DomainError("global-existence gate failed (" + ", ".join(
+                f"{check} margin={gate.margins[check]:.6g}"
+                for check, ok in gate.checks.items() if not ok) + ")")
         for eps, setup in zip(eps_list, setups):
             result = solver.run(setup)
             if not result.completed:
@@ -361,8 +367,11 @@ def cmd_preset(args) -> int:
     if args.action == "list":
         for name in preset_names():
             p = preset(name)
-            print(f"{name:22s} existence={'pass' if p.expect_existence else 'fail'} "
-                  f"regularity={'pass' if p.expect_regularity else 'fail'}  {p.description}")
+            params = p.config.build_params()
+            gate1 = kin.global_existence_gate(params.kinetics)
+            gate2 = kin.eventual_regularity_gate(params.kinetics, params)
+            print(f"{name:22s} existence={'pass' if gate1.passed else 'fail'} "
+                  f"regularity={'pass' if gate2.passed else 'fail'}  {p.description}")
         return EXIT_OK
     if not args.name:
         raise StructuralError("preset show needs a name")

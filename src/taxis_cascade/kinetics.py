@@ -14,7 +14,7 @@ time-integrable resupply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -283,42 +283,57 @@ def validate_envelope(spec: KineticSpec) -> EnvelopeReport:
                           worst_point=worst_point, worst_check=worst_check)
 
 
+# the checks on an exponent threshold, the only ones a knife-edge concerns
+EXPONENT_CHECKS = ("alpha_supercritical", "min_condition", "beta_supercritical")
+
+
 @dataclass(frozen=True)
 class GateResult:
-    passed: bool
-    checks: dict = field(default_factory=dict)
-    margins: dict = field(default_factory=dict)
-    # the exponent checks whose margin is within KNIFE_EDGE of zero
-    knife_edge: tuple = ()
+    """A gate's hypotheses, each a strict inequality stated as its margin.
+
+    One rule reads the table: a hypothesis holds exactly when its margin is
+    positive, and the gate passes when every hypothesis holds.
+    """
+
+    margins: dict
+
+    @property
+    def checks(self) -> dict:
+        return {name: bool(margin > 0) for name, margin in self.margins.items()}
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+    @property
+    def knife_edge(self) -> tuple:
+        """The exponent checks whose margin is within KNIFE_EDGE of zero."""
+        return tuple(name for name, margin in self.margins.items()
+                     if name in EXPONENT_CHECKS and abs(margin) < KNIFE_EDGE)
 
 
 def global_existence_gate(spec: KineticSpec) -> GateResult:
     """Global-existence hypotheses on the exponents (open, zero-tolerance)."""
-    alpha_margin = spec.alpha - ALPHA_CRITICAL
-    min_margin = min(spec.alpha, spec.beta) - (spec.alpha + 1.0) / (spec.alpha - 1.0)
-    checks = {"alpha_supercritical": alpha_margin > 0, "min_condition": min_margin > 0}
-    margins = {"alpha_supercritical": alpha_margin, "min_condition": min_margin}
-    knife = tuple(k for k, m in margins.items() if abs(m) < KNIFE_EDGE)
-    return GateResult(passed=all(checks.values()), checks=checks, margins=margins,
-                      knife_edge=knife)
+    return GateResult({
+        "alpha_supercritical": spec.alpha - ALPHA_CRITICAL,
+        "min_condition": min(spec.alpha, spec.beta) - (spec.alpha + 1.0) / (spec.alpha - 1.0),
+    })
 
 
 def eventual_regularity_gate(spec: KineticSpec, params) -> GateResult:
-    """Eventual-regularity hypotheses: the existence gate plus beta, mu > 0, finite r**."""
-    g1 = global_existence_gate(spec)
-    beta_margin = spec.beta - ALPHA_CRITICAL
-    checks = dict(g1.checks)
-    margins = dict(g1.margins)
-    checks["beta_supercritical"] = beta_margin > 0
-    margins["beta_supercritical"] = beta_margin
-    checks["mu_positive"] = params.mu > 0
-    margins["mu_positive"] = params.mu
-    r2 = params.resupply.r_double_star
-    checks["resupply_integrable"] = math.isfinite(r2)
-    margins["resupply_integrable"] = r2
-    knife = g1.knife_edge + (("beta_supercritical",) if abs(beta_margin) < KNIFE_EDGE else ())
-    return GateResult(passed=all(checks.values()), checks=checks, margins=margins,
-                      knife_edge=knife)
+    """Eventual-regularity hypotheses: the existence gate plus beta, mu > 0 and
+    a time-integrable resupply.
+
+    The resupply's time integral is amplitude / decay_lambda, finite exactly
+    when the decay rate is positive, so that rate is the margin; a zero
+    amplitude (no resupply) is integrable at any rate, with margin +inf.
+    """
+    r = params.resupply
+    return GateResult(global_existence_gate(spec).margins | {
+        "beta_supercritical": spec.beta - ALPHA_CRITICAL,
+        "mu_positive": params.mu,
+        "resupply_integrable": r.decay_lambda if r.amplitude > 0 else math.inf,
+    })
 
 
 @dataclass(frozen=True)
@@ -326,10 +341,9 @@ class ResupplySpec:
     """Nutrient resupply r(x, t) = spatial profile times temporal factor.
 
     Profiles: a nonnegative constant, or a Gaussian bump.  Temporal factor is
-    either constant 1 or exp(-decay_lambda * t).  The derived quantities are
-    the all-time sup of the spatial max (r_star) and its time integral
-    (r_double_star, +inf for the non-decaying factor when the profile is not
-    identically zero).
+    either constant 1 or exp(-decay_lambda * t).  The all-time sup of the
+    spatial max is r_star; its time integral is amplitude / decay_lambda
+    (+inf without decay, unless the amplitude is 0).
     """
 
     profile: str = "constant"  # "constant" | "gaussian"
@@ -351,14 +365,6 @@ class ResupplySpec:
     @property
     def r_star(self) -> float:
         return self.amplitude
-
-    @property
-    def r_double_star(self) -> float:
-        if self.amplitude == 0.0:
-            return 0.0
-        if self.decay_lambda > 0:
-            return self.amplitude / self.decay_lambda
-        return math.inf
 
     def factor(self, t: float) -> float:
         if t < 0:

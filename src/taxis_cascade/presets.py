@@ -12,8 +12,6 @@ from taxis_cascade.errors import StructuralError
 class Preset:
     name: str
     config: Config
-    expect_existence: bool
-    expect_regularity: bool
     description: str
 
 
@@ -36,28 +34,28 @@ _THM1_INIT = dict(
 )
 
 
-def _preset(name, expect_existence, expect_regularity, description, **kw) -> Preset:
+def _preset(name, description, **kw) -> Preset:
     cfg = replace(_BASE, label=name, out_dir=f"runs/{name}", **kw)
-    return Preset(name, cfg, expect_existence, expect_regularity, description)
+    return Preset(name, cfg, description)
 
 
 _PRESETS = {
     p.name: p for p in (
-        _preset("thm1-core", True, False,
+        _preset("thm1-core",
                 "cubic degradation in both species, steady resupply",
                 f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
                 **_STEADY, **_THM1_INIT),
-        _preset("thm1-subquadratic-g", True, False,
+        _preset("thm1-subquadratic-g",
                 "large forager exponent buys a subquadratic exploiter law",
                 f_law="purepower(1.0, 1.0, 6.0)", g_law="purepower(1.0, 1.0, 1.8)",
                 **_STEADY, **_THM1_INIT),
-        _preset("allee", True, False,
+        _preset("allee",
                 "bistable forager law above its survival threshold",
                 f_law="allee", g_law="purepower(1.0, 1.0, 3.0)",
                 init_u="gaussian(0.4, 0.4, 0.18, 0.6, 1.2)",
                 init_v="gaussian(0.6, 0.6, 0.2, 0.25, 0.85)",
                 **_STEADY),
-        _preset("thm2-decay", True, True,
+        _preset("thm2-decay",
                 "decaying resupply and positive nutrient decay; the nutrient "
                 "dies out and the tail should look smooth",
                 t_end=40.0,
@@ -68,7 +66,7 @@ _PRESETS = {
                 init_u="gaussian(0.4, 0.45, 0.18, 0.7, 0.3)",
                 init_v="gaussian(0.6, 0.55, 0.2, 0.25, 0.85)",
                 init_w="gaussian(0.5, 0.5, 0.2, 0.3, 0.1)"),
-        _preset("gate-fail-alpha", False, False,
+        _preset("gate-fail-alpha",
                 "forager exponent below the supercritical threshold; must be "
                 "rejected by the gate",
                 f_law="purepower(1.0, 1.0, 2.2)", g_law="purepower(1.0, 1.0, 3.0)",

@@ -580,7 +580,7 @@ def shipped_mms() -> MmsSpec:
 # --- the run driver -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSetup:
     """Everything a run needs, admitted once: a setup that exists may run.
 
@@ -589,7 +589,8 @@ class RunSetup:
     data that is off the grid, negative, non-finite or massless, and a
     declared growth envelope ``-k s^a - l <= f(s) <= -K s^a + L`` (and its
     g twin) that the laws break.  So every command that runs refuses these
-    before any step runs or any output directory is touched.
+    before any step runs or any output directory is touched.  A setup is
+    frozen: ``dataclasses.replace`` makes a changed one, and admits it anew.
     """
 
     grid: gridmod.Grid

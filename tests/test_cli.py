@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from taxis_cascade import cli, weakform
+from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
 from taxis_cascade.config import format_config, parse_config
 from taxis_cascade.errors import DomainError, StructuralError
-from taxis_cascade.presets import preset
+from taxis_cascade.presets import preset, preset_names
 
 
 def small_cfg(tmp_path, name="thm1-core", **kw):
@@ -120,19 +121,55 @@ def test_gate_subcommand(capsys):
 
 
 def test_gate_knife_edge_only_on_exponent_checks(tmp_path, capsys):
-    # zero resupply and mu = 0 put those margins at exactly 0; that is no
-    # knife-edge, which only concerns the exponent thresholds
-    p = write_cfg(tmp_path, small_cfg(tmp_path, amplitude=0.0))
+    # a steady resupply (no decay) and mu = 0 put those margins at exactly 0;
+    # that is no knife-edge, which only concerns the exponent thresholds
+    p = write_cfg(tmp_path, small_cfg(tmp_path))
     assert cli.main(["gate", str(p)]) == 0
     out = capsys.readouterr().out
-    assert "resupply_integrable      ok       margin=0\n" in out
+    assert "mu_positive              violated margin=0  <-- fails\n" in out
+    assert "resupply_integrable      violated margin=0  <-- fails\n" in out
     assert "(knife-edge)" not in out
+    # no resupply at all is integrable
+    p = write_cfg(tmp_path, small_cfg(tmp_path, amplitude=0.0))
+    assert cli.main(["gate", str(p)]) == 0
+    assert "resupply_integrable      ok       margin=inf\n" in capsys.readouterr().out
     # alpha a hair above 1 + sqrt(2) also puts min_condition on the edge
     p = write_cfg(tmp_path, small_cfg(tmp_path, f_law="purepower(1.0, 1.0, 2.41421356247)"))
     assert cli.main(["gate", str(p)]) == 0
     edged = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
              if ln.endswith("(knife-edge)")]
     assert edged == ["alpha_supercritical", "min_condition"] * 2
+
+
+def _gate_lines(out):
+    """(check, verdict, margin) of each check line that ``gate`` prints."""
+    for line in out.splitlines():
+        if line.startswith("  "):
+            check, verdict, margin = line.split()[:3]
+            yield check, verdict, float(margin.removeprefix("margin="))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_gate_says_ok_exactly_when_the_margin_is_positive(name, capsys):
+    cli.main(["gate", "--preset", name])
+    lines = list(_gate_lines(capsys.readouterr().out))
+    assert len(lines) == 7  # two existence checks, then those and three more
+    for check, verdict, margin in lines:
+        assert verdict == ("ok" if margin > 0 else "violated"), (check, margin)
+
+
+def test_preset_list_prints_the_gates_verdicts(capsys):
+    assert cli.main(["preset", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == preset_names()
+    for line in lines:
+        name, existence, regularity = line.split()[:3]
+        params = preset(name).config.build_params()
+        gates = (K.global_existence_gate(params.kinetics),
+                 K.eventual_regularity_gate(params.kinetics, params))
+        assert (existence, regularity) == tuple(
+            f"{kind}={'pass' if gate.passed else 'fail'}"
+            for kind, gate in zip(("existence", "regularity"), gates))
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,6 +312,20 @@ def test_sweep_rejects_a_repeated_eps_before_any_member_runs(tmp_path, monkeypat
     assert "eps_hi,eps_lo" not in out
     assert runs == []
     assert not (tmp_path / "bad").exists()
+
+
+def test_sweep_refuses_a_config_that_fails_the_existence_gate(tmp_path, monkeypatch,
+                                                              capsys):
+    # run refuses it unless forced; a sweep has no --force
+    runs = []
+    monkeypatch.setattr(S, "run", lambda setup: runs.append(setup))
+    assert cli.main(["sweep-epsilon", "--preset", "gate-fail-alpha", "--eps", "1e-1,1e-2",
+                     "--t-end", "0.05", "--out", str(tmp_path / "sweep")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: global-existence gate failed (alpha_supercritical margin=-")
+    assert err.count("\n") == 1 and out == ""
+    assert runs == []
+    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("eps", ["5e-1", ""])

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import pytest
@@ -99,14 +98,23 @@ def test_file_loading(tmp_path):
     assert cfg.nx == 40
 
 
+# the verdicts each preset is built to give: (global existence, eventual regularity)
+EXPECTED_VERDICTS = {
+    "thm1-core": (True, False),
+    "thm1-subquadratic-g": (True, False),
+    "allee": (True, False),
+    "thm2-decay": (True, True),
+    "gate-fail-alpha": (False, False),
+}
+
+
 def test_preset_gate_expectations_match():
-    for name in preset_names():
-        pre = preset(name)
-        ks = pre.config.build_kinetics()
-        params = S.ModelParams(mu=pre.config.mu, epsilon=pre.config.epsilon,
-                               resupply=pre.config.build_resupply(), kinetics=ks)
-        assert K.global_existence_gate(ks).passed == pre.expect_existence, name
-        assert K.eventual_regularity_gate(ks, params).passed == pre.expect_regularity, name
+    assert list(EXPECTED_VERDICTS) == preset_names()
+    for name, (existence, regularity) in EXPECTED_VERDICTS.items():
+        params = preset(name).config.build_params()
+        ks = params.kinetics
+        assert K.global_existence_gate(ks).passed is existence, name
+        assert K.eventual_regularity_gate(ks, params).passed is regularity, name
         assert K.validate_envelope(ks).holds, name
 
 
@@ -123,10 +131,9 @@ def test_subquadratic_margin():
 
 
 def test_thm2_preset_resupply_integrable():
-    cfg = preset("thm2-decay").config
-    r = cfg.build_resupply()
-    assert r.r_double_star == pytest.approx(r.amplitude / cfg.decay_lambda)
-    assert math.isfinite(r.r_double_star)
+    params = preset("thm2-decay").config.build_params()
+    gate = K.eventual_regularity_gate(params.kinetics, params)
+    assert gate.margins["resupply_integrable"] > 0
 
 
 def test_gate_fail_alpha_margins():

@@ -238,22 +238,44 @@ def test_gate_knife_edge_flag():
     assert gate.knife_edge
 
 
+def test_gate_verdicts_follow_the_margins():
+    # one rule: a hypothesis holds exactly when its margin is positive
+    def params(mu, **resupply):
+        return S.ModelParams(mu=mu, epsilon=0.0, resupply=K.ResupplySpec(**resupply),
+                             kinetics=spec_pp(3.0, 3.0))
+
+    cases = {
+        "steady": (params(0.0, amplitude=0.3), 0.0),
+        "decaying": (params(0.5, amplitude=0.3, decay_lambda=2.0), 2.0),
+        "none": (params(0.5, amplitude=0.0), math.inf),
+    }
+    for name, (prm, resupply_margin) in cases.items():
+        gate = K.eventual_regularity_gate(prm.kinetics, prm)
+        assert gate.margins["resupply_integrable"] == resupply_margin, name
+        assert gate.margins["mu_positive"] == prm.mu, name
+        assert gate.checks == {c: m > 0 for c, m in gate.margins.items()}, name
+        assert gate.passed is all(m > 0 for m in gate.margins.values()), name
+        # zero margins of mu_positive and resupply_integrable are no knife-edge
+        assert gate.knife_edge == (), name
+        # the regularity table extends the existence table
+        assert gate.margins.items() >= K.global_existence_gate(prm.kinetics).margins.items()
+
+
 def test_resupply_values_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
     assert np.all(r.field(G.Grid(4, 4), 5.0) == 0.2) and r.linf(5.0) == 0.2
-    assert r.r_star == 0.2 and r.r_double_star == math.inf
+    assert r.r_star == 0.2
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
                           width=0.1, decay_lambda=1.0)
     assert bump.field(G.Grid(5, 5), 0.0)[2, 2] == 1.0  # the cell centred at (0.5, 0.5)
-    assert bump.r_double_star == pytest.approx(1.0)
 
     decaying = K.ResupplySpec(profile="constant", amplitude=1.0, decay_lambda=2.0)
-    assert decaying.r_double_star == pytest.approx(0.5)
-    # numerical time-quadrature cross-check of the sup-norm integral
+    # numerical time-quadrature cross-check of the sup-norm integral,
+    # amplitude / decay_lambda
     ts = np.linspace(0.0, 60.0, 400001)
     quad = np.trapezoid([decaying.linf(t) for t in ts], ts)
-    assert quad == pytest.approx(decaying.r_double_star, rel=1e-6)
+    assert quad == pytest.approx(0.5, rel=1e-6)
 
     with pytest.raises(DomainError):
         r.linf(-0.5)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +206,18 @@ def test_run_setup_refuses_a_growth_envelope_that_does_not_hold():
                    initial=K.InitialData(ones, ones, 0.0 * ones))
 
 
+def test_an_admitted_setup_is_frozen_and_a_replaced_one_is_admitted_anew():
+    # a field set after admission would skip the checks; replace runs them
+    g = G.Grid(8, 8)
+    ones = np.ones(g.shape)
+    setup = S.RunSetup(grid=g, params=make_params(), initial=K.InitialData(ones, ones, ones))
+    with pytest.raises(FrozenInstanceError):
+        setup.t_end = -1.0
+    with pytest.raises(DomainError, match="t_end must be finite and nonnegative"):
+        replace(setup, t_end=-1.0)
+    assert replace(setup, t_end=2.0).t_end == 2.0 and setup.t_end == 1.0
+
+
 @pytest.mark.parametrize("g", [G.Grid(16, 16), G.Grid(24, 11, 1.7, 0.6)])
 def test_w_solve_with_a_constant_diagonal_takes_no_iteration(g):
     # the preconditioner is then the operator itself, so x0 is the solution
@@ -254,7 +266,7 @@ def test_manifest_records_the_w_iterations_of_the_steps_taken(tmp_path, monkeypa
     cfg = replace(presets.preset("thm2-decay").config, nx=16, ny=16, t_end=0.5,
                   out_dir=str(tmp_path))
     setup = cfg.build_setup()
-    setup.control = replace(setup.control, max_iter=max_iter)
+    setup = replace(setup, control=replace(setup.control, max_iter=max_iter))
     result = S.run(setup)
     assert result.completed == (max_iter > 1)
     assert len(taken) == result.steps
