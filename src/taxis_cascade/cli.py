@@ -1,10 +1,11 @@
 """Command line entry point: run, gate, mms, sweep-epsilon, verify-weak, preset.
 
 Exit codes: 0 success (and, for `run`, all pass/fail monitors green),
-1 validation or gate failure, 2 runtime abort with partial outputs.  An
-input error raised anywhere below `main` is reported there, on one
-``error:`` line; so is a study (`mms`, `sweep-epsilon`) whose run aborted,
-on one ``aborted:`` line.
+1 validation or gate failure, 2 runtime abort with partial outputs.  Every
+problem line comes from `main`: an input error, a refused gate or a file
+that cannot be read or written (an ``OSError``), raised anywhere below it,
+is one ``error:`` line; a run that aborted, alone or inside a study (`mms`,
+`sweep-epsilon`), is one ``aborted:`` line after whatever it printed.
 """
 
 from __future__ import annotations
@@ -33,11 +34,25 @@ EXIT_ABORT = 2
 
 
 def _load_cfg(args) -> Config:
+    """The config a command names, with its --t-end and --dt overrides applied."""
     if getattr(args, "preset", None):
-        return preset(args.preset).config
-    if not getattr(args, "config", None):
+        cfg = preset(args.preset).config
+    elif getattr(args, "config", None):
+        cfg = load_config(args.config)
+    else:
         raise StructuralError("need a config file or --preset")
-    return load_config(args.config)
+    overrides = {"t_end": getattr(args, "t_end", None), "fixed_dt": getattr(args, "dt", None)}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _require_existence(params, hint: str = "") -> None:
+    """Refuse parameters outside the global-existence hypotheses, naming the
+    failing margins."""
+    gate = kin.global_existence_gate(params.kinetics)
+    if not gate.passed:
+        raise DomainError("global-existence gate failed (" + ", ".join(
+            f"{check} margin={gate.margins[check]:.6g}"
+            for check, ok in gate.checks.items() if not ok) + ")" + hint)
 
 
 def _parse_list(text: str, kind, option: str) -> list:
@@ -63,14 +78,9 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if args.t_end is not None:
-        cfg = replace(cfg, t_end=args.t_end)
     setup = cfg.build_setup()
-    gate1 = kin.global_existence_gate(setup.params.kinetics)
-    if not gate1.passed and not args.force:
-        _print_gate("global-existence gate", gate1)
-        print("gate failed; use --force to integrate anyway", file=sys.stderr)
-        return EXIT_VALIDATION
+    if not args.force:
+        _require_existence(setup.params, "; use --force to integrate anyway")
     result = solver.run(setup)
     failures = result.report.failures()
     step_violations = sum(s.violations for s in result.step_checks.values())
@@ -82,8 +92,7 @@ def cmd_run(args) -> int:
         print(f"  eventual-regularity verdict: "
               f"{'regularized' if result.regularity.regularized else 'not regularized'}")
     if not result.completed:
-        print(f"aborted: {result.failure}", file=sys.stderr)
-        return EXIT_ABORT
+        raise StudyAbortError(result.failure)
     if failures or step_violations:
         print(f"monitor failures: {len(failures)} report entries, "
               f"{step_violations} per-step violations", file=sys.stderr)
@@ -258,17 +267,17 @@ def _traj_diff(traj_a, traj_b):
 
 
 def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
-                  fixed_dt: float | None = None, out_root=None,
-                  snapshot_every: float = 0.1) -> SweepResult:
+                  out_root=None, snapshot_every: float = 0.1) -> SweepResult:
     """Identical runs per epsilon on one shared fixed time grid.
 
     Adaptive stepping would give each member its own step sequence and bury
-    the O(eps) Cauchy differences in step noise, so dt is frozen (default:
-    half the suggested step of the initial state).  Every member is set up,
-    and so admitted, before the first one runs, and a config that fails the
-    global-existence gate is refused, as ``run`` refuses it unforced; a row's
-    epsilons are the listed ones, and each member's trajectory is read once,
-    with at most two held at a time.
+    the O(eps) Cauchy differences in step noise, so dt is frozen: the
+    config's ``fixed_dt`` when it sets one, else half the suggested step of
+    the initial state.  Every member is set up, and so admitted, before the
+    first one runs, and a config that fails the global-existence gate is
+    refused, as ``run`` refuses it unforced; a row's epsilons are the listed
+    ones, and each member's trajectory is read once, with at most two held
+    at a time.
     """
     if len(eps_list) < 2:
         raise StructuralError(f"an epsilon sweep needs at least two epsilons, got {len(eps_list)}")
@@ -276,22 +285,18 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
         raise StructuralError("epsilon list must be strictly descending")
     cfg = base_cfg if t_end is None else replace(base_cfg, t_end=t_end)
     _check_span(cfg.t_end)
-    if fixed_dt is None:
+    if cfg.fixed_dt is None:
         probe = replace(cfg, epsilon=eps_list[0]).build_setup()
         st0 = solver.State(probe.initial.u0, probe.initial.v0, probe.initial.w0)
-        fixed_dt = 0.5 * solver.suggest_dt(st0, probe.params, probe.grid, probe.control)
+        cfg = replace(cfg, fixed_dt=0.5 * solver.suggest_dt(
+            st0, probe.params, probe.grid, probe.control))
     with (nullcontext(out_root) if out_root is not None
           else tempfile.TemporaryDirectory(prefix="taxis-sweep-")) as root:
-        setups = [replace(cfg, epsilon=eps, fixed_dt=fixed_dt,
-                          snapshot_every=snapshot_every,
+        setups = [replace(cfg, epsilon=eps, snapshot_every=snapshot_every,
                           label=f"{cfg.label}-eps{eps:g}",
                           out_dir=str(Path(root) / f"member{k}-eps{eps:g}")).build_setup()
                   for k, eps in enumerate(eps_list)]
-        gate = kin.global_existence_gate(setups[0].params.kinetics)
-        if not gate.passed:
-            raise DomainError("global-existence gate failed (" + ", ".join(
-                f"{check} margin={gate.margins[check]:.6g}"
-                for check, ok in gate.checks.items() if not ok) + ")")
+        _require_existence(setups[0].params)
         for eps, setup in zip(eps_list, setups):
             result = solver.run(setup)
             if not result.completed:
@@ -305,8 +310,7 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     eps_list = _parse_list(args.eps, float, "--eps")
-    sweep = sweep_epsilon(cfg, eps_list, t_end=args.t_end, fixed_dt=args.dt,
-                          out_root=args.out)
+    sweep = sweep_epsilon(cfg, eps_list, out_root=args.out)
     lines = list(sweep.table_rows())
     print("\n".join(lines))
     mono = sweep.strictly_decreasing()
@@ -413,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4",
                    help="strictly descending comma-separated epsilons")
     p.add_argument("--t-end", type=float, dest="t_end", default=None)
-    p.add_argument("--dt", type=float, default=None, help="shared fixed step")
+    p.add_argument("--dt", type=float, default=None,
+                   help="shared fixed step (overrides [time] fixed_dt)")
     p.add_argument("--out", help="output root (default: temporary)")
     p.set_defaults(func=cmd_sweep)
 
@@ -433,7 +438,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StructuralError, DomainError) as exc:
+    except (StructuralError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StudyAbortError as exc:

@@ -327,8 +327,4 @@ def parse_config(text: str, label: str = "run") -> Config:
 
 def load_config(path, label: str | None = None) -> Config:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:  # missing, a directory, unreadable
-        raise StructuralError(f"cannot read config {path}: {exc.strerror}") from None
-    return parse_config(text, label=label or path.stem)
+    return parse_config(path.read_text(), label=label or path.stem)

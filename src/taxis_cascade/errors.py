@@ -30,4 +30,5 @@ class BlowUpError(RuntimeError):
 
 
 class StudyAbortError(RuntimeError):
-    """A run inside a study (an mms level, a sweep member) aborted."""
+    """A run aborted: a `run` of its own, or one inside a study (an mms
+    level, a sweep member)."""

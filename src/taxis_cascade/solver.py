@@ -761,11 +761,7 @@ def run(setup: RunSetup) -> RunResult:
     _settle_heap()
     out_dir = Path(setup.out_dir) if setup.out_dir is not None else None
     if out_dir is not None:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a file of that name, or among its parents
-            raise StructuralError(
-                f"cannot make output directory {out_dir}: {exc.strerror}") from None
+        out_dir.mkdir(parents=True, exist_ok=True)
         # the snapshots of an earlier run here would join this run's trajectory
         for p in out_dir.iterdir():
             if gridmod.SNAPSHOT_NAME.match(p.name):

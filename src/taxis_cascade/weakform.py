@@ -221,10 +221,7 @@ class TrajectoryHandle:
 def load_trajectory(run_dir) -> TrajectoryHandle:
     """Build a handle from a run directory (snapshots + manifest)."""
     run_dir = Path(run_dir)
-    manifest = run_dir / "manifest.txt"
-    if not manifest.exists():
-        raise StructuralError(f"{run_dir}: no manifest.txt")
-    cfg = parse_config(manifest.read_text(), label=run_dir.name)
+    cfg = parse_config((run_dir / "manifest.txt").read_text(), label=run_dir.name)
     g = cfg.build_grid()
     params = cfg.build_params()
     entries = []
@@ -303,9 +300,11 @@ def _budget(traj: TrajectoryHandle, scale: float) -> float:
 
 class _Samples:
     """Time-independent samples of one test function on a trajectory's grid:
-    values at the cell centers, values and normal derivatives at the interior
-    face midpoints, and phi(t_0) for the initial-trace terms.  Building them
-    checks the temporal support against the trajectory."""
+    values at the cell centers (``phi``), values and normal derivatives at
+    the interior face midpoints, and phi(t_0) for the initial-trace terms.
+    Building them checks the temporal support against the trajectory.  The
+    residuals read the samples through three pairings (``cells``, ``faces``
+    and ``grads``), each summed without the cell volume."""
 
     def __init__(self, fn: TestFunction, traj: TrajectoryHandle):
         _check_support(fn, traj)
@@ -313,15 +312,27 @@ class _Samples:
         X, Y = g.cell_centers()
         # (x, y) of the x-face and of the y-face midpoints between adjacent centers
         xface, yface = zip(_face_mean(X), _face_mean(Y))
-        self.cells = fn.spatial(X, Y)[0]
-        self.on_xfaces, self.gx_on_xfaces, _ = fn.spatial(*xface)
-        self.on_yfaces, _, self.gy_on_yfaces = fn.spatial(*yface)
+        self.phi = fn.spatial(X, Y)[0]
+        self._on_xfaces, self._gx_on_xfaces, _ = fn.spatial(*xface)
+        self._on_yfaces, _, self._gy_on_yfaces = fn.spatial(*yface)
         self.vol = g.cell_volume
         self.tf0 = float(fn.temporal(traj.times[0])[0])
 
+    def cells(self, a):
+        """sum of a * phi over the cells."""
+        return np.sum(a * self.phi)
+
+    def faces(self, ax, ay):
+        """sum of (ax, ay) * phi over the x-faces and the y-faces."""
+        return np.sum(ax * self._on_xfaces) + np.sum(ay * self._on_yfaces)
+
+    def grads(self, ax, ay):
+        """sum of (ax, ay) times the normal derivative of phi over the faces."""
+        return np.sum(ax * self._gx_on_xfaces) + np.sum(ay * self._gy_on_yfaces)
+
     def initial_trace(self, phi0) -> float:
         """int phi0 * phi(., t_0) over the domain."""
-        return np.sum(phi0 * self.cells) * self.tf0 * self.vol
+        return self.cells(phi0) * self.tf0 * self.vol
 
 
 def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
@@ -335,13 +346,8 @@ def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
         wx, wy = gridmod.face_gradients(w, g)
         ufx, ufy = _face_mean(u)
         fu = _with_source(traj, t, ks.law_f(u), 0)
-        inst = (
-            -np.sum(u * sp.cells) * tdf
-            + (np.sum(ux * sp.gx_on_xfaces) + np.sum(uy * sp.gy_on_yfaces)) * tf
-            - (np.sum(ufx * wx * sp.gx_on_xfaces)
-               + np.sum(ufy * wy * sp.gy_on_yfaces)) * tf
-            - np.sum(fu * sp.cells) * tf
-        )
+        inst = (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
+                - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fu) * tf)
         total += wt * inst * sp.vol
     total -= sp.initial_trace(traj.load(0)[0])
     return float(total)
@@ -361,13 +367,9 @@ def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
     for wt, t, tf, tdf, (u, v, w) in _walk(traj, fn):
         wx, wy = gridmod.face_gradients(w, g)
         r_cells = _with_source(traj, t, params.resupply.field(g, t), 2)
-        inst = (
-            -np.sum(w * sp.cells) * tdf
-            + (np.sum(wx * sp.gx_on_xfaces) + np.sum(wy * sp.gy_on_yfaces)) * tf
-            + np.sum((u + v) * w * sp.cells) * tf
-            + params.mu * np.sum(w * sp.cells) * tf
-            - np.sum(r_cells * sp.cells) * tf
-        )
+        inst = (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
+                + sp.cells((u + v) * w) * tf + params.mu * sp.cells(w) * tf
+                - sp.cells(r_cells) * tf)
         total += wt * inst * sp.vol
     total -= sp.initial_trace(traj.load(0)[2])
     return float(total)
@@ -379,7 +381,7 @@ def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
     sp = _Samples(fn, traj)
     vol = sp.vol
     ks = traj.params.kinetics
-    if np.any(sp.cells < 0):
+    if np.any(sp.phi < 0):
         raise DomainError("the exploiter inequality needs a nonnegative test function")
     lhs = 0.0
     rhs = 0.0
@@ -389,16 +391,11 @@ def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
         ux, uy = gridmod.face_gradients(u, g)
         rfx, rfy = _face_mean(v / (v + 1.0))
         gv = _with_source(traj, t, ks.law_g(v), 1)
-        lhs += wt * (-np.sum(ell * sp.cells) * tdf) * vol
+        lhs += wt * (-sp.cells(ell) * tdf) * vol
         rhs += wt * vol * (
-            (np.sum(lx**2 * sp.on_xfaces) + np.sum(ly**2 * sp.on_yfaces)) * tf
-            - (np.sum(lx * sp.gx_on_xfaces) + np.sum(ly * sp.gy_on_yfaces)) * tf
-            - (np.sum(rfx * lx * ux * sp.on_xfaces)
-               + np.sum(rfy * ly * uy * sp.on_yfaces)) * tf
-            + (np.sum(rfx * ux * sp.gx_on_xfaces)
-               + np.sum(rfy * uy * sp.gy_on_yfaces)) * tf
-            + np.sum(gv / (v + 1.0) * sp.cells) * tf
-        )
+            sp.faces(lx**2, ly**2) * tf - sp.grads(lx, ly) * tf
+            - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
+            + sp.grads(rfx * ux, rfy * uy) * tf + sp.cells(gv / (v + 1.0)) * tf)
     lhs -= sp.initial_trace(np.log1p(traj.load(0)[1]))
     return float(lhs - rhs)
 

@@ -76,11 +76,16 @@ def test_bad_q_is_refused_before_the_snapshots_are_touched(tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").glob("*.fld")) == before
 
 
-def test_gate_fail_blocks_run_unless_forced(tmp_path):
+def test_gate_fail_blocks_run_unless_forced(tmp_path, capsys):
     cfg = small_cfg(tmp_path, name="gate-fail-alpha", t_end=0.1)
     p = write_cfg(tmp_path, cfg)
     assert cli.main(["run", str(p)]) == 1
     assert not (tmp_path / "out" / "timeseries.csv").exists()  # no compute
+    # one line naming every failing margin, as sweep-epsilon refuses it
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: global-existence gate failed (alpha_supercritical margin=-")
+    assert err.count("\n") == 1 and "min_condition margin=" in err and "--force" in err
     assert cli.main(["run", str(p), "--force"]) in (0, 1)      # integrates
     assert (tmp_path / "out" / "timeseries.csv").exists()
 
@@ -354,6 +359,20 @@ def test_sweep_of_two_eps_has_no_trend_to_report(tmp_path, capsys):
     assert out[-1] == "strictly decreasing: u_l2=n/a, v_l1=n/a, w_l2=n/a"
 
 
+@pytest.mark.parametrize("extra, dt, steps", [([], 0.05, 4), (["--dt", "0.1"], 0.1, 2)],
+                         ids=["config-fixed-dt", "dt-overrides-it"])
+def test_sweep_takes_its_step_from_the_config(tmp_path, capsys, extra, dt, steps):
+    # half the suggested step only when the config sets no fixed_dt
+    p = write_cfg(tmp_path, small_cfg(tmp_path, nx=8, ny=8, t_end=0.2, fixed_dt=0.05))
+    with pytest.warns(RuntimeWarning, match="fixed_dt"):  # a coarse step, on purpose
+        assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2",
+                         "--out", str(tmp_path / "sweep"), *extra]) == 0
+    for k, eps in enumerate([1e-1, 1e-2]):
+        manifest = (tmp_path / "sweep" / f"member{k}-eps{eps:g}" / "manifest.txt").read_text()
+        assert f"# steps: {steps}\n" in manifest
+        assert parse_config(manifest).fixed_dt == dt
+
+
 def test_sweep_reads_each_member_once(tmp_path, monkeypatch):
     loads, load = [], weakform.load_trajectory
     monkeypatch.setattr(weakform, "load_trajectory",
@@ -438,7 +457,8 @@ def test_verify_weak_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 3 + 1
 
 
-@pytest.mark.parametrize("corrupt", ["bad-header", "mixed-time"])
+@pytest.mark.parametrize("corrupt", ["bad-header", "mixed-time", "snapshot-is-a-directory",
+                                     "manifest-is-a-directory"])
 def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
     assert cli.main(["run", str(p)]) == 0
@@ -447,6 +467,15 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
         snap = sorted((tmp_path / "out").glob("w_*.fld"))[-1]
         data = snap.read_bytes()
         snap.write_bytes(b"FLD1 12 12 1.0 1.0 \xff" + data[data.index(b"\n"):])
+    elif corrupt == "snapshot-is-a-directory":
+        # a complete triple by name, of directories
+        for name in "uvw":
+            (tmp_path / "out" / f"{name}_99999999.fld").mkdir()
+        snap = tmp_path / "out" / "u_99999999.fld"
+    elif corrupt == "manifest-is-a-directory":
+        snap = tmp_path / "out" / "manifest.txt"
+        snap.unlink()
+        snap.mkdir()
     else:
         # every file is sound, but the middle triple takes its v from t_end
         snaps = sorted((tmp_path / "out").glob("v_*.fld"))
@@ -498,32 +527,42 @@ def test_verify_weak_checks_its_output_before_the_quadrature(tmp_path, capsys,
     assert list((tmp_path / "folder").iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "{missing}"],
-    ["gate", "{missing}"],
-    ["run", "{folder}"],
-    ["run", "--preset", "thm2-decay", "--t-end", "0.1", "--out", "{afile}"],
-    ["run", "{good}", "--out", "{afile}"],
-    ["mms", "--levels", "8", "--t-end", "0.01", "--out", "{afile}"],
+@pytest.mark.parametrize("argv, culprit", [
+    (["run", "{missing}"], "nope.ini"),
+    (["gate", "{missing}"], "nope.ini"),
+    (["run", "{folder}"], "{folder}"),
+    (["run", "--preset", "thm2-decay", "--t-end", "0.1", "--out", "{afile}"], "afile"),
+    (["run", "{good}", "--out", "{afile}"], "afile"),
+    (["mms", "--levels", "8", "--t-end", "0.01", "--out", "{afile}"], "afile"),
+    # a run clears the snapshot names of its directory before the first step
+    (["run", "--preset", "thm2-decay", "--t-end", "0.1", "--out", "{snapdir}"],
+     "u_00000000.fld"),
 ], ids=["run-missing-ini", "gate-missing-ini", "run-ini-is-a-folder",
-        "run-out-is-a-file", "run-ini-out-is-a-file", "mms-out-is-a-file"])
-def test_missing_input_or_file_output_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+        "run-out-is-a-file", "run-ini-out-is-a-file", "mms-out-is-a-file",
+        "run-out-holds-a-snapshot-directory"])
+def test_missing_input_or_file_output_is_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                                                        culprit):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
+    snapdir = tmp_path / "snapdir"
+    (snapdir / "u_00000000.fld").mkdir(parents=True)
     good = write_cfg(tmp_path, small_cfg(tmp_path, out_dir=None))
-    argv = [a.format(missing=tmp_path / "nope.ini", folder=tmp_path, afile=afile, good=good)
-            for a in argv]
+    names = dict(missing=tmp_path / "nope.ini", folder=tmp_path, afile=afile, good=good,
+                 snapdir=snapdir)
+    argv = [a.format(**names) for a in argv]
     steps = []
     monkeypatch.setattr(S, "step", lambda *a, **k: steps.append(a))
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert culprit.format(**names) in err
     assert steps == []
     assert afile.read_text() == "kept\n"
+    assert (snapdir / "u_00000000.fld").is_dir()
 
 
-def test_watchdog_exit_code(tmp_path):
+def test_watchdog_exit_code(tmp_path, capsys):
     # passes every gate, but the enormous growth offset drives u past the
     # 1e8 watchdog ceiling on the first step
     cfg = small_cfg(tmp_path, t_end=1.0,
@@ -532,6 +571,9 @@ def test_watchdog_exit_code(tmp_path):
     p = write_cfg(tmp_path, cfg)
     code = cli.main(["run", str(p)])
     assert code == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("run case: steps=")
+    assert err.startswith("aborted: BlowUpError: ") and err.count("\n") == 1
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "failed" in manifest
     assert (tmp_path / "out" / "timeseries.csv").exists()  # partial outputs
