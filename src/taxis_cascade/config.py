@@ -150,9 +150,11 @@ class Config:
             X, Y = g.cell_centers()
             rr = (X - cx) ** 2 + (Y - cy) ** 2
             return floor + amp * np.exp(-rr / (2.0 * width**2))
+        lo, hi = args
+        if not hi >= lo:
+            raise DomainError(f"{where}: random needs lo <= hi, got ({lo!r}, {hi!r})")
         if rng is None:
             raise StructuralError(f"{where}: random recipe requires [initial] seed")
-        lo, hi = args
         return lo + (hi - lo) * rng.random(g.shape)
 
     def build_initial(self, g: gridmod.Grid) -> kin.InitialData:

@@ -41,9 +41,15 @@ def _preset(name, description, **kw) -> Preset:
 
 _PRESETS = {
     p.name: p for p in (
+        # at safety 0.3 the adaptive SBDF2 run takes 76 steps at 256^2 to
+        # t = 0.1, where Euler steps at 0.2 took 114, with a quarter of their
+        # time error; at 0.4 the w solve iterates more per step, and at 1.0
+        # the time error passes Euler's (CHANGES.md, the safety curve on
+        # thm1-256)
         _preset("thm1-core",
                 "cubic degradation in both species, steady resupply",
                 f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
+                safety=0.3,
                 **_STEADY, **_THM1_INIT),
         _preset("thm1-subquadratic-g",
                 "large forager exponent buys a subquadratic exploiter law",

@@ -1,10 +1,16 @@
 """IMEX time integration of the taxis cascade with positivity preservation.
 
-One step advances the cascade in order u -> v -> w: diffusion is implicit
-(backward Euler), taxis and growth are explicit, and the v-taxis potential is
-the freshly solved u.  One operator c*I - dt*Lap per step serves all three
-solves.  The u and v systems (c = 1) are solved directly by the cosine
-transform that diagonalizes the Neumann Laplacian: on grids of at most
+One step advances the cascade in order u -> v -> w: diffusion is implicit,
+taxis and growth are explicit.  Without a ``History`` a step is the Euler
+step: backward Euler for diffusion with the explicit terms at the old state,
+and the v-taxis potential is the freshly solved u.  With one it is the
+variable-step second-order semi-implicit BDF (SBDF2): it extrapolates the
+explicit terms N = law - taxis of the two states before, v's taxis taking
+the old u, and falls back to the Euler step where SBDF2 cannot run
+(``sbdf2_ratio``).  ``run`` keeps a history where dt adapts and takes Euler
+steps at a fixed dt.  One operator c*I - dt*Lap per step serves all three
+solves.  The u and v systems (c = 1 for Euler) are solved directly by the
+cosine transform that diagonalizes the Neumann Laplacian: on grids of at most
 DENSE_DCT_MAX cells a side as four small products with cached dense cosine
 matrices and their C-contiguous transposes, on larger grids by scipy's DCT.
 The nutrient consumption is semi-implicit through a nonnegative diagonal, so
@@ -17,9 +23,10 @@ clamps entries of a new field in [-1e-12, 0) to zero and counts them;
 anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
-nothing more: each right-hand side is built in the array that the solve then
-overwrites with the new field, and each transform writes into the result
-array or the solver's one work array.  The in-place forms keep the
+nothing more (an SBDF2 step builds its u and v in the history's spent
+explicit terms and allocates its own two instead): each right-hand side is
+built in the array that the solve then overwrites with the new field, and
+each transform writes into the result array or the solver's one work array.  The in-place forms keep the
 operation order of the plain expressions, so the result is bit for bit what
 they give.  ``run`` first raises glibc's heap thresholds (``_settle_heap``),
 so the memory a step frees serves the next step instead of being returned
@@ -56,6 +63,9 @@ CLAMP_FLOOR = -1e-12
 BLOWUP_LIMIT = 1e8
 TINY_GRADIENT = 1e-30
 FIXED_DT_WARN_RATIO = 10.0
+# variable-step BDF2 is zero-stable while each step is less than this many
+# times the one before (Wang & Ruuth, J. Comput. Math. 2008)
+SBDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 # Grids with at most this many cells a side take the dense cosine path of
 # _SpectralHelmholtz.  One solve (forward and inverse transform), scipy.fft
@@ -117,6 +127,39 @@ class StepControl:
 
 
 @dataclass
+class History:
+    """The step before, as an SBDF2 step reads it.
+
+    ``u``, ``v`` and ``w`` are that step's input state, ``n_u`` and ``n_v``
+    its explicit terms law - taxis at that state (v's taxis with that
+    state's u as potential), and ``dt`` its size; an empty history
+    (``dt`` 0) makes the next step an Euler step.  ``step`` reads the
+    history and leaves in it what the next step needs: its own input state,
+    terms and dt.  The explicit terms belong to the history, and a step
+    builds its right-hand sides in them; the state fields are only read.
+    After a step that raised, the history is spent.
+    """
+
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
+    w: np.ndarray | None = None
+    n_u: np.ndarray | None = None
+    n_v: np.ndarray | None = None
+    dt: float = 0.0
+
+
+def sbdf2_ratio(dt: float, dt_prev: float) -> float | None:
+    """The step ratio omega = dt / dt_prev of an SBDF2 step, or None where
+    the step is an Euler step: the first one (dt_prev 0) and any whose
+    omega is at least SBDF2_MAX_RATIO, as after a step clipped to an event.
+    """
+    if not dt_prev > 0.0:
+        return None
+    omega = dt / dt_prev
+    return omega if omega < SBDF2_MAX_RATIO else None
+
+
+@dataclass
 class StepStats:
     clamps: int = 0
     cg_iterations: tuple[int, int, int] = (0, 0, 0)
@@ -162,8 +205,9 @@ class _SpectralHelmholtz:
     The mirror-ghost five-point Laplacian is diagonalized by the type-II DCT
     per axis with eigenvalues -(2/h^2)(1 - cos(pi k / n)).  One instance per
     step serves all three of its solves, with c given per solve: c = 1 is
-    the u and v diffusion solve, whose k = 0 denominator is 1, so the cell
-    sum of the right-hand side is kept to rounding; c the mean nutrient
+    the u and v diffusion solve of an Euler step, (1 + 2 omega) / (1 + omega)
+    that of an SBDF2 step, whose k = 0 denominator is c, so the cell sum of
+    the solution is the right-hand side's over c, to rounding; c the mean nutrient
     diagonal is the preconditioner of ``_pcg`` and gives the w solve its
     start P^-1(c b / diag).  The solves are direct, so StepControl.lin_tol
     and max_iter govern only the w solve.
@@ -329,15 +373,49 @@ def _admit(phi, name, t) -> tuple[int, float]:
     return int(np.count_nonzero(mask)), sup
 
 
+def _extrapolate(phi, phi_prev, omega, out=None):
+    """(1 + omega) phi - omega phi_prev, as phi + omega (phi - phi_prev), in
+    ``out`` (which may be phi_prev itself) or a new array."""
+    out = np.subtract(phi, phi_prev, out=out)
+    out *= omega
+    out += phi
+    return out
+
+
+def _bdf2_levels(phi, phi_prev, omega, out=None):
+    """The old levels of the variable-step BDF2 formula,
+    (1 + omega) phi - omega^2 / (1 + omega) phi_prev, as
+    phi + omega (phi - omega / (1 + omega) phi_prev), in ``out`` or a new array."""
+    out = np.multiply(phi_prev, omega / (1.0 + omega), out=out)
+    np.subtract(phi, out, out=out)
+    out *= omega
+    out += phi
+    return out
+
+
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
          control: StepControl = StepControl(),
-         laws: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[State, StepStats]:
+         laws: tuple[np.ndarray, np.ndarray] | None = None,
+         history: History | None = None) -> tuple[State, StepStats]:
     """One IMEX step of size dt; returns the new state and step statistics.
+
+    Without ``history`` this is the Euler step.  With one it is the SBDF2
+    step of ratio omega = dt / history.dt, or the Euler step where
+    ``sbdf2_ratio`` gives None; either way the history then describes this
+    step.  With c = (1 + 2 omega) / (1 + omega), N = law - taxis and the
+    previous state's fields and terms marked _prev, u and v solve
+        c phi_new - dt Lap phi_new = (1 + omega) phi
+            - omega^2 / (1 + omega) phi_prev + dt ((1 + omega) N - omega N_prev),
+    v's taxis taking the old u, and the w diagonal is
+    c + dt (mu + sigma / (1 + eps sigma w*)) with sigma = u_new + v_new and
+    w* = max((1 + omega) w - omega w_prev, 0).  The Euler step is c = 1,
+    omega = 0, except that v's taxis takes the new u.
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
     already; they are read, not written.  Without them each law is evaluated
     where it is used, so the two never take memory at the same time.  The
-    input state is left unchanged; the new state's fields are new arrays.
+    input state is left unchanged; the new state's fields are new arrays or
+    the history's spent explicit terms.
     A manufactured model (``params.mms``) adds its sources at the new time.
     A term that the model sets to zero costs no pass: at eps = 0 the uptake
     has no denominator, mu = 0 adds nothing to the w diagonal, and a constant
@@ -352,46 +430,73 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     mms = params.mms
     if mms is not None:
         s_u, s_v, s_w = mms.sources(params, g, t_new)
+    omega = None if history is None else sbdf2_ratio(dt, history.dt)
+    c = 1.0 if omega is None else (1.0 + 2.0 * omega) / (1.0 + omega)
 
-    # c*I - dt*Lap for all three solves: u and v at c = 1, w at its mean diagonal
+    # c*I - dt*Lap for all three solves: u and v at c, w at its mean diagonal
     spectral = _SpectralHelmholtz(g, dt)
     # Each right-hand side is built in the array that the solve turns into the
     # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
-    u_new = gridmod.taxis_divergence(state.u, state.w, g)
-    np.subtract(ks.law_f(state.u) if laws is None else laws[0], u_new, out=u_new)
-    u_new *= dt
-    u_new += state.u
+    n_u = gridmod.taxis_divergence(state.u, state.w, g)
+    np.subtract(ks.law_f(state.u) if laws is None else laws[0], n_u, out=n_u)
+    if omega is None:
+        # a history keeps N_u for the next step
+        u_new = np.multiply(n_u, dt, out=n_u if history is None else None)
+        u_new += state.u
+    else:
+        u_new = _extrapolate(n_u, history.n_u, omega, out=history.n_u)
+        u_new *= dt
+        u_new += _bdf2_levels(state.u, history.u, omega)
     if mms is not None:
         s_u *= dt
         u_new += s_u
-    clamp_u, linf_u = _admit(spectral.solve(u_new, u_new), "u", t_new)
+    clamp_u, linf_u = _admit(spectral.solve(u_new, u_new, c), "u", t_new)
 
-    v_new = gridmod.taxis_divergence(state.v, u_new, g)
-    np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
-    v_new *= dt
-    v_new += state.v
+    if history is not None:
+        n_v = gridmod.taxis_divergence(state.v, state.u, g)
+        np.subtract(ks.law_g(state.v) if laws is None else laws[1], n_v, out=n_v)
+    if omega is None:
+        v_new = gridmod.taxis_divergence(state.v, u_new, g)
+        np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
+        v_new *= dt
+        v_new += state.v
+    else:
+        v_new = _extrapolate(n_v, history.n_v, omega, out=history.n_v)
+        v_new *= dt
+        v_new += _bdf2_levels(state.v, history.v, omega)
     if mms is not None:
         s_v *= dt
         v_new += s_v
-    clamp_v, linf_v = _admit(spectral.solve(v_new, v_new), "v", t_new)
+    clamp_v, linf_v = _admit(spectral.solve(v_new, v_new, c), "v", t_new)
 
-    # diag = 1 + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new.
-    # At eps = 0 the denominator is 1.0 and sigma / 1.0 is sigma; at mu = 0
-    # the sum changes at most a -0.0, which dt * and + 1.0 turn into 1.0.
+    # diag = c + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new
+    # and w* in place of w for SBDF2.  At eps = 0 the denominator is 1.0 and
+    # sigma / 1.0 is sigma; at mu = 0 the sum changes at most a -0.0, which
+    # dt * and + c turn into c.
     diag = np.add(u_new, v_new)
     rhs_w = None
     if params.epsilon != 0.0:
         # rhs_w holds the denominator first
-        rhs_w = np.multiply(diag, params.epsilon)
-        rhs_w *= state.w
+        if omega is None:
+            rhs_w = np.multiply(diag, params.epsilon)
+            rhs_w *= state.w
+        else:
+            rhs_w = _extrapolate(state.w, history.w, omega)
+            np.maximum(rhs_w, 0.0, out=rhs_w)
+            rhs_w *= diag
+            rhs_w *= params.epsilon
         rhs_w += 1.0
         diag /= rhs_w
     if params.mu != 0.0:
         diag += params.mu
     diag *= dt
-    diag += 1.0
+    diag += c
     resupply = params.resupply
-    if resupply.profile == "constant":
+    if omega is not None:
+        rhs_w = _bdf2_levels(state.w, history.w, omega, out=rhs_w)
+        rhs_w += (resupply.linf(t_new) * dt if resupply.profile == "constant"
+                  else resupply.field(g, t_new) * dt)
+    elif resupply.profile == "constant":
         # the field is linf(t) times ones: its product with dt is this scalar
         rhs_w = np.add(state.w, resupply.linf(t_new) * dt, out=rhs_w)
     else:
@@ -400,6 +505,10 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     if mms is not None:
         s_w *= dt
         rhs_w += s_w
+    if history is not None:
+        # the previous state is spent: its fields are free before the w solve
+        history.u, history.v, history.w = state.u, state.v, state.w
+        history.n_u, history.n_v, history.dt = n_u, n_v, dt
     w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
     clamp_w, linf_w = _admit(w_new, "w", t_new)
 
@@ -577,6 +686,17 @@ def shipped_mms() -> MmsSpec:
     )
 
 
+def taxis_mms() -> MmsSpec:
+    """A triple on one decaying cosine mode in all three components: both
+    taxis carriers and the w diagonal vary in space, so the upwind choice of
+    carrier matters and the w solve iterates."""
+    return MmsSpec(
+        u=MmsComponent(base=2.0, cos_amp=1.0, cos_rate=1.0),
+        v=MmsComponent(base=1.0, cos_amp=0.5, cos_rate=1.0),
+        w=MmsComponent(base=0.6, cos_amp=0.4, cos_rate=1.0),
+    )
+
+
 # --- the run driver -------------------------------------------------------
 
 
@@ -734,9 +854,11 @@ def run(setup: RunSetup) -> RunResult:
     """Integrate to t_end and record the trajectory; write outputs if configured.
 
     The initial state goes through the loop body as a step with dt = 0 that
-    hits the cadence and the snapshot grid.  Watchdog failures do not raise:
-    the partial series, report and a failure record are returned (and
-    written) instead.
+    hits the cadence and the snapshot grid.  An adaptive run keeps one
+    ``History`` and hands it to every step, so it takes SBDF2 steps; a run
+    at a fixed dt takes Euler steps.  Watchdog failures do not raise: the
+    partial series, report and a failure record are returned (and written)
+    instead.
 
     ``run`` records; ``monitors.assess`` judges the record after the loop.
     Per state the series take the masses, the sup norms, the growth
@@ -803,6 +925,10 @@ def run(setup: RunSetup) -> RunResult:
     scratch = np.empty(g.shape) if checks_active else None
     failure = ""
     w_iterations = 0
+    # At dt = h^2 the Euler time error offsets part of the space error of
+    # the manufactured study: SBDF2 there raised the l2 errors of u and v at
+    # 128^2 by 65% and 22%.  Adaptive runs gain from it (CHANGES.md).
+    history = History() if setup.fixed_dt is None else None
     try:
         while True:
             # the growth terms of this state, for the record and the next step
@@ -850,7 +976,8 @@ def run(setup: RunSetup) -> RunResult:
             else:
                 dt = suggest_dt(state, params, g, control, linf[0], linf[1])
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
-            state, stats = step(state, params, dt, g, control, laws=(fu, gv))
+            state, stats = step(state, params, dt, g, control, laws=(fu, gv),
+                                history=history)
             state.t = t_new
             clamps = stats.clamps
             linf = stats.linf

@@ -287,3 +287,37 @@ def step_reference(state, params, dt, g, control, solve):
     rhs_w = resupply_reference(params.resupply, X, Y, t_new) * dt + state.w
     w1, iterations = pcg_reference(diag, rhs_w, control.lin_tol, control.max_iter, solve)
     return u1, v1, admit(w1), iterations
+
+
+def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, control, solve):
+    """One variable-step SBDF2 step of a model without manufactured sources,
+    as the plain expressions of the formula.
+
+    ``prev`` is the state before ``state`` and ``n_prev`` its explicit terms
+    (law - taxis of u and of v, v's with prev.u as potential).  With
+    omega = dt / dt_prev, each of u and v solves
+    c phi_new - dt Lap phi_new = (1 + omega) phi - omega^2 / (1 + omega) phi_prev
+    + dt ((1 + omega) N - omega N_prev), c = (1 + 2 omega) / (1 + omega), and w
+    has the diagonal c + dt (mu + sigma / (1 + eps sigma w*)) with
+    w* = max((1 + omega) w - omega w_prev, 0).  Returns (u, v, w).
+    """
+    ks = params.kinetics
+    omega = dt / dt_prev
+    c = (1.0 + 2.0 * omega) / (1.0 + omega)
+    a, b = 1.0 + omega, omega**2 / (1.0 + omega)
+
+    def admit(phi):
+        return np.where(phi < 0.0, 0.0, phi)
+
+    n_u = ks.law_f(state.u) - taxis_divergence_reference(state.u, state.w, g)
+    n_v = ks.law_g(state.v) - taxis_divergence_reference(state.v, state.u, g)
+    u1 = admit(solve(a * state.u - b * prev.u + dt * (a * n_u - omega * n_prev[0]), c))
+    v1 = admit(solve(a * state.v - b * prev.v + dt * (a * n_v - omega * n_prev[1]), c))
+    sigma = u1 + v1
+    w_star = np.maximum(a * state.w - omega * prev.w, 0.0)
+    diag = c + dt * (params.mu + sigma / (1.0 + params.epsilon * sigma * w_star))
+    X, Y = g.cell_centers()
+    rhs_w = (a * state.w - b * prev.w
+             + dt * resupply_reference(params.resupply, X, Y, state.t + dt))
+    w1, _ = pcg_reference(diag, rhs_w, control.lin_tol, control.max_iter, solve)
+    return u1, v1, admit(w1)

@@ -276,18 +276,47 @@ def test_criterion_10_gate_truth_table():
              "6/6 tabulated verdicts exact")
 
 
+def _mass_law_defects(res, mass, growth):
+    """|defect| of each step's discrete mass law, for the scheme that took
+    it, and the number of SBDF2 steps.
+
+    Neumann diffusion and the taxis flux conserve mass, so an Euler step
+    keeps m1 - m0 = dt F0 and an SBDF2 step of ratio omega keeps
+    c m1 - (1 + omega) m0 + omega^2 / (1 + omega) m_prev
+    = dt ((1 + omega) F0 - omega F_prev), F the integral of the growth law.
+    A run at a fixed dt takes Euler steps; in an adaptive one
+    ``solver.sbdf2_ratio`` on the recorded steps says which step was which.
+    """
+    s = res.series
+    m, f, dt = s[mass], s[growth], s["dt"]
+    sbdf2 = res.setup.fixed_dt is None
+    defects = []
+    euler_steps = 0
+    for i in range(1, len(m)):
+        omega = S.sbdf2_ratio(dt[i], dt[i - 1]) if sbdf2 else None
+        if omega is None:
+            defects.append(m[i] - m[i - 1] - dt[i] * f[i - 1])
+            euler_steps += 1
+            continue
+        c = (1.0 + 2.0 * omega) / (1.0 + omega)
+        defects.append(c * m[i] - (1.0 + omega) * m[i - 1]
+                       + omega**2 / (1.0 + omega) * m[i - 2]
+                       - dt[i] * ((1.0 + omega) * f[i - 1] - omega * f[i - 2]))
+    return np.abs(defects), len(m) - 1 - euler_steps
+
+
 def test_criterion_11_positivity_and_conservation(preset_runs):
     ok = True
     details = []
     for name, res in preset_runs.items():
-        s = res.series
         tol = res.setup.control.lin_tol * res.setup.grid.volume
-        du = np.abs(s["mass_u"][1:] - s["mass_u"][:-1]
-                    - s["dt"][1:] * s["int_f_u"][:-1])
-        dv = np.abs(s["mass_v"][1:] - s["mass_v"][:-1]
-                    - s["dt"][1:] * s["int_g_v"][:-1])
+        du, sbdf2_steps = _mass_law_defects(res, "mass_u", "int_f_u")
+        dv, _ = _mass_law_defects(res, "mass_v", "int_g_v")
         ok = ok and res.total_clamps == 0
         ok = ok and bool(np.all(du <= tol) and np.all(dv <= tol))
+        # a restated check that no SBDF2 step reaches would check nothing
+        ok = ok and (sbdf2_steps > 0) == (res.setup.fixed_dt is None)
         details.append(f"{name}: clamps={res.total_clamps} "
-                       f"max defect {max(du.max(), dv.max()):.2e} <= {tol:.1e}")
+                       f"max defect {max(du.max(), dv.max()):.2e} <= {tol:.1e} "
+                       f"over {len(du)} steps, {sbdf2_steps} SBDF2")
     _verdict(11, "positivity and conservation", ok, "; ".join(details))

@@ -207,6 +207,7 @@ RUN_REJECTS_INI = {
     "zero-width-gaussian": "[initial]\nu = gaussian(0.5, 0.5, 0.0, 1.0, 0.2)\n",
     "negative-width-gaussian": "[initial]\nu = gaussian(0.5, 0.5, -0.1, 1.0, 0.2)\n",
     "envelope-violated": "[kinetics]\nK_f = 5.0\n",
+    "reversed-random": "[initial]\nu = random(0.8, 0.2)\nseed = 1\n",
 }
 
 
@@ -362,8 +363,10 @@ def test_sweep_of_two_eps_has_no_trend_to_report(tmp_path, capsys):
 @pytest.mark.parametrize("extra, dt, steps", [([], 0.05, 4), (["--dt", "0.1"], 0.1, 2)],
                          ids=["config-fixed-dt", "dt-overrides-it"])
 def test_sweep_takes_its_step_from_the_config(tmp_path, capsys, extra, dt, steps):
-    # half the suggested step only when the config sets no fixed_dt
-    p = write_cfg(tmp_path, small_cfg(tmp_path, nx=8, ny=8, t_end=0.2, fixed_dt=0.05))
+    # half the suggested step only when the config sets no fixed_dt; at
+    # safety 0.2 the suggested step is below a tenth of 0.05
+    p = write_cfg(tmp_path, small_cfg(tmp_path, nx=8, ny=8, t_end=0.2, fixed_dt=0.05,
+                                      safety=0.2))
     with pytest.warns(RuntimeWarning, match="fixed_dt"):  # a coarse step, on purpose
         assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2",
                          "--out", str(tmp_path / "sweep"), *extra]) == 0

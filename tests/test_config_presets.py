@@ -1,11 +1,12 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
 from taxis_cascade.config import Config, format_config, load_config, parse_config
-from taxis_cascade.errors import StructuralError
+from taxis_cascade.errors import DomainError, StructuralError
 from taxis_cascade.presets import preset, preset_names
 
 
@@ -88,6 +89,15 @@ def test_random_recipe_needs_seed_and_is_reproducible():
     b = cfg2.build_initial(cfg2.build_grid())
     assert np.array_equal(a.u0, b.u0)
     assert 0.1 <= a.u0.min() and a.u0.max() <= 0.5
+
+
+def test_random_recipe_refuses_a_reversed_range():
+    cfg = parse_config("[grid]\nnx = 8\nny = 8\n"
+                       "[initial]\nu = random(0.8, 0.2)\nseed = 42\n")
+    with pytest.raises(DomainError, match=r"initial.u: random needs lo <= hi, got \(0.8, 0.2\)"):
+        cfg.build_initial(cfg.build_grid())
+    equal = parse_config("[initial]\nu = random(0.5, 0.5)\nseed = 42\n")
+    assert np.all(equal.build_initial(equal.build_grid()).u0 == 0.5)
 
 
 def test_file_loading(tmp_path):
