@@ -151,7 +151,8 @@ class History:
 def sbdf2_ratio(dt: float, dt_prev: float) -> float | None:
     """The step ratio omega = dt / dt_prev of an SBDF2 step, or None where
     the step is an Euler step: the first one (dt_prev 0) and any whose
-    omega is at least SBDF2_MAX_RATIO, as after a step clipped to an event.
+    omega is at least SBDF2_MAX_RATIO.  An adaptive ``run`` lands on its
+    events so that its first step is its only Euler step (``_EventClock``).
     """
     if not dt_prev > 0.0:
         return None
@@ -780,12 +781,21 @@ def git_blob_hash(text: str) -> str:
 
 
 class _EventClock:
-    """Merged forced-time grid (cadence, snapshots, t_end) with exact landings."""
+    """Merged forced-time grid (cadence, snapshots, t_end) with exact landings.
 
-    def __init__(self, cadence: float, snap: float, t_end: float):
+    With ``split`` (adaptive runs) a step that would leave less than one
+    full step before the next event takes half the remaining interval
+    instead, so the landing step is at least half its suggested size and
+    the ratio of the step after it stays near 2 at most, where SBDF2 still
+    runs (``sbdf2_ratio``); a sliver landing would make that step an Euler
+    step.  Without it (fixed dt) every step is the given one but the landing.
+    """
+
+    def __init__(self, cadence: float, snap: float, t_end: float, split: bool):
         self.cadence = cadence
         self.snap = snap
         self.t_end = t_end
+        self.split = split
         self.k_cad = 0
         self.k_snap = 0
 
@@ -809,6 +819,8 @@ class _EventClock:
             dt = target - t
             t_new = target
         else:
+            if self.split and t + 2.0 * dt > target - eps:
+                dt = 0.5 * (target - t)
             t_new = t + dt
         cad_hit = abs(t_new - nc) <= eps
         snap_hit = abs(t_new - ns) <= eps
@@ -916,7 +928,6 @@ def run(setup: RunSetup) -> RunResult:
     # against a source-augmented (manufactured) system the a-priori bounds
     # do not apply; record series and snapshots only
     checks_active = params.mms is None
-    clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end)
     linf = tuple(gridmod.norm_linf(phi) for phi in (state.u, state.v, state.w))
     wbar = linf[2]
     r_now = params.resupply.linf(state.t)
@@ -929,6 +940,8 @@ def run(setup: RunSetup) -> RunResult:
     # the manufactured study: SBDF2 there raised the l2 errors of u and v at
     # 128^2 by 65% and 22%.  Adaptive runs gain from it (CHANGES.md).
     history = History() if setup.fixed_dt is None else None
+    clock = _EventClock(setup.monitor_cadence, setup.snapshot_every, setup.t_end,
+                        split=history is not None)
     try:
         while True:
             # the growth terms of this state, for the record and the next step

@@ -255,7 +255,10 @@ def time_weights(times) -> np.ndarray:
 
 def _check_support(fn: TestFunction, traj: TrajectoryHandle):
     """Disjoint temporal support is fine (all integrals vanish); support that
-    overlaps the recorded range but sticks out of it is a structural error."""
+    overlaps the recorded range but sticks out of it is a structural error,
+    and so is support that holds no snapshot strictly inside it: the
+    trapezoid would see the function only where it vanishes, and judge the
+    quadrature rather than the solution."""
     t0, t1 = traj.times[0], traj.times[-1]
     lo, hi = fn.temporal.support
     if hi <= t0 + 1e-12 or lo >= t1 - 1e-12:
@@ -264,6 +267,11 @@ def _check_support(fn: TestFunction, traj: TrajectoryHandle):
         raise StructuralError(
             f"test function {fn.name} supported on [{lo:.3g}, {hi:.3g}] exceeds "
             f"trajectory range [{t0:.3g}, {t1:.3g}]")
+    if not any(lo < t < hi for t in traj.times):
+        raise StructuralError(
+            f"test function {fn.name} supported on ({lo:.3g}, {hi:.3g}) holds no "
+            f"snapshot strictly inside it ({len(traj)} snapshots over "
+            f"[{t0:.3g}, {t1:.3g}]); write snapshots more often")
 
 
 def _face_mean(phi):

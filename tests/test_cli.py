@@ -510,6 +510,29 @@ def test_verify_weak_refuses_a_trajectory_that_spans_no_time(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("snapshot_every", [0.25, 0.0025], ids=["two-snapshots", "dense"])
+def test_verify_weak_refuses_a_basis_function_without_a_snapshot_inside(
+        tmp_path, capsys, snapshot_every):
+    # to t = 0.05 at the preset's snapshot_every 0.25 the trajectory is the
+    # states at 0 and 0.05; const_x_plateau, supported on (0, 0.0375), sees
+    # only its value 1 at t = 0, and six rows read false on any solution
+    cfg = replace(preset("thm1-core").config, t_end=0.05,
+                  snapshot_every=snapshot_every, out_dir=str(tmp_path / "out"))
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "weakform.csv"
+    code = cli.main(["verify-weak", "--traj", str(tmp_path / "out"), "--out", str(csv)])
+    out, err = capsys.readouterr()
+    if snapshot_every == 0.0025:
+        assert code == 0 and err == ""
+        assert all(line.endswith(",true") for line in csv.read_text().splitlines()[1:])
+        return
+    assert code == 1 and out == "" and not csv.exists()
+    assert err == ("error: test function const_x_plateau supported on (0, 0.0375) holds "
+                   "no snapshot strictly inside it (2 snapshots over [0, 0.05]); "
+                   "write snapshots more often\n")
+
+
 @pytest.mark.parametrize("out", ["folder", "folder/missing/weakform.csv"],
                          ids=["out-is-a-directory", "out-has-no-directory"])
 def test_verify_weak_checks_its_output_before_the_quadrature(tmp_path, capsys,

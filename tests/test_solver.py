@@ -306,6 +306,38 @@ def test_run_ends_on_t_end_that_a_cadence_multiple_misses_by_rounding(tmp_path):
     assert [G.read_field(p)[2] for p in paths] == [0.0, 0.3, 0.6, 0.9]
 
 
+@pytest.mark.parametrize("split, steps", [
+    (True, [(0.1, 0.85), (0.075, 0.925), (0.075, 1.0)]),
+    (False, [(0.1, 0.85), (0.1, 0.95), (0.05, 1.0)])], ids=["adaptive", "fixed"])
+def test_clock_before_an_event_halves_what_one_full_step_leaves(split, steps):
+    # 2.5 steps of 0.1 before the snapshot at 1: with the split a full step
+    # and two of 0.75 dt, so the step after the landing is an SBDF2 step;
+    # without it two full steps and a sliver of 0.5 dt
+    clock = S._EventClock(0.0, 1.0, 2.0, split=split)
+    t = 0.75
+    for i, (dt, t_new) in enumerate(steps):
+        got_dt, t, cad_hit, snap_hit = clock.clip(t, 0.1)
+        assert (got_dt, t) == (pytest.approx(dt, rel=1e-12), pytest.approx(t_new, rel=1e-15))
+        assert not cad_hit and snap_hit == (i == 2)
+    assert t == 1.0
+
+
+def test_fixed_dt_run_takes_full_steps_and_clips_only_the_landing():
+    cfg = replace(presets.preset("thm2-decay").config, nx=8, ny=8, t_end=0.2,
+                  cadence=0.25, snapshot_every=0.1, fixed_dt=0.03, out_dir=None)
+    result = S.run(cfg.build_setup())
+    assert result.completed
+    # full steps while one more leaves room before the event, then the rest
+    t, want = 0.0, [0.0]
+    for event in (0.1, 0.2):
+        while t + 0.03 < event - 1e-9:
+            want.append(0.03)
+            t = t + 0.03
+        want.append(event - t)
+        t = event
+    assert result.series["dt"].tobytes() == np.array(want).tobytes()
+
+
 def test_diffusion_solve_in_place_matches_allocating_solve():
     g = G.Grid(24, 17, 1.3, 0.8)
     b = np.random.default_rng(5).random(g.shape)
@@ -813,7 +845,10 @@ def _tightened_constants(monkeypatch):
 
 def test_step_checks_are_the_per_step_loop_over_the_record(monkeypatch):
     _tightened_constants(monkeypatch)
-    cfg = replace(presets.preset("thm2-decay").config, t_end=3.0, out_dir=None)
+    # the per-step tolerance grows with dt: at the preset's safety 0.4 it
+    # absorbs the 0.97 v_star ceiling, and mass_v would fail nowhere
+    cfg = replace(presets.preset("thm2-decay").config, t_end=3.0, out_dir=None,
+                  safety=0.2)
     result = S.run(cfg.build_setup())
     assert result.completed
     counts = {name: stats.violations for name, stats in result.step_checks.items()}

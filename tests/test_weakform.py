@@ -153,6 +153,16 @@ def test_support_overflow_is_structural_error(tmp_path):
         W.residual_u(traj, fn)
 
 
+def test_support_between_two_snapshots_is_structural_error(tmp_path):
+    traj = small_run(tmp_path, t_end=0.5)  # snapshots every 0.05
+    between = W.TestFunction("between", W.SpatialConstant(), W.TemporalBump(0.06, 0.09))
+    for evaluate in (W.residual_u, W.residual_w, W.defect_v):
+        with pytest.raises(StructuralError, match="no snapshot strictly inside"):
+            evaluate(traj, between)
+    around = W.TestFunction("around", W.SpatialConstant(), W.TemporalBump(0.04, 0.06))
+    assert math.isfinite(W.residual_u(traj, around))
+
+
 def test_defect_v_rejects_negative_psi(tmp_path):
     traj = small_run(tmp_path, t_end=0.2)
 
