@@ -43,9 +43,10 @@ _PRESETS = {
     p.name: p for p in (
         # at safety 0.3 the adaptive SBDF2 run takes 76 steps at 256^2 to
         # t = 0.1, where Euler steps at 0.2 took 114, with a quarter of their
-        # time error; at 0.4 the w solve iterates more per step, and at 1.0
-        # the time error passes Euler's (CHANGES.md, the safety curve on
-        # thm1-256)
+        # time error; 0.4 takes 57 steps with twice the time error of w
+        # (2.1e-4 against 1.1e-4, relative to a run at safety 0.0375), and
+        # at 1.0 the time error passes Euler's (CHANGES.md, the safety
+        # curves on thm1-256)
         _preset("thm1-core",
                 "cubic degradation in both species, steady resupply",
                 f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",

@@ -13,12 +13,19 @@ solves.  The u and v systems (c = 1 for Euler) are solved directly by the
 cosine transform that diagonalizes the Neumann Laplacian: on grids of at most
 DENSE_DCT_MAX cells a side as four small products with cached dense cosine
 matrices and their C-contiguous transposes, on larger grids by scipy's DCT.
-The nutrient consumption is semi-implicit through a nonnegative diagonal, so
-w inherits nonnegativity from the M-matrix solve whatever dt is; that solve
-is the only iterative one (spectrally preconditioned CG), and
-StepControl.lin_tol and max_iter govern it alone.  It starts from the
-consumption-scaled guess P^-1(c b / diag), whose residual is pointwise, and
-meets lin_tol after 0 to 2 iterations on the shipped problems.  ``_admit``
+The nutrient consumption is semi-implicit through a nonnegative diagonal.
+The Euler step solves w with it by spectrally preconditioned CG, so w
+inherits nonnegativity from the M-matrix solve whatever dt is; that solve is
+the only iterative one, and StepControl.lin_tol and max_iter govern it
+alone.  It starts from the consumption-scaled guess P^-1(c b / diag), whose
+residual is pointwise, and meets lin_tol after 0 to 2 iterations on the
+shipped problems.  The SBDF2 step solves w once, at the mean c_w of the
+diagonal, and takes the rest of the uptake at the extrapolation w* that the
+diagonal already reads: (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w*.
+That is the CG start with w* as its predictor; it misses the implicit
+system by (diag - c_w)(w* - w_new), O(dt^3) per step, and since the inverse
+of c_w - dt Lap is nonnegative, w_new is nonnegative whenever its whole
+right-hand side is.  ``_admit``
 clamps entries of a new field in [-1e-12, 0) to zero and counts them;
 anything lower is a hard positivity error.
 
@@ -66,6 +73,10 @@ FIXED_DT_WARN_RATIO = 10.0
 # variable-step BDF2 is zero-stable while each step is less than this many
 # times the one before (Wang & Ruuth, J. Comput. Math. 2008)
 SBDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
+# an adaptive run's step is at most this many times the one before, so no
+# step after its first is an Euler step: 2 < SBDF2_MAX_RATIO, and landings
+# on events (_EventClock) already keep the ratio at 2 at most
+MAX_STEP_GROWTH = 2.0
 
 # Grids with at most this many cells a side take the dense cosine path of
 # _SpectralHelmholtz.  One solve (forward and inverse transform), scipy.fft
@@ -115,6 +126,13 @@ class State:
 
 @dataclass(frozen=True)
 class StepControl:
+    """Step-size and linear-solve settings.
+
+    ``suggest_dt`` reads ``dt_max`` and ``safety``.  ``lin_tol`` and
+    ``max_iter`` govern the Euler step's w solve (``_pcg``), the only
+    iterative one; an SBDF2 step solves w directly and reads neither.
+    """
+
     dt_max: float = 0.02
     safety: float = 0.2
     lin_tol: float = 1e-10
@@ -152,7 +170,8 @@ def sbdf2_ratio(dt: float, dt_prev: float) -> float | None:
     """The step ratio omega = dt / dt_prev of an SBDF2 step, or None where
     the step is an Euler step: the first one (dt_prev 0) and any whose
     omega is at least SBDF2_MAX_RATIO.  An adaptive ``run`` lands on its
-    events so that its first step is its only Euler step (``_EventClock``).
+    events (``_EventClock``) and grows each step at most MAX_STEP_GROWTH
+    times the one before, so that its first step is its only Euler step.
     """
     if not dt_prev > 0.0:
         return None
@@ -208,10 +227,11 @@ class _SpectralHelmholtz:
     step serves all three of its solves, with c given per solve: c = 1 is
     the u and v diffusion solve of an Euler step, (1 + 2 omega) / (1 + omega)
     that of an SBDF2 step, whose k = 0 denominator is c, so the cell sum of
-    the solution is the right-hand side's over c, to rounding; c the mean nutrient
-    diagonal is the preconditioner of ``_pcg`` and gives the w solve its
-    start P^-1(c b / diag).  The solves are direct, so StepControl.lin_tol
-    and max_iter govern only the w solve.
+    the solution is the right-hand side's over c, to rounding; c the mean
+    nutrient diagonal is an SBDF2 step's one w solve, and in an Euler step
+    the preconditioner of ``_pcg``, which gives the w solve its start
+    P^-1(c b / diag).  The solves are direct, so StepControl.lin_tol and
+    max_iter govern only the Euler step's w solve.
 
     When neither side exceeds DENSE_DCT_MAX the transforms are the products
     Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
@@ -281,7 +301,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
          rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """The w solve (diag*I - dt*Lap) x = b by preconditioned conjugate gradients.
+    """The Euler step's w solve (diag*I - dt*Lap) x = b by preconditioned CG.
 
     The operator splits as A = P + diag(diag - c), with c = mean(diag) and
     P = c*I - dt*Lap inverted exactly by ``spectral`` (the step's operator,
@@ -408,9 +428,13 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         c phi_new - dt Lap phi_new = (1 + omega) phi
             - omega^2 / (1 + omega) phi_prev + dt ((1 + omega) N - omega N_prev),
     v's taxis taking the old u, and the w diagonal is
-    c + dt (mu + sigma / (1 + eps sigma w*)) with sigma = u_new + v_new and
-    w* = max((1 + omega) w - omega w_prev, 0).  The Euler step is c = 1,
-    omega = 0, except that v's taxis takes the new u.
+    diag = c + dt (mu + sigma / (1 + eps sigma w*)) with sigma = u_new + v_new
+    and w* = max((1 + omega) w - omega w_prev, 0).  The SBDF2 step solves
+    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w* once, with c_w the mean
+    of diag and rhs_w = (1 + omega) w - omega^2 / (1 + omega) w_prev
+    + dt r(t_new), and reports no CG iteration.  The Euler step is c = 1,
+    omega = 0, except that v's taxis takes the new u, and it solves
+    (diag - dt Lap) w_new = rhs_w by ``_pcg`` to StepControl.lin_tol.
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
     already; they are read, not written.  Without them each law is evaluated
@@ -475,16 +499,18 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     # sigma / 1.0 is sigma; at mu = 0 the sum changes at most a -0.0, which
     # dt * and + c turn into c.
     diag = np.add(u_new, v_new)
-    rhs_w = None
+    rhs_w = w_star = None
+    if omega is not None:
+        # the uptake's extrapolation, and the predictor of the w update
+        w_star = _extrapolate(state.w, history.w, omega)
+        np.maximum(w_star, 0.0, out=w_star)
     if params.epsilon != 0.0:
         # rhs_w holds the denominator first
         if omega is None:
             rhs_w = np.multiply(diag, params.epsilon)
             rhs_w *= state.w
         else:
-            rhs_w = _extrapolate(state.w, history.w, omega)
-            np.maximum(rhs_w, 0.0, out=rhs_w)
-            rhs_w *= diag
+            rhs_w = np.multiply(w_star, diag)
             rhs_w *= params.epsilon
         rhs_w += 1.0
         diag /= rhs_w
@@ -510,7 +536,15 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         # the previous state is spent: its fields are free before the w solve
         history.u, history.v, history.w = state.u, state.v, state.w
         history.n_u, history.n_v, history.dt = n_u, n_v, dt
-    w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
+    if omega is None:
+        w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
+    else:
+        # (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w*, c_w = mean(diag)
+        c_w = float(diag.sum()) / diag.size  # the bits of _pcg's c
+        diag -= c_w
+        w_star *= diag
+        rhs_w -= w_star
+        w_new, it_w = spectral.solve(rhs_w, rhs_w, c_w), 0
     clamp_w, linf_w = _admit(w_new, "w", t_new)
 
     new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
@@ -867,8 +901,9 @@ def run(setup: RunSetup) -> RunResult:
 
     The initial state goes through the loop body as a step with dt = 0 that
     hits the cadence and the snapshot grid.  An adaptive run keeps one
-    ``History`` and hands it to every step, so it takes SBDF2 steps; a run
-    at a fixed dt takes Euler steps.  Watchdog failures do not raise: the
+    ``History`` and hands it to every step, so it takes SBDF2 steps, and
+    grows each step at most MAX_STEP_GROWTH times the one before; a run at
+    a fixed dt takes Euler steps.  Watchdog failures do not raise: the
     partial series, report and a failure record are returned (and written)
     instead.
 
@@ -987,7 +1022,9 @@ def run(setup: RunSetup) -> RunResult:
             if setup.fixed_dt is not None:
                 dt = setup.fixed_dt
             else:
-                dt = suggest_dt(state, params, g, control, linf[0], linf[1])
+                suggested = suggest_dt(state, params, g, control, linf[0], linf[1])
+                # dt is the step before, 0 before the first step
+                dt = min(suggested, MAX_STEP_GROWTH * dt) if dt > 0.0 else suggested
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
             state, stats = step(state, params, dt, g, control, laws=(fu, gv),
                                 history=history)

@@ -289,7 +289,7 @@ def step_reference(state, params, dt, g, control, solve):
     return u1, v1, admit(w1), iterations
 
 
-def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, control, solve):
+def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, solve):
     """One variable-step SBDF2 step of a model without manufactured sources,
     as the plain expressions of the formula.
 
@@ -298,8 +298,9 @@ def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, control, s
     omega = dt / dt_prev, each of u and v solves
     c phi_new - dt Lap phi_new = (1 + omega) phi - omega^2 / (1 + omega) phi_prev
     + dt ((1 + omega) N - omega N_prev), c = (1 + 2 omega) / (1 + omega), and w
-    has the diagonal c + dt (mu + sigma / (1 + eps sigma w*)) with
-    w* = max((1 + omega) w - omega w_prev, 0).  Returns (u, v, w).
+    has the system of ``sbdf2_w_system``.  w solves at the mean c_w of its
+    diagonal, with the rest of the uptake taken at w*:
+    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w*.  Returns (u, v, w).
     """
     ks = params.kinetics
     omega = dt / dt_prev
@@ -313,11 +314,24 @@ def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, control, s
     n_v = ks.law_g(state.v) - taxis_divergence_reference(state.v, state.u, g)
     u1 = admit(solve(a * state.u - b * prev.u + dt * (a * n_u - omega * n_prev[0]), c))
     v1 = admit(solve(a * state.v - b * prev.v + dt * (a * n_v - omega * n_prev[1]), c))
-    sigma = u1 + v1
-    w_star = np.maximum(a * state.w - omega * prev.w, 0.0)
+    diag, rhs_w, w_star = sbdf2_w_system(state, prev.w, u1 + v1, dt, omega, params, g)
+    c_w = float(np.mean(diag))
+    w1 = solve(rhs_w - (diag - c_w) * w_star, c_w)
+    return u1, v1, admit(w1)
+
+
+def sbdf2_w_system(state, w_prev, sigma, dt, omega, params, g):
+    """The implicit w system of an SBDF2 step from ``state``, with w_prev
+    the w before it and sigma = u_new + v_new:
+    diag w_new - dt Lap w_new = rhs_w with
+    diag = c + dt (mu + sigma / (1 + eps sigma w*)),
+    w* = max((1 + omega) w - omega w_prev, 0) and
+    rhs_w = (1 + omega) w - omega^2 / (1 + omega) w_prev + dt r(t + dt).
+    Returns (diag, rhs_w, w*)."""
+    c = (1.0 + 2.0 * omega) / (1.0 + omega)
+    w_star = np.maximum((1.0 + omega) * state.w - omega * w_prev, 0.0)
     diag = c + dt * (params.mu + sigma / (1.0 + params.epsilon * sigma * w_star))
     X, Y = g.cell_centers()
-    rhs_w = (a * state.w - b * prev.w
+    rhs_w = ((1.0 + omega) * state.w - omega**2 / (1.0 + omega) * w_prev
              + dt * resupply_reference(params.resupply, X, Y, state.t + dt))
-    w1, _ = pcg_reference(diag, rhs_w, control.lin_tol, control.max_iter, solve)
-    return u1, v1, admit(w1)
+    return diag, rhs_w, w_star

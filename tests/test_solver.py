@@ -17,7 +17,7 @@ from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
 from oracles import (by_check, dense_step, log_gradient_reference, mms_sources_reference,
-                     pcg_reference, sbdf2_step_reference, step_reference)
+                     pcg_reference, sbdf2_step_reference, sbdf2_w_system, step_reference)
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
@@ -244,8 +244,10 @@ def test_manufactured_w_solve_takes_no_iteration():
 
 
 def test_thm1_core_w_solve_averages_under_two_iterations():
+    # at a fixed dt every step is an Euler step, whose w solve is the PCG;
+    # 5e-3 is about the mean step of the adaptive run (38 steps to 0.2)
     cfg = replace(presets.preset("thm1-core").config, nx=40, ny=40, t_end=0.2,
-                  out_dir=None)
+                  fixed_dt=5e-3, out_dir=None)
     result = S.run(cfg.build_setup())
     assert result.completed and result.steps > 0
     assert result.w_iterations / result.steps <= 1.6
@@ -974,11 +976,91 @@ def test_sbdf2_step_is_the_variable_step_formula(n, eps, mu, profile, ratio):
     n_prev = (history.n_u.copy(), history.n_v.copy())
     two, stats = S.step(one, params, dt, g, control, history=history)
     spectral = S._SpectralHelmholtz(g, dt)
-    want = sbdf2_step_reference(one, st, n_prev, dt, dt_prev, params, g, control,
+    want = sbdf2_step_reference(one, st, n_prev, dt, dt_prev, params, g,
                                 lambda b, c: spectral.solve(b, np.empty_like(b), c))
     for got, ref in zip((two.u, two.v, two.w), want):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert stats.clamps == 0 and two.t == st.t + dt_prev + dt
+
+
+@pytest.mark.parametrize("n", [24, 96])  # dense cosine path and scipy's DCT
+def test_sbdf2_step_solves_each_field_once_and_the_euler_step_iterates_w(monkeypatch, n):
+    setup, st = thm1_core_start(n)
+    args = (setup.params, 2e-3, setup.grid, setup.control)
+    shifts, pcg_calls = [], []
+
+    def counting_solve(self, b, out, c=1.0, _solve=S._SpectralHelmholtz.solve):
+        shifts.append(c)
+        return _solve(self, b, out, c)
+
+    def counting_pcg(*pcg_args, _pcg=S._pcg):
+        pcg_calls.append(pcg_args)
+        return _pcg(*pcg_args)
+
+    monkeypatch.setattr(S._SpectralHelmholtz, "solve", counting_solve)
+    monkeypatch.setattr(S, "_pcg", counting_pcg)
+    history = S.History()
+    one, stats = S.step(st, *args, history=history)
+    assert len(pcg_calls) == 1 and stats.cg_iterations[2] > 0
+    assert len(shifts) == 3 + stats.cg_iterations[2]
+    shifts.clear()
+    _, stats = S.step(one, *args, history=history)
+    assert len(pcg_calls) == 1
+    assert stats.cg_iterations == (0, 0, 0)
+    c = 1.5  # omega = 1
+    assert shifts[:2] == [c, c] and len(shifts) == 3 and shifts[2] > c
+
+
+def test_sbdf2_w_update_meets_the_implicit_w_system_to_its_extrapolation_error(
+        monkeypatch):
+    # The update (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w* misses the
+    # implicit system (diag - dt Lap) w_new = rhs_w by (diag - c_w)(w* - w_new),
+    # O(dt^3).  On thm1-core at 40^2 to t = 0.2 (37 SBDF2 steps) the residual
+    # relative to |rhs_w| measured at most 4.95e-6 in the first ten SBDF2
+    # steps and 1.40e-6 after them, median 2.1e-8; bounds at twice the
+    # maxima and five times the median.
+    setup, _ = thm1_core_start(40)
+    setup = replace(setup, t_end=0.2)
+    residuals = []
+
+    def recording_step(state, params, dt, g, control, laws=None, history=None,
+                       _step=S.step):
+        prev_w, dt_prev = history.w, history.dt
+        new, stats = _step(state, params, dt, g, control, laws=laws, history=history)
+        omega = S.sbdf2_ratio(dt, dt_prev)
+        if omega is not None:
+            diag, rhs_w, _ = sbdf2_w_system(state, prev_w, new.u + new.v, dt, omega,
+                                            params, g)
+            residual = rhs_w - (diag * new.w - dt * G.laplacian(new.w, g))
+            residuals.append(float(np.linalg.norm(residual) / np.linalg.norm(rhs_w)))
+        return new, stats
+
+    monkeypatch.setattr(S, "step", recording_step)
+    result = S.run(setup)
+    assert result.completed and result.total_clamps == 0
+    assert len(residuals) == result.steps - 1 > 10
+    assert max(residuals[:10]) <= 1e-5
+    assert max(residuals[10:]) <= 3e-6
+    assert float(np.median(residuals[10:])) <= 1e-7
+
+
+def test_adaptive_step_grows_at_most_twofold(monkeypatch):
+    # a suggested step three times the one before would be an Euler step
+    # (omega >= 1 + sqrt 2); capped at twice that step it is an SBDF2 step
+    suggested = []
+
+    def tripled_once(*args, _suggest=S.suggest_dt, **kwargs):
+        suggested.append(_suggest(*args, **kwargs))
+        return 3.0 * suggested[-1] if len(suggested) == 10 else suggested[-1]
+
+    monkeypatch.setattr(S, "suggest_dt", tripled_once)
+    cfg = replace(presets.preset("thm1-core").config, nx=16, ny=16, t_end=0.1,
+                  out_dir=None)
+    result = S.run(cfg.build_setup())
+    assert result.completed and len(suggested) == result.steps > 10
+    dt = result.series["dt"]
+    assert all(S.sbdf2_ratio(dt[i], dt[i - 1]) is not None for i in range(2, len(dt)))
+    assert dt[10] / dt[9] == S.MAX_STEP_GROWTH
 
 
 def _taxis_triple_final(sbdf2, dt):
