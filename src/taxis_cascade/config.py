@@ -76,7 +76,6 @@ class Config:
     t_end: float = 1.0
     dt_max: float = 0.02
     safety: float = 0.2
-    lin_tol: float = 1e-10
     fixed_dt: float | None = None
     # [model]
     mu: float = 0.0
@@ -185,8 +184,7 @@ class Config:
     def build_setup(self, out_dir=None) -> solver.RunSetup:
         g = self.build_grid()
         params = self.build_params()
-        control = solver.StepControl(dt_max=self.dt_max, safety=self.safety,
-                                     lin_tol=self.lin_tol)
+        control = solver.StepControl(dt_max=self.dt_max, safety=self.safety)
         if out_dir is None and self.out_dir is not None:
             out_dir = Path(self.out_dir)
         return solver.RunSetup(
@@ -229,8 +227,7 @@ def _mms_component(raw: str) -> solver.MmsComponent:
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "grid": {"nx": ("nx", int), "ny": ("ny", int), "Lx": ("Lx", _number),
              "Ly": ("Ly", _number)},
-    "time": {key: (key, _number) for key in ("t_end", "dt_max", "safety", "lin_tol",
-                                             "fixed_dt")},
+    "time": {key: (key, _number) for key in ("t_end", "dt_max", "safety", "fixed_dt")},
     "model": {"mu": ("mu", _number), "epsilon": ("epsilon", _number)},
     "kinetics": {"f_law": ("f_law", str), "g_law": ("g_law", str),
                  **{key: (key, _number) for key in KINETIC_KEYS}},

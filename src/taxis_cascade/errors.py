@@ -21,10 +21,6 @@ class PositivityError(RuntimeError):
         )
 
 
-class LinearSolveError(RuntimeError):
-    """The iterative linear solve did not reach its tolerance."""
-
-
 class BlowUpError(RuntimeError):
     """Watchdog: a field left the trusted range (NaN/Inf or > 1e8)."""
 

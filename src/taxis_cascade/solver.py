@@ -13,19 +13,16 @@ solves.  The u and v systems (c = 1 for Euler) are solved directly by the
 cosine transform that diagonalizes the Neumann Laplacian: on grids of at most
 DENSE_DCT_MAX cells a side as four small products with cached dense cosine
 matrices and their C-contiguous transposes, on larger grids by scipy's DCT.
-The nutrient consumption is semi-implicit through a nonnegative diagonal.
-The Euler step solves w with it by spectrally preconditioned CG, so w
-inherits nonnegativity from the M-matrix solve whatever dt is; that solve is
-the only iterative one, and StepControl.lin_tol and max_iter govern it
-alone.  It starts from the consumption-scaled guess P^-1(c b / diag), whose
-residual is pointwise, and meets lin_tol after 0 to 2 iterations on the
-shipped problems.  The SBDF2 step solves w once, at the mean c_w of the
-diagonal, and takes the rest of the uptake at the extrapolation w* that the
-diagonal already reads: (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w*.
-That is the CG start with w* as its predictor; it misses the implicit
-system by (diag - c_w)(w* - w_new), O(dt^3) per step, and since the inverse
-of c_w - dt Lap is nonnegative, w_new is nonnegative whenever its whole
-right-hand side is.  ``_admit``
+The nutrient consumption is semi-implicit through a nonnegative diagonal,
+and every step updates w by one solve of the same operator at the mean c of
+that diagonal, the rest of the uptake taken at a predictor:
+(c - dt Lap) w_new = rhs_w - (diag - c) pred (``_pcg``).  The SBDF2 step's
+predictor is the extrapolation w* that the diagonal already reads; it
+misses the implicit system by (diag - c)(w* - w_new), O(dt^3) per step.  The
+Euler step's is rhs_w / diag, which makes the right-hand side c rhs_w / diag.
+No solve iterates.  Since the inverse of c - dt Lap is nonnegative, w_new is
+nonnegative whenever its whole right-hand side is: in an Euler step whenever
+rhs_w is, whatever dt is.  ``_admit``
 clamps entries of a new field in [-1e-12, 0) to zero and counts them;
 anything lower is a hard positivity error.
 
@@ -61,7 +58,6 @@ from taxis_cascade import monitors as mon
 from taxis_cascade.errors import (
     BlowUpError,
     DomainError,
-    LinearSolveError,
     PositivityError,
     StructuralError,
 )
@@ -126,21 +122,13 @@ class State:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size and linear-solve settings.
-
-    ``suggest_dt`` reads ``dt_max`` and ``safety``.  ``lin_tol`` and
-    ``max_iter`` govern the Euler step's w solve (``_pcg``), the only
-    iterative one; an SBDF2 step solves w directly and reads neither.
-    """
+    """Step-size settings, read by ``suggest_dt``."""
 
     dt_max: float = 0.02
     safety: float = 0.2
-    lin_tol: float = 1e-10
-    max_iter: int = 2000
 
     def __post_init__(self):
-        if not (self.dt_max > 0 and 0 < self.safety <= 1 and self.lin_tol > 0
-                and self.max_iter > 0):
+        if not (self.dt_max > 0 and 0 < self.safety <= 1):
             raise DomainError("step control values must be positive, safety <= 1")
 
 
@@ -182,6 +170,8 @@ def sbdf2_ratio(dt: float, dt_prev: float) -> float | None:
 @dataclass
 class StepStats:
     clamps: int = 0
+    # no solve iterates, so this reads (0, 0, 0); kept while the bench sums
+    # it into its solver.cg_iters_* metrics (perfbench/tracing.py)
     cg_iterations: tuple[int, int, int] = (0, 0, 0)
     # sup norms of the new u, v and w, read by admission (``_admit``)
     linf: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -227,11 +217,9 @@ class _SpectralHelmholtz:
     step serves all three of its solves, with c given per solve: c = 1 is
     the u and v diffusion solve of an Euler step, (1 + 2 omega) / (1 + omega)
     that of an SBDF2 step, whose k = 0 denominator is c, so the cell sum of
-    the solution is the right-hand side's over c, to rounding; c the mean
-    nutrient diagonal is an SBDF2 step's one w solve, and in an Euler step
-    the preconditioner of ``_pcg``, which gives the w solve its start
-    P^-1(c b / diag).  The solves are direct, so StepControl.lin_tol and
-    max_iter govern only the Euler step's w solve.
+    the solution is the right-hand side's over c, to rounding; and c the mean
+    nutrient diagonal is the step's one w solve (``_pcg``).  Every solve is
+    direct.
 
     When neither side exceeds DENSE_DCT_MAX the transforms are the products
     Cy b Cx^T and Cy^T X Cx with cached cosine matrices (``dense``), which
@@ -294,77 +282,32 @@ class _SpectralHelmholtz:
         return out
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product by numpy's own loop, so no BLAS thread count changes it."""
-    return float(np.einsum("ij,ij->", a, b))
-
-
 def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
-         rtol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """The Euler step's w solve (diag*I - dt*Lap) x = b by preconditioned CG.
+         pred: np.ndarray | None = None) -> np.ndarray:
+    """A step's one w update: with c = mean(diag), solve
+    (c*I - dt*Lap) x = b - (diag - c) pred by ``spectral`` (the step's
+    operator, which carries dt) at that c, and return x in ``b``.
 
-    The operator splits as A = P + diag(diag - c), with c = mean(diag) and
-    P = c*I - dt*Lap inverted exactly by ``spectral`` (the step's operator,
-    which carries dt) at that c.  CG starts from
-    x0 = P^-1(c b / diag): then P x0 = c b / diag, so the initial residual
-    r0 = b - A x0 = (diag - c)(b / diag - x0) is a pointwise product of the
-    spread of the diagonal and the diffusion increment, with no stencil and
-    no extra transform.  CG carries P p by recurrence: P z = r gives
-    P p_new = r + beta P p_old, hence A p = P p + (diag - c) p without any
-    stencil apply.  A constant diagonal returns x0 after 0 iterations; the
-    manufactured problem needs 0 and the presets 1 or 2 (about 1.5 on
-    average) per step.
-    StepControl.lin_tol (rtol) and max_iter govern this solve only: it
-    converges to a relative residual of rtol within max_iter iterations, or
-    raises LinearSolveError.
+    The SBDF2 step passes its extrapolation w* as ``pred``.  Without one (the
+    Euler step) the predictor is b / diag, so the right-hand side is
+    (b / diag) c, nonnegative wherever b is, and then so is x, whatever dt
+    is.  Either way x misses (diag*I - dt*Lap) x = b by
+    (diag - c)(x - pred), to rounding: the diagonal's spread times the
+    predictor's miss.  Nothing iterates; the name is kept for the bench's
+    ``solver.pcg`` span (perfbench/tracing.py) until the bench renames it.
 
-    ``b`` is overwritten: it becomes the first residual r0, which is P p0, and
-    from then on carries P p while the first update moves the residual to a
-    new array.  ``diag`` is left alone and x is a new array.  The iteration
-    updates its arrays in place, in the operation order of the textbook
-    expressions, so the bits do not depend on the buffering.  One work array
-    holds b / diag, then diag - c, A p, alpha p and z = P^-1 r in turn; diag - c
-    is recomputed for each iteration after the first rather than kept.
+    ``b`` is overwritten by x, and an SBDF2 update also overwrites ``diag``
+    (by diag - c) and ``pred``.
     """
-    bnorm = math.sqrt(_dot(b, b))
-    target = rtol * bnorm
     c = float(diag.sum()) / diag.size  # the bits of np.mean(diag)
-    p = np.empty_like(b)
-    work = np.divide(b, diag)
-    x = np.multiply(work, c)
-    spectral.solve(x, x, c)
-    r = np.subtract(work, x, out=b)
-    r *= np.subtract(diag, c, out=work)
-    if math.sqrt(_dot(r, r)) <= target:
-        return x, 0
-    spectral.solve(r, p, c)
-    p_img = r  # P p0 = r0
-    rz = _dot(r, p)
-    for it in range(1, max_iter + 1):
-        work *= p
-        work += p_img  # A p
-        alpha = rz / _dot(p, work)
-        work *= alpha
-        # the first update leaves r0 behind as P p0
-        r = np.subtract(r, work, out=None if r is p_img else r)
-        np.multiply(p, alpha, out=work)
-        x += work
-        if math.sqrt(_dot(r, r)) <= target:
-            return x, it
-        z = spectral.solve(r, work, c)
-        rz_new = _dot(r, z)
-        beta = rz_new / rz
-        p *= beta
-        p += z
-        p_img *= beta
-        p_img += r
-        rz = rz_new
-        np.subtract(diag, c, out=work)
-    # a zero b only gets here with a non-finite operator, whose residual is nan
-    rel = math.sqrt(_dot(r, r)) / bnorm if bnorm > 0 else math.nan
-    raise LinearSolveError(
-        f"w-solve: PCG stalled at relative residual {rel:.3e} after {max_iter} iterations"
-    )
+    if pred is None:
+        np.divide(b, diag, out=b)
+        b *= c
+    else:
+        diag -= c
+        pred *= diag
+        b -= pred
+    return spectral.solve(b, b, c)
 
 
 def _admit(phi, name, t) -> tuple[int, float]:
@@ -429,12 +372,15 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
             - omega^2 / (1 + omega) phi_prev + dt ((1 + omega) N - omega N_prev),
     v's taxis taking the old u, and the w diagonal is
     diag = c + dt (mu + sigma / (1 + eps sigma w*)) with sigma = u_new + v_new
-    and w* = max((1 + omega) w - omega w_prev, 0).  The SBDF2 step solves
-    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w* once, with c_w the mean
-    of diag and rhs_w = (1 + omega) w - omega^2 / (1 + omega) w_prev
-    + dt r(t_new), and reports no CG iteration.  The Euler step is c = 1,
-    omega = 0, except that v's taxis takes the new u, and it solves
-    (diag - dt Lap) w_new = rhs_w by ``_pcg`` to StepControl.lin_tol.
+    and w* = max((1 + omega) w - omega w_prev, 0), and w solves
+    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w* once (``_pcg``), with c_w
+    the mean of diag and rhs_w = (1 + omega) w - omega^2 / (1 + omega) w_prev
+    + dt r(t_new).  The Euler step is c = 1, omega = 0, except that v's taxis
+    takes the new u and the w update's predictor is rhs_w / diag in place of
+    w*.  Every step makes three solves, none iterative, and reports
+    ``cg_iterations`` (0, 0, 0).  ``control`` is unused; it stays in the
+    signature because the bench's reference build passes it by position
+    (perfbench/workloads.py).
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
     already; they are read, not written.  Without them each law is evaluated
@@ -536,20 +482,11 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         # the previous state is spent: its fields are free before the w solve
         history.u, history.v, history.w = state.u, state.v, state.w
         history.n_u, history.n_v, history.dt = n_u, n_v, dt
-    if omega is None:
-        w_new, it_w = _pcg(spectral, diag, rhs_w, control.lin_tol, control.max_iter)
-    else:
-        # (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w*, c_w = mean(diag)
-        c_w = float(diag.sum()) / diag.size  # the bits of _pcg's c
-        diag -= c_w
-        w_star *= diag
-        rhs_w -= w_star
-        w_new, it_w = spectral.solve(rhs_w, rhs_w, c_w), 0
+    w_new = _pcg(spectral, diag, rhs_w, w_star)
     clamp_w, linf_w = _admit(w_new, "w", t_new)
 
     new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
-    stats = StepStats(clamps=clamp_u + clamp_v + clamp_w,
-                      cg_iterations=(0, 0, it_w), linf=(linf_u, linf_v, linf_w))
+    stats = StepStats(clamps=clamp_u + clamp_v + clamp_w, linf=(linf_u, linf_v, linf_w))
     return new_state, stats
 
 
@@ -724,7 +661,7 @@ def shipped_mms() -> MmsSpec:
 def taxis_mms() -> MmsSpec:
     """A triple on one decaying cosine mode in all three components: both
     taxis carriers and the w diagonal vary in space, so the upwind choice of
-    carrier matters and the w solve iterates."""
+    carrier matters and the w update's uptake predictor does too."""
     return MmsSpec(
         u=MmsComponent(base=2.0, cos_amp=1.0, cos_rate=1.0),
         v=MmsComponent(base=1.0, cos_amp=0.5, cos_rate=1.0),
@@ -793,7 +730,6 @@ class RunResult:
     decay: mon.DecayDetection | None = None
     regularity: mon.RegularityReport | None = None
     step_checks: dict = field(default_factory=dict)
-    w_iterations: int = 0
     wall_time: float = 0.0
 
     @property
@@ -970,7 +906,6 @@ def run(setup: RunSetup) -> RunResult:
     # the recorder's u^alpha, v^beta and |g(v)|, which only the monitors read
     scratch = np.empty(g.shape) if checks_active else None
     failure = ""
-    w_iterations = 0
     # At dt = h^2 the Euler time error offsets part of the space error of
     # the manufactured study: SBDF2 there raised the l2 errors of u and v at
     # 128^2 by 65% and 22%.  Adaptive runs gain from it (CHANGES.md).
@@ -1031,11 +966,10 @@ def run(setup: RunSetup) -> RunResult:
             state.t = t_new
             clamps = stats.clamps
             linf = stats.linf
-            w_iterations += stats.cg_iterations[2]
             # advance the nutrient supersolution with the analytic resupply sup
             r_prev, r_now = r_now, params.resupply.linf(t_new)
             wbar = mon.supersolution_step(wbar, params.mu, r_prev, r_now, dt)
-    except (PositivityError, LinearSolveError, BlowUpError) as exc:
+    except (PositivityError, BlowUpError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
     series_np = {k: np.asarray(v, dtype=float) for k, v in series.items()}
@@ -1048,7 +982,7 @@ def run(setup: RunSetup) -> RunResult:
     result = RunResult(
         setup=setup, series=series_np, report=report, consts=consts,
         final_state=state, failure=failure, decay=decay,
-        regularity=regularity, step_checks=step_checks, w_iterations=w_iterations,
+        regularity=regularity, step_checks=step_checks,
         wall_time=time.perf_counter() - t0)
     if out_dir is not None:
         _write_outputs(result, out_dir)
@@ -1082,7 +1016,6 @@ def _write_outputs(result: RunResult, out_dir: Path):
         f"# status: {'completed' if result.completed else 'failed'}",
         f"# steps: {result.steps}",
         f"# clamps: {result.total_clamps}",
-        f"# w-solve iterations: {result.w_iterations}",
     ]
     if result.failure:
         manifest.append(f"# failure: {result.failure}")

@@ -16,16 +16,16 @@ from hypothesis import strategies as hs
 from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
-from oracles import (by_check, dense_step, log_gradient_reference, mms_sources_reference,
-                     pcg_reference, sbdf2_step_reference, sbdf2_w_system, step_reference)
+from oracles import (MASS_LAW_TOL, by_check, dense_step, log_gradient_reference,
+                     mms_sources_reference, sbdf2_step_reference, sbdf2_w_system,
+                     step_reference)
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
 from taxis_cascade import presets
 from taxis_cascade import solver as S
-from taxis_cascade.errors import (BlowUpError, DomainError, LinearSolveError,
-                                  PositivityError)
+from taxis_cascade.errors import BlowUpError, DomainError, PositivityError
 
 try:
     import resource
@@ -80,13 +80,12 @@ def test_step_w_implicit_decay():
 def test_step_matches_dense_oracle():
     g = G.Grid(8, 8, 1.2, 0.9)
     rng = np.random.default_rng(17)
-    control = S.StepControl(lin_tol=1e-13)
     for eps, mu, amp in ((0.0, 0.0, 0.0), (0.2, 0.6, 0.3)):
         params = make_params(mu=mu, epsilon=eps, amplitude=amp)
         st = S.State(rng.random(g.shape) + 0.1, rng.random(g.shape) + 0.1,
                      rng.random(g.shape), t=0.3)
         dt = 2e-3
-        new, _ = S.step(st, params, dt, g, control)
+        new, _ = S.step(st, params, dt, g)
         u1, v1, w1 = dense_step(st, params, dt, g)
         assert np.max(np.abs(new.u - u1)) < 1e-10
         assert np.max(np.abs(new.v - v1)) < 1e-10
@@ -99,7 +98,7 @@ def test_step_matches_dense_oracle_with_sources():
     params = replace(make_params(mu=0.3), mms=mms)
     st = S.State(*mms.fields(g, 0.0))
     dt = 1e-3
-    new, _ = S.step(st, params, dt, g, S.StepControl(lin_tol=1e-13))
+    new, _ = S.step(st, params, dt, g)
     u1, v1, w1 = dense_step(st, params, dt, g)
     assert np.max(np.abs(new.u - u1)) < 1e-10
     assert np.max(np.abs(new.w - w1)) < 1e-10
@@ -123,7 +122,7 @@ def test_discrete_mass_law():
                    - dt * G.integrate(ks.law_f(st.u), g))
     defect_v = abs(G.integrate(new.v, g) - G.integrate(st.v, g)
                    - dt * G.integrate(ks.law_g(st.v), g))
-    tol = S.StepControl().lin_tol * g.volume
+    tol = MASS_LAW_TOL * g.volume
     assert defect_u <= tol
     assert defect_v <= tol
 
@@ -148,51 +147,36 @@ def test_diffusion_solve_inverts_and_conserves(g, log_ratio, seed):
     assert abs(float(np.sum(x)) - float(np.sum(b))) <= 1e-13 * float(np.sum(b))
 
 
+# the Euler w update against the stencil: the residual's distance from the
+# splitting term, over eps * ((max diag + 8 dt / h_min^2) |x| + |b|), peaked
+# at 1.74 over 2000 examples of this strategy and between 0.8 and 1.0 over
+# the test's own 80
+W_UPDATE_ROUNDING = 8.0
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(g=grids, log_ratio=log_dt_over_h2, seed=seeds,
        epsilon=hs.floats(0.0, 0.99), mu=hs.floats(0.0, 5.0),
        log_sigma=hs.floats(-2.0, 3.0))
-def test_w_solve_meets_lin_tol_against_the_stencil(g, log_ratio, seed, epsilon,
-                                                   mu, log_sigma):
-    # the nutrient diagonal of step(), with a population sum varying over
-    # up to five decades; the residual is the true one, not the recurrence's
+def test_euler_w_update_is_nonnegative_and_misses_the_stencil_by_its_splitting(
+        g, log_ratio, seed, epsilon, mu, log_sigma):
+    # the nutrient diagonal of step(), with a population sum varying over up
+    # to five decades, and a right-hand side reaching down to about 1e-12;
+    # the residual is the stencil's, not the update's own algebra
     rng = np.random.default_rng(seed)
     dt = 10.0**log_ratio * g.h_min**2
     sigma = 10.0**log_sigma * rng.random(g.shape) ** 4
     w_old = rng.random(g.shape)
     diag = 1.0 + dt * (mu + sigma / (1.0 + epsilon * sigma * w_old))
-    b = rng.random(g.shape)
-    control = S.StepControl()
-    x, _ = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), control.lin_tol,
-                  control.max_iter)  # b is used up
-    residual = b - (diag * x - dt * G.laplacian(x, g))
-    assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
-
-
-def test_stalled_w_solve_of_a_zero_rhs_reports_without_dividing_by_zero():
-    g = G.Grid(8, 8)
-    with pytest.raises(LinearSolveError, match="relative residual nan"):
-        S._pcg(S._SpectralHelmholtz(g, 1e-3), np.full(g.shape, math.nan),
-               np.zeros(g.shape), 1e-10, 3)
-
-
-def test_w_solve_iteration_cap_raises_and_run_records_it():
-    # peaked populations make the w diagonal vary, so one iteration is too few
-    g = G.Grid(16, 16)
-    X, Y = g.cell_centers()
-    u = 0.1 + 5.0 * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01)
-    v = 0.1 + 2.5 * np.exp(-((X - 0.7) ** 2 + (Y - 0.6) ** 2) / 0.01)
-    w = 0.5 + 0.4 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.05)
-    params = make_params(mu=0.1, epsilon=1e-3, amplitude=0.1)
-    control = S.StepControl(max_iter=1)
-    with pytest.raises(LinearSolveError, match="w-solve"):
-        S.step(S.State(u, v, w), params, 5e-3, g, control)
-    setup = S.RunSetup(grid=g, params=params, initial=K.InitialData(u, v, w),
-                       control=control, t_end=0.1)
-    result = S.run(setup)
-    assert not result.completed
-    assert result.failure.startswith("LinearSolveError: w-solve")
-    assert result.steps == 0
+    b = rng.random(g.shape) ** 4
+    c = float(np.mean(diag))
+    x = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy())  # b is used up
+    assert np.all(x >= 0.0)
+    residual = diag * x - dt * G.laplacian(x, g) - b
+    splitting = (diag - c) * (x - b / diag)
+    scale = (float(diag.max()) + 8.0 * dt / g.h_min**2) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(residual - splitting) <= (
+        W_UPDATE_ROUNDING * np.finfo(float).eps * scale)
 
 
 def test_run_setup_refuses_a_growth_envelope_that_does_not_hold():
@@ -218,65 +202,14 @@ def test_an_admitted_setup_is_frozen_and_a_replaced_one_is_admitted_anew():
     assert replace(setup, t_end=2.0).t_end == 2.0 and setup.t_end == 1.0
 
 
-@pytest.mark.parametrize("g", [G.Grid(16, 16), G.Grid(24, 11, 1.7, 0.6)])
-def test_w_solve_with_a_constant_diagonal_takes_no_iteration(g):
-    # the preconditioner is then the operator itself, so x0 is the solution
-    dt = 3e-3
-    diag = np.full(g.shape, 1.0 + dt * 0.7)
-    b = np.random.default_rng(11).random(g.shape)
-    control = S.StepControl()
-    x, iterations = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), control.lin_tol,
-                           control.max_iter)
-    assert iterations == 0
-    residual = b - (diag * x - dt * G.laplacian(x, g))
-    assert np.linalg.norm(residual) <= control.lin_tol * np.linalg.norm(b)
-
-
 def test_manufactured_w_solve_takes_no_iteration():
-    # the start P^-1(c b / diag) already meets lin_tol on the smooth
-    # manufactured state, where P^-1 b needed 3 iterations
+    # no step iterates, the manufactured ones included
     setup = cli.mms_config(32).build_setup()
     st = S.State(*setup.params.mms.fields(setup.grid, 0.0))
     for _ in range(5):
         st, stats = S.step(st, setup.params, setup.fixed_dt, setup.grid,
                            setup.control)
         assert stats.cg_iterations == (0, 0, 0)
-
-
-def test_thm1_core_w_solve_averages_under_two_iterations():
-    # at a fixed dt every step is an Euler step, whose w solve is the PCG;
-    # 5e-3 is about the mean step of the adaptive run (38 steps to 0.2)
-    cfg = replace(presets.preset("thm1-core").config, nx=40, ny=40, t_end=0.2,
-                  fixed_dt=5e-3, out_dir=None)
-    result = S.run(cfg.build_setup())
-    assert result.completed and result.steps > 0
-    assert result.w_iterations / result.steps <= 1.6
-
-
-@pytest.mark.parametrize("max_iter", [2000, 1])
-def test_manifest_records_the_w_iterations_of_the_steps_taken(tmp_path, monkeypatch,
-                                                              max_iter):
-    # with max_iter = 1 the first step fails, and the manifest still says 0
-    taken = []
-
-    def counting_step(*args, _step=S.step, **kwargs):
-        new, stats = _step(*args, **kwargs)
-        taken.append(stats.cg_iterations[2])
-        return new, stats
-
-    monkeypatch.setattr(S, "step", counting_step)
-    cfg = replace(presets.preset("thm2-decay").config, nx=16, ny=16, t_end=0.5,
-                  out_dir=str(tmp_path))
-    setup = cfg.build_setup()
-    setup = replace(setup, control=replace(setup.control, max_iter=max_iter))
-    result = S.run(setup)
-    assert result.completed == (max_iter > 1)
-    assert len(taken) == result.steps
-    assert result.w_iterations == sum(taken)
-    assert (sum(taken) > 0) == result.completed
-    lines = (tmp_path / "manifest.txt").read_text().splitlines()
-    clamps = next(i for i, line in enumerate(lines) if line.startswith("# clamps:"))
-    assert lines[clamps + 1] == f"# w-solve iterations: {sum(taken)}"
 
 
 def test_run_lands_on_cadence_snapshot_and_end_times(tmp_path):
@@ -445,8 +378,7 @@ def test_step_builds_one_spectral_operator_for_its_three_solves(monkeypatch, n):
             super().__init__(*args)
 
     monkeypatch.setattr(S, "_SpectralHelmholtz", Counting)
-    _, stats = S.step(st, setup.params, 2e-3, setup.grid, setup.control)
-    assert stats.cg_iterations[2] > 0  # the preconditioner was used
+    S.step(st, setup.params, 2e-3, setup.grid, setup.control)
     assert built == [(setup.grid, 2e-3)]
 
 
@@ -882,22 +814,6 @@ def test_step_checks_of_a_failed_run_count_the_states_it_recorded(monkeypatch):
     assert counts["mass_u"] > 0
 
 
-@pytest.mark.parametrize("n", [16, 96])  # dense cosine path and scipy's DCT
-@pytest.mark.parametrize("amp, iterations", [(0.0, 0), (0.05, 1), (5.0, 3)])
-def test_w_solve_is_the_textbook_pcg_bitwise(n, amp, iterations):
-    g = G.Grid(n, n)
-    X, Y = g.cell_centers()
-    dt = 5e-3
-    b = 0.5 + 0.4 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.05)
-    diag = 1.0 + dt * (0.1 + amp * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01))
-    x, it = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy(), 1e-10, 2000)
-    spectral = S._SpectralHelmholtz(g, dt)
-    x_ref, it_ref = pcg_reference(diag, b, 1e-10, 2000,
-                                  lambda r, c: spectral.solve(r, np.empty_like(r), c))
-    assert it == it_ref == iterations
-    assert x.tobytes() == x_ref.tobytes()
-
-
 # dense cosine path and scipy's DCT; the fine references of the benchmark
 # are built by steps without a history at 40^2, 128^2 and 256^2
 @pytest.mark.parametrize("n", [24, 96, 128])
@@ -913,12 +829,11 @@ def test_step_skipping_zero_terms_is_the_full_expression_step_bitwise(n, eps, mu
     dt = 2e-3
     spectral = S._SpectralHelmholtz(setup.grid, dt)
     for _ in range(2):
-        new, stats = S.step(st, params, dt, setup.grid, setup.control)
-        u, v, w, it = step_reference(st, params, dt, setup.grid, setup.control,
-                                     lambda b, c: spectral.solve(b, np.empty_like(b), c))
+        new, _ = S.step(st, params, dt, setup.grid, setup.control)
+        u, v, w = step_reference(st, params, dt, setup.grid,
+                                 lambda b, c: spectral.solve(b, np.empty_like(b), c))
         assert (new.u.tobytes(), new.v.tobytes(), new.w.tobytes()) == (
             u.tobytes(), v.tobytes(), w.tobytes())
-        assert stats.cg_iterations == (0, 0, it) and it >= 1
         st = new
 
 
@@ -984,7 +899,9 @@ def test_sbdf2_step_is_the_variable_step_formula(n, eps, mu, profile, ratio):
 
 
 @pytest.mark.parametrize("n", [24, 96])  # dense cosine path and scipy's DCT
-def test_sbdf2_step_solves_each_field_once_and_the_euler_step_iterates_w(monkeypatch, n):
+def test_every_step_solves_each_field_once_and_updates_w_once(monkeypatch, n):
+    # on a thm1-core state the w diagonal varies, and still neither the Euler
+    # step nor the SBDF2 step solves more than once per field
     setup, st = thm1_core_start(n)
     args = (setup.params, 2e-3, setup.grid, setup.control)
     shifts, pcg_calls = [], []
@@ -1000,15 +917,13 @@ def test_sbdf2_step_solves_each_field_once_and_the_euler_step_iterates_w(monkeyp
     monkeypatch.setattr(S._SpectralHelmholtz, "solve", counting_solve)
     monkeypatch.setattr(S, "_pcg", counting_pcg)
     history = S.History()
-    one, stats = S.step(st, *args, history=history)
-    assert len(pcg_calls) == 1 and stats.cg_iterations[2] > 0
-    assert len(shifts) == 3 + stats.cg_iterations[2]
-    shifts.clear()
-    _, stats = S.step(one, *args, history=history)
-    assert len(pcg_calls) == 1
-    assert stats.cg_iterations == (0, 0, 0)
-    c = 1.5  # omega = 1
-    assert shifts[:2] == [c, c] and len(shifts) == 3 and shifts[2] > c
+    for c in (1.0, 1.5):  # the Euler step, then SBDF2 at omega = 1
+        shifts.clear()
+        pcg_calls.clear()
+        st, stats = S.step(st, *args, history=history)
+        assert stats.cg_iterations == (0, 0, 0)
+        assert len(pcg_calls) == 1
+        assert shifts[:2] == [c, c] and len(shifts) == 3 and shifts[2] > c
 
 
 def test_sbdf2_w_update_meets_the_implicit_w_system_to_its_extrapolation_error(
@@ -1091,19 +1006,17 @@ def test_temporal_order_on_the_taxis_triple(sbdf2, low, high):
         assert low <= order <= high, (name, order)
 
 
-def test_taxis_triple_converges_at_first_order_and_iterates_the_w_solve():
+def test_taxis_triple_converges_at_first_order():
     # both taxis carriers vary in space, so the upwind flux is first order,
-    # and the w diagonal varies, so the w solve iterates.  Least-squares
-    # orders at 16^2-64^2 with dt = h^2 measured 0.86, 0.97 and 1.30 for u,
-    # v and w; the bounds sit about 0.1 below.  Deleting u's taxis term
+    # and so does the w diagonal.  Least-squares
+    # orders at 16^2-64^2 with dt = h^2 measured 0.86, 0.97 and 1.64 for u,
+    # v and w (1.30 for w while the Euler step solved w by CG to 1e-10); the
+    # bounds sit at least 0.1 below.  Deleting u's taxis term
     # takes u's order to about 0, upwinding on the downstream carrier w's
     # to about 0.4.
     study = cli.mms_study([16, 32, 64], t_end=0.25, mms=S.taxis_mms())
     orders = study.orders_l2
     assert orders["u"] >= 0.75 and orders["v"] >= 0.85 and orders["w"] >= 1.15, orders
-    for n in (16, 32, 64):
-        result = S.run(cli.mms_config(n, mms=S.taxis_mms()).build_setup())
-        assert result.w_iterations >= result.steps
 
 
 def test_blowup_watchdog():
