@@ -493,23 +493,26 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     assert snap.name in err
 
 
-def test_a_config_or_an_older_manifest_with_lin_tol_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "gate", "sweep-epsilon", "verify-weak"])
+def test_a_config_or_an_older_manifest_with_lin_tol_is_refused(tmp_path, capsys, command):
     # no solve iterates, so [time] has no lin_tol; a run written while the
     # key existed carries it in its manifest, and verify-weak refuses that too
-    p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
-    assert cli.main(["run", str(p)]) == 0
-    manifest = tmp_path / "out" / "manifest.txt"
-    manifest.write_text(manifest.read_text().replace("[time]\n", "[time]\nlin_tol = 1e-10\n", 1))
-    bad = tmp_path / "lin_tol.ini"
-    bad.write_text("[time]\nlin_tol = 1e-10\n")
+    if command == "verify-weak":
+        p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
+        assert cli.main(["run", str(p)]) == 0
+        manifest = tmp_path / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("[time]\n", "[time]\nlin_tol = 1e-10\n", 1))
+        argv = ["verify-weak", "--traj", str(tmp_path / "out"),
+                "--out", str(tmp_path / "weakform.csv")]
+    else:
+        bad = tmp_path / "lin_tol.ini"
+        bad.write_text("[time]\nlin_tol = 1e-10\n")
+        argv = [command, str(bad)]
     capsys.readouterr()
-    for argv in (["run", str(bad)], ["gate", str(bad)],
-                 ["verify-weak", "--traj", str(tmp_path / "out"),
-                  "--out", str(tmp_path / "weakform.csv")]):
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: bad config: unknown key in [time] 'lin_tol'\n"
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad config: unknown key in [time] 'lin_tol'\n"
 
 
 def test_verify_weak_refuses_a_trajectory_that_spans_no_time(tmp_path, capsys):

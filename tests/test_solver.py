@@ -814,6 +814,77 @@ def test_step_checks_of_a_failed_run_count_the_states_it_recorded(monkeypatch):
     assert counts["mass_u"] > 0
 
 
+# dense cosine path and scipy's DCT; a flat, a mildly and a strongly
+# peaked uptake, as a run's populations make the w diagonal
+@pytest.mark.parametrize("n", [16, 96])
+@pytest.mark.parametrize("amp", [0.0, 0.05, 5.0])
+def test_euler_w_update_is_one_cosine_solve_of_the_scaled_rhs_bitwise(n, amp):
+    g = G.Grid(n, n)
+    X, Y = g.cell_centers()
+    dt = 5e-3
+    b = 0.5 + 0.4 * np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.05)
+    diag = 1.0 + dt * (0.1 + amp * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01))
+    kept = diag.copy()
+    x = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy())
+    c = float(np.mean(diag))
+    x_ref = S._SpectralHelmholtz(g, dt).solve(b / diag * c, np.empty_like(b), c)
+    assert x.tobytes() == x_ref.tobytes()
+    assert diag.tobytes() == kept.tobytes()  # only the SBDF2 update spends it
+
+
+@pytest.mark.parametrize("sbdf2", [False, True])
+@pytest.mark.parametrize("g", [G.Grid(16, 16), G.Grid(24, 11, 1.7, 0.6)])
+def test_w_update_with_a_constant_diagonal_solves_the_stencil_system(g, sbdf2):
+    # c is then the diagonal, so the splitting term (diag - c)(x - pred) is
+    # rounding whatever the predictor; 1e-10 is the tolerance the CG met
+    dt = 3e-3
+    rng = np.random.default_rng(11)
+    diag = np.full(g.shape, 1.0 + dt * 0.7)
+    b = rng.random(g.shape)
+    pred = rng.random(g.shape) if sbdf2 else None
+    x = S._pcg(S._SpectralHelmholtz(g, dt), diag.copy(), b.copy(), pred)
+    residual = b - (diag * x - dt * G.laplacian(x, g))
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [16, 96])  # dense cosine path and scipy's DCT
+def test_euler_w_update_of_a_zero_rhs_is_zero(n):
+    # no nutrient and no resupply leave w exactly zero, not dust of either sign
+    g = G.Grid(n, n)
+    dt = 1e-3
+    X, Y = g.cell_centers()
+    diag = 1.0 + dt * (0.1 + 5.0 * np.exp(-((X - 0.3) ** 2 + (Y - 0.3) ** 2) / 0.01))
+    x = S._pcg(S._SpectralHelmholtz(g, dt), diag, np.zeros(g.shape))
+    assert not np.any(x) and not np.any(np.signbit(x))
+
+
+def test_thm1_core_fixed_dt_runs_converge_in_time_without_iterating(monkeypatch):
+    # at a fixed dt every step is an Euler step.  Relative L2 errors of w at
+    # t = 0.2 against dt = 3.125e-4 measured 1.19e-4 at dt = 5e-3 (2.0e-4
+    # while the w solve was a CG to 1e-10) and 5.3e-5 at 2.5e-3, order 1.17
+    iterations = []
+
+    def counting_step(*args, _step=S.step, **kwargs):
+        new, stats = _step(*args, **kwargs)
+        iterations.append(stats.cg_iterations)
+        return new, stats
+
+    monkeypatch.setattr(S, "step", counting_step)
+    final = {}
+    for dt in (5e-3, 2.5e-3, 3.125e-4):
+        cfg = replace(presets.preset("thm1-core").config, nx=40, ny=40, t_end=0.2,
+                      fixed_dt=dt, out_dir=None)
+        result = S.run(cfg.build_setup())
+        assert result.completed and result.total_clamps == 0
+        final[dt] = result.final_state.w
+    assert len(iterations) == 40 + 80 + 640
+    assert set(iterations) == {(0, 0, 0)}
+    ref = final[3.125e-4]
+    err = {dt: np.linalg.norm(final[dt] - ref) / np.linalg.norm(ref) for dt in (5e-3, 2.5e-3)}
+    assert err[5e-3] <= 1.5e-4, err
+    assert math.log2(err[5e-3] / err[2.5e-3]) >= 0.9, err
+
+
 # dense cosine path and scipy's DCT; the fine references of the benchmark
 # are built by steps without a history at 40^2, 128^2 and 256^2
 @pytest.mark.parametrize("n", [24, 96, 128])
