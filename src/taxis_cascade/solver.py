@@ -1,42 +1,46 @@
 """IMEX time integration of the taxis cascade with positivity preservation.
 
 One step advances the cascade in order u -> v -> w: diffusion is implicit,
-taxis and growth are explicit.  Without a ``History`` a step is the Euler
-step: backward Euler for diffusion with the explicit terms at the old state,
-and the v-taxis potential is the freshly solved u.  With one it is the
+taxis and growth are explicit.  u and v obey one law with different
+potentials, phi_t = Lap phi - div(phi grad p) + law(phi), p = w for u and
+p = u for v, and a step takes both through one loop body.  Without a
+``History``, and as the first step of one, a step is the Euler step:
+backward Euler for diffusion with the explicit terms at the old state, v's
+taxis taking the freshly solved u.  Every later step of a history is the
 variable-step second-order semi-implicit BDF (SBDF2): it extrapolates the
 explicit terms N = law - taxis of the two states before, v's taxis taking
-the old u, and falls back to the Euler step where SBDF2 cannot run
+the old u, and refuses a step ratio at or beyond 1 + sqrt(2)
 (``sbdf2_ratio``).  ``run`` keeps a history where dt adapts and takes Euler
 steps at a fixed dt.  One operator c*I - dt*Lap per step serves all three
 solves.  The u and v systems (c = 1 for Euler) are solved directly by the
 cosine transform that diagonalizes the Neumann Laplacian: on grids of at most
 DENSE_DCT_MAX cells a side as four small products with cached dense cosine
 matrices and their C-contiguous transposes, on larger grids by scipy's DCT.
-The nutrient consumption is semi-implicit through a nonnegative diagonal,
-and every step updates w by one solve of the same operator at the mean c of
+The nutrient consumption is semi-implicit through a nonnegative diagonal
+whose uptake denominator reads w (Euler) or its extrapolation w* (SBDF2).
+Every step updates w by one solve of the same operator at the mean c of
 that diagonal, the rest of the uptake taken at a predictor:
 (c - dt Lap) w_new = rhs_w - (diag - c) pred (``_pcg``).  The SBDF2 step's
-predictor is the extrapolation w* that the diagonal already reads; it
-misses the implicit system by (diag - c)(w* - w_new), O(dt^3) per step.  The
-Euler step's is rhs_w / diag, which makes the right-hand side c rhs_w / diag.
-No solve iterates.  Since the inverse of c - dt Lap is nonnegative, w_new is
-nonnegative whenever its whole right-hand side is: in an Euler step whenever
-rhs_w is, whatever dt is.  ``_admit``
-clamps entries of a new field in [-1e-12, 0) to zero and counts them;
-anything lower is a hard positivity error.
+pred is w*; it misses the implicit system by (diag - c)(w* - w_new),
+O(dt^3) per step.  The Euler step's is rhs_w / diag, which makes the
+right-hand side c rhs_w / diag.  No solve iterates.  Since
+the inverse of c - dt Lap is nonnegative, w_new is nonnegative whenever its
+whole right-hand side is: in an Euler step whenever rhs_w is, whatever dt
+is.  ``_admit`` clamps entries of a new field in [-1e-12, 0) to zero and
+counts them; anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more (an SBDF2 step builds its u and v in the history's spent
 explicit terms and allocates its own two instead): each right-hand side is
 built in the array that the solve then overwrites with the new field, and
-each transform writes into the result array or the solver's one work array.  The in-place forms keep the
-operation order of the plain expressions, so the result is bit for bit what
-they give.  ``run`` first raises glibc's heap thresholds (``_settle_heap``),
-so the memory a step frees serves the next step instead of being returned
-to the system and faulted in again, however many temporaries a step makes.
-A manufactured model adds sources evaluated by amplitude: a spatially flat
-component is a scalar, and a term whose coefficient is zero costs nothing.
+each transform writes into that array or the solver's one work array.  The
+in-place forms keep the operation order of the plain expressions, so the
+result is bit for bit what they give.  ``run`` first raises glibc's heap
+thresholds (``_settle_heap``), so the memory a step frees serves the next
+step instead of being returned to the system and faulted in again, however
+many temporaries a step makes.  A manufactured model adds sources evaluated
+by amplitude: a spatially flat component is a scalar, and a term whose
+coefficient is zero costs nothing.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ FIXED_DT_WARN_RATIO = 10.0
 # times the one before (Wang & Ruuth, J. Comput. Math. 2008)
 SBDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 # an adaptive run's step is at most this many times the one before, so no
-# step after its first is an Euler step: 2 < SBDF2_MAX_RATIO, and landings
-# on events (_EventClock) already keep the ratio at 2 at most
+# step reaches the ratio that sbdf2_ratio refuses: 2 < SBDF2_MAX_RATIO, and
+# landings on events (_EventClock) already keep the ratio at 2 at most
 MAX_STEP_GROWTH = 2.0
 
 # Grids with at most this many cells a side take the dense cosine path of
@@ -136,35 +140,38 @@ class StepControl:
 class History:
     """The step before, as an SBDF2 step reads it.
 
-    ``u``, ``v`` and ``w`` are that step's input state, ``n_u`` and ``n_v``
-    its explicit terms law - taxis at that state (v's taxis with that
-    state's u as potential), and ``dt`` its size; an empty history
-    (``dt`` 0) makes the next step an Euler step.  ``step`` reads the
-    history and leaves in it what the next step needs: its own input state,
-    terms and dt.  The explicit terms belong to the history, and a step
-    builds its right-hand sides in them; the state fields are only read.
-    After a step that raised, the history is spent.
+    ``fields`` is that step's input state (u, v, w), ``terms`` its explicit
+    terms (N_u, N_v), N = law - taxis, as that step took them, and ``dt``
+    its size.  An empty history (``dt`` 0) makes the next step an Euler
+    step, whose v term takes the new u as its potential; every later one is
+    an SBDF2 step, whose v term takes the old u.  ``step`` reads the history
+    and leaves in it what the next step needs: its own input state, terms
+    and dt.  The terms belong to the history, and a step builds its u and v
+    right-hand sides in them; the fields are only read.  After a step that
+    raised, the history is spent, except after ``sbdf2_ratio``'s refusal,
+    which comes before anything is written.
     """
 
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
-    w: np.ndarray | None = None
-    n_u: np.ndarray | None = None
-    n_v: np.ndarray | None = None
+    fields: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    terms: tuple[np.ndarray, np.ndarray] | None = None
     dt: float = 0.0
 
 
 def sbdf2_ratio(dt: float, dt_prev: float) -> float | None:
-    """The step ratio omega = dt / dt_prev of an SBDF2 step, or None where
-    the step is an Euler step: the first one (dt_prev 0) and any whose
-    omega is at least SBDF2_MAX_RATIO.  An adaptive ``run`` lands on its
+    """The step ratio omega = dt / dt_prev of an SBDF2 step, or None for the
+    first step of a history (dt_prev 0), which is an Euler step.  Refuses
+    omega at or beyond SBDF2_MAX_RATIO, where variable-step BDF2 is not
+    zero-stable, with a ``DomainError``.  An adaptive ``run`` lands on its
     events (``_EventClock``) and grows each step at most MAX_STEP_GROWTH
-    times the one before, so that its first step is its only Euler step.
+    times the one before, so none of its steps comes near the bound.
     """
     if not dt_prev > 0.0:
         return None
     omega = dt / dt_prev
-    return omega if omega < SBDF2_MAX_RATIO else None
+    if not omega < SBDF2_MAX_RATIO:
+        raise DomainError(f"step ratio {omega:.6g} is not below the SBDF2 bound "
+                          f"1 + sqrt(2) (dt {dt!r} after {dt_prev!r})")
+    return omega
 
 
 @dataclass
@@ -248,22 +255,19 @@ class _SpectralHelmholtz:
         if self.dense:
             self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
 
-    def solve(self, b: np.ndarray, out: np.ndarray, c: float = 1.0) -> np.ndarray:
-        """Write x with (c*I - dt*Lap) x = b into ``out`` and return it.
+    def solve(self, b: np.ndarray, c: float = 1.0) -> np.ndarray:
+        """Overwrite b with x, (c*I - dt*Lap) x = b, and return it.
 
-        ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
-        b is left alone.  The transforms write into ``out`` and the work
-        array, so a solve allocates no field.
+        The transforms write into b and the work array, so a solve allocates
+        no field.
         """
         if self.dense:
-            total = float(b.sum())  # read before out = b is overwritten
+            total = float(b.sum())  # read before b is overwritten
             (cy, cy_t), (cx, cx_t) = self.cosines
             np.dot(cy, b, out=self.work)
-            coeffs = np.dot(self.work, cx_t, out=out)
+            coeffs = np.dot(self.work, cx_t, out=b)
         else:
-            if out is not b:
-                np.copyto(out, b)
-            coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
+            coeffs = _fft.dctn(b, type=2, norm="ortho", overwrite_x=True)
         if c != self.shift:
             np.multiply(self.eigenvalues, self.dt, out=self.work)
             self.work += c
@@ -273,13 +277,13 @@ class _SpectralHelmholtz:
         if not self.dense:
             x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
             # overwrite_x permits an in-place transform but does not promise one
-            if not np.may_share_memory(x, out):
-                np.copyto(out, x)
-            return out
-        np.dot(cy_t, out, out=self.work)
-        np.dot(self.work, cx, out=out)
-        out += (total / c - float(out.sum())) / out.size
-        return out
+            if not np.may_share_memory(x, b):
+                np.copyto(b, x)
+            return b
+        np.dot(cy_t, b, out=self.work)
+        np.dot(self.work, cx, out=b)
+        b += (total / c - float(b.sum())) / b.size
+        return b
 
 
 def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
@@ -307,7 +311,7 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
         diag -= c
         pred *= diag
         b -= pred
-    return spectral.solve(b, b, c)
+    return spectral.solve(b, c)
 
 
 def _admit(phi, name, t) -> tuple[int, float]:
@@ -363,21 +367,27 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
          history: History | None = None) -> tuple[State, StepStats]:
     """One IMEX step of size dt; returns the new state and step statistics.
 
-    Without ``history`` this is the Euler step.  With one it is the SBDF2
-    step of ratio omega = dt / history.dt, or the Euler step where
-    ``sbdf2_ratio`` gives None; either way the history then describes this
-    step.  With c = (1 + 2 omega) / (1 + omega), N = law - taxis and the
-    previous state's fields and terms marked _prev, u and v solve
+    Without ``history``, and as the first step of one, this is the Euler
+    step; after that a history makes it the SBDF2 step of ratio
+    omega = dt / history.dt (``sbdf2_ratio``, which refuses omega at or
+    beyond SBDF2_MAX_RATIO), and the history then describes this step.
+    u and v obey one law, phi_t = Lap phi - div(phi grad p) + law(phi), with
+    p = w for u and p = u for v, and go through one loop body: with
+    N = law - div(phi grad p), c = (1 + 2 omega) / (1 + omega) and the
+    previous state's fields and terms marked _prev, each solves
         c phi_new - dt Lap phi_new = (1 + omega) phi
-            - omega^2 / (1 + omega) phi_prev + dt ((1 + omega) N - omega N_prev),
-    v's taxis taking the old u, and the w diagonal is
-    diag = c + dt (mu + sigma / (1 + eps sigma w*)) with sigma = u_new + v_new
-    and w* = max((1 + omega) w - omega w_prev, 0), and w solves
-    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) w* once (``_pcg``), with c_w
-    the mean of diag and rhs_w = (1 + omega) w - omega^2 / (1 + omega) w_prev
-    + dt r(t_new).  The Euler step is c = 1, omega = 0, except that v's taxis
-    takes the new u and the w update's predictor is rhs_w / diag in place of
-    w*.  Every step makes three solves, none iterative, and reports
+            - omega^2 / (1 + omega) phi_prev + dt ((1 + omega) N - omega N_prev)
+    in an SBDF2 step, with v's potential the old u, and
+    phi_new - dt Lap phi_new = phi + dt N in an Euler step, with v's
+    potential the new u.  w has one predictor w_pred, w itself in an Euler
+    step and w* = max((1 + omega) w - omega w_prev, 0) in an SBDF2 step, and
+    one right-hand side rhs_w = levels + dt r(t_new), with levels = w or
+    (1 + omega) w - omega^2 / (1 + omega) w_prev.  Its diagonal is
+    diag = c + dt (mu + sigma / (1 + eps sigma w_pred)) with
+    sigma = u_new + v_new, and w solves
+    (c_w - dt Lap) w_new = rhs_w - (diag - c_w) pred once (``_pcg``), with
+    c_w the mean of diag and pred = w* in an SBDF2 step, rhs_w / diag in an
+    Euler step.  Every step makes three solves, none iterative, and reports
     ``cg_iterations`` (0, 0, 0).  ``control`` is unused; it stays in the
     signature because the bench's reference build passes it by position
     (perfbench/workloads.py).
@@ -398,66 +408,50 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     g.check_conforms(state.u, state.v, state.w)
     ks = params.kinetics
     t_new = state.t + dt
-    mms = params.mms
-    if mms is not None:
-        s_u, s_v, s_w = mms.sources(params, g, t_new)
+    sources = None if params.mms is None else params.mms.sources(params, g, t_new)
     omega = None if history is None else sbdf2_ratio(dt, history.dt)
     c = 1.0 if omega is None else (1.0 + 2.0 * omega) / (1.0 + omega)
 
     # c*I - dt*Lap for all three solves: u and v at c, w at its mean diagonal
     spectral = _SpectralHelmholtz(g, dt)
-    # Each right-hand side is built in the array that the solve turns into the
-    # new field; dt * (law - div) + u has the bits of u + dt * (-div + law).
-    n_u = gridmod.taxis_divergence(state.u, state.w, g)
-    np.subtract(ks.law_f(state.u) if laws is None else laws[0], n_u, out=n_u)
-    if omega is None:
-        # a history keeps N_u for the next step
-        u_new = np.multiply(n_u, dt, out=n_u if history is None else None)
-        u_new += state.u
-    else:
-        u_new = _extrapolate(n_u, history.n_u, omega, out=history.n_u)
-        u_new *= dt
-        u_new += _bdf2_levels(state.u, history.u, omega)
-    if mms is not None:
-        s_u *= dt
-        u_new += s_u
-    clamp_u, linf_u = _admit(spectral.solve(u_new, u_new, c), "u", t_new)
+    new, terms, admitted = [], [], []
+    for k, (phi, law) in enumerate(((state.u, ks.law_f), (state.v, ks.law_g))):
+        # u drifts up w; v up u, the new u in an Euler step and the old in SBDF2
+        potential = state.w if k == 0 else new[0] if omega is None else state.u
+        # N = law - div(phi grad p), kept by a history for the next step
+        n = gridmod.taxis_divergence(phi, potential, g)
+        np.subtract(law(phi) if laws is None else laws[k], n, out=n)
+        terms.append(n)
+        # Each right-hand side is built in the array that the solve turns into
+        # the new field; dt * (law - div) + phi has the bits of
+        # phi + dt * (-div + law).
+        if omega is None:
+            rhs = np.multiply(n, dt, out=n if history is None else None)
+            rhs += phi
+        else:
+            rhs = _extrapolate(n, history.terms[k], omega, out=history.terms[k])
+            rhs *= dt
+            rhs += _bdf2_levels(phi, history.fields[k], omega)
+        if sources is not None:
+            rhs += np.multiply(sources[k], dt, out=sources[k])
+        new.append(spectral.solve(rhs, c))
+        admitted.append(_admit(new[k], "uv"[k], t_new))
 
-    if history is not None:
-        n_v = gridmod.taxis_divergence(state.v, state.u, g)
-        np.subtract(ks.law_g(state.v) if laws is None else laws[1], n_v, out=n_v)
-    if omega is None:
-        v_new = gridmod.taxis_divergence(state.v, u_new, g)
-        np.subtract(ks.law_g(state.v) if laws is None else laws[1], v_new, out=v_new)
-        v_new *= dt
-        v_new += state.v
-    else:
-        v_new = _extrapolate(n_v, history.n_v, omega, out=history.n_v)
-        v_new *= dt
-        v_new += _bdf2_levels(state.v, history.v, omega)
-    if mms is not None:
-        s_v *= dt
-        v_new += s_v
-    clamp_v, linf_v = _admit(spectral.solve(v_new, v_new, c), "v", t_new)
-
-    # diag = c + dt (mu + sigma / (1 + eps sigma w)) with sigma = u_new + v_new
-    # and w* in place of w for SBDF2.  At eps = 0 the denominator is 1.0 and
+    # diag = c + dt (mu + sigma / (1 + eps sigma w_pred)) with
+    # sigma = u_new + v_new.  At eps = 0 the denominator is 1.0 and
     # sigma / 1.0 is sigma; at mu = 0 the sum changes at most a -0.0, which
     # dt * and + c turn into c.
-    diag = np.add(u_new, v_new)
-    rhs_w = w_star = None
-    if omega is not None:
-        # the uptake's extrapolation, and the predictor of the w update
-        w_star = _extrapolate(state.w, history.w, omega)
-        np.maximum(w_star, 0.0, out=w_star)
+    diag = np.add(new[0], new[1])
+    if omega is None:
+        w_pred = state.w
+    else:
+        w_pred = _extrapolate(state.w, history.fields[2], omega)
+        np.maximum(w_pred, 0.0, out=w_pred)
+    # the array of the w right-hand side holds the uptake's denominator first
+    rhs_w = np.empty(g.shape)
     if params.epsilon != 0.0:
-        # rhs_w holds the denominator first
-        if omega is None:
-            rhs_w = np.multiply(diag, params.epsilon)
-            rhs_w *= state.w
-        else:
-            rhs_w = np.multiply(w_star, diag)
-            rhs_w *= params.epsilon
+        np.multiply(diag, params.epsilon, out=rhs_w)
+        rhs_w *= w_pred
         rhs_w += 1.0
         diag /= rhs_w
     if params.mu != 0.0:
@@ -465,29 +459,26 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     diag *= dt
     diag += c
     resupply = params.resupply
-    if omega is not None:
-        rhs_w = _bdf2_levels(state.w, history.w, omega, out=rhs_w)
-        rhs_w += (resupply.linf(t_new) * dt if resupply.profile == "constant"
-                  else resupply.field(g, t_new) * dt)
-    elif resupply.profile == "constant":
+    if resupply.profile == "constant":
         # the field is linf(t) times ones: its product with dt is this scalar
-        rhs_w = np.add(state.w, resupply.linf(t_new) * dt, out=rhs_w)
+        r_dt = resupply.linf(t_new) * dt
     else:
-        rhs_w = np.multiply(resupply.field(g, t_new), dt, out=rhs_w)
-        rhs_w += state.w
-    if mms is not None:
-        s_w *= dt
-        rhs_w += s_w
+        r_dt = resupply.field(g, t_new)
+        r_dt *= dt
+    levels = (state.w if omega is None
+              else _bdf2_levels(state.w, history.fields[2], omega, out=rhs_w))
+    np.add(levels, r_dt, out=rhs_w)
+    if sources is not None:
+        rhs_w += np.multiply(sources[2], dt, out=sources[2])
     if history is not None:
         # the previous state is spent: its fields are free before the w solve
-        history.u, history.v, history.w = state.u, state.v, state.w
-        history.n_u, history.n_v, history.dt = n_u, n_v, dt
-    w_new = _pcg(spectral, diag, rhs_w, w_star)
-    clamp_w, linf_w = _admit(w_new, "w", t_new)
-
-    new_state = State(u=u_new, v=v_new, w=w_new, t=t_new, step_index=state.step_index + 1)
-    stats = StepStats(clamps=clamp_u + clamp_v + clamp_w, linf=(linf_u, linf_v, linf_w))
-    return new_state, stats
+        history.fields, history.terms = (state.u, state.v, state.w), tuple(terms)
+        history.dt = dt
+    new.append(_pcg(spectral, diag, rhs_w, None if omega is None else w_pred))
+    admitted.append(_admit(new[2], "w", t_new))
+    clamps, linf = zip(*admitted)
+    new_state = State(*new, t=t_new, step_index=state.step_index + 1)
+    return new_state, StepStats(clamps=sum(clamps), linf=linf)
 
 
 def suggest_dt(state: State, params: ModelParams, g: gridmod.Grid,
@@ -757,8 +748,8 @@ class _EventClock:
     full step before the next event takes half the remaining interval
     instead, so the landing step is at least half its suggested size and
     the ratio of the step after it stays near 2 at most, where SBDF2 still
-    runs (``sbdf2_ratio``); a sliver landing would make that step an Euler
-    step.  Without it (fixed dt) every step is the given one but the landing.
+    runs (``sbdf2_ratio``); after a sliver landing that ratio could pass the
+    bound.  Without it (fixed dt) every step is the given one but the landing.
     """
 
     def __init__(self, cadence: float, snap: float, t_end: float, split: bool):

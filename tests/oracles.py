@@ -267,8 +267,8 @@ def sbdf2_step_reference(state, prev, n_prev, dt, dt_prev, params, g, solve):
     """One variable-step SBDF2 step of a model without manufactured sources,
     as the plain expressions of the formula.
 
-    ``prev`` is the state before ``state`` and ``n_prev`` its explicit terms
-    (law - taxis of u and of v, v's with prev.u as potential).  With
+    ``prev`` is the state before ``state`` and ``n_prev`` the explicit terms
+    (law - taxis of u and of v) that the step from it took.  With
     omega = dt / dt_prev, each of u and v solves
     c phi_new - dt Lap phi_new = (1 + omega) phi - omega^2 / (1 + omega) phi_prev
     + dt ((1 + omega) N - omega N_prev), c = (1 + 2 omega) / (1 + omega), and w
