@@ -74,8 +74,9 @@ FIXED_DT_WARN_RATIO = 10.0
 # times the one before (Wang & Ruuth, J. Comput. Math. 2008)
 SBDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 # an adaptive run's step is at most this many times the one before, so no
-# step reaches the ratio that sbdf2_ratio refuses: 2 < SBDF2_MAX_RATIO, and
-# landings on events (_EventClock) already keep the ratio at 2 at most
+# step reaches the ratio that sbdf2_ratio refuses: 2 < SBDF2_MAX_RATIO.  The
+# cap binds landings on events too (_EventClock), which may otherwise
+# stretch a step by the event tolerance
 MAX_STEP_GROWTH = 2.0
 
 # Grids with at most this many cells a side take the dense cosine path of
@@ -255,19 +256,22 @@ class _SpectralHelmholtz:
         if self.dense:
             self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
 
-    def solve(self, b: np.ndarray, c: float = 1.0) -> np.ndarray:
-        """Overwrite b with x, (c*I - dt*Lap) x = b, and return it.
+    def solve(self, b: np.ndarray, out: np.ndarray, c: float = 1.0) -> np.ndarray:
+        """Write x with (c*I - dt*Lap) x = b into ``out`` and return it.
 
-        The transforms write into b and the work array, so a solve allocates
-        no field.
+        ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
+        b is left alone.  The transforms write into ``out`` and the work
+        array, so a solve allocates no field.
         """
         if self.dense:
-            total = float(b.sum())  # read before b is overwritten
+            total = float(b.sum())  # read before out = b is overwritten
             (cy, cy_t), (cx, cx_t) = self.cosines
             np.dot(cy, b, out=self.work)
-            coeffs = np.dot(self.work, cx_t, out=b)
+            coeffs = np.dot(self.work, cx_t, out=out)
         else:
-            coeffs = _fft.dctn(b, type=2, norm="ortho", overwrite_x=True)
+            if out is not b:
+                np.copyto(out, b)
+            coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
         if c != self.shift:
             np.multiply(self.eigenvalues, self.dt, out=self.work)
             self.work += c
@@ -277,13 +281,13 @@ class _SpectralHelmholtz:
         if not self.dense:
             x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
             # overwrite_x permits an in-place transform but does not promise one
-            if not np.may_share_memory(x, b):
-                np.copyto(b, x)
-            return b
-        np.dot(cy_t, b, out=self.work)
-        np.dot(self.work, cx, out=b)
-        b += (total / c - float(b.sum())) / b.size
-        return b
+            if not np.may_share_memory(x, out):
+                np.copyto(out, x)
+            return out
+        np.dot(cy_t, out, out=self.work)
+        np.dot(self.work, cx, out=out)
+        out += (total / c - float(out.sum())) / out.size
+        return out
 
 
 def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
@@ -311,7 +315,7 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
         diag -= c
         pred *= diag
         b -= pred
-    return spectral.solve(b, c)
+    return spectral.solve(b, b, c)
 
 
 def _admit(phi, name, t) -> tuple[int, float]:
@@ -434,7 +438,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
             rhs += _bdf2_levels(phi, history.fields[k], omega)
         if sources is not None:
             rhs += np.multiply(sources[k], dt, out=sources[k])
-        new.append(spectral.solve(rhs, c))
+        new.append(spectral.solve(rhs, rhs, c))
         admitted.append(_admit(new[k], "uv"[k], t_new))
 
     # diag = c + dt (mu + sigma / (1 + eps sigma w_pred)) with
@@ -750,6 +754,9 @@ class _EventClock:
     the ratio of the step after it stays near 2 at most, where SBDF2 still
     runs (``sbdf2_ratio``); after a sliver landing that ratio could pass the
     bound.  Without it (fixed dt) every step is the given one but the landing.
+    No step is longer than the ``clip`` call's ``dt_max``: a landing, which
+    may stretch a step by up to the event tolerance eps, waits for a later
+    step when it would pass that cap.
     """
 
     def __init__(self, cadence: float, snap: float, t_end: float, split: bool):
@@ -765,26 +772,27 @@ class _EventClock:
         """The next multiple of ``every`` after ``hits`` landings; inf when off."""
         return (hits + 1) * every if every > 0 else math.inf
 
-    def clip(self, t: float, dt: float) -> tuple[float, float, bool, bool]:
+    def clip(self, t: float, dt: float,
+             dt_max: float = math.inf) -> tuple[float, float, bool, bool]:
         """Clip dt to the next event; returns (dt, t_new, cadence_hit, snap_hit).
 
         Landing on t_end counts as a cadence and a snapshot hit.  An event
         that rounding puts within eps of t_end (3 * 0.3 < 0.9) is t_end.
+        Only a landing hits an event.
         """
         nc, ns = self._next(self.cadence, self.k_cad), self._next(self.snap, self.k_snap)
         target = min(nc, ns, self.t_end)
         eps = 1e-9 * max(1.0, abs(target))
         if target >= self.t_end - eps:
             target = self.t_end
-        if t + dt >= target - eps:
+        landed = t + dt >= target - eps and target - t <= dt_max
+        if landed:
             dt = target - t
-            t_new = target
-        else:
-            if self.split and t + 2.0 * dt > target - eps:
-                dt = 0.5 * (target - t)
-            t_new = t + dt
-        cad_hit = abs(t_new - nc) <= eps
-        snap_hit = abs(t_new - ns) <= eps
+        elif self.split and t + 2.0 * dt > target - eps:
+            dt = min(0.5 * (target - t), dt_max)
+        t_new = target if landed else t + dt
+        cad_hit = landed and abs(target - nc) <= eps
+        snap_hit = landed and abs(target - ns) <= eps
         if cad_hit:
             self.k_cad += 1
         if snap_hit:
@@ -945,13 +953,13 @@ def run(setup: RunSetup) -> RunResult:
 
             if state.t >= setup.t_end:
                 break
+            # dt is the step before, 0 before the first step
+            cap = MAX_STEP_GROWTH * dt if dt > 0.0 and setup.fixed_dt is None else math.inf
             if setup.fixed_dt is not None:
                 dt = setup.fixed_dt
             else:
-                suggested = suggest_dt(state, params, g, control, linf[0], linf[1])
-                # dt is the step before, 0 before the first step
-                dt = min(suggested, MAX_STEP_GROWTH * dt) if dt > 0.0 else suggested
-            dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
+                dt = min(suggest_dt(state, params, g, control, linf[0], linf[1]), cap)
+            dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt, cap)
             state, stats = step(state, params, dt, g, control, laws=(fu, gv),
                                 history=history)
             state.t = t_new
