@@ -342,7 +342,7 @@ class ResupplySpec:
 
     Profiles: a nonnegative constant, or a Gaussian bump.  Temporal factor is
     either constant 1 or exp(-decay_lambda * t).  The all-time sup of the
-    spatial max is r_star; its time integral is amplitude / decay_lambda
+    spatial max is the amplitude; its time integral is amplitude / decay_lambda
     (+inf without decay, unless the amplitude is 0).
     """
 
@@ -361,10 +361,6 @@ class ResupplySpec:
             raise DomainError("gaussian resupply needs positive width")
         if self.decay_lambda < 0:
             raise DomainError("decay_lambda must be nonnegative")
-
-    @property
-    def r_star(self) -> float:
-        return self.amplitude
 
     def factor(self, t: float) -> float:
         if t < 0:

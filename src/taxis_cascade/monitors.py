@@ -95,7 +95,7 @@ class BoundConstants:
         u_star = mass_ode_star(kin.alpha, kin.K_f, kin.L_f, vol, gridmod.integrate(u0, g))
         v_star = mass_ode_star(kin.beta, kin.K_g, kin.L_g, vol, gridmod.integrate(v0, g))
         if mu > 0:
-            w_star = gridmod.norm_linf(w0) + resupply.r_star / mu
+            w_star = gridmod.norm_linf(w0) + resupply.amplitude / mu
         else:
             w_star = math.inf
         return cls(

@@ -75,8 +75,8 @@ FIXED_DT_WARN_RATIO = 10.0
 SBDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 # an adaptive run's step is at most this many times the one before, so no
 # step reaches the ratio that sbdf2_ratio refuses: 2 < SBDF2_MAX_RATIO.  The
-# cap binds landings on events too (_EventClock), which may otherwise
-# stretch a step by the event tolerance
+# event clock applies it (_EventClock), to landings on events too, which may
+# otherwise stretch a step by the event tolerance
 MAX_STEP_GROWTH = 2.0
 
 # Grids with at most this many cells a side take the dense cosine path of
@@ -238,13 +238,11 @@ class _SpectralHelmholtz:
     sizes they round differently from products on transposed views (the
     README's Scheme lists them), deterministically and whatever the BLAS
     thread count.  ``np.dot`` needs a C-contiguous ``out``, as every field
-    of a step is.  A solve divides by the denominators lambda*dt + c held
-    in the one work array (not multiplying by reciprocals, which would
-    change the bits).  On the DCT path the array holds nothing else, so the
-    table is written only when c changes: u and v share one, the w solves
-    another.  The dense products pass through the work array, so that path
-    writes the table on every solve; they also round the k = 0 mode, so it
-    then restores the exact cell sum, sum(b) / c.
+    of a step is.  Every solve writes the denominators lambda*dt + c into
+    the one work array and divides by them (not multiplying by reciprocals,
+    which would change the bits).  The dense products pass through the same
+    array and round the k = 0 mode, so that path then restores the exact
+    cell sum, sum(b) / c.
     """
 
     def __init__(self, g: gridmod.Grid, dt: float):
@@ -252,42 +250,35 @@ class _SpectralHelmholtz:
         self.eigenvalues = _neumann_eigenvalues(g)
         self.dt = dt
         self.work = np.empty(g.shape)
-        self.shift = None  # the c whose denominators the work array holds
         if self.dense:
             self.cosines = (_cosine_matrix(g.ny), _cosine_matrix(g.nx))
 
-    def solve(self, b: np.ndarray, out: np.ndarray, c: float = 1.0) -> np.ndarray:
-        """Write x with (c*I - dt*Lap) x = b into ``out`` and return it.
+    def solve(self, b: np.ndarray, c: float = 1.0) -> np.ndarray:
+        """Overwrite b by x with (c*I - dt*Lap) x = b and return it.
 
-        ``out`` may be ``b`` itself, which is then overwritten by x; otherwise
-        b is left alone.  The transforms write into ``out`` and the work
-        array, so a solve allocates no field.
+        The transforms write into b and the work array, so a solve allocates
+        no field.
         """
         if self.dense:
-            total = float(b.sum())  # read before out = b is overwritten
+            total = float(b.sum())
             (cy, cy_t), (cx, cx_t) = self.cosines
             np.dot(cy, b, out=self.work)
-            coeffs = np.dot(self.work, cx_t, out=out)
+            coeffs = np.dot(self.work, cx_t, out=b)
         else:
-            if out is not b:
-                np.copyto(out, b)
-            coeffs = _fft.dctn(out, type=2, norm="ortho", overwrite_x=True)
-        if c != self.shift:
-            np.multiply(self.eigenvalues, self.dt, out=self.work)
-            self.work += c
-            # the dense products below overwrite the table
-            self.shift = None if self.dense else c
+            coeffs = _fft.dctn(b, type=2, norm="ortho", overwrite_x=True)
+        np.multiply(self.eigenvalues, self.dt, out=self.work)
+        self.work += c
         coeffs /= self.work
         if not self.dense:
             x = _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True)
             # overwrite_x permits an in-place transform but does not promise one
-            if not np.may_share_memory(x, out):
-                np.copyto(out, x)
-            return out
-        np.dot(cy_t, out, out=self.work)
-        np.dot(self.work, cx, out=out)
-        out += (total / c - float(out.sum())) / out.size
-        return out
+            if not np.may_share_memory(x, b):
+                np.copyto(b, x)
+            return b
+        np.dot(cy_t, b, out=self.work)
+        np.dot(self.work, cx, out=b)
+        b += (total / c - float(b.sum())) / b.size
+        return b
 
 
 def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
@@ -315,7 +306,7 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
         diag -= c
         pred *= diag
         b -= pred
-    return spectral.solve(b, b, c)
+    return spectral.solve(b, c)
 
 
 def _admit(phi, name, t) -> tuple[int, float]:
@@ -438,7 +429,7 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
             rhs += _bdf2_levels(phi, history.fields[k], omega)
         if sources is not None:
             rhs += np.multiply(sources[k], dt, out=sources[k])
-        new.append(spectral.solve(rhs, rhs, c))
+        new.append(spectral.solve(rhs, c))
         admitted.append(_admit(new[k], "uv"[k], t_new))
 
     # diag = c + dt (mu + sigma / (1 + eps sigma w_pred)) with
@@ -653,17 +644,6 @@ def shipped_mms() -> MmsSpec:
     )
 
 
-def taxis_mms() -> MmsSpec:
-    """A triple on one decaying cosine mode in all three components: both
-    taxis carriers and the w diagonal vary in space, so the upwind choice of
-    carrier matters and the w update's uptake predictor does too."""
-    return MmsSpec(
-        u=MmsComponent(base=2.0, cos_amp=1.0, cos_rate=1.0),
-        v=MmsComponent(base=1.0, cos_amp=0.5, cos_rate=1.0),
-        w=MmsComponent(base=0.6, cos_amp=0.4, cos_rate=1.0),
-    )
-
-
 # --- the run driver -------------------------------------------------------
 
 
@@ -753,10 +733,10 @@ class _EventClock:
     instead, so the landing step is at least half its suggested size and
     the ratio of the step after it stays near 2 at most, where SBDF2 still
     runs (``sbdf2_ratio``); after a sliver landing that ratio could pass the
-    bound.  Without it (fixed dt) every step is the given one but the landing.
-    No step is longer than the ``clip`` call's ``dt_max``: a landing, which
-    may stretch a step by up to the event tolerance eps, waits for a later
-    step when it would pass that cap.
+    bound.  With it, too, no step is longer than MAX_STEP_GROWTH times the
+    step before (``dt_max``): a landing, which may stretch a step by up to
+    the event tolerance eps, waits for a later step when it would pass that
+    cap.  Without it (fixed dt) every step is the given one but the landing.
     """
 
     def __init__(self, cadence: float, snap: float, t_end: float, split: bool):
@@ -766,30 +746,32 @@ class _EventClock:
         self.split = split
         self.k_cad = 0
         self.k_snap = 0
+        self.dt_max = math.inf  # the cap on the next step
 
     @staticmethod
     def _next(every: float, hits: int) -> float:
         """The next multiple of ``every`` after ``hits`` landings; inf when off."""
         return (hits + 1) * every if every > 0 else math.inf
 
-    def clip(self, t: float, dt: float,
-             dt_max: float = math.inf) -> tuple[float, float, bool, bool]:
-        """Clip dt to the next event; returns (dt, t_new, cadence_hit, snap_hit).
+    def clip(self, t: float, dt: float) -> tuple[float, float, bool, bool]:
+        """Cap dt and clip it to the next event; returns
+        (dt, t_new, cadence_hit, snap_hit).
 
         Landing on t_end counts as a cadence and a snapshot hit.  An event
         that rounding puts within eps of t_end (3 * 0.3 < 0.9) is t_end.
         Only a landing hits an event.
         """
+        dt = min(dt, self.dt_max)
         nc, ns = self._next(self.cadence, self.k_cad), self._next(self.snap, self.k_snap)
         target = min(nc, ns, self.t_end)
         eps = 1e-9 * max(1.0, abs(target))
         if target >= self.t_end - eps:
             target = self.t_end
-        landed = t + dt >= target - eps and target - t <= dt_max
+        landed = t + dt >= target - eps and target - t <= self.dt_max
         if landed:
             dt = target - t
         elif self.split and t + 2.0 * dt > target - eps:
-            dt = min(0.5 * (target - t), dt_max)
+            dt = min(0.5 * (target - t), self.dt_max)
         t_new = target if landed else t + dt
         cad_hit = landed and abs(target - nc) <= eps
         snap_hit = landed and abs(target - ns) <= eps
@@ -797,6 +779,8 @@ class _EventClock:
             self.k_cad += 1
         if snap_hit:
             self.k_snap += 1
+        if self.split:
+            self.dt_max = MAX_STEP_GROWTH * dt
         last = t_new >= self.t_end
         return dt, t_new, cad_hit or last, snap_hit or last
 
@@ -836,9 +820,9 @@ def run(setup: RunSetup) -> RunResult:
 
     The initial state goes through the loop body as a step with dt = 0 that
     hits the cadence and the snapshot grid.  An adaptive run keeps one
-    ``History`` and hands it to every step, so it takes SBDF2 steps, and
-    grows each step at most MAX_STEP_GROWTH times the one before; a run at
-    a fixed dt takes Euler steps.  Watchdog failures do not raise: the
+    ``History`` and hands it to every step, so it takes SBDF2 steps, and its
+    event clock caps each step at MAX_STEP_GROWTH times the one before; a
+    run at a fixed dt takes Euler steps.  Watchdog failures do not raise: the
     partial series, report and a failure record are returned (and written)
     instead.
 
@@ -953,13 +937,10 @@ def run(setup: RunSetup) -> RunResult:
 
             if state.t >= setup.t_end:
                 break
-            # dt is the step before, 0 before the first step
-            cap = MAX_STEP_GROWTH * dt if dt > 0.0 and setup.fixed_dt is None else math.inf
-            if setup.fixed_dt is not None:
-                dt = setup.fixed_dt
-            else:
-                dt = min(suggest_dt(state, params, g, control, linf[0], linf[1]), cap)
-            dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt, cap)
+            dt = setup.fixed_dt
+            if dt is None:
+                dt = suggest_dt(state, params, g, control, linf[0], linf[1])
+            dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
             state, stats = step(state, params, dt, g, control, laws=(fu, gv),
                                 history=history)
             state.t = t_new

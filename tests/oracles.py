@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from taxis_cascade.errors import DomainError
+from taxis_cascade.solver import MmsComponent, MmsSpec
 
 # the mass-law defect a step may leave, per unit area of the domain: the
 # diffusion and taxis solves conserve mass to rounding
@@ -200,6 +201,17 @@ def resupply_reference(spec, x, y, t):
         cx, cy = spec.center
         profile = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * spec.width**2))
     return spec.amplitude * factor * profile
+
+
+def taxis_mms():
+    """A triple on one decaying cosine mode in all three components: both
+    taxis carriers and the w diagonal vary in space, so the upwind choice of
+    carrier matters and the w update's uptake predictor does too."""
+    return MmsSpec(
+        u=MmsComponent(base=2.0, cos_amp=1.0, cos_rate=1.0),
+        v=MmsComponent(base=1.0, cos_amp=0.5, cos_rate=1.0),
+        w=MmsComponent(base=0.6, cos_amp=0.4, cos_rate=1.0),
+    )
 
 
 def mms_sources_reference(mms, params, g, t):

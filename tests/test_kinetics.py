@@ -264,7 +264,7 @@ def test_gate_verdicts_follow_the_margins():
 def test_resupply_values_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
     assert np.all(r.field(G.Grid(4, 4), 5.0) == 0.2) and r.linf(5.0) == 0.2
-    assert r.r_star == 0.2
+    assert r.linf(0.0) == 0.2
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
                           width=0.1, decay_lambda=1.0)

@@ -7,18 +7,19 @@ import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from scipy import fft as sfft
 from scipy.integrate import solve_ivp
 
 from oracles import (MASS_LAW_TOL, by_check, dense_step, log_gradient_reference,
                      mms_sources_reference, sbdf2_step_reference, sbdf2_w_system,
-                     step_reference)
+                     step_reference, taxis_mms)
 from taxis_cascade import cli
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
@@ -136,14 +137,23 @@ log_dt_over_h2 = hs.floats(-3.0, 3.0)
 seeds = hs.integers(0, 2**32 - 1)
 
 
+# the solve against the stencil: the residual over
+# eps * ((1 + 8 dt / h_min^2) |x| + |b|) peaked at 1.27 over 2000 examples
+# of this strategy (1.21 and 1.23 over two more 2000), and the example below
+# reads 0.72
+DIFFUSION_ROUNDING = 4.0
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(g=grids, log_ratio=log_dt_over_h2, seed=seeds)
+@example(g=G.Grid(15, 15, 3.0, 3.0), log_ratio=3.0, seed=0)
 def test_diffusion_solve_inverts_and_conserves(g, log_ratio, seed):
     dt = 10.0**log_ratio * g.h_min**2
     b = np.random.default_rng(seed).random(g.shape)
-    x = S._SpectralHelmholtz(g, dt).solve(b, np.empty_like(b))
+    x = S._SpectralHelmholtz(g, dt).solve(b.copy())
     residual = x - dt * G.laplacian(x, g) - b
-    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+    scale = (1.0 + 8.0 * dt / g.h_min**2) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(residual) <= DIFFUSION_ROUNDING * np.finfo(float).eps * scale
     assert abs(float(np.sum(x)) - float(np.sum(b))) <= 1e-13 * float(np.sum(b))
 
 
@@ -273,18 +283,35 @@ def test_fixed_dt_run_takes_full_steps_and_clips_only_the_landing():
     assert result.series["dt"].tobytes() == np.array(want).tobytes()
 
 
-def test_diffusion_solve_in_place_matches_allocating_solve():
-    g = G.Grid(24, 17, 1.3, 0.8)
+@pytest.mark.parametrize("shape", [(24, 17), (81, 40)])  # dense and DCT path
+def test_diffusion_solve_overwrites_its_right_hand_side(shape):
+    g = G.Grid(*shape, 1.3, 0.8)
     b = np.random.default_rng(5).random(g.shape)
-    b_before = b.copy()
+    x = b.copy()
+    assert S._SpectralHelmholtz(g, 3e-3).solve(x, 1.37) is x
+    residual = 1.37 * x - 3e-3 * G.laplacian(x, g) - b
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_dct_solve_copies_back_an_inverse_transform_that_is_not_in_place(monkeypatch):
+    # overwrite_x permits an in-place transform but does not promise one
+    g = G.Grid(81, 40)
+    b = np.random.default_rng(9).random(g.shape)
+    want = S._SpectralHelmholtz(g, 3e-3).solve(b.copy(), 1.37)
+    fresh = []
+
+    def idctn(x, **kwargs):
+        # leaves the coefficients in x and returns the result in a new array
+        fresh.append(sfft.idctn(x, **{**kwargs, "overwrite_x": False}))
+        return fresh[-1]
+
+    monkeypatch.setattr(S, "_fft", SimpleNamespace(dctn=sfft.dctn, idctn=idctn))
     helm = S._SpectralHelmholtz(g, 3e-3)
-    x = helm.solve(b, np.empty_like(b))
-    assert b.tobytes() == b_before.tobytes()
-    out = np.full(g.shape, np.nan)
-    assert helm.solve(b, out=out) is out
-    assert out.tobytes() == x.tobytes()
-    assert helm.solve(b, out=b) is b
-    assert b.tobytes() == x.tobytes()
+    assert not helm.dense
+    x = b.copy()
+    assert helm.solve(x, 1.37) is x
+    assert len(fresh) == 1 and not np.may_share_memory(fresh[0], x)
+    assert x.tobytes() == want.tobytes()
 
 
 # grids on the dense cosine path, up to its cutoff, and a preconditioner-like
@@ -302,15 +329,10 @@ def test_dense_cosine_solve_matches_the_dct_solve(monkeypatch, shape, c):
     monkeypatch.setattr(S, "DENSE_DCT_MAX", 0)
     by_dct = S._SpectralHelmholtz(g, dt)
     assert not by_dct.dense
-    x, ref = dense.solve(b, np.empty_like(b), c), by_dct.solve(b, np.empty_like(b), c)
+    x, ref = dense.solve(b.copy(), c), by_dct.solve(b.copy(), c)
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     eps = np.finfo(float).eps
     assert abs(float(np.sum(x)) - float(np.sum(b)) / c) <= 4 * eps * float(np.sum(np.abs(b)))
-    out = np.full(g.shape, np.nan)
-    assert dense.solve(b, out, c) is out
-    assert out.tobytes() == x.tobytes()
-    assert dense.solve(b, b, c) is b
-    assert b.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(81, 40), (40, 81)])
@@ -321,7 +343,7 @@ def test_grid_beyond_the_dense_cutoff_keeps_the_dct_solve(shape):
     b = np.random.default_rng(3).random(g.shape)
     coeffs = sfft.dctn(b, type=2, norm="ortho") / (S._neumann_eigenvalues(g) * 3e-3 + 1.0)
     plain = sfft.idctn(coeffs, type=2, norm="ortho")
-    assert helm.solve(b, np.empty_like(b)).tobytes() == plain.tobytes()
+    assert helm.solve(b.copy()).tobytes() == plain.tobytes()
 
 
 def thm1_core_start(n):
@@ -384,8 +406,8 @@ def test_step_builds_one_spectral_operator_for_its_three_solves(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [24, 96])  # the dense and the DCT path
 def test_operator_solves_at_shifts_in_turn_as_fresh_operators_bitwise(n):
-    # a step's solves come at c = 1, 1, then the w shift; the DCT path keeps
-    # one denominator table per shift instead of rewriting it per solve
+    # a step's solves come at c = 1, 1, then the w shift; every solve writes
+    # its own denominators, so no solve reads what the one before left
     g = G.Grid(n, n)
     rng = np.random.default_rng(n)
     dt, c_w = 2e-3, 1.0 + rng.random()
@@ -393,8 +415,8 @@ def test_operator_solves_at_shifts_in_turn_as_fresh_operators_bitwise(n):
     assert op.dense == (n <= S.DENSE_DCT_MAX)
     for c in (1.0, 1.0, c_w, c_w, 1.0):
         b = rng.random(g.shape)
-        got = op.solve(b, np.empty(g.shape), c)
-        want = S._SpectralHelmholtz(g, dt).solve(b, np.empty(g.shape), c)
+        got = op.solve(b.copy(), c)
+        want = S._SpectralHelmholtz(g, dt).solve(b.copy(), c)
         assert got.tobytes() == want.tobytes()
 
 
@@ -827,7 +849,7 @@ def test_euler_w_update_is_one_cosine_solve_of_the_scaled_rhs_bitwise(n, amp):
     kept = diag.copy()
     x = S._pcg(S._SpectralHelmholtz(g, dt), diag, b.copy())
     c = float(np.mean(diag))
-    x_ref = S._SpectralHelmholtz(g, dt).solve(b / diag * c, np.empty_like(b), c)
+    x_ref = S._SpectralHelmholtz(g, dt).solve(b / diag * c, c)
     assert x.tobytes() == x_ref.tobytes()
     assert diag.tobytes() == kept.tobytes()  # only the SBDF2 update spends it
 
@@ -902,7 +924,7 @@ def test_step_skipping_zero_terms_is_the_full_expression_step_bitwise(n, eps, mu
     for _ in range(2):
         new, _ = S.step(st, params, dt, setup.grid, setup.control)
         u, v, w = step_reference(st, params, dt, setup.grid,
-                                 lambda b, c: spectral.solve(b, np.empty_like(b), c))
+                                 lambda b, c: spectral.solve(b.copy(), c))
         assert (new.u.tobytes(), new.v.tobytes(), new.w.tobytes()) == (
             u.tobytes(), v.tobytes(), w.tobytes())
         st = new
@@ -988,7 +1010,7 @@ def test_sbdf2_step_is_the_variable_step_formula(n, eps, mu, profile, ratio):
     two, stats = S.step(one, params, dt, g, control, history=history)
     spectral = S._SpectralHelmholtz(g, dt)
     want = sbdf2_step_reference(one, st, n_prev, dt, dt_prev, params, g,
-                                lambda b, c: spectral.solve(b, np.empty_like(b), c))
+                                lambda b, c: spectral.solve(b.copy(), c))
     for got, ref in zip((two.u, two.v, two.w), want):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert stats.clamps == 0 and two.t == st.t + dt_prev + dt
@@ -1002,9 +1024,9 @@ def test_every_step_solves_each_field_once_and_updates_w_once(monkeypatch, n):
     args = (setup.params, 2e-3, setup.grid, setup.control)
     shifts, pcg_calls = [], []
 
-    def counting_solve(self, b, out, c=1.0, _solve=S._SpectralHelmholtz.solve):
+    def counting_solve(self, b, c=1.0, _solve=S._SpectralHelmholtz.solve):
         shifts.append(c)
-        return _solve(self, b, out, c)
+        return _solve(self, b, c)
 
     def counting_pcg(*pcg_args, _pcg=S._pcg):
         pcg_calls.append(pcg_args)
@@ -1094,7 +1116,7 @@ def test_a_landing_after_a_step_below_the_event_tolerance_keeps_the_growth_cap(m
 def _taxis_triple_final(sbdf2, dt):
     """The taxis triple at 32^2 to t = 0.25 in steps of dt, with a history
     (SBDF2 after the first step) or without (Euler)."""
-    setup = cli.mms_config(32, mms=S.taxis_mms()).build_setup()
+    setup = cli.mms_config(32, mms=taxis_mms()).build_setup()
     init = setup.initial
     st = S.State(init.u0.astype(float), init.v0.astype(float), init.w0.astype(float))
     history = S.History() if sbdf2 else None
@@ -1126,7 +1148,7 @@ def test_taxis_triple_converges_at_first_order():
     # v and w; the bounds sit at least 0.1 below.  Deleting u's taxis term
     # takes u's order to about 0.  Upwinding on the downstream carrier
     # passes here (w 1.67), and fails the SBDF2 study below.
-    study = cli.mms_study([16, 32, 64], t_end=0.25, mms=S.taxis_mms())
+    study = cli.mms_study([16, 32, 64], t_end=0.25, mms=taxis_mms())
     orders = study.orders_l2
     assert orders["u"] >= 0.75 and orders["v"] >= 0.85 and orders["w"] >= 1.15, orders
 
@@ -1140,7 +1162,7 @@ def test_taxis_triple_converges_in_space_with_the_sbdf2_step():
     # w, and 1.08, 1.04 and 0.63 on that mutant.
     t_end, widths, errs = 0.25, [], []
     for n in (16, 32, 64):
-        setup = cli.mms_config(n, t_end=t_end, mms=S.taxis_mms()).build_setup()
+        setup = cli.mms_config(n, t_end=t_end, mms=taxis_mms()).build_setup()
         g, params, init = setup.grid, setup.params, setup.initial
         steps = math.ceil(t_end * n * n)
         st = S.State(init.u0.astype(float), init.v0.astype(float), init.w0.astype(float))
