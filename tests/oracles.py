@@ -91,10 +91,37 @@ def brute_force_taxis(carrier, potential, g):
 
 
 def taxis_divergence_reference(carrier, potential, g):
-    """Upwind divergence assembled by adding the face fluxes into zeros.
+    """Upwind divergence from undivided fluxes, each axis scaled once by 1/h^2.
 
-    Plain expressions in the operation order of the vectorized kernel, so
-    the two agree bit for bit, signed zeros included.
+    Plain expressions on (ny, nx) rows in the operation order of the
+    vectorized kernel, so the two agree bit for bit, signed zeros included:
+    carrier times undivided jump, the x-divergence as the difference of
+    neighbouring fluxes, a row's first cell copying its flux and every row's
+    last cell taking 0.0 - flux, then 1/hx^2 on the x-part, and the y-fluxes
+    times 1/hy^2 added to the row below each face and subtracted from the
+    row above.
+    """
+    jx = potential[:, 1:] - potential[:, :-1]
+    jy = potential[1:, :] - potential[:-1, :]
+    fx = np.where(jx > 0.0, carrier[:, :-1], carrier[:, 1:]) * jx
+    fy = np.where(jy > 0.0, carrier[:-1, :], carrier[1:, :]) * jy
+    dx = np.empty(g.shape)
+    dx[:, 0] = fx[:, 0]
+    dx[:, 1:-1] = fx[:, 1:] - fx[:, :-1]
+    dx[:, -1] = 0.0 - fx[:, -1]
+    div = dx * (1.0 / g.hx**2)
+    fy = fy * (1.0 / g.hy**2)
+    div[:-1, :] += fy
+    div[1:, :] -= fy
+    return div
+
+
+def taxis_divergence_divided_reference(carrier, potential, g):
+    """Upwind divergence with divided jumps and fluxes, added into zeros.
+
+    The operation order of the kernel that divided every field by h twice:
+    the jump by h, the carrier times it, the flux by h again, and the
+    fluxes added into a field of zeros.
     """
     gx = (potential[:, 1:] - potential[:, :-1]) / g.hx
     gy = (potential[1:, :] - potential[:-1, :]) / g.hy
