@@ -343,14 +343,10 @@ def verify_weak(traj_dir, out_csv=None):
     basis = weakform.default_basis(traj.t_end)
     rows = []
     for fn in basis:
-        budget = weakform.identity_budget(traj, fn)
-        ru = weakform.residual_u(traj, fn)
-        rw = weakform.residual_w(traj, fn)
-        rows.append((fn.name, "u_identity", ru, budget, abs(ru) <= budget))
-        rows.append((fn.name, "w_identity", rw, budget, abs(rw) <= budget))
-        dbudget = weakform.defect_budget(traj, fn)
-        dv = weakform.defect_v(traj, fn)
-        rows.append((fn.name, "v_inequality", dv, dbudget, dv >= -dbudget))
+        ids = weakform.identities(traj, fn)
+        rows.append((fn.name, "u_identity", ids.u, ids.budget, abs(ids.u) <= ids.budget))
+        rows.append((fn.name, "w_identity", ids.w, ids.budget, abs(ids.w) <= ids.budget))
+        rows.append((fn.name, "v_inequality", ids.v, ids.v_budget, ids.v >= -ids.v_budget))
     _, slack, ok = min(weakform.check_mass_inequality(traj), key=lambda r: r[1])
     rows.append(("-", "mass_inequality", slack, weakform.MASS_TOL, ok))
     lines = ["test_fn,identity,value,budget,pass"]

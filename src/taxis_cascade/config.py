@@ -146,9 +146,7 @@ class Config:
             cx, cy, width, amp, floor = args
             if not width > 0:
                 raise DomainError(f"{where}: gaussian needs positive width, got {width!r}")
-            X, Y = g.cell_centers()
-            rr = (X - cx) ** 2 + (Y - cy) ** 2
-            return floor + amp * np.exp(-rr / (2.0 * width**2))
+            return floor + amp * gridmod.gaussian(g, cx, cy, width)
         lo, hi = args
         if not hi >= lo:
             raise DomainError(f"{where}: random needs lo <= hi, got ({lo!r}, {hi!r})")

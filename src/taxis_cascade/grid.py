@@ -102,6 +102,12 @@ class Grid:
                 )
 
 
+def gaussian(g: Grid, cx: float, cy: float, width: float) -> np.ndarray:
+    """exp(-|x - (cx, cy)|^2 / (2 width^2)) at the cell centres of g."""
+    X, Y = g.cell_centers()
+    return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * width**2))
+
+
 def face_differences(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Undivided jumps across interior faces: x-faces (ny, nx-1), y-faces (ny-1, nx)."""
     return np.subtract(phi[:, 1:], phi[:, :-1]), np.subtract(phi[1:, :], phi[:-1, :])
@@ -289,23 +295,29 @@ def write_field(path, phi: np.ndarray, g: Grid, t: float) -> None:
         fh.write(np.ascontiguousarray(phi, dtype="<f8").tobytes())
 
 
+def read_header(fh) -> tuple[Grid, float]:
+    """The grid and time of the FLD1 file open in ``fh``; leaves it at the payload."""
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 6 or parts[0] != b"FLD1":
+        raise StructuralError(f"{fh.name}: not an FLD1 file (header {header!r})")
+    try:  # int and float parse bytes as ASCII and reject anything else
+        nx, ny = int(parts[1]), int(parts[2])
+        Lx, Ly, t = (float(x) for x in parts[3:])
+    except ValueError:
+        raise StructuralError(f"{fh.name}: malformed FLD1 header {header!r}") from None
+    if not np.isfinite(t):
+        raise StructuralError(f"{fh.name}: non-finite time in FLD1 header {header!r}")
+    return Grid(nx, ny, Lx, Ly), t
+
+
 def read_field(path) -> tuple[np.ndarray, Grid, float]:
     with open(path, "rb") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 6 or parts[0] != b"FLD1":
-            raise StructuralError(f"{path}: not an FLD1 file (header {header!r})")
-        try:  # int and float parse bytes as ASCII and reject anything else
-            nx, ny = int(parts[1]), int(parts[2])
-            Lx, Ly, t = (float(x) for x in parts[3:])
-        except ValueError:
-            raise StructuralError(f"{path}: malformed FLD1 header {header!r}") from None
-        if not np.isfinite(t):
-            raise StructuralError(f"{path}: non-finite time in FLD1 header {header!r}")
-        g = Grid(nx, ny, Lx, Ly)
+        g, t = read_header(fh)
+        size = 8 * g.nx * g.ny
         # a corrupt size is held against the file before read() sizes a buffer by it
         held = os.fstat(fh.fileno()).st_size - fh.tell()
-        if held < 8 * nx * ny:
-            raise StructuralError(f"{path}: truncated payload ({held} of {8 * nx * ny} bytes)")
-        phi = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8").reshape(ny, nx).copy()
+        if held < size:
+            raise StructuralError(f"{path}: truncated payload ({held} of {size} bytes)")
+        phi = np.frombuffer(fh.read(size), dtype="<f8").reshape(g.shape).copy()
     return phi, g, t

@@ -381,12 +381,10 @@ class ResupplySpec:
 @lru_cache(maxsize=16)
 def _profile_on(spec: ResupplySpec, g: gridmod.Grid) -> np.ndarray:
     """Cached read-only unit profile (ones or the Gaussian bump) at g's cells."""
-    X, Y = g.cell_centers()
     if spec.profile == "constant":
-        profile = np.ones_like(X)
+        profile = np.ones(g.shape)
     else:
-        cx, cy = spec.center
-        profile = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * spec.width**2))
+        profile = gridmod.gaussian(g, *spec.center, spec.width)
     profile.setflags(write=False)
     return profile
 

@@ -232,7 +232,10 @@ def load_trajectory(run_dir) -> TrajectoryHandle:
         _, vp, wp = gridmod.snapshot_paths(run_dir, int(m.group(2)))
         if not (vp.exists() and wp.exists()):
             raise StructuralError(f"{run_dir}: incomplete snapshot triple {m.group(2)}")
-        _, _, t = gridmod.read_field(p)
+        with open(p, "rb") as fh:
+            gp, t = gridmod.read_header(fh)
+        if gp != g:
+            raise StructuralError(f"{p}: grid mismatch")
         entries.append((t, (p, vp, wp)))
     if not entries:
         raise StructuralError(f"{run_dir}: no snapshots found")
@@ -328,123 +331,117 @@ class _Samples:
 
     def cells(self, a):
         """sum of a * phi over the cells."""
-        return np.sum(a * self.phi)
+        return (a * self.phi).sum()
 
     def faces(self, ax, ay):
         """sum of (ax, ay) * phi over the x-faces and the y-faces."""
-        return np.sum(ax * self._on_xfaces) + np.sum(ay * self._on_yfaces)
+        return (ax * self._on_xfaces).sum() + (ay * self._on_yfaces).sum()
 
     def grads(self, ax, ay):
         """sum of (ax, ay) times the normal derivative of phi over the faces."""
-        return np.sum(ax * self._gx_on_xfaces) + np.sum(ay * self._gy_on_yfaces)
+        return (ax * self._gx_on_xfaces).sum() + (ay * self._gy_on_yfaces).sum()
 
     def initial_trace(self, phi0) -> float:
         """int phi0 * phi(., t_0) over the domain."""
         return self.cells(phi0) * self.tf0 * self.vol
 
 
-def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
-    """Signed space-time residual of the forager identity against phi."""
-    g = traj.grid
-    sp = _Samples(fn, traj)
-    ks = traj.params.kinetics
-    total = 0.0
-    for wt, t, tf, tdf, (u, _, w) in _walk(traj, fn):
-        ux, uy = gridmod.face_gradients(u, g)
-        wx, wy = gridmod.face_gradients(w, g)
-        ufx, ufy = _face_mean(u)
-        fu = _with_source(traj, t, ks.law_f(u), 0)
-        inst = (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
-                - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fu) * tf)
-        total += wt * inst * sp.vol
-    total -= sp.initial_trace(traj.load(0)[0])
-    return float(total)
+@dataclass(frozen=True)
+class Identities:
+    """One test function's three identities and their budgets.
+
+    ``u`` and ``w`` are the signed residuals of the forager and nutrient
+    identities, both held against ``budget``; ``v`` is LHS minus RHS of the
+    logarithmic exploiter inequality (>= 0 expected), held against
+    ``v_budget``, or None where the spatial factor takes negative values,
+    which the inequality does not admit.
+    """
+
+    u: float
+    w: float
+    v: float | None
+    budget: float
+    v_budget: float
 
 
-def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
-    """Signed residual of the nutrient identity.
+def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
+    """Every identity of ``fn`` on ``traj`` from one walk of the snapshots.
 
-    The consumption enters unregularized as (u+v) w regardless of the
-    epsilon the trajectory was produced with; for regularized runs the
-    residual therefore reports the regularization defect.
+    The consumption enters the nutrient identity unregularized as (u+v) w
+    regardless of the epsilon the trajectory was produced with; for
+    regularized runs its residual therefore reports the regularization
+    defect.  Each budget is (h + mean snapshot spacing) times the natural
+    size of its identities' integrals, so it shrinks at first order under
+    simultaneous refinement.
     """
     g = traj.grid
     sp = _Samples(fn, traj)
+    vol = sp.vol
     params = traj.params
-    total = 0.0
+    ks = params.kinetics
+    ru = rw = lhs = rhs = scale = v_scale = 0.0
     for wt, t, tf, tdf, (u, v, w) in _walk(traj, fn):
+        ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
-        r_cells = _with_source(traj, t, params.resupply.field(g, t), 2)
-        inst = (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
-                + sp.cells((u + v) * w) * tf + params.mu * sp.cells(w) * tf
-                - sp.cells(r_cells) * tf)
-        total += wt * inst * sp.vol
-    total -= sp.initial_trace(traj.load(0)[2])
-    return float(total)
+        ell = np.log1p(v)
+        lx, ly = gridmod.face_gradients(ell, g)
+        ufx, ufy = _face_mean(u)
+        vp1 = v + 1.0
+        rfx, rfy = _face_mean(v / vp1)
+        fu, gv, r = ks.law_f(u), ks.law_g(v), params.resupply.field(g, t)
+        uvw = (u + v) * w
+        ru += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
+                    - sp.grads(ufx * wx, ufy * wy) * tf
+                    - sp.cells(_with_source(traj, t, fu, 0)) * tf) * vol
+        rw += wt * (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
+                    + sp.cells(uvw) * tf + params.mu * sp.cells(w) * tf
+                    - sp.cells(_with_source(traj, t, r, 2)) * tf) * vol
+        lhs += wt * (-sp.cells(ell) * tdf) * vol
+        lx2, ly2, ux2, uy2 = lx**2, ly**2, ux**2, uy**2
+        rhs += wt * vol * (
+            sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf
+            - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
+            + sp.grads(rfx * ux, rfy * uy) * tf
+            + sp.cells(_with_source(traj, t, gv, 1) / vp1) * tf)
+        scale += wt * ((ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum()
+                        + np.abs(fu).sum() + uvw.sum() + r.sum()) * vol) * tf
+        v_scale += wt * ((lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
+                          + np.abs(gv / vp1).sum()) * vol) * tf
+    u0, v0, w0 = traj.load(0)
+    ru -= sp.initial_trace(u0)
+    rw -= sp.initial_trace(w0)
+    lhs -= sp.initial_trace(np.log1p(v0))
+    return Identities(u=float(ru), w=float(rw),
+                      v=None if np.any(sp.phi < 0) else float(lhs - rhs),
+                      budget=_budget(traj, scale), v_budget=_budget(traj, v_scale))
+
+
+def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
+    """Signed space-time residual of the forager identity against phi."""
+    return identities(traj, fn).u
+
+
+def residual_w(traj: TrajectoryHandle, fn: TestFunction) -> float:
+    """Signed residual of the nutrient identity (see ``identities``)."""
+    return identities(traj, fn).w
 
 
 def defect_v(traj: TrajectoryHandle, fn: TestFunction) -> float:
     """LHS minus RHS of the logarithmic exploiter inequality (>= 0 expected)."""
-    g = traj.grid
-    sp = _Samples(fn, traj)
-    vol = sp.vol
-    ks = traj.params.kinetics
-    if np.any(sp.phi < 0):
+    v = identities(traj, fn).v
+    if v is None:
         raise DomainError("the exploiter inequality needs a nonnegative test function")
-    lhs = 0.0
-    rhs = 0.0
-    for wt, t, tf, tdf, (u, v, _) in _walk(traj, fn):
-        ell = np.log1p(v)
-        lx, ly = gridmod.face_gradients(ell, g)
-        ux, uy = gridmod.face_gradients(u, g)
-        rfx, rfy = _face_mean(v / (v + 1.0))
-        gv = _with_source(traj, t, ks.law_g(v), 1)
-        lhs += wt * (-sp.cells(ell) * tdf) * vol
-        rhs += wt * vol * (
-            sp.faces(lx**2, ly**2) * tf - sp.grads(lx, ly) * tf
-            - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
-            + sp.grads(rfx * ux, rfy * uy) * tf + sp.cells(gv / (v + 1.0)) * tf)
-    lhs -= sp.initial_trace(np.log1p(traj.load(0)[1]))
-    return float(lhs - rhs)
-
-
-def defect_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
-    """Heuristic discretization budget for defect_v on this trajectory.
-
-    Scales with the mesh width plus mean snapshot spacing times the natural
-    size of the inequality's right-hand integrals; shrinks at first order
-    under simultaneous refinement.
-    """
-    g = traj.grid
-    scale = 0.0
-    for wt, _, tf, _, (u, v, _) in _walk(traj, fn):
-        ell = np.log1p(v)
-        lx, ly = gridmod.face_gradients(ell, g)
-        ux, uy = gridmod.face_gradients(u, g)
-        gv = np.abs(traj.params.kinetics.law_g(v) / (v + 1.0))
-        inst = (np.sum(lx**2) + np.sum(ly**2) + np.sum(ux**2) + np.sum(uy**2)
-                + np.sum(gv)) * g.cell_volume
-        scale += wt * inst * tf
-    return _budget(traj, scale)
+    return v
 
 
 def identity_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
-    """Discretization budget for the u/w identity residuals.
+    """Discretization budget for the u/w identity residuals."""
+    return identities(traj, fn).budget
 
-    Same shape as defect_budget: (h + mean snapshot spacing) times the
-    natural magnitude of the identities' integrals.
-    """
-    g = traj.grid
-    params = traj.params
-    scale = 0.0
-    for wt, t, tf, _, (u, v, w) in _walk(traj, fn):
-        ux, uy = gridmod.face_gradients(u, g)
-        wx, wy = gridmod.face_gradients(w, g)
-        inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)
-                + np.sum(np.abs(params.kinetics.law_f(u))) + np.sum((u + v) * w)
-                + np.sum(params.resupply.field(g, t))) * g.cell_volume
-        scale += wt * inst * tf
-    return _budget(traj, scale)
+
+def defect_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
+    """Heuristic discretization budget for defect_v on this trajectory."""
+    return identities(traj, fn).v_budget
 
 
 def check_mass_inequality(traj: TrajectoryHandle):

@@ -4,13 +4,18 @@ Everything here is written the slow, explicit way on purpose: loops over
 faces, dense matrices, direct elimination, whole-field expressions.  None of
 it calls back into the vectorized production kernels; the oracles of the
 step take the spectral inverse of c I - dt Lap as a function ``solve(b, c)``,
-which the tests check against dense elimination on its own.
+which the tests check against dense elimination on its own.  The one
+exception is the weak-form reference: it is the five per-identity
+evaluators that one walk replaced, on the same samples and walk, so that
+the walk is pinned to their bits.
 """
 
 import math
 
 import numpy as np
 
+from taxis_cascade import grid as gridmod
+from taxis_cascade import weakform as W
 from taxis_cascade.errors import DomainError
 from taxis_cascade.solver import MmsComponent, MmsSpec
 
@@ -348,3 +353,123 @@ def sbdf2_w_system(state, w_prev, sigma, dt, omega, params, g):
     rhs_w = ((1.0 + omega) * state.w - omega**2 / (1.0 + omega) * w_prev
              + dt * resupply_reference(params.resupply, X, Y, state.t + dt))
     return diag, rhs_w, w_star
+
+
+# --- the weak-form identities, one walk each ---------------------------------
+
+
+def _residual_u_reference(traj, fn) -> float:
+    """Signed space-time residual of the forager identity against phi."""
+    g = traj.grid
+    sp = W._Samples(fn, traj)
+    ks = traj.params.kinetics
+    total = 0.0
+    for wt, t, tf, tdf, (u, _, w) in W._walk(traj, fn):
+        ux, uy = gridmod.face_gradients(u, g)
+        wx, wy = gridmod.face_gradients(w, g)
+        ufx, ufy = W._face_mean(u)
+        fu = W._with_source(traj, t, ks.law_f(u), 0)
+        inst = (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
+                - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fu) * tf)
+        total += wt * inst * sp.vol
+    total -= sp.initial_trace(traj.load(0)[0])
+    return float(total)
+
+
+def _residual_w_reference(traj, fn) -> float:
+    """Signed residual of the nutrient identity.
+
+    The consumption enters unregularized as (u+v) w regardless of the
+    epsilon the trajectory was produced with; for regularized runs the
+    residual therefore reports the regularization defect.
+    """
+    g = traj.grid
+    sp = W._Samples(fn, traj)
+    params = traj.params
+    total = 0.0
+    for wt, t, tf, tdf, (u, v, w) in W._walk(traj, fn):
+        wx, wy = gridmod.face_gradients(w, g)
+        r_cells = W._with_source(traj, t, params.resupply.field(g, t), 2)
+        inst = (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
+                + sp.cells((u + v) * w) * tf + params.mu * sp.cells(w) * tf
+                - sp.cells(r_cells) * tf)
+        total += wt * inst * sp.vol
+    total -= sp.initial_trace(traj.load(0)[2])
+    return float(total)
+
+
+def _defect_v_reference(traj, fn) -> float:
+    """LHS minus RHS of the logarithmic exploiter inequality (>= 0 expected)."""
+    g = traj.grid
+    sp = W._Samples(fn, traj)
+    vol = sp.vol
+    ks = traj.params.kinetics
+    if np.any(sp.phi < 0):
+        raise DomainError("the exploiter inequality needs a nonnegative test function")
+    lhs = 0.0
+    rhs = 0.0
+    for wt, t, tf, tdf, (u, v, _) in W._walk(traj, fn):
+        ell = np.log1p(v)
+        lx, ly = gridmod.face_gradients(ell, g)
+        ux, uy = gridmod.face_gradients(u, g)
+        rfx, rfy = W._face_mean(v / (v + 1.0))
+        gv = W._with_source(traj, t, ks.law_g(v), 1)
+        lhs += wt * (-sp.cells(ell) * tdf) * vol
+        rhs += wt * vol * (
+            sp.faces(lx**2, ly**2) * tf - sp.grads(lx, ly) * tf
+            - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
+            + sp.grads(rfx * ux, rfy * uy) * tf + sp.cells(gv / (v + 1.0)) * tf)
+    lhs -= sp.initial_trace(np.log1p(traj.load(0)[1]))
+    return float(lhs - rhs)
+
+
+def _defect_budget_reference(traj, fn) -> float:
+    """Heuristic discretization budget for defect_v on this trajectory.
+
+    Scales with the mesh width plus mean snapshot spacing times the natural
+    size of the inequality's right-hand integrals; shrinks at first order
+    under simultaneous refinement.
+    """
+    g = traj.grid
+    scale = 0.0
+    for wt, _, tf, _, (u, v, _) in W._walk(traj, fn):
+        ell = np.log1p(v)
+        lx, ly = gridmod.face_gradients(ell, g)
+        ux, uy = gridmod.face_gradients(u, g)
+        gv = np.abs(traj.params.kinetics.law_g(v) / (v + 1.0))
+        inst = (np.sum(lx**2) + np.sum(ly**2) + np.sum(ux**2) + np.sum(uy**2)
+                + np.sum(gv)) * g.cell_volume
+        scale += wt * inst * tf
+    return W._budget(traj, scale)
+
+
+def _identity_budget_reference(traj, fn) -> float:
+    """Discretization budget for the u/w identity residuals.
+
+    Same shape as defect_budget: (h + mean snapshot spacing) times the
+    natural magnitude of the identities' integrals.
+    """
+    g = traj.grid
+    params = traj.params
+    scale = 0.0
+    for wt, t, tf, _, (u, v, w) in W._walk(traj, fn):
+        ux, uy = gridmod.face_gradients(u, g)
+        wx, wy = gridmod.face_gradients(w, g)
+        inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)
+                + np.sum(np.abs(params.kinetics.law_f(u))) + np.sum((u + v) * w)
+                + np.sum(params.resupply.field(g, t))) * g.cell_volume
+        scale += wt * inst * tf
+    return W._budget(traj, scale)
+
+
+def weak_identities_reference(traj, fn):
+    """``W.identities`` the long way: each identity and budget walks the
+    snapshots on its own; ``v`` is None where the exploiter evaluator
+    refuses a signed test function."""
+    try:
+        v = _defect_v_reference(traj, fn)
+    except DomainError:
+        v = None
+    return W.Identities(u=_residual_u_reference(traj, fn), w=_residual_w_reference(traj, fn),
+                        v=v, budget=_identity_budget_reference(traj, fn),
+                        v_budget=_defect_budget_reference(traj, fn))

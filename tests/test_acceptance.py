@@ -197,12 +197,8 @@ def test_criterion_07_epsilon_robustness(workdir):
 
 def test_criterion_08_weakform_consistency(mms_weakform_pair, preset_runs):
     def basis_maxima(traj):
-        basis = W.default_basis(traj.t_end)
-        return {
-            "u": max(abs(W.residual_u(traj, fn)) for fn in basis),
-            "w": max(abs(W.residual_w(traj, fn)) for fn in basis),
-            "v": max(abs(W.defect_v(traj, fn)) for fn in basis),
-        }
+        ids = [W.identities(traj, fn) for fn in W.default_basis(traj.t_end)]
+        return {k: max(abs(getattr(i, k)) for i in ids) for k in "uwv"}
 
     coarse = basis_maxima(mms_weakform_pair[32])
     fine = basis_maxima(mms_weakform_pair[64])
@@ -213,11 +209,9 @@ def test_criterion_08_weakform_consistency(mms_weakform_pair, preset_runs):
     worst_slack = math.inf
     for name, res in preset_runs.items():
         traj = W.load_trajectory(res.setup.out_dir)
-        basis = W.default_basis(traj.t_end)
-        for fn in basis:
-            d = W.defect_v(traj, fn)
-            budget = W.defect_budget(traj, fn)
-            ok_presets = ok_presets and d >= -budget
+        for fn in W.default_basis(traj.t_end):
+            ids = W.identities(traj, fn)
+            ok_presets = ok_presets and ids.v >= -ids.v_budget
         slack = min(s for _, s, _ in W.check_mass_inequality(traj))
         worst_slack = min(worst_slack, slack)
         ok_presets = ok_presets and slack >= -1e-3

@@ -460,8 +460,8 @@ def test_verify_weak_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 3 + 1
 
 
-@pytest.mark.parametrize("corrupt", ["bad-header", "mixed-time", "snapshot-is-a-directory",
-                                     "manifest-is-a-directory"])
+@pytest.mark.parametrize("corrupt", ["bad-header", "huge-header", "mixed-time",
+                                     "snapshot-is-a-directory", "manifest-is-a-directory"])
 def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
     assert cli.main(["run", str(p)]) == 0
@@ -470,6 +470,11 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
         snap = sorted((tmp_path / "out").glob("w_*.fld"))[-1]
         data = snap.read_bytes()
         snap.write_bytes(b"FLD1 12 12 1.0 1.0 \xff" + data[data.index(b"\n"):])
+    elif corrupt == "huge-header":
+        # no payload, and the time of another snapshot: the listing reads
+        # the header alone, and refuses the file by its grid
+        snap = sorted((tmp_path / "out").glob("u_*.fld"))[-1]
+        snap.write_bytes(b"FLD1 4294967296 4294967296 1.0 1.0 0.125\n")
     elif corrupt == "snapshot-is-a-directory":
         # a complete triple by name, of directories
         for name in "uvw":

@@ -14,6 +14,9 @@ from taxis_cascade import solver as S
 from taxis_cascade import weakform as W
 from taxis_cascade.config import Config, format_config
 from taxis_cascade.errors import DomainError, StructuralError
+from taxis_cascade.presets import preset
+
+from oracles import weak_identities_reference
 
 
 # --- test-function machinery ------------------------------------------------
@@ -121,9 +124,8 @@ def test_loaded_snapshots_cached_per_handle_and_freed_with_it(tmp_path):
 def test_residual_zero_for_disjoint_support(tmp_path):
     traj = small_run(tmp_path, t_end=0.5)
     fn = W.TestFunction("late", W.SpatialBump(0.5, 0.5, 0.2), W.TemporalBump(2.0, 3.0))
-    assert W.residual_u(traj, fn) == 0.0
-    assert W.residual_w(traj, fn) == 0.0
-    assert W.defect_v(traj, fn) == 0.0
+    ids = W.identities(traj, fn)
+    assert (ids.u, ids.w, ids.v) == (0.0, 0.0, 0.0)
 
 
 class _Ramp:
@@ -156,7 +158,8 @@ def test_support_overflow_is_structural_error(tmp_path):
 def test_support_between_two_snapshots_is_structural_error(tmp_path):
     traj = small_run(tmp_path, t_end=0.5)  # snapshots every 0.05
     between = W.TestFunction("between", W.SpatialConstant(), W.TemporalBump(0.06, 0.09))
-    for evaluate in (W.residual_u, W.residual_w, W.defect_v):
+    for evaluate in (W.identities, W.residual_u, W.residual_w, W.defect_v,
+                     W.identity_budget, W.defect_budget):
         with pytest.raises(StructuralError, match="no snapshot strictly inside"):
             evaluate(traj, between)
     around = W.TestFunction("around", W.SpatialConstant(), W.TemporalBump(0.04, 0.06))
@@ -185,6 +188,54 @@ class _LinComb:
     def __call__(self, x, y):
         return tuple(self.a * f1 + self.b * f2
                      for f1, f2 in zip(self.s1(x, y), self.s2(x, y)))
+
+
+@pytest.fixture(scope="module")
+def reference_trajectories(tmp_path_factory):
+    """A checked thm2-decay run and a manufactured one."""
+    root = tmp_path_factory.mktemp("reference")
+    cfg = replace(preset("thm2-decay").config, t_end=1.0, out_dir=str(root / "decay"))
+    assert S.run(cfg.build_setup()).completed
+    return {"thm2-decay": W.load_trajectory(cfg.out_dir),
+            "mms": small_run(root, t_end=0.25, snapshot_every=0.0125, mms=True)}
+
+
+@pytest.mark.parametrize("kind", ["thm2-decay", "mms"])
+def test_one_walk_keeps_the_bits_of_one_walk_per_identity(reference_trajectories, kind):
+    traj = reference_trajectories[kind]
+    basis = W.default_basis(traj.t_end)
+    signed = W.TestFunction(
+        "signed", _LinComb(1.0, W.SpatialBump(0.3, 0.3, 0.25), -1.0, W.SpatialBump(0.7, 0.6, 0.25)),
+        basis[1].temporal)
+    for fn in basis + [signed]:
+        ids = W.identities(traj, fn)
+        assert ids == weak_identities_reference(traj, fn), fn.name
+        assert (ids.v is None) == (fn is signed)
+
+
+def test_one_identities_call_loads_snapshot_zero_and_its_support(tmp_path, monkeypatch):
+    small_run(tmp_path, t_end=0.5)  # snapshots every 0.05
+    reads, read = [], G.read_field
+    monkeypatch.setattr(G, "read_field", lambda path: reads.append(path) or read(path))
+    traj = W.load_trajectory(tmp_path / "run")
+    assert reads == []  # the listing reads the headers alone
+    fn = W.TestFunction("mid", W.SpatialBump(0.5, 0.5, 0.3), W.TemporalBump(0.12, 0.28))
+    W.identities(traj, fn)
+    inside = {i for i, t in enumerate(traj.times) if 0.12 < t < 0.28}
+    assert inside == {3, 4, 5}
+    assert set(traj._loaded) == {0} | inside
+    assert len(reads) == len(set(reads)) == 3 * len(traj._loaded)
+
+
+def test_verify_weak_walks_once_per_basis_function(tmp_path, monkeypatch):
+    small_run(tmp_path, t_end=0.5)
+    walks, samples = [], []
+    walk, build = W._walk, W._Samples
+    monkeypatch.setattr(W, "_walk", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(W, "_Samples", lambda *a: samples.append(a) or build(*a))
+    rows, _ = cli.verify_weak(tmp_path / "run")
+    assert len(rows) == 16 and all(r[4] for r in rows)
+    assert len(walks) == len(samples) == 5
 
 
 def test_residual_linearity(tmp_path):
@@ -319,12 +370,9 @@ def test_mms_residuals_shrink_at_first_order(tmp_path):
     for nx in (12, 24):
         traj = small_run(tmp_path / f"l{nx}", nx=nx, t_end=0.25,
                          snapshot_every=0.0125, mms=True)
-        basis = W.default_basis(traj.t_end)
-        vals[nx] = max(
-            max(abs(W.residual_u(traj, fn)) for fn in basis),
-            max(abs(W.residual_w(traj, fn)) for fn in basis),
-            max(abs(W.defect_v(traj, fn)) for fn in basis),
-        )
+        vals[nx] = max(max(abs(ids.u), abs(ids.w), abs(ids.v))
+                       for ids in (W.identities(traj, fn)
+                                   for fn in W.default_basis(traj.t_end)))
     order = math.log2(vals[12] / vals[24])
     assert order >= 1.0
 
