@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and, for `run`, all pass/fail monitors green),
 1 validation or gate failure, 2 runtime abort with partial outputs.  Every
-problem line comes from `main`: an input error, a refused gate or a file
-that cannot be read or written (an ``OSError``), raised anywhere below it,
-is one ``error:`` line; a run that aborted, alone or inside a study (`mms`,
-`sweep-epsilon`), is one ``aborted:`` line after whatever it printed.
+problem line comes from `main`: an input error, a refused gate, a file
+that cannot be read or written (an ``OSError``) or a grid too large to
+allocate (a ``MemoryError``), raised anywhere below it, is one ``error:``
+line; a run that aborted, alone or inside a study (`mms`, `sweep-epsilon`),
+is one ``aborted:`` line after whatever it printed.
 """
 
 from __future__ import annotations
@@ -230,6 +231,11 @@ def cmd_mms(args) -> int:
 # --- epsilon robustness sweep ----------------------------------------------
 
 
+# the snapshot spacing of every sweep member, whose trajectories the
+# differences integrate in time
+SWEEP_SNAPSHOT_EVERY = 0.1
+
+
 @dataclass
 class SweepResult:
     diffs: list  # rows (eps_hi, eps_lo, du_l2, dv_l1, dw_l2)
@@ -266,8 +272,7 @@ def _traj_diff(traj_a, traj_b):
     return math.sqrt(du2), dv1, math.sqrt(dw2)
 
 
-def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
-                  out_root=None, snapshot_every: float = 0.1) -> SweepResult:
+def sweep_epsilon(cfg: Config, eps_list, out_root=None) -> SweepResult:
     """Identical runs per epsilon on one shared fixed time grid.
 
     Adaptive stepping would give each member its own step sequence and bury
@@ -277,13 +282,13 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
     first one runs, and a config that fails the global-existence gate is
     refused, as ``run`` refuses it unforced; a row's epsilons are the listed
     ones, and each member's trajectory is read once, with at most two held
-    at a time.
+    at a time.  Members run to the config's ``t_end`` and write snapshots
+    every SWEEP_SNAPSHOT_EVERY.
     """
     if len(eps_list) < 2:
         raise StructuralError(f"an epsilon sweep needs at least two epsilons, got {len(eps_list)}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise StructuralError("epsilon list must be strictly descending")
-    cfg = base_cfg if t_end is None else replace(base_cfg, t_end=t_end)
     _check_span(cfg.t_end)
     if cfg.fixed_dt is None:
         probe = replace(cfg, epsilon=eps_list[0]).build_setup()
@@ -292,7 +297,7 @@ def sweep_epsilon(base_cfg: Config, eps_list, t_end: float | None = None,
             st0, probe.params, probe.grid, probe.control))
     with (nullcontext(out_root) if out_root is not None
           else tempfile.TemporaryDirectory(prefix="taxis-sweep-")) as root:
-        setups = [replace(cfg, epsilon=eps, snapshot_every=snapshot_every,
+        setups = [replace(cfg, epsilon=eps, snapshot_every=SWEEP_SNAPSHOT_EVERY,
                           label=f"{cfg.label}-eps{eps:g}",
                           out_dir=str(Path(root) / f"member{k}-eps{eps:g}")).build_setup()
                   for k, eps in enumerate(eps_list)]
@@ -434,7 +439,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StructuralError, DomainError, OSError) as exc:
+    except (StructuralError, DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except StudyAbortError as exc:

@@ -61,8 +61,10 @@ RECIPES = {"constant": ("value",), "gaussian": ("cx", "cy", "width", "amplitude"
            "random": ("lo", "hi")}
 
 
-# the kinetic constants a config may set; unset ones default from the laws
-KINETIC_KEYS = ("alpha", "beta", "k_f", "K_f", "l_f", "L_f", "k_g", "K_g", "l_g", "L_g")
+# the kinetic constants a config may set, in INI order: the exponents, then
+# each law's k, K, l, L; unset ones default from the laws
+KINETIC_KEYS = (*(keys[4] for keys in kin.ENVELOPE_KEYS.values()),
+                *(keys[i] for keys in kin.ENVELOPE_KEYS.values() for i in (0, 2, 1, 3)))
 
 
 @dataclass

@@ -14,7 +14,7 @@ time-integrable resupply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -170,6 +170,17 @@ class Logistic(GrowthLaw):
 # the growth laws a config may name, by their call-syntax name
 LAWS = {law.name: law for law in (PurePower, Allee, Logistic)}
 
+# per law side, KineticSpec's names of its envelope constants, in
+# EnvelopeConstants order (k, l, K, L, exponent)
+ENVELOPE_KEYS = {"f": ("k_f", "l_f", "K_f", "L_f", "alpha"),
+                 "g": ("k_g", "l_g", "K_g", "L_g", "beta")}
+# (slots in ENVELOPE_KEYS, failing test, requirement), checked in this order
+_CONSTANT_RULES = (
+    ((4,), lambda v: not v > 1, "exceed 1"),
+    ((2, 0), lambda v: not v > 0, "be positive"),
+    ((3, 1), lambda v: v < 0, "be nonnegative"),
+)
+
 
 @dataclass(frozen=True)
 class KineticSpec:
@@ -189,41 +200,24 @@ class KineticSpec:
     L_g: float
 
     def __post_init__(self):
-        for nm, val in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (val > 1):
-                raise DomainError(f"{nm} must exceed 1, got {val}")
-        for nm, val in (("K_f", self.K_f), ("k_f", self.k_f), ("K_g", self.K_g), ("k_g", self.k_g)):
-            if not (val > 0):
-                raise DomainError(f"{nm} must be positive, got {val}")
-        for nm, val in (("L_f", self.L_f), ("l_f", self.l_f), ("L_g", self.L_g), ("l_g", self.l_g)):
-            if val < 0:
-                raise DomainError(f"{nm} must be nonnegative, got {val}")
-        if float(self.law_f(0.0)) < 0:
-            raise DomainError("law_f(0) must be nonnegative")
-        if float(self.law_g(0.0)) < 0:
-            raise DomainError("law_g(0) must be nonnegative")
+        for slots, fails, need in _CONSTANT_RULES:
+            for nm in (keys[i] for keys in ENVELOPE_KEYS.values() for i in slots):
+                if fails(val := getattr(self, nm)):
+                    raise DomainError(f"{nm} must {need}, got {val}")
+        for side in ENVELOPE_KEYS:
+            if float(getattr(self, f"law_{side}")(0.0)) < 0:
+                raise DomainError(f"law_{side}(0) must be nonnegative")
+
+    def envelope(self, side: str) -> EnvelopeConstants:
+        """The declared envelope constants of law_f (side "f") or law_g ("g")."""
+        return EnvelopeConstants(*(getattr(self, key) for key in ENVELOPE_KEYS[side]))
 
     @classmethod
     def from_laws(cls, law_f: GrowthLaw, law_g: GrowthLaw, **overrides) -> "KineticSpec":
         """Build a spec from the laws' default envelopes, with optional overrides."""
-        ef = law_f.default_envelope()
-        eg = law_g.default_envelope()
-        kw = dict(
-            law_f=law_f,
-            law_g=law_g,
-            alpha=ef.exponent,
-            beta=eg.exponent,
-            k_f=ef.k,
-            K_f=ef.K,
-            l_f=ef.l,
-            L_f=ef.L,
-            k_g=eg.k,
-            K_g=eg.K,
-            l_g=eg.l,
-            L_g=eg.L,
-        )
-        kw.update(overrides)
-        return cls(**kw)
+        kw = {key: value for side, law in (("f", law_f), ("g", law_g))
+              for key, value in zip(ENVELOPE_KEYS[side], astuple(law.default_envelope()))}
+        return cls(law_f=law_f, law_g=law_g, **(kw | overrides))
 
 
 @dataclass(frozen=True)
@@ -234,19 +228,25 @@ class EnvelopeReport:
     worst_check: str
 
 
-def _envelope_margins(law, k, l, K, L, exponent, sample):
+def _envelope_margins(law, env: EnvelopeConstants, sample):
     """Normalized slack of both envelope inequalities at each sample point.
 
     Margins are divided by (1 + s^exponent) so the 60-point geometric sample
     reports on one scale; the entries at the largest point double as the
     asymptotic-ratio check.  s^exponent comes from ``power``, as in the
-    laws, so a law equal to its envelope has a margin of exactly 0.
+    laws, so a law equal to its envelope has a margin of exactly 0.  The
+    margins stop before the first sample point where s^exponent overflows
+    (1e6^exponent does above an exponent of about 51.4): past it both sides
+    are infinite and compare nothing, and inf - inf would read as a NaN
+    violation.
     """
-    vals = law(sample)
-    sa = power(sample, exponent)
-    scale = 1.0 + sa
-    lower = (vals - (-k * sa - l)) / scale
-    upper = ((-K * sa + L) - vals) / scale
+    with np.errstate(over="ignore"):
+        sa = power(sample, env.exponent)
+        n = int(np.count_nonzero(np.isfinite(sa)))
+        sa, vals = sa[:n], law(sample[:n])
+        scale = 1.0 + sa
+        lower = (vals - (-env.k * sa - env.l)) / scale
+        upper = ((-env.K * sa + env.L) - vals) / scale
     return lower, upper
 
 
@@ -266,12 +266,9 @@ def validate_envelope(spec: KineticSpec) -> EnvelopeReport:
     worst = math.inf
     worst_point = 0.0
     worst_check = ""
-    cases = (
-        ("f", spec.law_f, spec.k_f, spec.l_f, spec.K_f, spec.L_f, spec.alpha),
-        ("g", spec.law_g, spec.k_g, spec.l_g, spec.K_g, spec.L_g, spec.beta),
-    )
-    for name, law, k, l, K, L, exponent in cases:
-        lower, upper = _envelope_margins(law, k, l, K, L, exponent, sample)
+    for name in ENVELOPE_KEYS:
+        law = getattr(spec, f"law_{name}")
+        lower, upper = _envelope_margins(law, spec.envelope(name), sample)
         for side, margins in (("lower", lower), ("upper", upper)):
             margins = np.where(np.isfinite(margins), margins, -np.inf)
             i = int(np.argmin(margins))

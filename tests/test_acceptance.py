@@ -186,8 +186,8 @@ def test_criterion_06_eventual_regularity(thm2_run):
 
 
 def test_criterion_07_epsilon_robustness(workdir):
-    sweep = sweep_epsilon(preset("thm1-core").config, [1e-1, 1e-2, 1e-3, 1e-4],
-                          t_end=2.0, out_root=str(workdir / "sweep"))
+    sweep = sweep_epsilon(replace(preset("thm1-core").config, t_end=2.0),
+                          [1e-1, 1e-2, 1e-3, 1e-4], out_root=str(workdir / "sweep"))
     mono = sweep.strictly_decreasing()
     ok = all(mono.values())
     pairs = "; ".join(f"{r[0]:g}->{r[1]:g}: u={r[2]:.2e} v={r[3]:.2e} w={r[4]:.2e}"

@@ -27,6 +27,17 @@ def write_cfg(tmp_path, cfg, name="case.ini"):
     return p
 
 
+def test_grid_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
+    # 10^16 cells need 71 PiB, more than the address space: the first field
+    # allocation fails before any page is touched
+    p = tmp_path / "huge.ini"
+    p.write_text("[grid]\nnx = 100000000\nny = 100000000\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_small_case_exit_zero(tmp_path, capsys):
     p = write_cfg(tmp_path, small_cfg(tmp_path))
     assert cli.main(["run", str(p)]) == 0

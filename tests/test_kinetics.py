@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -198,6 +200,59 @@ def test_understated_exponent_fails_at_large_s():
     rep = K.validate_envelope(spec)
     assert not rep.holds
     assert rep.worst_point >= 1e3
+
+
+def test_large_exponent_envelope_holds_without_overflow():
+    # 1e6^60 overflows a double; past the last finite s^alpha both sides of
+    # the sandwich are infinite, and the check stops there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = K.validate_envelope(spec_pp(60.0, 3.0))
+    assert rep.holds
+    assert rep.worst_margin == 0.0
+
+
+def test_law_overflowing_below_its_declared_exponent_fails():
+    # law ~ s^60 declared as s^50: the law reaches -inf where s^50 is finite
+    spec = K.KineticSpec.from_laws(K.PurePower(1.0, 1.0, 60.0), K.PurePower(),
+                                   alpha=50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = K.validate_envelope(spec)
+    assert not rep.holds
+    assert rep.worst_check == "f:lower"
+    assert rep.worst_margin == -math.inf
+
+
+def test_envelope_groups_each_sides_constants():
+    law_f, law_g = K.Allee(), K.Logistic(a=1.5, b=0.8, alpha=2.5)
+    spec = K.KineticSpec.from_laws(law_f, law_g, L_f=10.0)
+    assert spec.envelope("f") == K.EnvelopeConstants(k=2.0, l=3.0, K=0.5, L=10.0,
+                                                     exponent=3.0)
+    assert spec.envelope("g") == law_g.default_envelope()
+
+
+# each envelope constant with a value out of its range, and the requirement
+OUT_OF_RANGE = (("alpha", 1.0, "must exceed 1"), ("beta", 0.5, "must exceed 1"),
+                ("k_f", 0.0, "must be positive"), ("K_f", -1.0, "must be positive"),
+                ("l_f", -0.5, "must be nonnegative"), ("L_f", -1.0, "must be nonnegative"),
+                ("k_g", -2.0, "must be positive"), ("K_g", 0.0, "must be positive"),
+                ("l_g", -1e-3, "must be nonnegative"), ("L_g", -3.0, "must be nonnegative"))
+
+
+@pytest.mark.parametrize("key, bad, need", OUT_OF_RANGE)
+def test_out_of_range_constant_is_named(key, bad, need):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{key} {need}, got {bad}')}$"):
+        K.KineticSpec.from_laws(K.PurePower(), K.PurePower(), **{key: bad})
+
+
+def test_constant_checks_run_exponents_then_k_then_l():
+    for bad, first in (({"K_g": 0.0, "beta": 1.0}, "beta"),
+                       ({"K_g": 0.0, "k_f": 0.0}, "k_f"),
+                       ({"l_f": -1.0, "k_g": 0.0}, "k_g"),
+                       ({"l_g": -1.0, "l_f": -1.0}, "l_f")):
+        with pytest.raises(DomainError, match=f"^{first} "):
+            K.KineticSpec.from_laws(K.PurePower(), K.PurePower(), **bad)
 
 
 def test_existence_gate_truth_table():

@@ -635,8 +635,7 @@ def test_run_warns_when_fixed_dt_far_exceeds_the_suggested_step(tmp_path):
         S.run(replace(setup, fixed_dt=9.0 * bound, t_end=0.0))
         S.run(cli.mms_config(128, t_end=0.0).build_setup())
         cfg = replace(presets.preset("thm1-core").config, nx=12, ny=12)
-        cli.sweep_epsilon(cfg, [1e-1, 1e-2], t_end=0.05, snapshot_every=0.05,
-                          out_root=str(tmp_path))
+        cli.sweep_epsilon(replace(cfg, t_end=0.05), [1e-1, 1e-2], out_root=str(tmp_path))
 
 
 def test_watchdog_catches_non_finite_and_huge_values():
