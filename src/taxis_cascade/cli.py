@@ -122,7 +122,7 @@ def cmd_gate(args) -> int:
 
 
 def mms_config(nx: int, t_end: float = 0.25, dt_coeff: float = 1.0,
-               snapshot_every: float = 0.0, mms: "solver.MmsSpec | None" = None) -> Config:
+               mms: "solver.MmsSpec | None" = None) -> Config:
     mms = mms or solver.shipped_mms()
     h = 1.0 / nx
     return Config(
@@ -131,7 +131,7 @@ def mms_config(nx: int, t_end: float = 0.25, dt_coeff: float = 1.0,
         mu=0.3, epsilon=0.0,
         f_law="purepower(1.0, 1.0, 3.0)", g_law="purepower(1.0, 1.0, 3.0)",
         profile="constant", amplitude=0.0,
-        cadence=t_end, snapshot_every=snapshot_every,
+        cadence=t_end,
         mms_u=mms.u, mms_v=mms.v, mms_w=mms.w,
         label=f"mms-{nx}",
     )
@@ -179,16 +179,14 @@ def _check_span(t_end: float) -> None:
 
 
 def mms_study(levels, t_end: float = 0.25, dt_coeff: float = 1.0,
-              out_root=None, snapshot_every: float = 0.0,
-              mms: "solver.MmsSpec | None" = None) -> MmsStudy:
+              out_root=None, mms: "solver.MmsSpec | None" = None) -> MmsStudy:
     """Integrate the manufactured problem at each level, report errors/orders."""
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise StructuralError("levels must be strictly ascending")
     _check_span(t_end)
     rows = []
     for nx in levels:
-        cfg = mms_config(nx, t_end=t_end, dt_coeff=dt_coeff,
-                         snapshot_every=snapshot_every, mms=mms)
+        cfg = mms_config(nx, t_end=t_end, dt_coeff=dt_coeff, mms=mms)
         out_dir = Path(out_root) / f"mms-{nx}" if out_root else None
         setup = cfg.build_setup(out_dir=out_dir)
         result = solver.run(setup)

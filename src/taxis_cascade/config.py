@@ -324,6 +324,6 @@ def parse_config(text: str, label: str = "run") -> Config:
     return cfg
 
 
-def load_config(path, label: str | None = None) -> Config:
+def load_config(path) -> Config:
     path = Path(path)
-    return parse_config(path.read_text(), label=label or path.stem)
+    return parse_config(path.read_text(), label=path.stem)

@@ -34,6 +34,12 @@ import numpy as np
 from taxis_cascade.errors import DomainError, StructuralError
 
 CARRIER_FLOOR = -1e-12
+# The most cells a grid may have: 4096^2, 256 times the largest grid in use
+# (256^2); a run there already holds tens of float64 fields of 128 MiB each.
+# It is checked before any array exists, so a mistyped size is refused at
+# once instead of first filling gigabytes with cell-centre coordinates and
+# only then failing to allocate a field.
+MAX_CELLS = 4096 * 4096
 
 
 @lru_cache(maxsize=32)
@@ -62,6 +68,9 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise StructuralError(f"need at least 4x4 cells, got {self.nx}x{self.ny}")
+        if self.nx * self.ny > MAX_CELLS:
+            raise StructuralError(f"a {self.nx}x{self.ny} grid exceeds the "
+                                  f"ceiling of {MAX_CELLS} cells")
         if not (self.Lx > 0 and self.Ly > 0):
             raise StructuralError("domain side lengths must be positive")
 
@@ -308,7 +317,10 @@ def read_header(fh) -> tuple[Grid, float]:
         raise StructuralError(f"{fh.name}: malformed FLD1 header {header!r}") from None
     if not np.isfinite(t):
         raise StructuralError(f"{fh.name}: non-finite time in FLD1 header {header!r}")
-    return Grid(nx, ny, Lx, Ly), t
+    try:
+        return Grid(nx, ny, Lx, Ly), t
+    except StructuralError as exc:  # too small, too large or a bad side length
+        raise StructuralError(f"{fh.name}: {exc}") from None
 
 
 def read_field(path) -> tuple[np.ndarray, Grid, float]:

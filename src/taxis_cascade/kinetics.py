@@ -14,7 +14,7 @@ time-integrable resupply.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -74,6 +74,11 @@ class GrowthLaw:
     call order, with its config name in the class attribute ``name``.
     """
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise DomainError(f"{self.name} law needs a finite {f.name}, got {value}")
+
     def __call__(self, s):
         raise NotImplementedError
 
@@ -99,6 +104,7 @@ class PurePower(GrowthLaw):
     name = "purepower"
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.K > 0 and self.alpha > 1):
             raise DomainError("purepower law needs K > 0, alpha > 1")
 
@@ -150,6 +156,7 @@ class Logistic(GrowthLaw):
     name = "logistic"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.a < 0 or self.b <= 0 or self.alpha <= 1:
             raise DomainError("logistic law needs a >= 0, b > 0, alpha > 1")
 
@@ -179,6 +186,7 @@ _CONSTANT_RULES = (
     ((4,), lambda v: not v > 1, "exceed 1"),
     ((2, 0), lambda v: not v > 0, "be positive"),
     ((3, 1), lambda v: v < 0, "be nonnegative"),
+    ((4, 2, 0, 3, 1), lambda v: not math.isfinite(v), "be finite"),
 )
 
 
@@ -235,14 +243,15 @@ def _envelope_margins(law, env: EnvelopeConstants, sample):
     reports on one scale; the entries at the largest point double as the
     asymptotic-ratio check.  s^exponent comes from ``power``, as in the
     laws, so a law equal to its envelope has a margin of exactly 0.  The
-    margins stop before the first sample point where s^exponent overflows
-    (1e6^exponent does above an exponent of about 51.4): past it both sides
-    are infinite and compare nothing, and inf - inf would read as a NaN
-    violation.
+    margins stop before the first sample point where max(k, K) s^exponent
+    overflows (1e6^exponent alone does above an exponent of about 51.4):
+    past it the envelope terms are infinite and compare nothing, and
+    inf - inf would read as a NaN violation.  ``KineticSpec`` refuses
+    constants that are not finite, which would leave no point.
     """
     with np.errstate(over="ignore"):
         sa = power(sample, env.exponent)
-        n = int(np.count_nonzero(np.isfinite(sa)))
+        n = int(np.count_nonzero(np.isfinite(max(env.k, env.K) * sa)))
         sa, vals = sa[:n], law(sample[:n])
         scale = 1.0 + sa
         lower = (vals - (-env.k * sa - env.l)) / scale

@@ -50,24 +50,15 @@ class MonitorEntry:
                    passed=True)
 
 
-class MonitorReport:
-    """Accumulated monitor entries for one run."""
-
-    def __init__(self):
-        self.entries: list[MonitorEntry] = []
-
-    def extend(self, entries):
-        self.entries.extend(entries)
-
-    def append(self, entry):
-        self.entries.append(entry)
+class MonitorReport(list):
+    """The monitor entries of one run, in the order ``assess`` made them."""
 
     def failures(self) -> list[MonitorEntry]:
-        return [e for e in self.entries if not e.passed]
+        return [e for e in self if not e.passed]
 
     def csv_rows(self):
         yield "t,check_name,value,bound,margin,pass"
-        for e in self.entries:
+        for e in self:
             yield (f"{e.t!r},{e.check},{e.value!r},{e.bound!r},{e.margin!r},"
                    f"{'true' if e.passed else 'false'}")
 

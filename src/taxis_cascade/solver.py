@@ -129,8 +129,8 @@ class State:
 class StepControl:
     """Step-size settings, read by ``suggest_dt``."""
 
-    dt_max: float = 0.02
-    safety: float = 0.2
+    dt_max: float
+    safety: float
 
     def __post_init__(self):
         if not (self.dt_max > 0 and 0 < self.safety <= 1):
@@ -357,7 +357,7 @@ def _bdf2_levels(phi, phi_prev, omega, out=None):
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
-         control: StepControl = StepControl(),
+         control: StepControl | None = None,
          laws: tuple[np.ndarray, np.ndarray] | None = None,
          history: History | None = None) -> tuple[State, StepStats]:
     """One IMEX step of size dt; returns the new state and step statistics.
@@ -383,8 +383,8 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     (c_w - dt Lap) w_new = rhs_w - (diag - c_w) pred once (``_pcg``), with
     c_w the mean of diag and pred = w* in an SBDF2 step, rhs_w / diag in an
     Euler step.  Every step makes three solves, none iterative, and reports
-    ``cg_iterations`` (0, 0, 0).  ``control`` is unused; it stays in the
-    signature because the bench's reference build passes it by position
+    ``cg_iterations`` (0, 0, 0).  ``control`` is unused; it keeps its
+    position because the bench's reference build passes it there
     (perfbench/workloads.py).
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
@@ -658,21 +658,23 @@ class RunSetup:
     g twin) that the laws break.  So every command that runs refuses these
     before any step runs or any output directory is touched.  A setup is
     frozen: ``dataclasses.replace`` makes a changed one, and admits it anew.
+    Its fields have no defaults: ``Config.build_setup`` builds it, and a
+    setup made by hand states every value.
     """
 
     grid: gridmod.Grid
     params: ModelParams
     initial: kin.InitialData
-    control: StepControl = StepControl()
-    t_end: float = 1.0
-    monitor_cadence: float = 0.25
-    monitor_delta: float = 1e-2
-    monitor_q: float = 2.0
-    snapshot_every: float = 0.0  # 0 disables intermediate snapshots
-    out_dir: Path | None = None
-    config_text: str = ""
-    label: str = "run"
-    fixed_dt: float | None = None
+    control: StepControl
+    t_end: float
+    monitor_cadence: float
+    monitor_delta: float
+    monitor_q: float
+    snapshot_every: float  # 0 disables intermediate snapshots
+    out_dir: Path | None
+    config_text: str
+    label: str
+    fixed_dt: float | None
 
     def __post_init__(self):
         # 0 is a valid t_end (echo the initial state) and disables the cadence
@@ -941,8 +943,7 @@ def run(setup: RunSetup) -> RunResult:
             if dt is None:
                 dt = suggest_dt(state, params, g, control, linf[0], linf[1])
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
-            state, stats = step(state, params, dt, g, control, laws=(fu, gv),
-                                history=history)
+            state, stats = step(state, params, dt, g, laws=(fu, gv), history=history)
             state.t = t_new
             clamps = stats.clamps
             linf = stats.linf

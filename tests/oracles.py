@@ -202,7 +202,7 @@ def dense_step(state, params, dt, g):
 
 def by_check(report, name):
     """The entries of a monitor report that one check wrote, in order."""
-    return [e for e in report.entries if e.check == name]
+    return [e for e in report if e.check == name]
 
 
 def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series):

@@ -83,8 +83,8 @@ def mms_results():
 def mms_weakform_pair(workdir):
     trajs = {}
     for nx, snap in ((32, 0.025), (64, 0.0125)):
-        cfg = mms_config(nx, t_end=0.25, dt_coeff=1.0, snapshot_every=snap)
-        cfg = replace(cfg, out_dir=str(workdir / f"wf-mms-{nx}"))
+        cfg = replace(mms_config(nx, t_end=0.25, dt_coeff=1.0), snapshot_every=snap,
+                      out_dir=str(workdir / f"wf-mms-{nx}"))
         result = S.run(cfg.build_setup())
         assert result.completed
         trajs[nx] = W.load_trajectory(cfg.out_dir)

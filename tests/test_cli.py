@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from taxis_cascade import cli, weakform
+from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
-from taxis_cascade.config import format_config, parse_config
+from taxis_cascade.config import Config, format_config, parse_config
 from taxis_cascade.errors import DomainError, StructuralError
 from taxis_cascade.presets import preset, preset_names
 
@@ -28,13 +30,47 @@ def write_cfg(tmp_path, cfg, name="case.ini"):
 
 
 def test_grid_too_large_to_allocate_is_one_error_line(tmp_path, capsys):
-    # 10^16 cells need 71 PiB, more than the address space: the first field
-    # allocation fails before any page is touched
+    # 10^16 cells would need 71 PiB: the grid's ceiling refuses them first
     p = tmp_path / "huge.ini"
     p.write_text("[grid]\nnx = 100000000\nny = 100000000\n")
     assert cli.main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert err == ("error: a 100000000x100000000 grid exceeds the ceiling "
+                   f"of {G.MAX_CELLS} cells\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, recipe", [
+    (["mms", "--levels", "100000000"], ""),
+    (["run"], "[initial]\nu = gaussian(0.5, 0.5, 0.1, 1.0, 0.2)\n"),
+], ids=["mms", "gaussian"])
+def test_grid_above_the_ceiling_allocates_nothing(tmp_path, capsys, argv, recipe):
+    # the manufactured triple and a gaussian recipe build cell-centre
+    # coordinates before any field; the ceiling comes before both
+    if recipe:
+        p = tmp_path / "huge.ini"
+        p.write_text("[grid]\nnx = 100000000\nny = 100000000\n" + recipe)
+        argv = argv + [str(p), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 100000000x100000000 grid exceeds the ceiling")
+    assert err.count("\n") == 1
+    assert peak < 2**20
+
+
+def test_failed_allocation_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a grid under the ceiling can still be too large for the machine's memory
+    def out_of_memory(cfg, g):
+        raise MemoryError(f"Unable to allocate {8 * g.nx * g.ny} bytes for an array")
+    monkeypatch.setattr(Config, "build_initial", out_of_memory)
+    p = write_cfg(tmp_path, small_cfg(tmp_path))
+    assert cli.main(["run", str(p)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1152 bytes for an array\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -471,7 +507,7 @@ def test_verify_weak_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 3 + 1
 
 
-@pytest.mark.parametrize("corrupt", ["bad-header", "huge-header", "mixed-time",
+@pytest.mark.parametrize("corrupt", ["bad-header", "huge-header", "tiny-header", "mixed-time",
                                      "snapshot-is-a-directory", "manifest-is-a-directory"])
 def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
@@ -486,6 +522,10 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
         # the header alone, and refuses the file by its grid
         snap = sorted((tmp_path / "out").glob("u_*.fld"))[-1]
         snap.write_bytes(b"FLD1 4294967296 4294967296 1.0 1.0 0.125\n")
+    elif corrupt == "tiny-header":
+        # a grid that Grid refuses is refused naming the file
+        snap = sorted((tmp_path / "out").glob("u_*.fld"))[-1]
+        snap.write_bytes(b"FLD1 3 3 1.0 1.0 0.125\n")
     elif corrupt == "snapshot-is-a-directory":
         # a complete triple by name, of directories
         for name in "uvw":

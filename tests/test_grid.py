@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,21 @@ def test_grid_invariants():
         G.Grid(3, 8)
     with pytest.raises(StructuralError):
         G.Grid(8, 8, -1.0, 1.0)
+
+
+def test_grid_above_the_ceiling_is_refused_before_any_array():
+    # far above 256^2, the largest grid that the tests, presets and bench use
+    assert G.MAX_CELLS == 4096 * 4096
+    G.Grid(4096, 4096)  # the ceiling itself is admitted
+    tracemalloc.start()
+    try:
+        for nx, ny in ((10**8, 10**8), (4096, 4097), (4, G.MAX_CELLS)):
+            with pytest.raises(StructuralError, match="exceeds the ceiling"):
+                G.Grid(nx, ny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_conformance_error():

@@ -184,9 +184,16 @@ def test_logistic_default_envelope_validates():
     assert lo >= -1e-12 and up >= -1e-9
 
 
-def test_nan_law_parameter_violates_the_envelope():
+class NanAboveOne(K.Logistic):
+    """A logistic law whose value is NaN above s = 1."""
+
+    def __call__(self, s):
+        return np.where(np.asarray(s) > 1.0, math.nan, super().__call__(s))
+
+
+def test_nan_law_value_violates_the_envelope():
     # a NaN margin never compares below the worst one, yet it is no slack
-    spec = K.KineticSpec.from_laws(K.Logistic(math.nan, 1.0, 4.0), K.PurePower())
+    spec = K.KineticSpec.from_laws(NanAboveOne(1.0, 1.0, 4.0), K.PurePower())
     rep = K.validate_envelope(spec)
     assert not rep.holds
     assert rep.worst_check.startswith("f:")
@@ -224,6 +231,27 @@ def test_law_overflowing_below_its_declared_exponent_fails():
     assert rep.worst_margin == -math.inf
 
 
+def test_law_equal_to_a_large_upper_envelope_holds_without_overflow():
+    # K s^60 overflows at a smaller s than s^60; past it the envelope terms
+    # are infinite, and the check stops before the first such point
+    spec = K.KineticSpec.from_laws(K.PurePower(1e6, 1.0, 60.0), K.PurePower())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = K.validate_envelope(spec)
+    assert rep.holds
+    assert rep.worst_margin == 0.0
+
+
+@pytest.mark.parametrize("law, args, name", [
+    (K.PurePower, (math.inf, 1.0, 3.0), "K"),
+    (K.PurePower, (1.0, math.nan, 3.0), "L"),
+    (K.Logistic, (1.0, 1.0, math.inf), "alpha"),
+])
+def test_law_argument_that_is_not_finite_is_refused(law, args, name):
+    with pytest.raises(DomainError, match=f"^{law.name} law needs a finite {name}, got"):
+        law(*args)
+
+
 def test_envelope_groups_each_sides_constants():
     law_f, law_g = K.Allee(), K.Logistic(a=1.5, b=0.8, alpha=2.5)
     spec = K.KineticSpec.from_laws(law_f, law_g, L_f=10.0)
@@ -237,7 +265,9 @@ OUT_OF_RANGE = (("alpha", 1.0, "must exceed 1"), ("beta", 0.5, "must exceed 1"),
                 ("k_f", 0.0, "must be positive"), ("K_f", -1.0, "must be positive"),
                 ("l_f", -0.5, "must be nonnegative"), ("L_f", -1.0, "must be nonnegative"),
                 ("k_g", -2.0, "must be positive"), ("K_g", 0.0, "must be positive"),
-                ("l_g", -1e-3, "must be nonnegative"), ("L_g", -3.0, "must be nonnegative"))
+                ("l_g", -1e-3, "must be nonnegative"), ("L_g", -3.0, "must be nonnegative"),
+                ("K_f", math.inf, "must be finite"), ("beta", math.inf, "must be finite"),
+                ("L_g", math.nan, "must be finite"))
 
 
 @pytest.mark.parametrize("key, bad, need", OUT_OF_RANGE)

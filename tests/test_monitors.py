@@ -364,8 +364,8 @@ def test_assess_judges_a_hand_built_record():
                "window_v_beta", "v_mass_identity", "log_gradient_energy",
                "weighted_functional"]
     tail = ["w_decay_detect", "w_tail_mass", "w_tail_consumption", "eventual_regularity"]
-    assert [e.check for e in report.entries] == per_hit * 3 + tail
-    rows = [report.entries[9 * k:9 * k + 9] for k in range(3)]
+    assert [e.check for e in report] == per_hit * 3 + tail
+    rows = [report[9 * k:9 * k + 9] for k in range(3)]
     for k, i in enumerate(cadence["index"]):
         t = float(series["t"][i])
         assert all(e.t == t for e in rows[k])
@@ -393,6 +393,6 @@ def test_assess_judges_a_hand_built_record():
     partial, partial_checks, no_decay, no_regularity = M.assess(
         series, cadence, consts, mu, delta=0.1, completed=False)
     # repr, as NaN values differ from themselves
-    assert [repr(e) for e in partial.entries] == [repr(e) for e in report.entries[:27]]
+    assert [repr(e) for e in partial] == [repr(e) for e in report[:27]]
     assert partial_checks == step_checks
     assert no_decay is None and no_regularity is None

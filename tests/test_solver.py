@@ -47,6 +47,15 @@ def make_params(mu=0.0, epsilon=0.0, amplitude=0.0, decay_lambda=0.0, spec=None)
         kinetics=spec or pp_spec())
 
 
+def hand_setup(g, params, initial):
+    """A setup built without a Config, which states every field."""
+    return S.RunSetup(grid=g, params=params, initial=initial,
+                      control=S.StepControl(dt_max=0.02, safety=0.2), t_end=1.0,
+                      monitor_cadence=0.25, monitor_delta=1e-2, monitor_q=2.0,
+                      snapshot_every=0.0, out_dir=None, config_text="", label="run",
+                      fixed_dt=None)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         make_params(mu=-0.1)
@@ -202,15 +211,14 @@ def test_run_setup_refuses_a_growth_envelope_that_does_not_hold():
     ones = np.ones(g.shape)
     spec = replace(pp_spec(), K_f=5.0)
     with pytest.raises(DomainError, match=r"growth envelope violated \(f:upper"):
-        S.RunSetup(grid=g, params=make_params(spec=spec),
-                   initial=K.InitialData(ones, ones, 0.0 * ones))
+        hand_setup(g, make_params(spec=spec), K.InitialData(ones, ones, 0.0 * ones))
 
 
 def test_an_admitted_setup_is_frozen_and_a_replaced_one_is_admitted_anew():
     # a field set after admission would skip the checks; replace runs them
     g = G.Grid(8, 8)
     ones = np.ones(g.shape)
-    setup = S.RunSetup(grid=g, params=make_params(), initial=K.InitialData(ones, ones, ones))
+    setup = hand_setup(g, make_params(), K.InitialData(ones, ones, ones))
     with pytest.raises(FrozenInstanceError):
         setup.t_end = -1.0
     with pytest.raises(DomainError, match="t_end must be finite and nonnegative"):
@@ -1061,7 +1069,7 @@ def test_sbdf2_w_update_meets_the_implicit_w_system_to_its_extrapolation_error(
     setup = replace(setup, t_end=0.2)
     residuals = []
 
-    def recording_step(state, params, dt, g, control, laws=None, history=None,
+    def recording_step(state, params, dt, g, control=None, laws=None, history=None,
                        _step=S.step):
         prev, dt_prev = history.fields, history.dt
         new, stats = _step(state, params, dt, g, control, laws=laws, history=history)

@@ -330,8 +330,15 @@ def test_mass_inequality_on_run(tmp_path):
     assert min(s for _, s, ok in rows) >= -1e-3
 
 
+def manufactured_run(tmp_path):
+    """The 16^2 manufactured run to t = 0.25 with snapshots every 0.05, in
+    tmp_path / "mms-16"."""
+    cfg = replace(cli.mms_config(16, t_end=0.25), snapshot_every=0.05)
+    assert S.run(cfg.build_setup(out_dir=tmp_path / "mms-16")).completed
+
+
 def test_mass_inequality_on_manufactured_run(tmp_path):
-    cli.mms_study([16], t_end=0.25, snapshot_every=0.05, out_root=tmp_path)
+    manufactured_run(tmp_path)
     traj = W.load_trajectory(tmp_path / "mms-16")
     assert all(ok for _, _, ok in W.check_mass_inequality(traj))
     # the manufactured v source carries the identity: without it the slack fails
@@ -340,7 +347,7 @@ def test_mass_inequality_on_manufactured_run(tmp_path):
 
 
 def test_manufactured_sources_built_once_per_snapshot(tmp_path, monkeypatch):
-    cli.mms_study([16], t_end=0.25, snapshot_every=0.05, out_root=tmp_path)
+    manufactured_run(tmp_path)
     run_dir = tmp_path / "mms-16"
     cached = W.TrajectoryHandle.sources_at
 
