@@ -264,9 +264,9 @@ def _traj_diff(traj_a, traj_b):
     for i in range(len(traj_a)):
         ua, va, wa = traj_a.load(i)
         ub, vb, wb = traj_b.load(i)
-        du2 += w[i] * float(np.sum((ua - ub) ** 2)) * g.cell_volume
-        dv1 += w[i] * float(np.sum(np.abs(va - vb))) * g.cell_volume
-        dw2 += w[i] * float(np.sum((wa - wb) ** 2)) * g.cell_volume
+        du2 += w[i] * gridmod.integrate((ua - ub) ** 2, g)
+        dv1 += w[i] * gridmod.integrate(np.abs(va - vb), g)
+        dw2 += w[i] * gridmod.integrate((wa - wb) ** 2, g)
     return math.sqrt(du2), dv1, math.sqrt(dw2)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taxis_cascade import grid as gridmod
+from taxis_cascade import kinetics as kin
 from taxis_cascade.errors import DomainError
 
 REL_TOL = 1e-6
@@ -177,19 +178,15 @@ def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
 
 
 def log_gradient_integrand(v: np.ndarray, g) -> float:
-    """Face-quadrature of |grad v|^2 / (v+1)^2 over the domain at one instant.
+    """Face quadrature of |grad ln(1+v)|^2 over the domain at one instant.
 
-    Computed in place in the operation order of
-    sum((gx / (1 + 0.5 (v_l + v_r)))^2) + the same over the y-faces.
+    The squared ``face_gradients`` of ln(1+v), summed over the x-faces and
+    then the y-faces: the exploiter term ``weakform.identities`` integrates.
     """
-    gx, gy = gridmod.face_gradients(v, g)
-    for grad, mean in ((gx, np.add(v[:, 1:], v[:, :-1])),
-                       (gy, np.add(v[1:, :], v[:-1, :]))):
-        mean *= 0.5
-        mean += 1.0
-        grad /= mean
-        grad *= grad
-    return float(np.sum(gx) + np.sum(gy)) * g.cell_volume
+    lx, ly = gridmod.face_gradients(np.log1p(v), g)
+    lx *= lx
+    ly *= ly
+    return float(np.sum(lx) + np.sum(ly)) * g.cell_volume
 
 
 def check_log_gradient_energy(t, energy: float) -> MonitorEntry:
@@ -278,7 +275,7 @@ def weighted_functional(u: np.ndarray, w: np.ndarray, fp: FunctionalParams, g) -
     """Integral of u^q / (2 delta - w)^theta; None before w has decayed below delta."""
     if gridmod.norm_linf(w) >= fp.delta:
         return None
-    return float(np.sum(u**fp.q / (2.0 * fp.delta - w) ** fp.theta)) * g.cell_volume
+    return gridmod.integrate(kin.power(u, fp.q) / kin.power(2.0 * fp.delta - w, fp.theta), g)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from taxis_cascade import grid as gridmod
+from taxis_cascade import solver
 from taxis_cascade.config import parse_config
 from taxis_cascade.errors import DomainError, StructuralError
 
@@ -389,7 +390,7 @@ def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
         vp1 = v + 1.0
         rfx, rfy = _face_mean(v / vp1)
         fu, gv, r = ks.law_f(u), ks.law_g(v), params.resupply.field(g, t)
-        uvw = (u + v) * w
+        uvw = solver.consumption_term(u, v, w, 0.0)
         ru += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
                     - sp.grads(ufx * wx, ufy * wy) * tf
                     - sp.cells(_with_source(traj, t, fu, 0)) * tf) * vol

@@ -77,8 +77,8 @@ def test_laplacian_rotation_symmetry():
                        np.rot90(G.laplacian(phi, g)), atol=1e-14)
 
 
-from oracles import (brute_force_taxis, log_gradient_reference, taxis_divergence_divided_reference,
-                     taxis_divergence_reference)
+from oracles import (brute_force_taxis, log_gradient_reference, seminorm_w2p_reference,
+                     taxis_divergence_divided_reference, taxis_divergence_reference)
 
 
 def test_taxis_constant_potential_is_zero():
@@ -258,7 +258,7 @@ def check_seam_kernels(carrier, potential, g):
 def test_flat_kernels_ignore_jumps_across_row_ends_bitwise(g):
     rng = np.random.default_rng(11)
     potential = seam_potential(g, rng)
-    dx, dy = G.face_differences(potential)
+    dx, dy = np.diff(potential, axis=1), np.diff(potential, axis=0)
     seams = np.diff(potential.ravel())[g.nx - 1::g.nx]
     assert np.abs(seams).min() > 2.0 * max(np.abs(dx).max(), np.abs(dy).max())
     check_seam_kernels(rng.random(g.shape), potential, g)
@@ -367,6 +367,18 @@ def test_seminorm_vanishes_on_linears():
     phi = 0.3 + 1.7 * X - 0.9 * Y
     assert G.seminorm_w2p(phi, g, 2) < 1e-12
     assert G.seminorm_w2p(phi, g, 4) < 1e-12
+
+
+@pytest.mark.parametrize("g", [G.Grid(9, 12, 1.5, 0.7), G.Grid(17, 33), G.Grid(40, 40),
+                               G.Grid(4, 5, 0.3, 2.0)], ids=["9x12", "17x33", "40x40", "4x5"])
+@pytest.mark.parametrize("p", [2, 4])
+def test_seminorm_is_the_three_point_stencil(g, p):
+    # differences of adjacent face gradients, edge cells copying their
+    # neighbour, are the one-sided three-point stencil to rounding
+    rng = np.random.default_rng(13)
+    for phi in (rng.random(g.shape), rng.standard_normal(g.shape), G.gaussian(g, 0.4, 0.3, 0.2)):
+        assert G.seminorm_w2p(phi, g, p) == pytest.approx(
+            seminorm_w2p_reference(phi, g, p), rel=1e-12, abs=0.0)
 
 
 def test_seminorm_positive_on_quadratic():

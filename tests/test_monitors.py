@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import by_check, comparison_ode_bound, v_mass_residual
 from taxis_cascade import grid as G
+from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
 from taxis_cascade import solver as S
 from taxis_cascade.config import Config
@@ -181,15 +182,28 @@ def test_log_gradient_scale_quarter():
     rng = np.random.default_rng(3)
     v = rng.random(g.shape)
     base = M.log_gradient_integrand(v, g)
-    # doubling v+1 pointwise with the gradient fixed scales the integrand by 1/4
-    scaled = M.log_gradient_integrand(2.0 * v + 1.0, g)  # v+1 -> 2(v+1), grad doubles
-    # grad doubles AND denominator doubles: net unchanged; instead scale directly
-    gx = (v[:, 1:] - v[:, :-1]) / g.hx
-    mx = 1.0 + 0.5 * (v[:, 1:] + v[:, :-1])
-    direct = (np.sum((gx / (2 * mx)) ** 2)) * g.cell_volume
-    partial = np.sum((gx / mx) ** 2) * g.cell_volume
+    # ln(2(v+1)) = ln 2 + ln(v+1): doubling v+1 pointwise leaves the log gradient
+    scaled = M.log_gradient_integrand(2.0 * v + 1.0, g)
+    # ln sqrt(v+1) = ln(v+1) / 2: halving the log differences quarters the integrand
+    lx = (np.log1p(v[:, 1:]) - np.log1p(v[:, :-1])) / g.hx
+    half = (np.log(np.sqrt(1.0 + v[:, 1:])) - np.log(np.sqrt(1.0 + v[:, :-1]))) / g.hx
+    direct = np.sum(half**2) * g.cell_volume
+    partial = np.sum(lx**2) * g.cell_volume
     assert direct == pytest.approx(partial / 4.0, rel=1e-12)
+    quarter = M.log_gradient_integrand(np.sqrt(1.0 + v) - 1.0, g)
+    assert quarter == pytest.approx(base / 4.0, rel=1e-12)
     assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def test_log_gradient_integrand_is_the_weak_form_log_term_bitwise():
+    # the unweighted exploiter term of weakform.identities: squared face
+    # gradients of ln(1+v), x-faces summed before y-faces
+    g = G.Grid(24, 17, 1.3, 0.8)
+    v = np.random.default_rng(21).random(g.shape) * 3.0
+    lx, ly = G.face_gradients(np.log1p(v), g)
+    lx2, ly2 = lx**2, ly**2
+    want = (lx2.sum() + ly2.sum()) * g.cell_volume
+    assert np.float64(M.log_gradient_integrand(v, g)).tobytes() == np.float64(want).tobytes()
 
 
 def test_detect_w_decay_immediate():
@@ -276,6 +290,22 @@ def test_weighted_functional_values():
     # precondition: skipped when the nutrient has not decayed below delta
     w_big = np.full(g.shape, 2.0 * fp.delta)
     assert M.weighted_functional(np.ones(g.shape), w_big, fp, g) is None
+
+
+def test_weighted_functional_takes_its_powers_from_kinetics_bitwise():
+    # a whole q is the left-to-right product, which differs from libm's pow
+    # by one ulp in about a quarter of the entries; u occupies one cell, so
+    # the sum cannot round such a difference away
+    g = G.Grid(8, 8)
+    fp = M.pick_theta_delta(3.0)
+    rng = np.random.default_rng(17)
+    w = rng.random(g.shape) * 0.5 * fp.delta
+    for x in 0.5 + 2.0 * rng.random(16):
+        u = np.zeros(g.shape)
+        u[3, 5] = x
+        want = G.integrate(K.power(u, 3) / K.power(2.0 * fp.delta - w, fp.theta), g)
+        got = M.weighted_functional(u, w, fp, g)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_weighted_functional_monotone_and_dominates_plain_integral():
