@@ -239,8 +239,7 @@ def integrate(phi: np.ndarray, g: Grid) -> float:
 def norm_lp(phi: np.ndarray, g: Grid, p: float) -> float:
     if p < 1:
         raise DomainError(f"Lp norm needs p >= 1, got {p}")
-    g.check_conforms(phi)
-    return float(np.sum(np.abs(phi) ** p) * g.cell_volume) ** (1.0 / p)
+    return integrate(np.abs(phi) ** p, g) ** (1.0 / p)
 
 
 def norm_linf(phi: np.ndarray) -> float:
@@ -266,8 +265,7 @@ def seminorm_w2p(phi: np.ndarray, g: Grid, p: float) -> float:
     dxx = np.pad(np.diff(gx, axis=1) / g.hx, ((0, 0), (1, 1)), mode="edge")
     dyy = np.pad(np.diff(gy, axis=0) / g.hy, ((1, 1), (0, 0)), mode="edge")
     dxy = np.gradient(np.gradient(phi, g.hx, axis=1), g.hy, axis=0)
-    total = np.abs(dxx) ** p + np.abs(dyy) ** p + np.abs(dxy) ** p
-    return float(np.sum(total) * g.cell_volume) ** (1.0 / p)
+    return integrate(np.abs(dxx) ** p + np.abs(dyy) ** p + np.abs(dxy) ** p, g) ** (1.0 / p)
 
 
 # --- FLD1 snapshot files ------------------------------------------------

@@ -14,7 +14,6 @@ relative-scale slack unless a check states otherwise.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,42 +133,46 @@ def check_w_supersolution(t, linf_w, wbar, consts: BoundConstants, mu, dt) -> li
     return out
 
 
-def _window_trapz(times, values, t_lo, t_hi):
-    """Trapezoid of a sampled series over [t_lo, t_hi]; sample times bracket it."""
-    i0 = bisect_left(times, t_lo - 1e-12)
-    i1 = bisect_left(times, t_hi - 1e-12)
-    ts = times[i0:i1 + 1]
-    ys = values[i0:i1 + 1]
-    if len(ts) < 2:
-        return math.nan
-    return float(np.trapezoid(ys, ts))
+def running_trapezoid(values, times) -> np.ndarray:
+    """Trapezoid integral of a sampled series from times[0] to each sample.
+
+    Every time integral of the run's record is read off this one array: the
+    integral over [a, b] is its difference at a and b.
+    """
+    values = np.asarray(values, dtype=float)
+    steps = np.diff(np.asarray(times, dtype=float)) * (values[1:] + values[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def check_window_integrals(t, times, int_u_alpha, int_v_beta,
+def check_window_integrals(t, times, cum_u_alpha, cum_v_beta,
                            consts: BoundConstants, dt: float) -> list[MonitorEntry]:
-    """Space-time integrals of u^alpha and v^beta over the window [t-1, t]."""
+    """Space-time integrals of u^alpha and v^beta over the window [t-1, t].
+
+    ``cum_*`` are the ``running_trapezoid`` integrals of the series up to t,
+    read at t - 1 by linear interpolation, so the window spans exactly one
+    unit whether or not a sample falls on t - 1.
+    """
     out = []
-    for name, series, bound in (("window_u_alpha", int_u_alpha, consts.window_alpha_bound),
-                                ("window_v_beta", int_v_beta, consts.window_beta_bound)):
-        value = math.nan
-        if t >= 1.0 and times[0] <= t - 1.0 + 1e-12:
-            value = _window_trapz(times, series, t - 1.0, t)
-        if math.isnan(value):  # the record does not yet cover the window
+    for name, cum, bound in (("window_u_alpha", cum_u_alpha, consts.window_alpha_bound),
+                             ("window_v_beta", cum_v_beta, consts.window_beta_bound)):
+        if t < 1.0 or times[0] > t - 1.0 + 1e-12:  # the record does not yet cover it
             out.append(MonitorEntry.report_only(t, name, math.nan))
             continue
+        value = float(cum[-1] - np.interp(t - 1.0, times, cum))
         tol = bound * (REL_TOL + DT_SLACK * dt)
         out.append(MonitorEntry.compare(t, name, value, bound, tol=tol))
     return out
 
 
-def check_v_mass_identity(t, times, int_g_series, int_abs_g_series,
+def check_v_mass_identity(t, times, cum_g, int_abs_g_series,
                           mass_v_series, dt_scale: float) -> MonitorEntry:
-    """Pass when |defect| stays under the C*dt*t accumulation envelope, give or
+    """mass_v(t) - mass_v(0) against the running integral ``cum_g`` of int g(v).
+
+    Pass when |defect| stays under the C*dt*t accumulation envelope, give or
     take steps * eps * max|mass_v|: each diffusion solve moves the v mass by
     rounding, even at an equilibrium, where the envelope is zero.  The
     elapsed time is floored at one unit."""
-    signed = (float(mass_v_series[-1] - mass_v_series[0])
-              - float(np.trapezoid(int_g_series, times)))
+    signed = float(mass_v_series[-1] - mass_v_series[0]) - float(cum_g[-1])
     c_max = float(np.max(int_abs_g_series))
     elapsed = max(float(times[-1] - times[0]), 1.0)
     rounding = (len(times) - 1) * np.finfo(float).eps * float(np.max(np.abs(mass_v_series)))
@@ -217,10 +220,10 @@ def detect_w_decay(times, linf_w, int_w_series, int_consumption_series,
         return DecayDetection(False, math.nan, math.nan, math.nan)
     else:
         idx = int(above[-1]) + 1
-    t_detect = float(times[idx])
-    tail_w = float(np.trapezoid(int_w_series[idx:], times[idx:]))
-    tail_c = float(np.trapezoid(int_consumption_series[idx:], times[idx:]))
-    return DecayDetection(True, t_detect, tail_w, tail_c)
+    cum_w = running_trapezoid(int_w_series, times)
+    cum_c = running_trapezoid(int_consumption_series, times)
+    return DecayDetection(True, float(times[idx]), float(cum_w[-1] - cum_w[idx]),
+                          float(cum_c[-1] - cum_c[idx]))
 
 
 @dataclass(frozen=True)
@@ -343,11 +346,15 @@ def assess(series: dict, cadence: dict, consts: BoundConstants, mu: float,
     evaluation.  A hit's rows then go on with the window integrals, the
     v-mass identity (its bound scaled by the largest step so far), the
     log-gradient energy and the weighted functional, each over the record
-    up to the hit.  A completed run ends the report
+    up to the hit; the windows and the identity read the prefixes of the
+    ``running_trapezoid`` integrals of ``int_u_alpha``, ``int_v_beta`` and
+    ``int_g_v``, built once for the whole record.  A completed run ends the report
     with the decay verdict and, when w decayed, the regularity verdict over
     the cadence hits; ``decay`` and ``regularity`` are otherwise None.
     """
     times, dt, hits = series["t"], series["dt"], cadence["index"]
+    cum = {name: running_trapezoid(series[name], times)
+           for name in ("int_u_alpha", "int_v_beta", "int_g_v")}
     per_step = check_mass(times, series["mass_u"], series["mass_v"], consts, dt)
     per_step += check_w_supersolution(times, series["linf_w"], series["wbar"], consts, mu, dt)
     step_checks = {e.check: CheckStats(int(np.count_nonzero(~e.passed))) for e in per_step}
@@ -357,10 +364,10 @@ def assess(series: dict, cadence: dict, consts: BoundConstants, mu: float,
         t, upto = float(times[i]), slice(0, i + 1)
         report.extend(_row(e, i) for e in per_step)
         report.extend(check_window_integrals(
-            t, times[upto], series["int_u_alpha"][upto], series["int_v_beta"][upto],
+            t, times[upto], cum["int_u_alpha"][upto], cum["int_v_beta"][upto],
             consts, float(dt[i])))
         report.append(check_v_mass_identity(
-            t, times[upto], series["int_g_v"][upto], series["int_abs_g_v"][upto],
+            t, times[upto], cum["int_g_v"][upto], series["int_abs_g_v"][upto],
             series["mass_v"][upto], dt_scale=float(dt[upto].max())))
         report.append(check_log_gradient_energy(t, float(cadence["log_gradient_energy"][k])))
         report.append(MonitorEntry.report_only(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from taxis_cascade import grid as gridmod
-from taxis_cascade import solver
+from taxis_cascade import monitors, solver
 from taxis_cascade.config import parse_config
 from taxis_cascade.errors import DomainError, StructuralError
 
@@ -446,7 +446,9 @@ def defect_budget(traj: TrajectoryHandle, fn: TestFunction) -> float:
 
 
 def check_mass_inequality(traj: TrajectoryHandle):
-    """Per-snapshot slack of the exploiter mass inequality (>= -MASS_TOL passes)."""
+    """Per-snapshot slack m(0) + int_0^t int g(v) - m(t) of the exploiter mass
+    inequality, the time integral a ``monitors.running_trapezoid`` (>= -MASS_TOL
+    passes)."""
     g = traj.grid
     ks = traj.params.kinetics
     masses = []
@@ -455,11 +457,5 @@ def check_mass_inequality(traj: TrajectoryHandle):
         _, v, _ = traj.load(i)
         masses.append(gridmod.integrate(v, g))
         int_g.append(gridmod.integrate(_with_source(traj, t, ks.law_g(v), 1), g))
-    times = np.asarray(traj.times)
-    rows = []
-    for i, t in enumerate(times):
-        # a trapezoid over each prefix of the times, not the walk's weights
-        rhs = masses[0] + float(np.trapezoid(int_g[: i + 1], times[: i + 1]))
-        slack = rhs - masses[i]
-        rows.append((float(t), float(slack), slack >= -MASS_TOL))
-    return rows
+    slack = masses[0] + monitors.running_trapezoid(int_g, traj.times) - np.asarray(masses)
+    return [(float(t), float(s), bool(s >= -MASS_TOL)) for t, s in zip(traj.times, slack)]

@@ -492,3 +492,23 @@ def weak_identities_reference(traj, fn):
     return W.Identities(u=_residual_u_reference(traj, fn), w=_residual_w_reference(traj, fn),
                         v=v, budget=_identity_budget_reference(traj, fn),
                         v_budget=_defect_budget_reference(traj, fn))
+
+
+def mass_inequality_reference(traj):
+    """``W.check_mass_inequality`` the long way: a trapezoid over each
+    prefix of the snapshot times, O(n^2) in the snapshots."""
+    g = traj.grid
+    ks = traj.params.kinetics
+    masses = []
+    int_g = []
+    for i, t in enumerate(traj.times):
+        _, v, _ = traj.load(i)
+        masses.append(gridmod.integrate(v, g))
+        int_g.append(gridmod.integrate(W._with_source(traj, t, ks.law_g(v), 1), g))
+    times = np.asarray(traj.times)
+    rows = []
+    for i, t in enumerate(times):
+        rhs = masses[0] + float(np.trapezoid(int_g[: i + 1], times[: i + 1]))
+        slack = rhs - masses[i]
+        rows.append((float(t), float(slack), slack >= -W.MASS_TOL))
+    return rows

@@ -134,8 +134,8 @@ def test_window_integrals_against_scalar_ode():
     ts = np.linspace(0.0, 2.0, 4001)
     ys = sol.sol(ts)[0]
     int_u_alpha = ys**3  # |Omega| = 1
-    entries = M.check_window_integrals(2.0, list(ts), list(int_u_alpha),
-                                       list(np.zeros_like(ts)), consts, dt=5e-4)
+    entries = M.check_window_integrals(2.0, ts, M.running_trapezoid(int_u_alpha, ts),
+                                       np.zeros_like(ts), consts, dt=5e-4)
     e = entries[0]
     assert e.check == "window_u_alpha" and e.passed
     # oracle: integral of u^3 = integral of (1 - u') = 1 - (u(2) - u(1))
@@ -144,6 +144,27 @@ def test_window_integrals_against_scalar_ode():
     # the identically-zero second species sits far below its bound
     ev = entries[1]
     assert ev.check == "window_v_beta" and ev.passed and ev.value == 0.0
+
+
+def test_window_spans_a_unit_when_no_sample_falls_on_its_start():
+    # samples miss t - 1 = 0.2; a unit integrand integrates to the window's length
+    ts = np.array([0.0, 0.15, 0.45, 0.75, 1.05, 1.2])
+    cum = M.running_trapezoid(np.ones_like(ts), ts)
+    consts = M.BoundConstants(1.0, 1.0, 1.0, 2.0, 2.0)
+    entries = M.check_window_integrals(1.2, ts, cum, cum, consts, dt=0.15)
+    assert [e.value for e in entries] == pytest.approx([1.0, 1.0], rel=1e-14)
+    assert all(e.passed for e in entries)
+
+
+def test_running_trapezoid_is_the_trapezoid_of_every_prefix():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 50, 400):
+        ts = np.cumsum(rng.uniform(0.001, 0.1, n))
+        ys = rng.uniform(0.1, 10.0, n)
+        cum = M.running_trapezoid(ys, ts)
+        assert cum.shape == (n,) and cum[0] == 0.0
+        want = [np.trapezoid(ys[:k + 1], ts[:k + 1]) for k in range(n)]
+        assert cum == pytest.approx(want, rel=n * np.finfo(float).eps, abs=0.0)
 
 
 def test_window_insufficient():

@@ -11,7 +11,10 @@ def _floor(package):
 
 
 def test_declared_floors_cover_the_numpy_api_in_use():
-    # monitors and weakform call np.trapezoid, which NumPy added in 2.0;
-    # SciPy 1.13 is the first release built against NumPy 2
+    # the program's own time integrals no longer need NumPy 2 (they are one
+    # running trapezoid built from cumsum), but NumPy 2.0 is the oldest
+    # release the program has been verified against, and the test oracles
+    # call np.trapezoid, which 2.0 added; SciPy 1.13 is the first release
+    # built against NumPy 2
     assert _floor("numpy") >= (2, 0)
     assert _floor("scipy") >= (1, 13)

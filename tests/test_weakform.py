@@ -16,7 +16,7 @@ from taxis_cascade.config import Config, format_config
 from taxis_cascade.errors import DomainError, StructuralError
 from taxis_cascade.presets import preset
 
-from oracles import weak_identities_reference
+from oracles import mass_inequality_reference, weak_identities_reference
 
 
 # --- test-function machinery ------------------------------------------------
@@ -328,6 +328,15 @@ def test_mass_inequality_on_run(tmp_path):
     assert rows[0][1] == pytest.approx(0.0, abs=1e-12)  # slack 0 at t = 0
     assert all(ok for _, _, ok in rows)
     assert min(s for _, s, ok in rows) >= -1e-3
+
+
+def test_mass_inequality_rows_are_the_per_prefix_trapezoids(tmp_path):
+    # the running trapezoid gives every prefix's integral in one pass
+    traj = small_run(tmp_path, t_end=1.0, snapshot_every=0.02)
+    rows = W.check_mass_inequality(traj)
+    want = mass_inequality_reference(traj)
+    assert [(t, ok) for t, _, ok in rows] == [(t, ok) for t, _, ok in want]
+    assert [s for _, s, _ in rows] == pytest.approx([s for _, s, _ in want], rel=0.0, abs=1e-12)
 
 
 def manufactured_run(tmp_path):
