@@ -257,15 +257,28 @@ def seminorm_w2p(phi: np.ndarray, g: Grid, p: float) -> float:
     boundary cell copying its neighbour's, which is the one-sided three-point
     stencil; the mixed derivative is centered four-point in the interior and
     degrades to one-sided at the edges.  Monitor-grade accuracy.
+
+    |D_xx|^p, |D_yy|^p and |D_xy|^p are added in that order into one
+    array, and each face-gradient array is freed once its derivative is in:
+    at 256^2 the call's transient peak is 4 field-sizes beside phi.
     """
     if p < 1:
         raise DomainError(f"seminorm needs p >= 1, got {p}")
     g.check_conforms(phi)
     gx, gy = face_gradients(phi, g)
-    dxx = np.pad(np.diff(gx, axis=1) / g.hx, ((0, 0), (1, 1)), mode="edge")
-    dyy = np.pad(np.diff(gy, axis=0) / g.hy, ((1, 1), (0, 0)), mode="edge")
-    dxy = np.gradient(np.gradient(phi, g.hx, axis=1), g.hy, axis=0)
-    return integrate(np.abs(dxx) ** p + np.abs(dyy) ** p + np.abs(dxy) ** p, g) ** (1.0 / p)
+    total = _abs_power(np.pad(np.diff(gx, axis=1) / g.hx, ((0, 0), (1, 1)), mode="edge"), p)
+    del gx
+    total += _abs_power(np.pad(np.diff(gy, axis=0) / g.hy, ((1, 1), (0, 0)), mode="edge"), p)
+    del gy
+    total += _abs_power(np.gradient(np.gradient(phi, g.hx, axis=1), g.hy, axis=0), p)
+    return integrate(total, g) ** (1.0 / p)
+
+
+def _abs_power(d: np.ndarray, p: float) -> np.ndarray:
+    """|d|^p, computed in d's own storage."""
+    np.abs(d, out=d)
+    d **= p
+    return d
 
 
 # --- FLD1 snapshot files ------------------------------------------------

@@ -164,18 +164,18 @@ def check_window_integrals(t, times, cum_u_alpha, cum_v_beta,
     return out
 
 
-def check_v_mass_identity(t, times, cum_g, int_abs_g_series,
-                          mass_v_series, dt_scale: float) -> MonitorEntry:
-    """mass_v(t) - mass_v(0) against the running integral ``cum_g`` of int g(v).
+def check_v_mass_identity(t, t0, steps, signed, c_max, mass_v_max,
+                          dt_scale: float) -> MonitorEntry:
+    """|signed| = |mass_v(t) - mass_v(t0) - int_t0^t int g(v)| against the
+    C*dt*t accumulation envelope, C = ``c_max`` the largest int |g(v)| and dt
+    = ``dt_scale`` the largest step so far.
 
-    Pass when |defect| stays under the C*dt*t accumulation envelope, give or
-    take steps * eps * max|mass_v|: each diffusion solve moves the v mass by
-    rounding, even at an equilibrium, where the envelope is zero.  The
-    elapsed time is floored at one unit."""
-    signed = float(mass_v_series[-1] - mass_v_series[0]) - float(cum_g[-1])
-    c_max = float(np.max(int_abs_g_series))
-    elapsed = max(float(times[-1] - times[0]), 1.0)
-    rounding = (len(times) - 1) * np.finfo(float).eps * float(np.max(np.abs(mass_v_series)))
+    Pass when |defect| stays under the envelope, give or take steps * eps *
+    ``mass_v_max`` (the largest |mass_v| so far): each diffusion solve moves
+    the v mass by rounding, even at an equilibrium, where the envelope is
+    zero.  The elapsed time is floored at one unit."""
+    elapsed = max(t - t0, 1.0)
+    rounding = steps * np.finfo(float).eps * mass_v_max
     return MonitorEntry.compare(t, "v_mass_identity", abs(signed), c_max * dt_scale * elapsed,
                                 tol=rounding)
 
@@ -348,13 +348,18 @@ def assess(series: dict, cadence: dict, consts: BoundConstants, mu: float,
     log-gradient energy and the weighted functional, each over the record
     up to the hit; the windows and the identity read the prefixes of the
     ``running_trapezoid`` integrals of ``int_u_alpha``, ``int_v_beta`` and
-    ``int_g_v``, built once for the whole record.  A completed run ends the report
+    ``int_g_v``, and the identity reads the running maxima of ``int_abs_g_v``,
+    |``mass_v``| and ``dt`` at the hit, each built once for the whole record,
+    so no hit rescans its prefix.  A completed run ends the report
     with the decay verdict and, when w decayed, the regularity verdict over
     the cadence hits; ``decay`` and ``regularity`` are otherwise None.
     """
-    times, dt, hits = series["t"], series["dt"], cadence["index"]
+    times, dt, hits, mass_v = series["t"], series["dt"], cadence["index"], series["mass_v"]
     cum = {name: running_trapezoid(series[name], times)
            for name in ("int_u_alpha", "int_v_beta", "int_g_v")}
+    peak = {"int_abs_g_v": np.maximum.accumulate(series["int_abs_g_v"]),
+            "abs_mass_v": np.maximum.accumulate(np.abs(mass_v)),
+            "dt": np.maximum.accumulate(dt)}
     per_step = check_mass(times, series["mass_u"], series["mass_v"], consts, dt)
     per_step += check_w_supersolution(times, series["linf_w"], series["wbar"], consts, mu, dt)
     step_checks = {e.check: CheckStats(int(np.count_nonzero(~e.passed))) for e in per_step}
@@ -367,8 +372,9 @@ def assess(series: dict, cadence: dict, consts: BoundConstants, mu: float,
             t, times[upto], cum["int_u_alpha"][upto], cum["int_v_beta"][upto],
             consts, float(dt[i])))
         report.append(check_v_mass_identity(
-            t, times[upto], cum["int_g_v"][upto], series["int_abs_g_v"][upto],
-            series["mass_v"][upto], dt_scale=float(dt[upto].max())))
+            t, float(times[0]), i, float(mass_v[i] - mass_v[0]) - float(cum["int_g_v"][i]),
+            float(peak["int_abs_g_v"][i]), float(peak["abs_mass_v"][i]),
+            dt_scale=float(peak["dt"][i])))
         report.append(check_log_gradient_energy(t, float(cadence["log_gradient_energy"][k])))
         report.append(MonitorEntry.report_only(
             t, "weighted_functional", float(cadence["weighted_functional"][k])))

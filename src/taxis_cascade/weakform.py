@@ -168,10 +168,9 @@ def default_basis(t_end: float) -> list[TestFunction]:
 class TrajectoryHandle:
     """Ordered FLD1 snapshot triples with the run's grid and model context.
 
-    Snapshot fields, and on a manufactured trajectory the source triple at
-    each snapshot time, are built lazily and cached on the handle, so they
-    are freed with it; identities assume the first snapshot carries the
-    initial datum.
+    Snapshot fields are read lazily and cached on the handle, so they are
+    freed with it; identities assume the first snapshot carries the initial
+    datum.
     """
 
     grid: gridmod.Grid
@@ -179,7 +178,6 @@ class TrajectoryHandle:
     paths: list[tuple[Path, Path, Path]]
     params: object = None       # solver.ModelParams
     _loaded: dict = field(default_factory=dict, init=False, repr=False)
-    _sources: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.paths):
@@ -210,13 +208,6 @@ class TrajectoryHandle:
             triple.append(phi)
         self._loaded[i] = tuple(triple)
         return self._loaded[i]
-
-    def sources_at(self, t: float):
-        if self.params.mms is None:
-            return None
-        if t not in self._sources:
-            self._sources[t] = self.params.mms.sources(self.params, self.grid, t)
-        return self._sources[t]
 
 
 def load_trajectory(run_dir) -> TrajectoryHandle:
@@ -282,34 +273,6 @@ def _face_mean(phi):
     return 0.5 * (phi[:, 1:] + phi[:, :-1]), 0.5 * (phi[1:, :] + phi[:-1, :])
 
 
-def _walk(traj: TrajectoryHandle, fn: TestFunction):
-    """Yield (trapezoid weight, t, phi(t), phi_t(t), (u, v, w)) where phi(t) != 0.
-
-    Snapshots where the temporal factor vanishes are skipped unloaded.  The
-    shipped factors vanish together with their derivative (both carry the
-    same exponential), so the phi_t terms of the residuals lose nothing.
-    """
-    weights = time_weights(traj.times)
-    for i, t in enumerate(traj.times):
-        tf, tdf = fn.temporal(t)
-        if tf != 0.0:
-            yield weights[i], t, float(tf), float(tdf), traj.load(i)
-
-
-def _with_source(traj: TrajectoryHandle, t: float, x, k: int):
-    """x plus component k of the manufactured source at t, if the run had one."""
-    src = traj.sources_at(t)
-    return x if src is None else x + src[k]
-
-
-def _budget(traj: TrajectoryHandle, scale: float) -> float:
-    """(h + mean snapshot spacing) times the identities' natural size, halved."""
-    g = traj.grid
-    dts = np.diff(traj.times)
-    h_scale = max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0)
-    return float(0.5 * h_scale * (1.0 + scale))
-
-
 class _Samples:
     """Time-independent samples of one test function on a trajectory's grid:
     values at the cell centers (``phi``), values and normal derivatives at
@@ -365,8 +328,18 @@ class Identities:
     v_budget: float
 
 
-def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
-    """Every identity of ``fn`` on ``traj`` from one walk of the snapshots.
+def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
+    """Every identity of each function in ``basis`` and the mass-inequality
+    rows (see ``check_mass_inequality``), from one pass over the snapshots.
+
+    The pass loads each snapshot and builds its manufactured source triple
+    once; the derived fields (face gradients and means, the laws, the
+    resupply, (u+v) w) are computed once for the functions whose temporal
+    factor is nonzero there, and each function adds its six sums in the
+    same expressions and snapshot order as a pass of its own would.  The
+    shipped temporal factors vanish together with their derivative (both
+    carry the same exponential), so skipping a snapshot where phi(t) = 0
+    loses none of the phi_t terms.
 
     The consumption enters the nutrient identity unregularized as (u+v) w
     regardless of the epsilon the trajectory was produced with; for
@@ -375,13 +348,25 @@ def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
     size of its identities' integrals, so it shrinks at first order under
     simultaneous refinement.
     """
-    g = traj.grid
-    sp = _Samples(fn, traj)
-    vol = sp.vol
-    params = traj.params
-    ks = params.kinetics
-    ru = rw = lhs = rhs = scale = v_scale = 0.0
-    for wt, t, tf, tdf, (u, v, w) in _walk(traj, fn):
+    g, params = traj.grid, traj.params
+    ks, mms = params.kinetics, params.mms
+    samples = [_Samples(fn, traj) for fn in basis]
+    vol = g.cell_volume
+    sums = [[0.0] * 6 for _ in basis]  # ru, rw, lhs, rhs, scale, v_scale
+    dts = np.diff(traj.times)
+    # a budget is (h + mean snapshot spacing) times its natural size, halved
+    half_h = 0.5 * (max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0))
+    masses, int_g = [], []
+    for i, (t, wt) in enumerate(zip(traj.times, time_weights(traj.times))):
+        u, v, w = traj.load(i)
+        src = None if mms is None else mms.sources(params, g, t)
+        gv = ks.law_g(v)
+        gvs = gv if src is None else gv + src[1]
+        masses.append(gridmod.integrate(v, g))
+        int_g.append(gridmod.integrate(gvs, g))
+        temporal = [fn.temporal(t) for fn in basis]
+        if all(tf == 0.0 for tf, _ in temporal):
+            continue
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
         ell = np.log1p(v)
@@ -389,32 +374,45 @@ def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
         ufx, ufy = _face_mean(u)
         vp1 = v + 1.0
         rfx, rfy = _face_mean(v / vp1)
-        fu, gv, r = ks.law_f(u), ks.law_g(v), params.resupply.field(g, t)
+        fu, r = ks.law_f(u), params.resupply.field(g, t)
+        fus, rs = (fu, r) if src is None else (fu + src[0], r + src[2])
         uvw = solver.consumption_term(u, v, w, 0.0)
-        ru += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
-                    - sp.grads(ufx * wx, ufy * wy) * tf
-                    - sp.cells(_with_source(traj, t, fu, 0)) * tf) * vol
-        rw += wt * (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
-                    + sp.cells(uvw) * tf + params.mu * sp.cells(w) * tf
-                    - sp.cells(_with_source(traj, t, r, 2)) * tf) * vol
-        lhs += wt * (-sp.cells(ell) * tdf) * vol
         lx2, ly2, ux2, uy2 = lx**2, ly**2, ux**2, uy**2
-        rhs += wt * vol * (
-            sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf
-            - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
-            + sp.grads(rfx * ux, rfy * uy) * tf
-            + sp.cells(_with_source(traj, t, gv, 1) / vp1) * tf)
-        scale += wt * ((ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum()
-                        + np.abs(fu).sum() + uvw.sum() + r.sum()) * vol) * tf
-        v_scale += wt * ((lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
-                          + np.abs(gv / vp1).sum()) * vol) * tf
+        size = (ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum()
+                + np.abs(fu).sum() + uvw.sum() + r.sum()) * vol
+        v_size = (lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
+                  + np.abs(gv / vp1).sum()) * vol
+        for sp, (tf, tdf), s in zip(samples, temporal, sums):
+            if tf == 0.0:
+                continue
+            tf, tdf = float(tf), float(tdf)
+            s[0] += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
+                          - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fus) * tf) * vol
+            s[1] += wt * (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
+                          + sp.cells(uvw) * tf + params.mu * sp.cells(w) * tf
+                          - sp.cells(rs) * tf) * vol
+            s[2] += wt * (-sp.cells(ell) * tdf) * vol
+            s[3] += wt * vol * (
+                sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf
+                - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
+                + sp.grads(rfx * ux, rfy * uy) * tf + sp.cells(gvs / vp1) * tf)
+            s[4] += wt * size * tf
+            s[5] += wt * v_size * tf
     u0, v0, w0 = traj.load(0)
-    ru -= sp.initial_trace(u0)
-    rw -= sp.initial_trace(w0)
-    lhs -= sp.initial_trace(np.log1p(v0))
-    return Identities(u=float(ru), w=float(rw),
-                      v=None if np.any(sp.phi < 0) else float(lhs - rhs),
-                      budget=_budget(traj, scale), v_budget=_budget(traj, v_scale))
+    ell0 = np.log1p(v0)
+    ids = [Identities(u=float(ru - sp.initial_trace(u0)), w=float(rw - sp.initial_trace(w0)),
+                      v=None if np.any(sp.phi < 0) else float(lhs - sp.initial_trace(ell0) - rhs),
+                      budget=float(half_h * (1.0 + scale)),
+                      v_budget=float(half_h * (1.0 + v_scale)))
+           for sp, (ru, rw, lhs, rhs, scale, v_scale) in zip(samples, sums)]
+    slack = masses[0] + monitors.running_trapezoid(int_g, traj.times) - np.asarray(masses)
+    mass_rows = [(float(t), float(s), bool(s >= -MASS_TOL)) for t, s in zip(traj.times, slack)]
+    return ids, mass_rows
+
+
+def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:
+    """Every identity of ``fn`` on ``traj`` (see ``evaluate``)."""
+    return evaluate(traj, [fn])[0][0]
 
 
 def residual_u(traj: TrajectoryHandle, fn: TestFunction) -> float:
@@ -449,13 +447,4 @@ def check_mass_inequality(traj: TrajectoryHandle):
     """Per-snapshot slack m(0) + int_0^t int g(v) - m(t) of the exploiter mass
     inequality, the time integral a ``monitors.running_trapezoid`` (>= -MASS_TOL
     passes)."""
-    g = traj.grid
-    ks = traj.params.kinetics
-    masses = []
-    int_g = []
-    for i, t in enumerate(traj.times):
-        _, v, _ = traj.load(i)
-        masses.append(gridmod.integrate(v, g))
-        int_g.append(gridmod.integrate(_with_source(traj, t, ks.law_g(v), 1), g))
-    slack = masses[0] + monitors.running_trapezoid(int_g, traj.times) - np.asarray(masses)
-    return [(float(t), float(s), bool(s >= -MASS_TOL)) for t, s in zip(traj.times, slack)]
+    return evaluate(traj, [])[1]

@@ -6,8 +6,8 @@ it calls back into the vectorized production kernels; the oracles of the
 step take the spectral inverse of c I - dt Lap as a function ``solve(b, c)``,
 which the tests check against dense elimination on its own.  The one
 exception is the weak-form reference: it is the five per-identity
-evaluators that one walk replaced, on the same samples and walk, so that
-the walk is pinned to their bits.
+evaluators that one pass replaced, each walking the snapshots on its own
+over the same samples, so that the pass is pinned to their bits.
 """
 
 import math
@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from taxis_cascade import grid as gridmod
+from taxis_cascade import monitors as M
 from taxis_cascade import weakform as W
 from taxis_cascade.errors import DomainError
 from taxis_cascade.solver import MmsComponent, MmsSpec
@@ -239,6 +240,24 @@ def v_mass_residual(times, int_g_series, int_abs_g_series, mass_v_series):
     return signed, abs(signed) / max(scale, 1e-300)
 
 
+def v_mass_identity_reference(series, hits):
+    """The ``v_mass_identity`` entries of ``monitors.assess`` at each hit,
+    each judged on its own prefix of the record: O(hits x states)."""
+    rows = []
+    for i in hits:
+        upto = slice(0, i + 1)
+        times = series["t"][upto]
+        signed, _ = v_mass_residual(times, series["int_g_v"][upto],
+                                    series["int_abs_g_v"][upto], series["mass_v"][upto])
+        bound = (max(series["int_abs_g_v"][upto]) * max(series["dt"][upto])
+                 * max(times[-1] - times[0], 1.0))
+        rounding = i * np.finfo(float).eps * max(abs(m) for m in series["mass_v"][upto])
+        rows.append(M.MonitorEntry.compare(float(times[-1]), "v_mass_identity",
+                                           float(abs(signed)), float(bound),
+                                           tol=float(rounding)))
+    return rows
+
+
 def resupply_reference(spec, x, y, t):
     """r(x, y, t) from the spec's fields: amplitude, then the temporal factor
     (exp(-lambda t), or 1 without decay), then the unit profile (ones, or the
@@ -377,17 +396,41 @@ def sbdf2_w_system(state, w_prev, sigma, dt, omega, params, g):
 # --- the weak-form identities, one walk each ---------------------------------
 
 
+def _walk(traj, fn):
+    """Yield (trapezoid weight, t, phi(t), phi_t(t), (u, v, w)) at each
+    snapshot where the temporal factor of ``fn`` is nonzero."""
+    weights = W.time_weights(traj.times)
+    for i, t in enumerate(traj.times):
+        tf, tdf = fn.temporal(t)
+        if tf != 0.0:
+            yield weights[i], t, float(tf), float(tdf), traj.load(i)
+
+
+def _with_source(traj, t, x, k):
+    """x plus component k of the manufactured source at t, if the run had one."""
+    params = traj.params
+    return x if params.mms is None else x + params.mms.sources(params, traj.grid, t)[k]
+
+
+def _budget_reference(traj, scale) -> float:
+    """(h + mean snapshot spacing) times the identities' natural size, halved."""
+    g = traj.grid
+    dts = np.diff(traj.times)
+    h_scale = max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0)
+    return float(0.5 * h_scale * (1.0 + scale))
+
+
 def _residual_u_reference(traj, fn) -> float:
     """Signed space-time residual of the forager identity against phi."""
     g = traj.grid
     sp = W._Samples(fn, traj)
     ks = traj.params.kinetics
     total = 0.0
-    for wt, t, tf, tdf, (u, _, w) in W._walk(traj, fn):
+    for wt, t, tf, tdf, (u, _, w) in _walk(traj, fn):
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
         ufx, ufy = W._face_mean(u)
-        fu = W._with_source(traj, t, ks.law_f(u), 0)
+        fu = _with_source(traj, t, ks.law_f(u), 0)
         inst = (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
                 - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fu) * tf)
         total += wt * inst * sp.vol
@@ -406,9 +449,9 @@ def _residual_w_reference(traj, fn) -> float:
     sp = W._Samples(fn, traj)
     params = traj.params
     total = 0.0
-    for wt, t, tf, tdf, (u, v, w) in W._walk(traj, fn):
+    for wt, t, tf, tdf, (u, v, w) in _walk(traj, fn):
         wx, wy = gridmod.face_gradients(w, g)
-        r_cells = W._with_source(traj, t, params.resupply.field(g, t), 2)
+        r_cells = _with_source(traj, t, params.resupply.field(g, t), 2)
         inst = (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
                 + sp.cells((u + v) * w) * tf + params.mu * sp.cells(w) * tf
                 - sp.cells(r_cells) * tf)
@@ -427,12 +470,12 @@ def _defect_v_reference(traj, fn) -> float:
         raise DomainError("the exploiter inequality needs a nonnegative test function")
     lhs = 0.0
     rhs = 0.0
-    for wt, t, tf, tdf, (u, v, _) in W._walk(traj, fn):
+    for wt, t, tf, tdf, (u, v, _) in _walk(traj, fn):
         ell = np.log1p(v)
         lx, ly = gridmod.face_gradients(ell, g)
         ux, uy = gridmod.face_gradients(u, g)
         rfx, rfy = W._face_mean(v / (v + 1.0))
-        gv = W._with_source(traj, t, ks.law_g(v), 1)
+        gv = _with_source(traj, t, ks.law_g(v), 1)
         lhs += wt * (-sp.cells(ell) * tdf) * vol
         rhs += wt * vol * (
             sp.faces(lx**2, ly**2) * tf - sp.grads(lx, ly) * tf
@@ -451,7 +494,7 @@ def _defect_budget_reference(traj, fn) -> float:
     """
     g = traj.grid
     scale = 0.0
-    for wt, _, tf, _, (u, v, _) in W._walk(traj, fn):
+    for wt, _, tf, _, (u, v, _) in _walk(traj, fn):
         ell = np.log1p(v)
         lx, ly = gridmod.face_gradients(ell, g)
         ux, uy = gridmod.face_gradients(u, g)
@@ -459,7 +502,7 @@ def _defect_budget_reference(traj, fn) -> float:
         inst = (np.sum(lx**2) + np.sum(ly**2) + np.sum(ux**2) + np.sum(uy**2)
                 + np.sum(gv)) * g.cell_volume
         scale += wt * inst * tf
-    return W._budget(traj, scale)
+    return _budget_reference(traj, scale)
 
 
 def _identity_budget_reference(traj, fn) -> float:
@@ -471,14 +514,14 @@ def _identity_budget_reference(traj, fn) -> float:
     g = traj.grid
     params = traj.params
     scale = 0.0
-    for wt, t, tf, _, (u, v, w) in W._walk(traj, fn):
+    for wt, t, tf, _, (u, v, w) in _walk(traj, fn):
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
         inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)
                 + np.sum(np.abs(params.kinetics.law_f(u))) + np.sum((u + v) * w)
                 + np.sum(params.resupply.field(g, t))) * g.cell_volume
         scale += wt * inst * tf
-    return W._budget(traj, scale)
+    return _budget_reference(traj, scale)
 
 
 def weak_identities_reference(traj, fn):
@@ -504,7 +547,7 @@ def mass_inequality_reference(traj):
     for i, t in enumerate(traj.times):
         _, v, _ = traj.load(i)
         masses.append(gridmod.integrate(v, g))
-        int_g.append(gridmod.integrate(W._with_source(traj, t, ks.law_g(v), 1), g))
+        int_g.append(gridmod.integrate(_with_source(traj, t, ks.law_g(v), 1), g))
     times = np.asarray(traj.times)
     rows = []
     for i, t in enumerate(times):

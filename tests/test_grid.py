@@ -381,6 +381,22 @@ def test_seminorm_is_the_three_point_stencil(g, p):
             seminorm_w2p_reference(phi, g, p), rel=1e-12, abs=0.0)
 
 
+def test_seminorm_holds_few_transient_fields():
+    # the three powers go into one array, freeing each derivative once it is in
+    g = G.Grid(256, 256)
+    X, Y = centers(g)
+    phi = np.sin(3.0 * X) * np.cos(2.0 * Y) + X * Y
+    G.seminorm_w2p(phi, g, 4)  # warm, so no first-call allocation is counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G.seminorm_w2p(phi, g, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / phi.nbytes <= 6.0
+
+
 def test_seminorm_positive_on_quadratic():
     g = G.Grid(16, 16)
     X, Y = centers(g)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import by_check, comparison_ode_bound, v_mass_residual
+from oracles import by_check, comparison_ode_bound, v_mass_identity_reference, v_mass_residual
 from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
@@ -183,7 +183,7 @@ def test_v_mass_identity_zero_law():
     mass = [1.5] * 50
     signed, rel = v_mass_residual(ts, zeros, zeros, mass)
     assert signed == 0.0 and rel == 0.0
-    entry = M.check_v_mass_identity(ts[-1], ts, zeros, zeros, mass, dt_scale=ts[1])
+    entry = M.check_v_mass_identity(ts[-1], ts[0], 49, signed, 0.0, 1.5, dt_scale=ts[1])
     assert entry.passed and entry.value == 0.0
 
 
@@ -447,3 +447,38 @@ def test_assess_judges_a_hand_built_record():
     assert [repr(e) for e in partial] == [repr(e) for e in report[:27]]
     assert partial_checks == step_checks
     assert no_decay is None and no_regularity is None
+
+
+def test_v_mass_identity_reads_running_maxima_like_each_prefix():
+    # a long synthetic record whose step, |mass_v| and int |g(v)| peak at
+    # scattered states, so each hit's maxima come from its own prefix
+    rng = np.random.default_rng(7)
+    n, n_hits, quiet = 5000, 200, 2000
+    dt = rng.uniform(1e-3, 2e-3, n) * np.where(rng.random(n) < 0.01, 8.0, 1.0)
+    dt[0] = 0.0
+    t = np.cumsum(dt)
+    int_g_v = rng.normal(0.0, 1.0, n)
+    int_abs_g_v = np.abs(int_g_v) + rng.uniform(0.0, 0.5, n)
+    # first a stretch without growth: the envelope is zero there, so the
+    # rounding allowance, steps * eps * max |mass_v|, alone decides each
+    # verdict; negative masses tell |mass_v| from mass_v
+    int_g_v[:quiet] = int_abs_g_v[:quiet] = 0.0
+    drift = np.arange(n) * np.finfo(float).eps * rng.uniform(0.5, 1.5, n)
+    # then mass_v follows int g(v) up to defects about the size of the envelope
+    defect = np.where(np.arange(n) < quiet, 0.0, rng.normal(0.0, 0.3, n))
+    mass_v = -3.0 * (1.0 + drift) + M.running_trapezoid(int_g_v, t) + defect
+    series = {"t": t, "dt": dt, "mass_u": np.ones(n), "mass_v": mass_v,
+              "linf_w": np.full(n, 0.1), "wbar": np.full(n, 0.2),
+              "int_u_alpha": np.ones(n), "int_v_beta": np.ones(n), "int_g_v": int_g_v,
+              "int_abs_g_v": int_abs_g_v}
+    hits = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), n_hits - 1, replace=False))))
+    cadence = {"index": hits, "log_gradient_energy": np.zeros(n_hits),
+               "weighted_functional": np.full(n_hits, math.nan)}
+    consts = M.BoundConstants(10.0, 10.0, 10.0, 10.0, 10.0)
+    report, *_ = M.assess(series, cadence, consts, 0.5, delta=0.1, completed=False)
+    rows = by_check(report, "v_mass_identity")
+    assert len(rows) == n_hits
+    assert rows == v_mass_identity_reference(series, hits)
+    for part in (hits[1:] < quiet, hits[1:] >= quiet):
+        verdicts = [e.passed for e, keep in zip(rows[1:], part) if keep]
+        assert any(verdicts) and not all(verdicts)

@@ -213,7 +213,24 @@ def test_one_walk_keeps_the_bits_of_one_walk_per_identity(reference_trajectories
         assert (ids.v is None) == (fn is signed)
 
 
-def test_one_identities_call_loads_snapshot_zero_and_its_support(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", ["thm2-decay", "mms"])
+def test_one_pass_for_a_basis_keeps_the_bits_of_one_pass_per_function(
+        reference_trajectories, kind):
+    traj = reference_trajectories[kind]
+    basis = W.default_basis(traj.t_end)
+    signed = W.TestFunction(
+        "signed", _LinComb(1.0, W.SpatialBump(0.3, 0.3, 0.25), -1.0, W.SpatialBump(0.7, 0.6, 0.25)),
+        basis[3].temporal)
+    basis.insert(2, signed)
+    ids, mass_rows = W.evaluate(traj, basis)
+    assert len(ids) == len(basis)
+    for k, fn in enumerate(basis):
+        assert ids[k] == W.identities(traj, fn), fn.name
+    assert ids[2].v is None
+    assert mass_rows == W.check_mass_inequality(traj)
+
+
+def test_a_pass_reads_each_snapshot_file_once(tmp_path, monkeypatch):
     small_run(tmp_path, t_end=0.5)  # snapshots every 0.05
     reads, read = [], G.read_field
     monkeypatch.setattr(G, "read_field", lambda path: reads.append(path) or read(path))
@@ -221,21 +238,24 @@ def test_one_identities_call_loads_snapshot_zero_and_its_support(tmp_path, monke
     assert reads == []  # the listing reads the headers alone
     fn = W.TestFunction("mid", W.SpatialBump(0.5, 0.5, 0.3), W.TemporalBump(0.12, 0.28))
     W.identities(traj, fn)
-    inside = {i for i, t in enumerate(traj.times) if 0.12 < t < 0.28}
-    assert inside == {3, 4, 5}
-    assert set(traj._loaded) == {0} | inside
-    assert len(reads) == len(set(reads)) == 3 * len(traj._loaded)
+    assert set(traj._loaded) == set(range(len(traj)))
+    assert len(reads) == len(set(reads)) == 3 * len(traj)
 
 
-def test_verify_weak_walks_once_per_basis_function(tmp_path, monkeypatch):
+def test_verify_weak_makes_one_pass_for_the_whole_basis(tmp_path, monkeypatch):
     small_run(tmp_path, t_end=0.5)
-    walks, samples = [], []
-    walk, build = W._walk, W._Samples
-    monkeypatch.setattr(W, "_walk", lambda *a: walks.append(a) or walk(*a))
+    passes, samples, loads = [], [], []
+    evaluate, build, load = W.evaluate, W._Samples, W.TrajectoryHandle.load
+    monkeypatch.setattr(W, "evaluate", lambda *a: passes.append(a) or evaluate(*a))
     monkeypatch.setattr(W, "_Samples", lambda *a: samples.append(a) or build(*a))
+    monkeypatch.setattr(W.TrajectoryHandle, "load",
+                        lambda traj, i: loads.append(i) or load(traj, i))
     rows, _ = cli.verify_weak(tmp_path / "run")
     assert len(rows) == 16 and all(r[4] for r in rows)
-    assert len(walks) == len(samples) == 5
+    assert len(passes) == 1 and len(samples) == 5
+    # every snapshot once, then snapshot 0 again, from the cache, for the initial traces
+    n = len(W.load_trajectory(tmp_path / "run"))
+    assert loads == list(range(n)) + [0]
 
 
 def test_residual_linearity(tmp_path):
@@ -358,15 +378,6 @@ def test_mass_inequality_on_manufactured_run(tmp_path):
 def test_manufactured_sources_built_once_per_snapshot(tmp_path, monkeypatch):
     manufactured_run(tmp_path)
     run_dir = tmp_path / "mms-16"
-    cached = W.TrajectoryHandle.sources_at
-
-    def rebuilt(traj, t):
-        mms = traj.params.mms
-        return None if mms is None else mms.sources(traj.params, traj.grid, t)
-
-    monkeypatch.setattr(W.TrajectoryHandle, "sources_at", rebuilt)
-    cli.verify_weak(run_dir, tmp_path / "rebuilt.csv")
-    monkeypatch.setattr(W.TrajectoryHandle, "sources_at", cached)
     calls = []
     build = S.MmsSpec.sources
 
@@ -375,10 +386,9 @@ def test_manufactured_sources_built_once_per_snapshot(tmp_path, monkeypatch):
         return build(mms, params, g, t)
 
     monkeypatch.setattr(S.MmsSpec, "sources", counting)
-    cli.verify_weak(run_dir, tmp_path / "cached.csv")
-    assert 0 < len(calls) <= len(W.load_trajectory(run_dir))
-    assert ((tmp_path / "cached.csv").read_bytes()
-            == (tmp_path / "rebuilt.csv").read_bytes())
+    rows, _ = cli.verify_weak(run_dir)
+    assert all(r[4] for r in rows)
+    assert calls == W.load_trajectory(run_dir).times
 
 
 def test_mms_residuals_shrink_at_first_order(tmp_path):
