@@ -124,7 +124,8 @@ def cmd_gate(args) -> int:
 def mms_config(nx: int, t_end: float = 0.25, dt_coeff: float = 1.0,
                mms: "solver.MmsSpec | None" = None) -> Config:
     mms = mms or solver.shipped_mms()
-    h = 1.0 / nx
+    # the grid refuses a size (0 too) before h is taken from it
+    h = gridmod.Grid(nx, nx).hx
     return Config(
         nx=nx, ny=nx, Lx=1.0, Ly=1.0,
         t_end=t_end, dt_max=1.0, safety=1.0, fixed_dt=dt_coeff * h * h,

@@ -207,6 +207,14 @@ def _pair(raw: str) -> tuple[float, float]:
     return (_number(toks[0]), _number(toks[1]))
 
 
+def _out_dir(raw: str) -> str:
+    """A directory name; an empty one would write a run into the working
+    directory and let a rerun delete the snapshot-named files there."""
+    if not raw:
+        raise ValueError(raw)
+    return raw
+
+
 def _seed(raw: str) -> int:
     value = int(raw)
     if value < 0:
@@ -238,7 +246,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
                 "seed": ("seed", _seed)},
     "monitors": {"cadence": ("cadence", _number), "delta": ("delta", _number),
                  "q": ("q", _number)},
-    "output": {"dir": ("out_dir", str), "snapshot_every": ("snapshot_every", _number)},
+    "output": {"dir": ("out_dir", _out_dir), "snapshot_every": ("snapshot_every", _number)},
     "mms": {"u": ("mms_u", _mms_component), "v": ("mms_v", _mms_component),
             "w": ("mms_w", _mms_component)},
 }

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,16 +41,6 @@ CARRIER_FLOOR = -1e-12
 # once instead of first filling gigabytes with cell-centre coordinates and
 # only then failing to allocate a field.
 MAX_CELLS = 4096 * 4096
-
-
-@lru_cache(maxsize=32)
-def _cached_centers(nx, ny, hx, hy):
-    x = (np.arange(nx) + 0.5) * hx
-    y = (np.arange(ny) + 0.5) * hy
-    X, Y = np.meshgrid(x, y)
-    X.setflags(write=False)
-    Y.setflags(write=False)
-    return X, Y
 
 
 @dataclass(frozen=True)
@@ -101,8 +91,13 @@ class Grid:
         return (self.ny, self.nx)
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrids (X, Y) of cell-center coordinates, shape (ny, nx); read-only."""
-        return _cached_centers(self.nx, self.ny, self.hx, self.hy)
+        """Meshgrids (X, Y) of cell-center coordinates, shape (ny, nx), new
+        on every call.  Nothing keeps them: the readers that need samples for
+        the life of a run (the resupply profile, the manufactured cosine
+        mode) cache what they derive from them, not the coordinates."""
+        x = (np.arange(self.nx) + 0.5) * self.hx
+        y = (np.arange(self.ny) + 0.5) * self.hy
+        return np.meshgrid(x, y)
 
     def check_conforms(self, *fields: np.ndarray) -> None:
         for phi in fields:
@@ -200,7 +195,9 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     the values of dividing the jump and the flux by h; elsewhere the two
     differ by rounding.  The x-faces are one flat run (``_face_jumps``); its
     row-end entries take whatever the carrier gives and are then zeroed by
-    ``_flux_divergence``.
+    ``_flux_divergence``.  The jumps are freed once the fluxes hold them, so
+    the call never holds more than the jumps and the fluxes, four
+    field-sizes, and the divergence is allocated beside the fluxes alone.
     """
     g.check_conforms(carrier, potential)
     cmin = float(carrier.min())
@@ -212,6 +209,7 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     fx *= jx
     fy = np.where(jy > 0.0, carrier[:-1, :], carrier[1:, :])
     fy *= jy
+    del jx, jy
     return _flux_divergence(fx, fy, g)
 
 
@@ -331,4 +329,8 @@ def read_field(path) -> tuple[np.ndarray, Grid, float]:
         if held < size:
             raise StructuralError(f"{path}: truncated payload ({held} of {size} bytes)")
         phi = np.frombuffer(fh.read(size), dtype="<f8").reshape(g.shape).copy()
+    # admission refuses non-finite fields, so no run writes one; a NaN here
+    # would pass every min-based check downstream and print NaN budgets
+    if not np.isfinite(phi).all():
+        raise StructuralError(f"{path}: non-finite value in the payload")
     return phi, g, t

@@ -31,9 +31,13 @@ counts them; anything lower is a hard positivity error.
 
 A step allocates its three new fields and a few work arrays of its own call,
 nothing more (an SBDF2 step builds its u and v in the history's spent
-explicit terms and allocates its own two instead): each right-hand side is
+explicit terms), and builds its explicit terms in the growth terms that its
+caller hands over (``laws``), which it consumes: each right-hand side is
 built in the array that the solve then overwrites with the new field, and
-each transform writes into that array or the solver's one work array.  The
+each transform writes into that array or the solver's one work array.  No
+field-sized array is held past its last use: ``run`` starts from the
+admitted initial arrays, keeps no reference to the growth terms it hands a
+step, and records its monitor integrands in temporaries.  The
 in-place forms keep the operation order of the plain expressions, so the
 result is bit for bit what they give.  ``run`` first raises glibc's heap
 thresholds (``_settle_heap``), so the memory a step frees serves the next
@@ -388,10 +392,13 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     (perfbench/workloads.py).
 
     ``laws`` is (law_f(state.u), law_g(state.v)) when the caller has them
-    already; they are read, not written.  Without them each law is evaluated
-    where it is used, so the two never take memory at the same time.  The
-    input state is left unchanged; the new state's fields are new arrays or
-    the history's spent explicit terms.
+    already, and the step consumes them: each explicit term N is built in
+    its law's array, so they become the history's terms, or at a fixed dt
+    (no history) the new u and v, and the caller must not read them after
+    the call.  Without them each law is evaluated where it is used, in a
+    new array of the step's.  The input state is left unchanged; the new
+    state's fields are new arrays, the history's spent explicit terms or
+    the caller's laws.
     A manufactured model (``params.mms``) adds its sources at the new time.
     A term that the model sets to zero costs no pass: at eps = 0 the uptake
     has no denominator, mu = 0 adds nothing to the w diagonal, and a constant
@@ -413,9 +420,12 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     for k, (phi, law) in enumerate(((state.u, ks.law_f), (state.v, ks.law_g))):
         # u drifts up w; v up u, the new u in an Euler step and the old in SBDF2
         potential = state.w if k == 0 else new[0] if omega is None else state.u
-        # N = law - div(phi grad p), kept by a history for the next step
-        n = gridmod.taxis_divergence(phi, potential, g)
-        np.subtract(law(phi) if laws is None else laws[k], n, out=n)
+        # N = law - div(phi grad p), built in the law's array and kept by a
+        # history for the next step
+        div = gridmod.taxis_divergence(phi, potential, g)
+        n = law(phi) if laws is None else laws[k]
+        np.subtract(n, div, out=n)
+        del div
         terms.append(n)
         # Each right-hand side is built in the array that the solve turns into
         # the new field; dt * (law - div) + phi has the bits of
@@ -862,9 +872,10 @@ def run(setup: RunSetup) -> RunResult:
         setup.initial.w0)
     fparams = mon.pick_theta_delta(setup.monitor_q)
 
-    state = State(setup.initial.u0.astype(float),
-                  setup.initial.v0.astype(float),
-                  setup.initial.w0.astype(float))
+    # a step never writes its input state, so the run starts from the
+    # admitted arrays themselves (asarray copies only a non-float input)
+    init = setup.initial
+    state = State(*(np.asarray(phi, dtype=float) for phi in (init.u0, init.v0, init.w0)))
     if setup.fixed_dt is not None:
         dt_bound = suggest_dt(state, params, g, control)
         if setup.fixed_dt > FIXED_DT_WARN_RATIO * dt_bound:
@@ -888,8 +899,6 @@ def run(setup: RunSetup) -> RunResult:
     wbar = linf[2]
     r_now = params.resupply.linf(state.t)
     dt, clamps, cad_hit, snap_hit = 0.0, 0, True, True
-    # the recorder's u^alpha, v^beta and |g(v)|, which only the monitors read
-    scratch = np.empty(g.shape) if checks_active else None
     failure = ""
     # At dt = h^2 the Euler time error offsets part of the space error of
     # the manufactured study: SBDF2 there raised the l2 errors of u and v at
@@ -918,11 +927,10 @@ def run(setup: RunSetup) -> RunResult:
             if checks_active:
                 # the integrals that only the monitors and the decay verdict read
                 series["int_u_alpha"].append(
-                    gridmod.integrate(kin.power(state.u, ks.alpha, out=scratch), g))
+                    gridmod.integrate(kin.power(state.u, ks.alpha), g))
                 series["int_v_beta"].append(
-                    gridmod.integrate(kin.power(state.v, ks.beta, out=scratch), g))
-                series["int_abs_g_v"].append(
-                    gridmod.integrate(np.abs(gv, out=scratch), g))
+                    gridmod.integrate(kin.power(state.v, ks.beta), g))
+                series["int_abs_g_v"].append(gridmod.integrate(np.abs(gv), g))
                 series["int_consumption"].append(
                     gridmod.integrate(consumption_term(state.u, state.v, state.w,
                                                        params.epsilon), g))
@@ -944,6 +952,8 @@ def run(setup: RunSetup) -> RunResult:
                 dt = suggest_dt(state, params, g, control, linf[0], linf[1])
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
             state, stats = step(state, params, dt, g, laws=(fu, gv), history=history)
+            # consumed: now the history's terms or, at a fixed dt, the new u and v
+            del fu, gv
             state.t = t_new
             clamps = stats.clamps
             linf = stats.linf

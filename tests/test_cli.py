@@ -63,6 +63,26 @@ def test_grid_above_the_ceiling_allocates_nothing(tmp_path, capsys, argv, recipe
     assert peak < 2**20
 
 
+def test_mms_level_zero_is_refused_by_the_grid(capsys):
+    # the grid refuses the size before the step h = 1/nx divides by it
+    assert cli.main(["mms", "--levels", "0"]) == 1
+    assert capsys.readouterr().err == "error: need at least 4x4 cells, got 0x0\n"
+
+
+def test_empty_output_dir_runs_nothing_in_the_working_directory(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u_00000000.fld").write_bytes(b"kept")
+    p = tmp_path / "empty.ini"
+    p.write_text("[grid]\nnx = 8\nny = 8\n[time]\nt_end = 0.01\n"
+                 "[output]\nsnapshot_every = 0.005\ndir =\n")
+    listing = sorted(tmp_path.iterdir())
+    assert cli.main(["run", str(p)]) == 1
+    assert capsys.readouterr().err == "error: bad config: bad value [output] dir = ''\n"
+    assert sorted(tmp_path.iterdir()) == listing
+    assert (tmp_path / "u_00000000.fld").read_bytes() == b"kept"
+
+
 def test_failed_allocation_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a grid under the ceiling can still be too large for the machine's memory
     def out_of_memory(cfg, g):
@@ -508,7 +528,8 @@ def test_verify_weak_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corrupt", ["bad-header", "huge-header", "tiny-header", "mixed-time",
-                                     "snapshot-is-a-directory", "manifest-is-a-directory"])
+                                     "snapshot-is-a-directory", "manifest-is-a-directory",
+                                     "nan-entry"])
 def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
     p = write_cfg(tmp_path, small_cfg(tmp_path, t_end=0.25, snapshot_every=0.125))
     assert cli.main(["run", str(p)]) == 0
@@ -535,6 +556,13 @@ def test_verify_weak_corrupt_snapshot_exits_one(tmp_path, capsys, corrupt):
         snap = tmp_path / "out" / "manifest.txt"
         snap.unlink()
         snap.mkdir()
+    elif corrupt == "nan-entry":
+        # one v entry of the middle snapshot; min() over the mass rows
+        # would skip its NaN slack
+        snap = sorted((tmp_path / "out").glob("v_*.fld"))[1]
+        data = bytearray(snap.read_bytes())
+        data[-8:] = np.float64(np.nan).tobytes()
+        snap.write_bytes(bytes(data))
     else:
         # every file is sound, but the middle triple takes its v from t_end
         snaps = sorted((tmp_path / "out").glob("v_*.fld"))

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +100,33 @@ def test_random_recipe_refuses_a_reversed_range():
         cfg.build_initial(cfg.build_grid())
     equal = parse_config("[initial]\nu = random(0.5, 0.5)\nseed = 42\n")
     assert np.all(equal.build_initial(equal.build_grid()).u0 == 0.5)
+
+
+def test_empty_output_dir_is_a_bad_value():
+    # an empty dir would run into the working directory, and a rerun there
+    # would delete its snapshot-named files
+    with pytest.raises(StructuralError) as err:
+        parse_config("[output]\ndir =\n")
+    assert str(err.value) == "bad config: bad value [output] dir = ''"
+    assert parse_config("[output]\ndir = out\n").out_dir == "out"
+
+
+def test_a_dropped_setup_leaves_no_cell_centres_behind():
+    # the Gaussian recipes sample the cell centres, and nothing keeps the
+    # coordinates: the dropped setup takes every field it made with it (a
+    # cache of the centres kept two field-sizes for the life of the process)
+    cfg = replace(preset("thm1-core").config, nx=44, ny=52, out_dir=None)
+    assert all(r.startswith("gaussian(") for r in (cfg.init_u, cfg.init_v, cfg.init_w))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        setup = cfg.build_setup()
+        del setup
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (kept - base) / (8 * 44 * 52) < 0.5
 
 
 def test_file_loading(tmp_path):

@@ -433,3 +433,17 @@ def test_fld1_rejects_garbage(tmp_path):
         path.write_bytes(header + bytes(8 * 64))
         with pytest.raises(StructuralError):
             G.read_field(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fld1_refuses_a_non_finite_payload(tmp_path, value):
+    # no run writes one (admission refuses non-finite fields), and a NaN
+    # would pass the min-based checks of verify-weak
+    g = G.Grid(8, 8)
+    phi = np.ones(g.shape)
+    phi[3, 5] = value
+    path = tmp_path / "v_00000002.fld"
+    G.write_field(path, phi, g, t=0.5)
+    with pytest.raises(StructuralError) as err:
+        G.read_field(path)
+    assert str(err.value) == f"{path}: non-finite value in the payload"

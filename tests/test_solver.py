@@ -368,16 +368,30 @@ def thm1_core_start(n):
                           init.w0.astype(float))
 
 
-def step_memory(setup, st, dt):
+def step_memory(setup, st, dt, history=None):
     """(peak, kept) field-sizes of one step after a warm-up step (cached
-    eigenvalue tables, cosine mode, FFT plans)."""
+    eigenvalue tables, cosine mode, FFT plans).
+
+    With a ``History`` the step is taken as ``run`` takes it: two warm-up
+    steps (Euler, then SBDF2) fill the history, and the measured SBDF2 step
+    is handed the state's growth terms as ``laws``, evaluated before the
+    measurement as the run's record evaluates them.
+    """
     args = (setup.params, dt, setup.grid, setup.control)
-    st, _ = S.step(st, *args)
+    ks = setup.params.kinetics
+
+    def laws_of(s):
+        return None if history is None else (ks.law_f(s.u), ks.law_g(s.v))
+
+    for _ in range(1 if history is None else 2):
+        st, _ = S.step(st, *args, laws=laws_of(st), history=history)
+    laws = laws_of(st)
     field = st.u.nbytes
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        new, _ = S.step(st, *args)
+        new, _ = S.step(st, *args, laws=laws, history=history)
+        del laws
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -390,6 +404,17 @@ def test_step_allocates_its_outputs_and_few_work_arrays():
     peak, kept = step_memory(*thm1_core_start(64), 2e-3)
     assert peak <= 10.0
     assert kept == 3
+
+
+def test_sbdf2_step_builds_its_terms_in_the_callers_laws():
+    # the growth terms handed over become the step's explicit terms, and u
+    # and v are built in the history's spent terms, so the step keeps one
+    # new field (w) and peaks at 5.2 field-sizes at 64^2 (it kept 3 and
+    # peaked at 7.0 while it allocated its terms beside the caller's laws)
+    setup, st = thm1_core_start(64)
+    peak, kept = step_memory(setup, st, 2e-3, history=S.History())
+    assert peak <= 6.0
+    assert kept == 1
 
 
 def test_manufactured_step_allocates_its_outputs_and_few_work_arrays():
@@ -465,6 +490,48 @@ def test_manufactured_128_run_faults_its_heap_in_once(hash_seed):
     assert second <= 100
 
 
+# The peak resident set of the process's own memory (VmHWM, in kB).  Not
+# ru_maxrss: Linux carries that across exec, so a child of the test process
+# would start at the test process's peak.
+_RESIDENT_PROBE = """
+from dataclasses import replace
+from taxis_cascade import presets, solver
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+n = 256
+cfg = replace(presets.preset("thm1-core").config, nx=n, ny=n, t_end=0.002, out_dir=None)
+setup = cfg.build_setup()
+before = peak_kb()
+result = solver.run(setup)
+print(result.steps, (peak_kb() - before) * 1024 / (8 * n * n))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or not Path("/proc/self/status").exists(),
+                    reason="peak resident set of glibc's heap, from /proc")
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_adaptive_256_run_grows_few_fields_over_its_setup(hash_seed):
+    # an adaptive thm1-core run at 256^2 (8 steps, SBDF2 after the first)
+    # raises the process's peak resident set by about 14 field-sizes over
+    # the setup, which holds the initial data the run starts from: the
+    # state, the history (5), the eigenvalue table, the step's work array
+    # and the taxis transients.  It grew by 24 while the run copied the
+    # initial data, cached the cell centres, kept a recorder buffer and
+    # held the growth terms beside the step's own explicit terms.
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    steps, growth = proc.stdout.split()
+    assert int(steps) == 8
+    assert float(growth) <= 18.0
+
+
 def test_mms_sources_build_their_fields_one_at_a_time():
     # each source is one expression in the three fields and the cached cosine
     # mode; building them peaks at about 9 field-sizes and keeps only the 3
@@ -520,6 +587,26 @@ def test_step_with_the_callers_laws_is_bitwise_step(manufactured):
     shared, _ = S.step(*args, laws=(ks.law_f(st.u), ks.law_g(st.v)))
     for name in "uvw":
         assert getattr(shared, name).tobytes() == getattr(plain, name).tobytes()
+
+
+@pytest.mark.parametrize("fixed_dt", [None, 1e-3])
+def test_run_starts_from_the_admitted_initial_arrays(fixed_dt):
+    # no copy: the first state is the setup's initial data, which no step,
+    # record or monitor writes (read-only arrays would raise), so a setup
+    # runs twice to the same bits
+    setup, _ = thm1_core_start(24)
+    setup = replace(setup, t_end=0.1, fixed_dt=fixed_dt)
+    init = setup.initial
+    for phi in (init.u0, init.v0, init.w0):
+        phi.setflags(write=False)
+    first, second = S.run(setup), S.run(setup)
+    assert first.completed and first.steps > 10
+    for name in "uvw":
+        assert (getattr(first.final_state, name).tobytes()
+                == getattr(second.final_state, name).tobytes())
+    echo = S.run(replace(setup, t_end=0.0)).final_state
+    assert all(a is b for a, b in zip((echo.u, echo.v, echo.w),
+                                      (init.u0, init.v0, init.w0)))
 
 
 def test_run_evaluates_each_law_once_per_state(monkeypatch):
