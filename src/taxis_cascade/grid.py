@@ -34,7 +34,9 @@ import numpy as np
 
 from taxis_cascade.errors import DomainError, StructuralError
 
-CARRIER_FLOOR = -1e-12
+# How far below zero an admitted field may dip: ``solver`` zeroes the dust in
+# [DUST_FLOOR, 0) of each new field, and a taxis carrier may hold it.
+DUST_FLOOR = -1e-12
 # The most cells a grid may have: 4096^2, 256 times the largest grid in use
 # (256^2); a run there already holds tens of float64 fields of 128 MiB each.
 # It is checked before any array exists, so a mistyped size is refused at
@@ -122,8 +124,10 @@ def face_gradients(phi: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _face_jumps(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Undivided face jumps, the x-jumps as one flat run.
+def _face_jumps(phi: np.ndarray):
+    """Undivided face jumps a[1:] - a[:-1]: the x-jumps as one flat run
+    (a = phi.ravel()), then the y-jumps (a = phi), from a generator, so
+    that a caller can drop the x-jumps before the y-jumps exist.
 
     Flat cells k and k+1 of a C-ordered field are x-neighbours except across
     a row end, so entry k of the x-run, flat[k+1] - flat[k], is the jump
@@ -133,8 +137,7 @@ def _face_jumps(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (ny, nx-1) views.  A field that is not C-ordered is copied in C order
     first.  The y-jumps are (ny-1, nx), one block already.
     """
-    flat = phi.ravel()
-    return np.subtract(flat[1:], flat[:-1]), np.subtract(phi[1:, :], phi[:-1, :])
+    return (np.subtract(a[1:], a[:-1]) for a in (phi.ravel(), phi))
 
 
 def _flux_divergence(fx: np.ndarray, fy: np.ndarray, g: Grid) -> np.ndarray:
@@ -195,22 +198,23 @@ def taxis_divergence(carrier: np.ndarray, potential: np.ndarray, g: Grid) -> np.
     the values of dividing the jump and the flux by h; elsewhere the two
     differ by rounding.  The x-faces are one flat run (``_face_jumps``); its
     row-end entries take whatever the carrier gives and are then zeroed by
-    ``_flux_divergence``.  The jumps are freed once the fluxes hold them, so
-    the call never holds more than the jumps and the fluxes, four
-    field-sizes, and the divergence is allocated beside the fluxes alone.
+    ``_flux_divergence``.  Each axis's jumps are freed once its flux holds
+    them, before the next axis's jumps exist, so the call holds at most
+    three field-sizes: the x-flux with the y-jumps and y-flux, then the two
+    fluxes with the divergence.
     """
     g.check_conforms(carrier, potential)
     cmin = float(carrier.min())
-    if cmin < CARRIER_FLOOR:
+    if cmin < DUST_FLOOR:
         raise DomainError(f"carrier has negative entries (min {cmin:.3e})")
-    jx, jy = _face_jumps(potential)
     flat = carrier.ravel()
-    fx = np.where(jx > 0.0, flat[:-1], flat[1:])
-    fx *= jx
-    fy = np.where(jy > 0.0, carrier[:-1, :], carrier[1:, :])
-    fy *= jy
-    del jx, jy
-    return _flux_divergence(fx, fy, g)
+    fluxes = []
+    for jump, lo, hi in zip(_face_jumps(potential), (flat[:-1], carrier[:-1, :]),
+                            (flat[1:], carrier[1:, :])):
+        fluxes.append(np.where(jump > 0.0, lo, hi))
+        fluxes[-1] *= jump
+        del jump  # freed before the next axis's jumps exist
+    return _flux_divergence(*fluxes, g)
 
 
 def max_face_gradient(phi: np.ndarray, g: Grid) -> float:

@@ -40,20 +40,20 @@ def _require_nonneg(s):
     return arr
 
 
-def power(s, a, out=None):
-    """s^a, like ``np.power(s, a, out=out)``.
+def power(s, a):
+    """s^a, like ``np.power(s, a)``.
 
     A whole exponent 2 <= a <= POWER_PRODUCTS_MAX is the left-to-right
     product s*s*...*s (a - 1 products): deterministic, and within a
     relative (a - 1) eps of libm's pow where no product is subnormal.  Any
-    other exponent is ``np.power``.  ``out`` must not share memory with ``s``.
+    other exponent is ``np.power``.
     """
     if 2 <= a <= POWER_PRODUCTS_MAX and float(a).is_integer():
-        p = np.multiply(s, s, out=out)
+        p = np.multiply(s, s)
         for _ in range(int(a) - 2):
             p *= s
         return p
-    return np.power(s, a, out=out)
+    return np.power(s, a)
 
 
 @dataclass(frozen=True)
@@ -375,9 +375,19 @@ class ResupplySpec:
             return math.exp(-self.decay_lambda * t)
         return 1.0
 
-    def field(self, g: gridmod.Grid, t: float) -> np.ndarray:
-        """r at the cell centres of g: amplitude * factor(t) * cached profile."""
-        return self.amplitude * self.factor(t) * _profile_on(self, g)
+    def field(self, g: gridmod.Grid, t: float) -> float | np.ndarray:
+        """r at the cell centres of g.
+
+        Where r is flat in space at t (the constant profile, or a zero
+        amplitude or temporal factor) this is the float linf(t), which
+        broadcasts to every cell with the bits of linf(t) times a field of
+        ones.  A Gaussian is linf(t) times the cached bump, a new writable
+        array.
+        """
+        scale = self.linf(t)
+        if self.profile == "constant" or scale == 0.0:
+            return scale
+        return scale * _profile_on(self, g)
 
     def linf(self, t: float) -> float:
         """Analytic sup over the whole domain at time t (dominates cell samples)."""
@@ -386,11 +396,8 @@ class ResupplySpec:
 
 @lru_cache(maxsize=16)
 def _profile_on(spec: ResupplySpec, g: gridmod.Grid) -> np.ndarray:
-    """Cached read-only unit profile (ones or the Gaussian bump) at g's cells."""
-    if spec.profile == "constant":
-        profile = np.ones(g.shape)
-    else:
-        profile = gridmod.gaussian(g, *spec.center, spec.width)
+    """Cached read-only Gaussian bump of a gaussian resupply at g's cells."""
+    profile = gridmod.gaussian(g, *spec.center, spec.width)
     profile.setflags(write=False)
     return profile
 

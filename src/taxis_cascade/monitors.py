@@ -7,8 +7,10 @@ and the decay and regularity verdicts.  Each check produces a MonitorEntry
 with the measured value, the bound it is held against, the margin
 (bound - value) and a pass flag.  Checks whose constants are
 non-constructive are report-only: they log the value and never fail.
-Discrete tolerances follow the scheme order: 1e-6 absolute plus a 10*dt
-relative-scale slack unless a check states otherwise.
+Discrete tolerances follow the scheme order, REL_TOL + DT_SLACK * dt
+(1e-6 + 10 dt): the mass ceilings and the windows scale both parts by
+their bound, bound * (1e-6 + 10 dt), and the supersolution check takes
+the sum as an absolute tolerance.  Any other check states its own.
 """
 
 from __future__ import annotations

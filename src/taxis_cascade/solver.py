@@ -70,7 +70,6 @@ from taxis_cascade.errors import (
     StructuralError,
 )
 
-CLAMP_FLOOR = -1e-12
 BLOWUP_LIMIT = 1e8
 TINY_GRADIENT = 1e-30
 FIXED_DT_WARN_RATIO = 10.0
@@ -314,17 +313,17 @@ def _pcg(spectral: _SpectralHelmholtz, diag: np.ndarray, b: np.ndarray,
 
 
 def _admit(phi, name, t) -> tuple[int, float]:
-    """Zero a new field's dust in [CLAMP_FLOOR, 0) in place; return its count
-    and the sup norm of the admitted field.  Lower entries (-inf too) are a
-    positivity error, and NaN, +inf or a value above BLOWUP_LIMIT is a
-    blow-up.  Reads the field twice: min, then max.
+    """Zero a new field's dust in [grid.DUST_FLOOR, 0) in place; return its
+    count and the sup norm of the admitted field.  Lower entries (-inf too)
+    are a positivity error, and NaN, +inf or a value above BLOWUP_LIMIT is
+    a blow-up.  Reads the field twice: min, then max.
 
     Once the dust is zero the sup norm is max(fmax, 0.0) + 0.0, which has the
     bits of ``grid.norm_linf`` of the admitted field: fmax when some entry is
     positive, else +0.0 (every entry dust or a zero of either sign).
     """
     fmin = float(phi.min())
-    if fmin < CLAMP_FLOOR:
+    if fmin < gridmod.DUST_FLOOR:
         idx = np.unravel_index(int(np.argmin(phi)), phi.shape)
         raise PositivityError(name, tuple(int(i) for i in idx), fmin)
     fmax = float(phi.max())
@@ -401,9 +400,10 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
     the caller's laws.
     A manufactured model (``params.mms``) adds its sources at the new time.
     A term that the model sets to zero costs no pass: at eps = 0 the uptake
-    has no denominator, mu = 0 adds nothing to the w diagonal, and a constant
-    resupply profile enters as the scalar linf(t) * dt, the bits of the
-    field's product with dt.  The stats carry the new fields' sup norms.
+    has no denominator, mu = 0 adds nothing to the w diagonal, and a
+    resupply flat in space is the scalar that ``ResupplySpec.field``
+    returns, so r dt takes one product for every profile, with the bits of
+    the field's product with dt.  The stats carry the new fields' sup norms.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -463,13 +463,8 @@ def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
         diag += params.mu
     diag *= dt
     diag += c
-    resupply = params.resupply
-    if resupply.profile == "constant":
-        # the field is linf(t) times ones: its product with dt is this scalar
-        r_dt = resupply.linf(t_new) * dt
-    else:
-        r_dt = resupply.field(g, t_new)
-        r_dt *= dt
+    r_dt = params.resupply.field(g, t_new)
+    r_dt *= dt
     levels = (state.w if omega is None
               else _bdf2_levels(state.w, history.fields[2], omega, out=rhs_w))
     np.add(levels, r_dt, out=rhs_w)
@@ -592,8 +587,7 @@ class MmsSpec:
         (a_u, _, da_u, db_u), (a_v, _, da_v, db_v), (a_w, _, da_w, db_w) = (
             comp.amplitudes(t) for comp in comps)
         ks = params.kinetics
-        resupply = params.resupply
-        r = resupply.field(g, t) if resupply.linf(t) != 0.0 else 0.0
+        r = params.resupply.field(g, t)
         s_u = _combine(g, (_scaled(da_u + k2 * a_u, mode), db_u,
                            _scaled(a_u * a_w, grad_sq), _scaled(-k2 * a_w, u, mode)),
                        ks.law_f(u))

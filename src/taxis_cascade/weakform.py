@@ -9,8 +9,9 @@ derivatives in closed form.
 
 Each test function is a spatial factor times a temporal factor, and each
 factor is one call that returns its value with its derivatives: a spatial
-factor ``spatial(x, y)`` gives (phi, d_x phi, d_y phi), a temporal factor
-``temporal(t)`` gives (phi, phi_t) and states its ``support``.
+factor ``spatial(x, y)`` gives (phi, d_x phi, d_y phi), scalars where it is
+flat in space, a temporal factor ``temporal(t)`` gives (phi, phi_t) and
+states its ``support``.
 
 A finite basis can falsify the inequalities but never certify them; the
 five shipped functions are chosen to exercise every term, including the
@@ -80,9 +81,10 @@ class SpatialBump:
 
 @dataclass(frozen=True)
 class SpatialConstant:
+    """phi = 1: flat in space, so its value and gradient are scalars."""
+
     def __call__(self, x, y):
-        one = np.ones_like(np.asarray(x, dtype=float))
-        return one, np.zeros_like(one), np.zeros_like(one)
+        return 1.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,10 @@ class TemporalPlateau:
 class TestFunction:
     """Separable space-time test function with closed-form derivatives.
 
-    ``spatial(x, y)`` returns (phi, d_x phi, d_y phi) and ``temporal(t)``
-    returns (phi, phi_t); the temporal factor's ``support`` is the (lo, hi)
-    outside which it vanishes.
+    ``spatial(x, y)`` returns (phi, d_x phi, d_y phi), each a scalar where
+    the factor is flat in space, and ``temporal(t)`` returns (phi, phi_t);
+    the temporal factor's ``support`` is the (lo, hi) outside which it
+    vanishes.
     """
 
     name: str
@@ -279,7 +282,8 @@ class _Samples:
     the interior face midpoints, and phi(t_0) for the initial-trace terms.
     Building them checks the temporal support against the trajectory.  The
     residuals read the samples through three pairings (``cells``, ``faces``
-    and ``grads``), each summed without the cell volume."""
+    and ``grads``), each summed without the cell volume.  A factor flat in
+    space gives scalar samples, so its pairings hold no field of their own."""
 
     def __init__(self, fn: TestFunction, traj: TrajectoryHandle):
         _check_support(fn, traj)
@@ -290,12 +294,16 @@ class _Samples:
         self.phi = fn.spatial(X, Y)[0]
         self._on_xfaces, self._gx_on_xfaces, _ = fn.spatial(*xface)
         self._on_yfaces, _, self._gy_on_yfaces = fn.spatial(*yface)
+        self.shape = g.shape
         self.vol = g.cell_volume
         self.tf0 = float(fn.temporal(traj.times[0])[0])
 
     def cells(self, a):
-        """sum of a * phi over the cells."""
-        return (a * self.phi).sum()
+        """sum of a * phi over the cells; a scalar product (a flat a against
+        a flat phi) is summed over every cell, with the bits of summing it
+        as a field."""
+        p = a * self.phi
+        return p.sum() if np.ndim(p) else np.broadcast_to(p, self.shape).sum()
 
     def faces(self, ax, ay):
         """sum of (ax, ay) * phi over the x-faces and the y-faces."""
@@ -378,8 +386,8 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
         fus, rs = (fu, r) if src is None else (fu + src[0], r + src[2])
         uvw = solver.consumption_term(u, v, w, 0.0)
         lx2, ly2, ux2, uy2 = lx**2, ly**2, ux**2, uy**2
-        size = (ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum()
-                + np.abs(fu).sum() + uvw.sum() + r.sum()) * vol
+        size = (ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum() + np.abs(fu).sum()
+                + uvw.sum() + np.broadcast_to(r, g.shape).sum()) * vol
         v_size = (lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
                   + np.abs(gv / vp1).sum()) * vol
         for sp, (tf, tdf), s in zip(samples, temporal, sums):

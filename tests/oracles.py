@@ -517,9 +517,11 @@ def _identity_budget_reference(traj, fn) -> float:
     for wt, t, tf, _, (u, v, w) in _walk(traj, fn):
         ux, uy = gridmod.face_gradients(u, g)
         wx, wy = gridmod.face_gradients(w, g)
+        # r on every cell: a resupply flat in space is one scalar
+        r = np.broadcast_to(params.resupply.field(g, t), g.shape)
         inst = (np.sum(ux**2) + np.sum(uy**2) + np.sum(wx**2) + np.sum(wy**2)
                 + np.sum(np.abs(params.kinetics.law_f(u))) + np.sum((u + v) * w)
-                + np.sum(params.resupply.field(g, t))) * g.cell_volume
+                + np.sum(r)) * g.cell_volume
         scale += wt * inst * tf
     return _budget_reference(traj, scale)
 

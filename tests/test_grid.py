@@ -292,6 +292,24 @@ def test_flat_taxis_keeps_extreme_carriers_where_the_rows_put_them(fill, column)
     assert np.all(div[~bad] == 0.0)
 
 
+def test_taxis_divergence_holds_at_most_three_fields():
+    # each axis's jumps are freed once its flux holds them, before the next
+    # axis's jumps exist: three field-sizes at the peak, four with both at once
+    g = G.Grid(256, 256)
+    X, Y = centers(g)
+    carrier = 1.0 + 0.5 * np.sin(3.0 * X) * np.cos(2.0 * Y)
+    potential = np.cos(4.0 * X) * np.sin(5.0 * Y) + X * Y
+    G.taxis_divergence(carrier, potential, g)  # warm, as in the seminorm check
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G.taxis_divergence(carrier, potential, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / carrier.nbytes <= 3.5
+
+
 def layouts(a):
     """The same values as a Fortran-ordered, a transposed and a sliced array."""
     ny, nx = a.shape

@@ -64,8 +64,7 @@ FIELDS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_sid
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(s=FIELDS, n=hs.integers(2, K.POWER_PRODUCTS_MAX))
 def test_power_of_a_whole_exponent_is_the_left_to_right_product(s, n):
-    out = np.full_like(s, np.nan)
-    assert K.power(s, float(n), out=out) is out
+    out = K.power(s, float(n))
     assert out.tobytes() == left_to_right_product(s, n).tobytes()
     assert K.power(s, n).tobytes() == out.tobytes()
     # each product rounds once: within (n - 1) eps of libm's pow
@@ -78,9 +77,7 @@ def test_power_of_a_whole_exponent_is_the_left_to_right_product(s, n):
     hs.floats(1.0001, 12.0).filter(lambda a: not a.is_integer()),
     hs.sampled_from([1.0, 9.0, 10.0, 0.5, 1.5, 8.5])))
 def test_power_of_any_other_exponent_is_numpys(s, a):
-    out = np.full_like(s, np.nan)
-    assert K.power(s, a, out=out) is out
-    assert out.tobytes() == np.power(s, a).tobytes()
+    assert K.power(s, a).tobytes() == np.power(s, a).tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -348,7 +345,7 @@ def test_gate_verdicts_follow_the_margins():
 
 def test_resupply_values_and_stars():
     r = K.ResupplySpec(profile="constant", amplitude=0.2)
-    assert np.all(r.field(G.Grid(4, 4), 5.0) == 0.2) and r.linf(5.0) == 0.2
+    assert r.field(G.Grid(4, 4), 5.0) == 0.2 and r.linf(5.0) == 0.2
     assert r.linf(0.0) == 0.2
 
     bump = K.ResupplySpec(profile="gaussian", amplitude=1.0, center=(0.5, 0.5),
@@ -379,8 +376,30 @@ def test_resupply_field_matches_the_reference_on_the_cell_centres(profile, decay
     X, Y = g.cell_centers()
     for t in (0.0, 0.37, 2.5):
         field = r.field(g, t)
-        assert field.flags.writeable  # a new array, not the cached profile
-        assert field.tobytes() == resupply_reference(r, X, Y, t).tobytes()
+        if profile == "constant":
+            assert type(field) is float and field == r.linf(t)
+        else:
+            assert field.flags.writeable  # a new array, not the cached profile
+        assert (np.broadcast_to(field, g.shape).tobytes()
+                == resupply_reference(r, X, Y, t).tobytes())
+
+
+def test_resupply_flat_in_space_is_the_float_linf_and_caches_no_field():
+    g = G.Grid(8, 6)
+    K._profile_on.cache_clear()
+    flat = (K.ResupplySpec(profile="constant", amplitude=0.2, decay_lambda=0.5),
+            K.ResupplySpec(profile="constant"),
+            K.ResupplySpec(profile="gaussian", amplitude=0.0, decay_lambda=1.0))
+    for r in flat:
+        for t in (0.0, 1.5):
+            field = r.field(g, t)
+            assert type(field) is float and field == r.linf(t)
+    assert K._profile_on.cache_info().currsize == 0
+    bump = K.ResupplySpec(profile="gaussian", amplitude=0.2, width=0.1)
+    first, second = bump.field(g, 0.0), bump.field(g, 0.0)
+    assert isinstance(first, np.ndarray) and first.shape == g.shape
+    assert first.flags.writeable and first is not second
+    assert K._profile_on.cache_info().currsize == 1
 
 
 def test_initial_data_validation():

@@ -10,6 +10,7 @@ import pytest
 
 from taxis_cascade import cli
 from taxis_cascade import grid as G
+from taxis_cascade import kinetics as K
 from taxis_cascade import solver as S
 from taxis_cascade import weakform as W
 from taxis_cascade.config import Config, format_config
@@ -44,10 +45,8 @@ def test_spatial_factors_at_the_bump_centre_and_constant():
         value, gx, gy = W.SpatialBump(0.5, 0.5, 0.3)(0.5, 0.5)
     assert (float(value), float(gx), float(gy)) == (1.0, 0.0, 0.0)
     X, Y = G.Grid(6, 4).cell_centers()
-    one, zx, zy = W.SpatialConstant()(X, Y)
-    assert np.all(one == 1.0)
-    for z in (zx, zy):
-        assert z.shape == X.shape and np.all(z == 0.0)
+    # flat in space: scalars, which broadcast to any sample points
+    assert W.SpatialConstant()(X, Y) == (1.0, 0.0, 0.0)
 
 
 def test_temporal_bump_and_plateau_derivatives():
@@ -100,6 +99,27 @@ def small_run(tmp_path, nx=12, t_end=1.0, snapshot_every=0.05, mms=False, **cfg_
     res = S.run(cfg.build_setup())
     assert res.completed, res.failure
     return W.load_trajectory(kw["out_dir"])
+
+
+def test_samples_of_a_flat_factor_hold_no_field(tmp_path):
+    traj = small_run(tmp_path, t_end=0.3)
+    sp = W._Samples(W.default_basis(traj.t_end)[0], traj)
+    assert not any(isinstance(x, np.ndarray) for x in vars(sp).values())
+    # a field pairs as its own sum; a scalar is summed over every cell
+    u = traj.load(1)[0]
+    assert sp.cells(u) == u.sum()
+    assert sp.cells(0.1) == np.full(traj.grid.shape, 0.1).sum()
+
+
+def test_verify_weak_of_a_constant_resupply_caches_no_profile(tmp_path):
+    cfg = replace(preset("thm1-core").config, nx=16, ny=16, t_end=0.2, cadence=0.1,
+                  snapshot_every=0.01, out_dir=str(tmp_path / "thm1"))
+    assert S.run(cfg.build_setup()).completed
+    K._profile_on.cache_clear()
+    rows, _ = cli.verify_weak(cfg.out_dir)
+    assert len(rows) == 16 and all(r[4] for r in rows)
+    # r is the scalar linf(t): no field of ones is built or kept
+    assert K._profile_on.cache_info().currsize == 0
 
 
 def test_load_trajectory_and_grid_roundtrip(tmp_path):
@@ -192,15 +212,17 @@ class _LinComb:
 
 @pytest.fixture(scope="module")
 def reference_trajectories(tmp_path_factory):
-    """A checked thm2-decay run and a manufactured one."""
+    """A checked thm2-decay run (Gaussian resupply), a manufactured one (no
+    resupply) and a run whose resupply is constant, the scalar r."""
     root = tmp_path_factory.mktemp("reference")
     cfg = replace(preset("thm2-decay").config, t_end=1.0, out_dir=str(root / "decay"))
     assert S.run(cfg.build_setup()).completed
     return {"thm2-decay": W.load_trajectory(cfg.out_dir),
-            "mms": small_run(root, t_end=0.25, snapshot_every=0.0125, mms=True)}
+            "mms": small_run(root, t_end=0.25, snapshot_every=0.0125, mms=True),
+            "constant-r": small_run(root / "constant", t_end=0.5)}
 
 
-@pytest.mark.parametrize("kind", ["thm2-decay", "mms"])
+@pytest.mark.parametrize("kind", ["thm2-decay", "mms", "constant-r"])
 def test_one_walk_keeps_the_bits_of_one_walk_per_identity(reference_trajectories, kind):
     traj = reference_trajectories[kind]
     basis = W.default_basis(traj.t_end)
@@ -213,7 +235,7 @@ def test_one_walk_keeps_the_bits_of_one_walk_per_identity(reference_trajectories
         assert (ids.v is None) == (fn is signed)
 
 
-@pytest.mark.parametrize("kind", ["thm2-decay", "mms"])
+@pytest.mark.parametrize("kind", ["thm2-decay", "mms", "constant-r"])
 def test_one_pass_for_a_basis_keeps_the_bits_of_one_pass_per_function(
         reference_trajectories, kind):
     traj = reference_trajectories[kind]
