@@ -10,15 +10,8 @@ class DomainError(ValueError):
 
 
 class PositivityError(RuntimeError):
-    """A state entry dropped below the clamp window (-1e-12)."""
-
-    def __init__(self, component, index, value):
-        self.component = component
-        self.index = index
-        self.value = value
-        super().__init__(
-            f"positivity violation in {component} at cell {index}: {value:.6e}"
-        )
+    """A state entry dropped below the clamp window (``grid.DUST_FLOOR``);
+    the message names the component, the cell and the value."""
 
 
 class BlowUpError(RuntimeError):

@@ -24,6 +24,7 @@ and the flux by h; elsewhere they differ by rounding.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -50,7 +51,9 @@ class Grid:
     """Uniform rectangular mesh of nx-by-ny cells on [0, Lx] x [0, Ly].
 
     The derived sizes are computed once per instance; equality and hashing
-    use the four fields alone.
+    use the four fields alone.  Each cell width h must have a square h^2
+    and an inverse square 1/h^2 that are finite and nonzero, and the area
+    Lx Ly must be finite, since the operators take all three.
     """
 
     nx: int
@@ -66,6 +69,13 @@ class Grid:
                                   f"ceiling of {MAX_CELLS} cells")
         if not (self.Lx > 0 and self.Ly > 0):
             raise StructuralError("domain side lengths must be positive")
+        for name, h in (("x", self.hx), ("y", self.hy)):
+            if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+                raise StructuralError(f"the {name} cell width {h:.3e} cannot be "
+                                      f"squared and inverted in floating point")
+        if not self.Lx * self.Ly < math.inf:
+            raise StructuralError(f"the domain area {self.Lx:.3e} x {self.Ly:.3e} "
+                                  f"overflows")
 
     @cached_property
     def hx(self) -> float:

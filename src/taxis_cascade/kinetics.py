@@ -415,7 +415,6 @@ class InitialData:
                 raise DomainError(f"{name} must be nonnegative")
             if not np.all(np.isfinite(f0)):
                 raise DomainError(f"{name} has non-finite entries")
-        if gridmod.integrate(self.u0, g) <= 0:
-            raise DomainError("u0 must have positive mass")
-        if gridmod.integrate(self.v0, g) <= 0:
-            raise DomainError("v0 must have positive mass")
+        for name, f0 in (("u0", self.u0), ("v0", self.v0)):
+            if gridmod.integrate(f0, g) <= 0:
+                raise DomainError(f"{name} must have positive mass")

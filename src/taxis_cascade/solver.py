@@ -325,7 +325,8 @@ def _admit(phi, name, t) -> tuple[int, float]:
     fmin = float(phi.min())
     if fmin < gridmod.DUST_FLOOR:
         idx = np.unravel_index(int(np.argmin(phi)), phi.shape)
-        raise PositivityError(name, tuple(int(i) for i in idx), fmin)
+        raise PositivityError(f"positivity violation in {name} at cell "
+                              f"{tuple(int(i) for i in idx)}: {fmin:.6e}")
     fmax = float(phi.max())
     if not math.isfinite(fmin + fmax):
         raise BlowUpError(f"{name} lost finiteness at t={t:.6g}")
@@ -350,13 +351,11 @@ def _extrapolate(phi, phi_prev, omega, out=None):
 
 def _bdf2_levels(phi, phi_prev, omega, out=None):
     """The old levels of the variable-step BDF2 formula,
-    (1 + omega) phi - omega^2 / (1 + omega) phi_prev, as
-    phi + omega (phi - omega / (1 + omega) phi_prev), in ``out`` or a new array."""
-    out = np.multiply(phi_prev, omega / (1.0 + omega), out=out)
-    np.subtract(phi, out, out=out)
-    out *= omega
-    out += phi
-    return out
+    (1 + omega) phi - omega^2 / (1 + omega) phi_prev: the extrapolation of
+    phi past the weighted previous level omega / (1 + omega) phi_prev, built
+    in that product's array, ``out`` or a new one."""
+    weighted = np.multiply(phi_prev, omega / (1.0 + omega), out=out)
+    return _extrapolate(phi, weighted, omega, out=weighted)
 
 
 def step(state: State, params: ModelParams, dt: float, g: gridmod.Grid,
@@ -574,6 +573,8 @@ class MmsSpec:
     def sources(self, params: ModelParams, g: gridmod.Grid, t: float):
         """Residual sources making the triple an exact solution of the system.
 
+        s_u and s_v are one rule, as u and v are one law in ``step``, with
+        u's potential w and v's potential u.
         Evaluated by amplitude: a component without a cosine part is the
         scalar base + B, each term coef * C, coef * |grad C|^2 or
         coef * field * C is computed only when its coefficient is nonzero,
@@ -584,16 +585,14 @@ class MmsSpec:
         mode, k2, grad_sq = _cosine_mode(g)
         comps = (self.u, self.v, self.w)
         u, v, w = (comp.value(mode, t) for comp in comps)
-        (a_u, _, da_u, db_u), (a_v, _, da_v, db_v), (a_w, _, da_w, db_w) = (
-            comp.amplitudes(t) for comp in comps)
+        amps = [comp.amplitudes(t) for comp in comps]
         ks = params.kinetics
         r = params.resupply.field(g, t)
-        s_u = _combine(g, (_scaled(da_u + k2 * a_u, mode), db_u,
-                           _scaled(a_u * a_w, grad_sq), _scaled(-k2 * a_w, u, mode)),
-                       ks.law_f(u))
-        s_v = _combine(g, (_scaled(da_v + k2 * a_v, mode), db_v,
-                           _scaled(a_v * a_u, grad_sq), _scaled(-k2 * a_u, v, mode)),
-                       ks.law_g(v))
+        s_u, s_v = (_combine(g, (_scaled(da + k2 * a, mode), db, _scaled(a * a_p, grad_sq),
+                                 _scaled(-k2 * a_p, phi, mode)), law(phi))
+                    for phi, (a, _, da, db), (a_p, *_), law in (
+                        (u, amps[0], amps[2], ks.law_f), (v, amps[1], amps[0], ks.law_g)))
+        a_w, _, da_w, db_w = amps[2]
         s_w = _combine(g, (_scaled(da_w + k2 * a_w, mode), db_w,
                            consumption_term(u, v, w, params.epsilon), params.mu * w),
                        r)

@@ -11,7 +11,8 @@ Each test function is a spatial factor times a temporal factor, and each
 factor is one call that returns its value with its derivatives: a spatial
 factor ``spatial(x, y)`` gives (phi, d_x phi, d_y phi), scalars where it is
 flat in space, a temporal factor ``temporal(t)`` gives (phi, phi_t) and
-states its ``support``.
+states its ``support``.  Every factor that is not constant is built from
+the one C-infinity piece exp(-1/z) (``_mollifier_piece``).
 
 A finite basis can falsify the inequalities but never certify them; the
 five shipped functions are chosen to exercise every term, including the
@@ -37,20 +38,9 @@ MASS_TOL = 1e-3
 # --- smooth bump building blocks -----------------------------------------
 
 
-def _bump(z):
-    """exp(1 - 1/(1 - z^2)) inside |z| < 1, else 0 (C-infinity), and its slope."""
-    z = np.asarray(z, dtype=float)
-    value = np.zeros_like(z)
-    slope = np.zeros_like(z)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    value[inside] = np.exp(1.0 - 1.0 / (1.0 - zi**2))
-    slope[inside] = value[inside] * (-2.0 * zi / (1.0 - zi**2) ** 2)
-    return value, slope
-
-
 def _mollifier_piece(z):
-    """exp(-1/z) for z > 0 else 0, and its slope; building block of the step."""
+    """exp(-1/z) for z > 0 else 0, and its slope: the one C-infinity piece
+    that every test-function factor is built from."""
     z = np.asarray(z, dtype=float)
     value = np.zeros_like(z)
     slope = np.zeros_like(z)
@@ -59,6 +49,14 @@ def _mollifier_piece(z):
     value[pos] = np.exp(-1.0 / zp)
     slope[pos] = value[pos] / zp**2
     return value, slope
+
+
+def _bump(z):
+    """e exp(-1/(1 - z^2)) inside |z| < 1, else 0, and its slope: the
+    mollifier piece at 1 - z^2, scaled to be exactly 1 at z = 0.  z is
+    clipped to [-1, 1] before it is squared, so no |z| overflows."""
+    value, slope = _mollifier_piece(1.0 - np.square(np.clip(z, -1.0, 1.0)))
+    return np.e * value, -2.0 * np.e * z * slope
 
 
 @dataclass(frozen=True)
@@ -342,9 +340,11 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
 
     The pass loads each snapshot and builds its manufactured source triple
     once; the derived fields (face gradients and means, the laws, the
-    resupply, (u+v) w) are computed once for the functions whose temporal
-    factor is nonzero there, and each function adds its six sums in the
-    same expressions and snapshot order as a pass of its own would.  The
+    resupply, (u+v) w) and the integrands that no test function enters
+    (the face products of the taxis terms and g(v)/(1+v)) are computed once
+    for the functions whose temporal factor is nonzero there, and each
+    function adds its six sums in the same expressions and snapshot order
+    as a pass of its own would.  The
     shipped temporal factors vanish together with their derivative (both
     carry the same exponential), so skipping a snapshot where phi(t) = 0
     loses none of the phi_t terms.
@@ -390,20 +390,23 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
                 + uvw.sum() + np.broadcast_to(r, g.shape).sum()) * vol
         v_size = (lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
                   + np.abs(gv / vp1).sum()) * vol
+        # the integrands that no test function enters, formed once per snapshot
+        taxis_u, taxis_v = (ufx * wx, ufy * wy), (rfx * ux, rfy * uy)
+        taxis_ell, gvs_ell = (rfx * lx * ux, rfy * ly * uy), gvs / vp1
         for sp, (tf, tdf), s in zip(samples, temporal, sums):
             if tf == 0.0:
                 continue
             tf, tdf = float(tf), float(tdf)
+            w_phi = sp.cells(w)
             s[0] += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
-                          - sp.grads(ufx * wx, ufy * wy) * tf - sp.cells(fus) * tf) * vol
-            s[1] += wt * (-sp.cells(w) * tdf + sp.grads(wx, wy) * tf
-                          + sp.cells(uvw) * tf + params.mu * sp.cells(w) * tf
+                          - sp.grads(*taxis_u) * tf - sp.cells(fus) * tf) * vol
+            s[1] += wt * (-w_phi * tdf + sp.grads(wx, wy) * tf
+                          + sp.cells(uvw) * tf + params.mu * w_phi * tf
                           - sp.cells(rs) * tf) * vol
             s[2] += wt * (-sp.cells(ell) * tdf) * vol
             s[3] += wt * vol * (
-                sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf
-                - sp.faces(rfx * lx * ux, rfy * ly * uy) * tf
-                + sp.grads(rfx * ux, rfy * uy) * tf + sp.cells(gvs / vp1) * tf)
+                sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf - sp.faces(*taxis_ell) * tf
+                + sp.grads(*taxis_v) * tf + sp.cells(gvs_ell) * tf)
             s[4] += wt * size * tf
             s[5] += wt * v_size * tf
     u0, v0, w0 = traj.load(0)

@@ -63,6 +63,23 @@ def test_grid_above_the_ceiling_allocates_nothing(tmp_path, capsys, argv, recipe
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("sides", ["Lx = 1e-200", "Lx = 1e300", "Lx = 1e-160",
+                                   "Lx = 1e155\nLy = 1e155"],
+                         ids=["tiny", "huge", "subnormal-square", "huge-area"])
+@pytest.mark.parametrize("argv", [["run"], ["sweep-epsilon", "--eps", "1e-1,1e-2"]],
+                         ids=["run", "sweep"])
+def test_a_domain_the_operators_cannot_resolve_is_one_error_line(tmp_path, capsys, sides,
+                                                                 argv):
+    # each once ended in a traceback (ZeroDivisionError, OverflowError), an
+    # abort or a run with infinite masses
+    p = tmp_path / "domain.ini"
+    p.write_text(f"[grid]\n{sides}\n")
+    assert cli.main([argv[0], str(p), *argv[1:], "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_mms_level_zero_is_refused_by_the_grid(capsys):
     # the grid refuses the size before the step h = 1/nx divides by it
     assert cli.main(["mms", "--levels", "0"]) == 1

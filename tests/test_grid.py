@@ -39,6 +39,26 @@ def test_grid_above_the_ceiling_is_refused_before_any_array():
     assert peak < 2**16
 
 
+@pytest.mark.parametrize("nx, ny, Lx, Ly, match", [
+    (8, 8, 1e-200, 1.0, "x cell width"),    # h^2 underflows to zero
+    (8, 8, 1.0, 1e-160, "y cell width"),    # 1 / h^2 overflows
+    (8, 8, 1e300, 1.0, "x cell width"),     # h^2 overflows
+    (8, 8, 1e155, 1e155, "domain area"),    # each h^2 is finite, Lx Ly is not
+], ids=["tiny", "subnormal-square", "huge", "huge-area"])
+def test_grid_refuses_a_cell_width_the_operators_cannot_square_and_invert(nx, ny, Lx, Ly,
+                                                                         match):
+    with pytest.raises(StructuralError, match=match):
+        G.Grid(nx, ny, Lx, Ly)
+
+
+def test_grid_admits_the_extremes_its_operators_handle():
+    for L in (1e-150, 1e150):
+        g = G.Grid(8, 8, L, L)
+        for h in (g.hx, g.hy):
+            assert 0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf
+        assert np.isfinite(g.volume) and g.cell_volume > 0.0
+
+
 def test_conformance_error():
     g = G.Grid(6, 6)
     with pytest.raises(StructuralError):

@@ -922,7 +922,7 @@ def test_step_checks_of_a_failed_run_count_the_states_it_recorded(monkeypatch):
 
     def failing_step(*args, _step=S.step, **kwargs):
         if len(taken) == 40:
-            raise PositivityError("u", (0, 0), -1.0)
+            raise PositivityError("positivity violation in u at cell (0, 0): -1.000000e+00")
         taken.append(None)
         return _step(*args, **kwargs)
 
@@ -1028,6 +1028,33 @@ def test_step_skipping_zero_terms_is_the_full_expression_step_bitwise(n, eps, mu
         assert (new.u.tobytes(), new.v.tobytes(), new.w.tobytes()) == (
             u.tobytes(), v.tobytes(), w.tobytes())
         st = new
+
+
+@pytest.mark.parametrize("omega", [0.25, 1.0, 2.4 / 1.3])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+def test_bdf2_levels_are_the_four_pass_expression_bitwise(omega, given_out):
+    rng = np.random.default_rng(7)
+    phi, phi_prev = rng.random((2, 24, 24))
+    expected = np.multiply(phi_prev, omega / (1.0 + omega))
+    np.subtract(phi, expected, out=expected)
+    expected *= omega
+    expected += phi
+    out = np.empty_like(phi) if given_out else None
+    field = phi.nbytes
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        levels = S._bdf2_levels(phi, phi_prev, omega, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels.tobytes() == expected.tobytes()
+    if given_out:
+        assert levels is out
+        assert peak - base < field
+    else:
+        # one new field: the weighted previous level, extrapolated in place
+        assert field <= peak - base < 2 * field
 
 
 def test_sbdf2_ratio_is_none_first_and_refuses_the_stability_bound():

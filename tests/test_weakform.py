@@ -49,6 +49,23 @@ def test_spatial_factors_at_the_bump_centre_and_constant():
     assert W.SpatialConstant()(X, Y) == (1.0, 0.0, 0.0)
 
 
+def test_bump_is_e_times_the_mollifier_piece_within_two_ulp():
+    # every factor is built from exp(-1/z); the bump is e exp(-1/(1 - z^2))
+    z = np.linspace(-1.0, 1.0, 200001)[1:-1]
+    value, slope = W._bump(z)
+    direct = np.exp(1.0 - 1.0 / (1.0 - z**2))
+    assert np.all(np.abs(value - direct) <= 2 * np.spacing(direct))
+    normal = direct > np.finfo(float).tiny
+    np.testing.assert_allclose(slope[normal],
+                               (direct * (-2.0 * z / (1.0 - z**2) ** 2))[normal],
+                               rtol=1e-14)
+    assert tuple(map(float, W._bump(0.0))) == (1.0, 0.0)
+    # 1e200 would overflow if it were squared
+    outside = np.array([-1e200, -3.0, -1.0, 1.0, np.nextafter(1.0, 2.0), 1.5, 1e200])
+    value, slope = W._bump(outside)
+    assert np.all(value == 0.0) and np.all(slope == 0.0)
+
+
 def test_temporal_bump_and_plateau_derivatives():
     tb = W.TemporalBump(0.2, 0.8)
     tp = W.TemporalPlateau(0.3, 0.9)
