@@ -6,7 +6,9 @@ problem line comes from `main`: an input error, a refused gate, a file
 that cannot be read or written (an ``OSError``) or a grid too large to
 allocate (a ``MemoryError``), raised anywhere below it, is one ``error:``
 line; a run that aborted, alone or inside a study (`mms`, `sweep-epsilon`),
-is one ``aborted:`` line after whatever it printed.
+is one ``aborted:`` line after whatever it printed.  A warning that is shown,
+such as the advice on a fixed step far above the suggested one, is one
+``warning:`` line and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import math
 import sys
 import tempfile
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import pairwise
@@ -26,7 +29,8 @@ from taxis_cascade import grid as gridmod
 from taxis_cascade import kinetics as kin
 from taxis_cascade import solver, weakform
 from taxis_cascade.config import Config, format_config, load_config
-from taxis_cascade.errors import DomainError, StructuralError, StudyAbortError
+from taxis_cascade.errors import (DomainError, FixedStepWarning, StructuralError,
+                                  StudyAbortError)
 from taxis_cascade.presets import preset, preset_names
 
 EXIT_OK = 0
@@ -254,21 +258,31 @@ class SweepResult:
         return out
 
 
-def _traj_diff(traj_a, traj_b):
-    """Space-time differences between two snapshot-aligned trajectories."""
-    if len(traj_a) != len(traj_b) or np.max(np.abs(
-            np.asarray(traj_a.times) - np.asarray(traj_b.times))) > 1e-9:
-        raise StructuralError("sweep trajectories are not time-aligned")
-    g = traj_a.grid
-    w = weakform.time_weights(traj_a.times)
-    du2 = dv1 = dw2 = 0.0
-    for i in range(len(traj_a)):
-        ua, va, wa = traj_a.load(i)
-        ub, vb, wb = traj_b.load(i)
-        du2 += w[i] * gridmod.integrate((ua - ub) ** 2, g)
-        dv1 += w[i] * gridmod.integrate(np.abs(va - vb), g)
-        dw2 += w[i] * gridmod.integrate((wa - wb) ** 2, g)
-    return math.sqrt(du2), dv1, math.sqrt(dw2)
+def _traj_diff(trajs):
+    """Space-time differences between each adjacent pair of snapshot-aligned
+    trajectories: one (du_l2, dv_l1, dw_l2) per pair.
+
+    Snapshots are the outer loop and members the inner one, so each file is
+    read once and at most one triple per member is held at a time."""
+    for traj_a, traj_b in pairwise(trajs):
+        if len(traj_a) != len(traj_b) or np.max(np.abs(
+                np.asarray(traj_a.times) - np.asarray(traj_b.times))) > 1e-9:
+            raise StructuralError("sweep trajectories are not time-aligned")
+    g = trajs[0].grid
+    sums = [[0.0, 0.0, 0.0] for _ in trajs[1:]]  # du2, dv1, dw2 per pair
+    for i, wt in enumerate(weakform.time_weights(trajs[0].times)):
+        _add_differences(sums, wt, (traj.read(i) for traj in trajs), g)
+    return [(math.sqrt(du2), dv1, math.sqrt(dw2)) for du2, dv1, dw2 in sums]
+
+
+def _add_differences(sums, wt, triples, g):
+    """Add one snapshot's weighted differences of each adjacent pair of
+    ``triples`` to ``sums``, reading each triple as its pair needs it; the
+    triples are freed on return."""
+    for s, ((ua, va, wa), (ub, vb, wb)) in zip(sums, pairwise(triples)):
+        s[0] += wt * gridmod.integrate((ua - ub) ** 2, g)
+        s[1] += wt * gridmod.integrate(np.abs(va - vb), g)
+        s[2] += wt * gridmod.integrate((wa - wb) ** 2, g)
 
 
 def sweep_epsilon(cfg: Config, eps_list, out_root=None) -> SweepResult:
@@ -280,8 +294,10 @@ def sweep_epsilon(cfg: Config, eps_list, out_root=None) -> SweepResult:
     the initial state.  Every member is set up, and so admitted, before the
     first one runs, and a config that fails the global-existence gate is
     refused, as ``run`` refuses it unforced; a row's epsilons are the listed
-    ones, and each member's trajectory is read once, with at most two held
-    at a time.  Members run to the config's ``t_end`` and write snapshots
+    ones.  Each member's trajectory is listed once and each of its snapshot
+    files read once, snapshot by snapshot across the members, so the sweep
+    holds at most one snapshot triple per member, whatever the number of
+    snapshots.  Members run to the config's ``t_end`` and write snapshots
     every SWEEP_SNAPSHOT_EVERY.
     """
     if len(eps_list) < 2:
@@ -305,10 +321,9 @@ def sweep_epsilon(cfg: Config, eps_list, out_root=None) -> SweepResult:
             result = solver.run(setup)
             if not result.completed:
                 raise StudyAbortError(f"sweep member eps={eps}: {result.failure}")
-        trajs = map(weakform.load_trajectory, (setup.out_dir for setup in setups))
-        return SweepResult(diffs=[
-            (eps_a, eps_b, *_traj_diff(ta, tb))
-            for (eps_a, ta), (eps_b, tb) in pairwise(zip(eps_list, trajs))])
+        diffs = _traj_diff([weakform.load_trajectory(setup.out_dir) for setup in setups])
+        return SweepResult(diffs=[(eps_a, eps_b, *d)
+                                  for (eps_a, eps_b), d in zip(pairwise(eps_list), diffs)])
 
 
 def cmd_sweep(args) -> int:
@@ -434,16 +449,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (StructuralError, DomainError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except StudyAbortError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+    with warnings.catch_warnings():
+        # a warning that is shown is one line; the fixed-step advice is shown,
+        # never raised, whatever the filters do with other RuntimeWarnings
+        warnings.showwarning = _warning_line
+        warnings.simplefilter("default", FixedStepWarning)
+        try:
+            return args.func(args)
+        except (StructuralError, DomainError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except StudyAbortError as exc:
+            print(f"aborted: {exc}", file=sys.stderr)
+            return EXIT_ABORT
 
 
 if __name__ == "__main__":

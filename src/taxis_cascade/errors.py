@@ -21,3 +21,8 @@ class BlowUpError(RuntimeError):
 class StudyAbortError(RuntimeError):
     """A run aborted: a `run` of its own, or one inside a study (an mms
     level, a sweep member)."""
+
+
+class FixedStepWarning(RuntimeWarning):
+    """A run's fixed step is far above the step the solver would suggest:
+    advice, not an error; ``cli.main`` prints it as one ``warning:`` line."""

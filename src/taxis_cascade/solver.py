@@ -66,6 +66,7 @@ from taxis_cascade import monitors as mon
 from taxis_cascade.errors import (
     BlowUpError,
     DomainError,
+    FixedStepWarning,
     PositivityError,
     StructuralError,
 )
@@ -829,16 +830,17 @@ def run(setup: RunSetup) -> RunResult:
     event clock caps each step at MAX_STEP_GROWTH times the one before; a
     run at a fixed dt takes Euler steps.  Watchdog failures do not raise: the
     partial series, report and a failure record are returned (and written)
-    instead.
+    instead; so does a step too small to advance t, which would leave the
+    run at the same time for good.
 
     ``run`` records; ``monitors.assess`` judges the record after the loop.
     Per state the series take the masses, the sup norms, the growth
-    integrals, the flat nutrient supersolution ``wbar`` and the integrals
-    ``int_u_alpha``, ``int_v_beta``, ``int_abs_g_v`` and ``int_consumption``,
-    which only the monitors read.  At each cadence hit the record takes the
-    state's index and what only the live state gives: the log-gradient
-    energy, the largest face gradients of u and v, the W^{2,4} seminorm of u
-    and the weighted functional.  A manufactured run (``params.mms``) is
+    integral ``int_g_v``, the flat nutrient supersolution ``wbar`` and the
+    integrals ``int_u_alpha``, ``int_v_beta``, ``int_abs_g_v`` and
+    ``int_consumption``, which only the monitors read.  At each cadence hit
+    the record takes the state's index and what only the live state gives:
+    the log-gradient energy, the largest face gradients of u and v, the
+    W^{2,4} seminorm of u and the weighted functional.  A manufactured run (``params.mms``) is
     held to no a-priori bound: it records neither, and its report is empty.
 
     Each fact of a state is computed once.  The sup norms ``linf_*`` of a new
@@ -875,10 +877,10 @@ def run(setup: RunSetup) -> RunResult:
             warnings.warn(
                 f"fixed_dt {setup.fixed_dt!r} exceeds {FIXED_DT_WARN_RATIO:g}x the "
                 f"suggested step {dt_bound!r} of the initial state",
-                RuntimeWarning, stacklevel=2)
+                FixedStepWarning, stacklevel=2)
     series: dict[str, list] = {k: [] for k in (
         "t", "dt", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
-        "clamps", "int_u_alpha", "int_v_beta", "int_f_u", "int_g_v",
+        "clamps", "int_u_alpha", "int_v_beta", "int_g_v",
         "int_abs_g_v", "int_consumption", "wbar")}
     # per cadence hit: the record index and what only the live state gives
     cadence: dict[str, list] = {k: [] for k in (
@@ -913,7 +915,6 @@ def run(setup: RunSetup) -> RunResult:
             series["linf_v"].append(linf[1])
             series["linf_w"].append(linf[2])
             series["clamps"].append(clamps)
-            series["int_f_u"].append(gridmod.integrate(fu, g))
             series["int_g_v"].append(gridmod.integrate(gv, g))
             series["wbar"].append(wbar)
 
@@ -944,6 +945,10 @@ def run(setup: RunSetup) -> RunResult:
             if dt is None:
                 dt = suggest_dt(state, params, g, control, linf[0], linf[1])
             dt, t_new, cad_hit, snap_hit = clock.clip(state.t, dt)
+            if not t_new > state.t:
+                failure = (f"the clock stopped: t = {state.t!r} + dt = {dt!r} "
+                           f"does not advance t")
+                break
             state, stats = step(state, params, dt, g, laws=(fu, gv), history=history)
             # consumed: now the history's terms or, at a fixed dt, the new u and v
             del fu, gv

@@ -169,16 +169,18 @@ def default_basis(t_end: float) -> list[TestFunction]:
 class TrajectoryHandle:
     """Ordered FLD1 snapshot triples with the run's grid and model context.
 
-    Snapshot fields are read lazily and cached on the handle, so they are
-    freed with it; identities assume the first snapshot carries the initial
-    datum.
+    Snapshot fields are read from their files on use.  The handle keeps the
+    first triple, the initial datum that every initial-trace term reads
+    again, and no other, so what a pass over the snapshots holds does not
+    grow with their number; identities assume the first snapshot carries
+    the initial datum.
     """
 
     grid: gridmod.Grid
     times: list[float]
     paths: list[tuple[Path, Path, Path]]
     params: object = None       # solver.ModelParams
-    _loaded: dict = field(default_factory=dict, init=False, repr=False)
+    _initial: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.paths):
@@ -193,22 +195,30 @@ class TrajectoryHandle:
     def t_end(self) -> float:
         return self.times[-1]
 
-    def load(self, i: int):
-        """The (u, v, w) fields of snapshot ``i``, read on first use and cached.
+    def read(self, i: int):
+        """The (u, v, w) fields of snapshot ``i``, read from its files and not
+        kept.
 
         Each file must carry the handle's grid and the snapshot's time; a
         triple whose files disagree is a ``StructuralError`` naming the file.
         """
-        if i in self._loaded:
-            return self._loaded[i]
         triple = []
         for p in self.paths[i]:
             phi, g, t = gridmod.read_field(p)
             if g != self.grid or t != self.times[i]:
                 raise StructuralError(f"{p}: grid or time mismatch")
             triple.append(phi)
-        self._loaded[i] = tuple(triple)
-        return self._loaded[i]
+        return tuple(triple)
+
+    def load(self, i: int):
+        """The (u, v, w) fields of snapshot ``i`` (see ``read``).  Snapshot 0
+        is read on first use and kept on the handle, so it is freed with it;
+        any other is read on every call and not kept."""
+        if i != 0:
+            return self.read(i)
+        if self._initial is None:
+            self._initial = self.read(0)
+        return self._initial
 
 
 def load_trajectory(run_dir) -> TrajectoryHandle:
@@ -338,16 +348,11 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
     """Every identity of each function in ``basis`` and the mass-inequality
     rows (see ``check_mass_inequality``), from one pass over the snapshots.
 
-    The pass loads each snapshot and builds its manufactured source triple
-    once; the derived fields (face gradients and means, the laws, the
-    resupply, (u+v) w) and the integrands that no test function enters
-    (the face products of the taxis terms and g(v)/(1+v)) are computed once
-    for the functions whose temporal factor is nonzero there, and each
-    function adds its six sums in the same expressions and snapshot order
-    as a pass of its own would.  The
-    shipped temporal factors vanish together with their derivative (both
-    carry the same exponential), so skipping a snapshot where phi(t) = 0
-    loses none of the phi_t terms.
+    The pass loads each snapshot once and adds its share to every function's
+    sums (``_add_snapshot``), in the same expressions and snapshot order as a
+    pass of its own would; a snapshot's fields are freed before the next one
+    is read, so the pass holds the initial datum, one snapshot and its
+    integrands, whatever the number of snapshots.
 
     The consumption enters the nutrient identity unregularized as (u+v) w
     regardless of the epsilon the trajectory was produced with; for
@@ -356,59 +361,17 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
     size of its identities' integrals, so it shrinks at first order under
     simultaneous refinement.
     """
-    g, params = traj.grid, traj.params
-    ks, mms = params.kinetics, params.mms
+    g = traj.grid
     samples = [_Samples(fn, traj) for fn in basis]
-    vol = g.cell_volume
     sums = [[0.0] * 6 for _ in basis]  # ru, rw, lhs, rhs, scale, v_scale
     dts = np.diff(traj.times)
     # a budget is (h + mean snapshot spacing) times its natural size, halved
     half_h = 0.5 * (max(g.hx, g.hy) + (float(np.mean(dts)) if dts.size else 0.0))
     masses, int_g = [], []
-    for i, (t, wt) in enumerate(zip(traj.times, time_weights(traj.times))):
-        u, v, w = traj.load(i)
-        src = None if mms is None else mms.sources(params, g, t)
-        gv = ks.law_g(v)
-        gvs = gv if src is None else gv + src[1]
-        masses.append(gridmod.integrate(v, g))
-        int_g.append(gridmod.integrate(gvs, g))
-        temporal = [fn.temporal(t) for fn in basis]
-        if all(tf == 0.0 for tf, _ in temporal):
-            continue
-        ux, uy = gridmod.face_gradients(u, g)
-        wx, wy = gridmod.face_gradients(w, g)
-        ell = np.log1p(v)
-        lx, ly = gridmod.face_gradients(ell, g)
-        ufx, ufy = _face_mean(u)
-        vp1 = v + 1.0
-        rfx, rfy = _face_mean(v / vp1)
-        fu, r = ks.law_f(u), params.resupply.field(g, t)
-        fus, rs = (fu, r) if src is None else (fu + src[0], r + src[2])
-        uvw = solver.consumption_term(u, v, w, 0.0)
-        lx2, ly2, ux2, uy2 = lx**2, ly**2, ux**2, uy**2
-        size = (ux2.sum() + uy2.sum() + (wx**2).sum() + (wy**2).sum() + np.abs(fu).sum()
-                + uvw.sum() + np.broadcast_to(r, g.shape).sum()) * vol
-        v_size = (lx2.sum() + ly2.sum() + ux2.sum() + uy2.sum()
-                  + np.abs(gv / vp1).sum()) * vol
-        # the integrands that no test function enters, formed once per snapshot
-        taxis_u, taxis_v = (ufx * wx, ufy * wy), (rfx * ux, rfy * uy)
-        taxis_ell, gvs_ell = (rfx * lx * ux, rfy * ly * uy), gvs / vp1
-        for sp, (tf, tdf), s in zip(samples, temporal, sums):
-            if tf == 0.0:
-                continue
-            tf, tdf = float(tf), float(tdf)
-            w_phi = sp.cells(w)
-            s[0] += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
-                          - sp.grads(*taxis_u) * tf - sp.cells(fus) * tf) * vol
-            s[1] += wt * (-w_phi * tdf + sp.grads(wx, wy) * tf
-                          + sp.cells(uvw) * tf + params.mu * w_phi * tf
-                          - sp.cells(rs) * tf) * vol
-            s[2] += wt * (-sp.cells(ell) * tdf) * vol
-            s[3] += wt * vol * (
-                sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf - sp.faces(*taxis_ell) * tf
-                + sp.grads(*taxis_v) * tf + sp.cells(gvs_ell) * tf)
-            s[4] += wt * size * tf
-            s[5] += wt * v_size * tf
+    for i, wt in enumerate(time_weights(traj.times)):
+        mass, g_int = _add_snapshot(traj, i, wt, basis, samples, sums)
+        masses.append(mass)
+        int_g.append(g_int)
     u0, v0, w0 = traj.load(0)
     ell0 = np.log1p(v0)
     ids = [Identities(u=float(ru - sp.initial_trace(u0)), w=float(rw - sp.initial_trace(w0)),
@@ -419,6 +382,66 @@ def evaluate(traj: TrajectoryHandle, basis) -> tuple[list[Identities], list]:
     slack = masses[0] + monitors.running_trapezoid(int_g, traj.times) - np.asarray(masses)
     mass_rows = [(float(t), float(s), bool(s >= -MASS_TOL)) for t, s in zip(traj.times, slack)]
     return ids, mass_rows
+
+
+def _add_snapshot(traj: TrajectoryHandle, i: int, wt, basis, samples, sums):
+    """Add snapshot ``i``, of trapezoid weight ``wt``, to each function's six
+    sums, and return its v mass and its int g(v) (with the manufactured
+    source) for the mass rows.
+
+    The snapshot's manufactured source triple is built once; the derived
+    fields (face gradients, the laws, the resupply, (u+v) w) and the
+    integrands that no test function enters (the face products of the taxis
+    terms and g(v)/(1+v)) are formed once, and only when some function's
+    temporal factor is nonzero at the snapshot.  The shipped temporal
+    factors vanish together with their derivative (both carry the same
+    exponential), so skipping a snapshot where phi(t) = 0 loses none of the
+    phi_t terms.
+    """
+    g, params, t = traj.grid, traj.params, traj.times[i]
+    ks, mms, vol = params.kinetics, params.mms, g.cell_volume
+    u, v, w = traj.load(i)
+    src = None if mms is None else mms.sources(params, g, t)
+    gv = ks.law_g(v)
+    gvs = gv if src is None else gv + src[1]
+    mass, g_int = gridmod.integrate(v, g), gridmod.integrate(gvs, g)
+    temporal = [fn.temporal(t) for fn in basis]
+    if all(tf == 0.0 for tf, _ in temporal):
+        return mass, g_int
+    ux, uy = gridmod.face_gradients(u, g)
+    wx, wy = gridmod.face_gradients(w, g)
+    ell = np.log1p(v)
+    lx, ly = gridmod.face_gradients(ell, g)
+    vp1 = v + 1.0
+    fu, r = ks.law_f(u), params.resupply.field(g, t)
+    fus, rs = (fu, r) if src is None else (fu + src[0], r + src[2])
+    uvw = solver.consumption_term(u, v, w, 0.0)
+    lx2, ly2, ux2, uy2 = lx**2, ly**2, (ux**2).sum(), (uy**2).sum()
+    size = (ux2 + uy2 + (wx**2).sum() + (wy**2).sum() + np.abs(fu).sum()
+            + uvw.sum() + np.broadcast_to(r, g.shape).sum()) * vol
+    v_size = (lx2.sum() + ly2.sum() + ux2 + uy2 + np.abs(gv / vp1).sum()) * vol
+    # the integrands that no test function enters, formed once per snapshot
+    ufx, ufy = _face_mean(u)
+    rfx, rfy = _face_mean(v / vp1)
+    taxis_u, taxis_v = (ufx * wx, ufy * wy), (rfx * ux, rfy * uy)
+    taxis_ell, gvs_ell = (rfx * lx * ux, rfy * ly * uy), gvs / vp1
+    for sp, (tf, tdf), s in zip(samples, temporal, sums):
+        if tf == 0.0:
+            continue
+        tf, tdf = float(tf), float(tdf)
+        w_phi = sp.cells(w)
+        s[0] += wt * (-sp.cells(u) * tdf + sp.grads(ux, uy) * tf
+                      - sp.grads(*taxis_u) * tf - sp.cells(fus) * tf) * vol
+        s[1] += wt * (-w_phi * tdf + sp.grads(wx, wy) * tf
+                      + sp.cells(uvw) * tf + params.mu * w_phi * tf
+                      - sp.cells(rs) * tf) * vol
+        s[2] += wt * (-sp.cells(ell) * tdf) * vol
+        s[3] += wt * vol * (
+            sp.faces(lx2, ly2) * tf - sp.grads(lx, ly) * tf - sp.faces(*taxis_ell) * tf
+            + sp.grads(*taxis_v) * tf + sp.cells(gvs_ell) * tf)
+        s[4] += wt * size * tf
+        s[5] += wt * v_size * tf
+    return mass, g_int
 
 
 def identities(traj: TrajectoryHandle, fn: TestFunction) -> Identities:

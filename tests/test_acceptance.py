@@ -14,6 +14,7 @@ from scipy.integrate import solve_ivp
 
 from oracles import (MASS_LAW_TOL, comparison_ode_bound, peak_of_forced_decay,
                      v_mass_residual, windowed_forcing)
+from taxis_cascade import grid as G
 from taxis_cascade import kinetics as K
 from taxis_cascade import monitors as M
 from taxis_cascade import solver as S
@@ -29,10 +30,26 @@ def _verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+# per preset run: int f(u) of every state a step starts from, which the run
+# hands to the step with the growth laws (criterion 11's forager mass law)
+FORAGER_GROWTH = {}
+
+
 def _run_preset(name, workdir, snapshot_every, **overrides):
     cfg = replace(preset(name).config, out_dir=str(workdir / name),
                   snapshot_every=snapshot_every, **overrides)
-    result = S.run(cfg.build_setup())
+    growth, step = [], S.step
+
+    def recording_step(state, params, dt, g, laws, **kwargs):
+        growth.append(G.integrate(laws[0], g))
+        return step(state, params, dt, g, laws=laws, **kwargs)
+
+    S.step = recording_step
+    try:
+        result = S.run(cfg.build_setup())
+    finally:
+        S.step = step
+    FORAGER_GROWTH[name] = np.asarray(growth)
     assert result.completed, f"{name} aborted: {result.failure}"
     # every report margin (mass, supersolution, window integrals, identity)
     # must be nonnegative up to its stated tolerance on admissible presets
@@ -272,7 +289,8 @@ def test_criterion_10_gate_truth_table():
 
 def _mass_law_defects(res, mass, growth):
     """|defect| of each step's discrete mass law, for the scheme that took
-    it, and the number of SBDF2 steps.
+    it, and the number of SBDF2 steps; ``growth`` holds F of each state a
+    step starts from.
 
     Neumann diffusion and the taxis flux conserve mass, so an Euler step
     keeps m1 - m0 = dt F0 and an SBDF2 step of ratio omega keeps
@@ -281,8 +299,7 @@ def _mass_law_defects(res, mass, growth):
     A run at a fixed dt takes Euler steps; in an adaptive one
     ``solver.sbdf2_ratio`` on the recorded steps says which step was which.
     """
-    s = res.series
-    m, f, dt = s[mass], s[growth], s["dt"]
+    m, f, dt = res.series[mass], growth, res.series["dt"]
     sbdf2 = res.setup.fixed_dt is None
     defects = []
     euler_steps = 0
@@ -304,8 +321,8 @@ def test_criterion_11_positivity_and_conservation(preset_runs):
     details = []
     for name, res in preset_runs.items():
         tol = MASS_LAW_TOL * res.setup.grid.volume
-        du, sbdf2_steps = _mass_law_defects(res, "mass_u", "int_f_u")
-        dv, _ = _mass_law_defects(res, "mass_v", "int_g_v")
+        du, sbdf2_steps = _mass_law_defects(res, "mass_u", FORAGER_GROWTH[name])
+        dv, _ = _mass_law_defects(res, "mass_v", res.series["int_g_v"])
         ok = ok and res.total_clamps == 0
         ok = ok and bool(np.all(du <= tol) and np.all(dv <= tol))
         # an adaptive run takes SBDF2 at every step after its first (its

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +383,7 @@ def test_identical_runs_give_zero_sweep_difference(tmp_path):
                         out_dir=str(tmp_path / f"member{k}"))
         assert S.run(cfg.build_setup()).completed
         trajs.append(weakform.load_trajectory(cfg.out_dir))
-    assert cli._traj_diff(*trajs) == (0.0, 0.0, 0.0)
+    assert cli._traj_diff(trajs) == [(0.0, 0.0, 0.0)]
 
 
 @pytest.mark.parametrize("eps, t_end, error, match", [
@@ -451,9 +456,10 @@ def test_sweep_takes_its_step_from_the_config(tmp_path, capsys, extra, dt, steps
     # safety 0.2 the suggested step is below a tenth of 0.05
     p = write_cfg(tmp_path, small_cfg(tmp_path, nx=8, ny=8, t_end=0.2, fixed_dt=0.05,
                                       safety=0.2))
-    with pytest.warns(RuntimeWarning, match="fixed_dt"):  # a coarse step, on purpose
-        assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2",
-                         "--out", str(tmp_path / "sweep"), *extra]) == 0
+    assert cli.main(["sweep-epsilon", str(p), "--eps", "1e-1,1e-2",
+                     "--out", str(tmp_path / "sweep"), *extra]) == 0
+    err = capsys.readouterr().err.splitlines()  # a coarse step, on purpose
+    assert err and all(line.startswith(f"warning: fixed_dt {dt!r} exceeds") for line in err)
     for k, eps in enumerate([1e-1, 1e-2]):
         manifest = (tmp_path / "sweep" / f"member{k}-eps{eps:g}" / "manifest.txt").read_text()
         assert f"# steps: {steps}\n" in manifest
@@ -469,6 +475,79 @@ def test_sweep_reads_each_member_once(tmp_path, monkeypatch):
                               out_root=str(tmp_path / "sweep"))
     assert loads == [f"member{k}-eps{e:g}" for k, e in enumerate(eps)]
     assert [row[:2] for row in sweep.diffs] == list(zip(eps, eps[1:]))
+
+
+def test_sweep_reads_each_file_once_and_holds_a_triple_per_member(tmp_path, monkeypatch):
+    arrays, held, reads, read = [], [], [], G.read_field
+
+    def tracking(path):
+        # the fields read earlier that are still alive when a read starts
+        held.append(sum(ref() is not None for ref in arrays))
+        phi, g, t = read(path)
+        reads.append(Path(path))
+        arrays.append(weakref.ref(phi))
+        return phi, g, t
+
+    monkeypatch.setattr(G, "read_field", tracking)
+    eps = [1e-1, 1e-2, 1e-3]
+    sweep = cli.sweep_epsilon(small_cfg(tmp_path, t_end=0.5), eps,
+                              out_root=str(tmp_path / "sweep"))
+    monkeypatch.undo()
+    members = [tmp_path / "sweep" / f"member{k}-eps{e:g}" for k, e in enumerate(eps)]
+    files = sorted(p for m in members for p in m.glob("*.fld"))
+    assert len(files) == 3 * 6 * len(eps)  # snapshots every 0.1 to t = 0.5
+    assert sorted(reads) == files
+    assert max(held) <= 3 * len(eps)
+    # the table built from whole trajectories, each member loaded at once
+    trajs = [weakform.load_trajectory(m) for m in members]
+    fields = [[[G.read_field(p)[0] for p in triple] for triple in traj.paths]
+              for traj in trajs]
+    g, wts = trajs[0].grid, weakform.time_weights(trajs[0].times)
+    rows = []
+    for (eps_a, fa), (eps_b, fb) in pairwise(zip(eps, fields)):
+        du2 = dv1 = dw2 = 0.0
+        for wt, (ua, va, wa), (ub, vb, wb) in zip(wts, fa, fb):
+            du2 += wt * G.integrate((ua - ub) ** 2, g)
+            dv1 += wt * G.integrate(np.abs(va - vb), g)
+            dw2 += wt * G.integrate((wa - wb) ** 2, g)
+        rows.append((eps_a, eps_b, math.sqrt(du2), dv1, math.sqrt(dw2)))
+    assert list(sweep.table_rows()) == list(cli.SweepResult(diffs=rows).table_rows())
+
+
+def test_a_run_whose_clock_stops_is_one_aborted_line(tmp_path):
+    # at Lx = 1e-150 the adaptive step falls below the spacing of t after
+    # three steps, and a run that went on would never end
+    p = tmp_path / "stall.ini"
+    p.write_text("[grid]\nLx = 1e-150\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "taxis_cascade.cli", "run", str(p), "--out", str(tmp_path / "stall")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_ABORT
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("aborted: the clock stopped: t = 1.4999999999999998e-122 + dt = ")
+    manifest = (tmp_path / "stall" / "manifest.txt").read_text()
+    assert "# status: failed\n# steps: 3\n" in manifest
+    assert f"# failure: {err[0].removeprefix('aborted: ')}\n" in manifest
+
+
+def test_main_shows_a_warning_as_one_line_and_raises_what_is_made_an_error(
+        tmp_path, capsys, monkeypatch):
+    p = tmp_path / "coarse.ini"
+    p.write_text("[grid]\nnx = 8\nny = 8\n[time]\nt_end = 0.1\nfixed_dt = 0.05\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the fixed-step advice is shown, not raised, and the run succeeds
+        assert cli.main(["run", str(p), "--out", str(tmp_path / "coarse")]) == cli.EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: fixed_dt 0.05 exceeds 10x the suggested step ")
+        # any other RuntimeWarning the filters make an error still raises
+        monkeypatch.setattr(cli, "cmd_gate", lambda args: int(np.log(np.zeros(1))[0]))
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            cli.main(["gate", "--preset", "thm1-core"])
 
 
 def test_sweep_w_difference_bounded_by_ceiling(tmp_path):
@@ -730,12 +809,12 @@ def test_watchdog_exit_code(tmp_path, capsys):
 
 def test_aborted_mms_study_exits_two_with_one_aborted_line(capsys):
     # dt = 100 h^2 drives u negative on the first step
-    with pytest.warns(RuntimeWarning, match="fixed_dt"):
-        code = cli.main(["mms", "--levels", "16", "--dt-coeff", "100", "--t-end", "3"])
+    code = cli.main(["mms", "--levels", "16", "--dt-coeff", "100", "--t-end", "3"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("aborted: mms level 16: PositivityError: ")
-    assert err.count("\n") == 1
+    # the advice on the coarse step, then the abort
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("warning: fixed_dt ")
+    assert err[1].startswith("aborted: mms level 16: PositivityError: ")
 
 
 def test_aborted_sweep_member_exits_two_with_one_aborted_line(tmp_path, monkeypatch,

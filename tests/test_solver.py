@@ -643,7 +643,7 @@ def test_manufactured_run_skips_the_integrals_only_the_monitors_read(monkeypatch
     for name in ("int_u_alpha", "int_v_beta", "int_abs_g_v", "int_consumption"):
         assert series[name].shape == (0,)
     for name in ("t", "mass_u", "mass_v", "mass_w", "linf_u", "linf_v", "linf_w",
-                 "int_f_u", "int_g_v"):
+                 "int_g_v"):
         assert len(series[name]) == result.steps + 1
 
 

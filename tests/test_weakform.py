@@ -148,14 +148,22 @@ def test_load_trajectory_and_grid_roundtrip(tmp_path):
     assert traj.params.mu == pytest.approx(0.2)
 
 
-def test_loaded_snapshots_cached_per_handle_and_freed_with_it(tmp_path):
+def test_handle_keeps_the_initial_datum_alone_and_is_freed_with_it(tmp_path, monkeypatch):
     traj = small_run(tmp_path, t_end=0.3)
-    first = traj.load(1)
-    assert traj.load(1) is first          # served from the handle's cache
-    ref = weakref.ref(traj)
+    reads, read = [], G.read_field
+    monkeypatch.setattr(G, "read_field", lambda path: reads.append(path) or read(path))
+    first = traj.load(0)
+    assert traj.load(0) is first and len(reads) == 3   # served from the handle
+    later = traj.load(1)
+    again = traj.load(1)                               # read again: not kept
+    assert again is not later and len(reads) == 9
+    assert all(np.array_equal(a, b) for a, b in zip(later, again))
+    ref, ref_u0, ref_u1 = weakref.ref(traj), weakref.ref(first[0]), weakref.ref(later[0])
+    del later, again
+    assert ref_u1() is None
     del traj, first
     gc.collect()
-    assert ref() is None
+    assert ref() is None and ref_u0() is None
 
 
 def test_residual_zero_for_disjoint_support(tmp_path):
@@ -277,8 +285,32 @@ def test_a_pass_reads_each_snapshot_file_once(tmp_path, monkeypatch):
     assert reads == []  # the listing reads the headers alone
     fn = W.TestFunction("mid", W.SpatialBump(0.5, 0.5, 0.3), W.TemporalBump(0.12, 0.28))
     W.identities(traj, fn)
-    assert set(traj._loaded) == set(range(len(traj)))
     assert len(reads) == len(set(reads)) == 3 * len(traj)
+    # of what it read, the handle kept the initial datum alone
+    assert traj.load(0) is traj._initial and len(reads) == 3 * len(traj)
+
+
+@pytest.mark.parametrize("snapshot_every, snapshots", [(0.05, 7), (0.0075, 41)])
+def test_verify_weak_holds_two_triples_whatever_the_trajectory_length(
+        tmp_path, monkeypatch, snapshot_every, snapshots):
+    small_run(tmp_path, t_end=0.3, snapshot_every=snapshot_every)
+    arrays, held, read = [], [], G.read_field
+
+    def tracking(path):
+        # the fields read earlier that are still alive when a read starts
+        held.append(sum(ref() is not None for ref in arrays))
+        phi, g, t = read(path)
+        arrays.append(weakref.ref(phi))
+        return phi, g, t
+
+    monkeypatch.setattr(G, "read_field", tracking)
+    rows, _ = cli.verify_weak(tmp_path / "run")
+    assert len(rows) == 16
+    assert len(arrays) == 3 * snapshots
+    # the initial datum and the triple being summed, and nothing once done
+    assert max(held) <= 6
+    gc.collect()
+    assert not any(ref() is not None for ref in arrays)
 
 
 def test_verify_weak_makes_one_pass_for_the_whole_basis(tmp_path, monkeypatch):
